@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from randchain.chain import TYPE_I, ChainSpec, Gamma
+from randchain.chain import TYPE_I, Gamma
 from randchain.exact import GammaChainParams, gamma1_coefficient, lyapunov_exact
 from randchain.lyapunov import transfer_lyapunov
 
@@ -32,7 +32,7 @@ SWEEP_STEPS = 2 * 10**6
 
 
 def monte_carlo(alpha: int, omega_sq: float, n_steps: int):
-    return transfer_lyapunov(ChainSpec(TYPE_I, 1, Gamma(alpha, alpha)), omega_sq, n_steps, seed=(8, alpha))
+    return transfer_lyapunov(TYPE_I, Gamma(alpha, alpha), omega_sq, n_steps, seed=(8, alpha))
 
 
 def slope(alphas, gammas) -> float:

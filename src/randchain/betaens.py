@@ -140,9 +140,10 @@ def con_density(c: float, mu: float) -> float:
 def con_cdf_grid(c: float, mus: np.ndarray) -> np.ndarray:
     """Distribution function of con_density on an ascending grid.
 
-    The head below the first grid point uses the closed small-argument
-    form (the density diverges like 1/(mu log^2 mu) there, so plain
-    quadrature from zero would converge only logarithmically).
+    The mass below min(mus[0], 1e-4) uses the closed small-argument form
+    (the density diverges like 1/(mu log^2 mu) there, so plain quadrature
+    from zero would converge only logarithmically); above 1e-4 that form
+    is no longer accurate, and quadrature carries the rest.
     """
     from scipy.integrate import quad
 
@@ -151,15 +152,21 @@ def con_cdf_grid(c: float, mus: np.ndarray) -> np.ndarray:
     mus = np.asarray(mus, dtype=float)
     if np.any(mus <= 0) or np.any(np.diff(mus) <= 0):
         raise ValueError("grid must be positive and increasing")
+
+    def segment(a: float, b: float) -> float:
+        return quad(lambda m: con_density(c, m), a, b, limit=100, epsabs=1e-9, epsrel=1e-6)[0]
+
     const = digamma(c) + 2.0 * euler_gamma()
+    mu_head = min(mus[0], 1e-4)
     head = (1.0 / (c * math.pi)) * (
-        math.atan((math.log(mus[0]) + const) / math.pi) + math.pi / 2.0
+        math.atan((math.log(mu_head) + const) / math.pi) + math.pi / 2.0
     )
     out = np.empty(mus.size)
     out[0] = head
+    if mus[0] > mu_head:
+        out[0] += segment(mu_head, mus[0])
     for i in range(1, mus.size):
-        seg, _ = quad(lambda m: con_density(c, m), mus[i - 1], mus[i], limit=100, epsabs=1e-9, epsrel=1e-6)
-        out[i] = out[i - 1] + seg
+        out[i] = out[i - 1] + segment(mus[i - 1], mus[i])
     return out
 
 

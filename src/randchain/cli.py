@@ -194,12 +194,13 @@ def cmd_schmidt(args) -> int:
 def cmd_lyapunov(args) -> int:
     law = parse_law(args.law)
     kind = {"type1": chain.TYPE_I, "type2": chain.TYPE_II, "anderson": chain.ANDERSON}[args.model]
-    spec = chain.ChainSpec(kind, 1, law, spring_k=args.spring_k, seed=args.seed)
     grid = parse_grid(args.grid)
     gam = np.empty(grid.size)
     err = np.empty(grid.size)
     for i, v in enumerate(grid):
-        est = lyapunov.transfer_lyapunov(spec, float(v), args.steps, seed=(args.seed, i))
+        est = lyapunov.transfer_lyapunov(
+            kind, law, float(v), args.steps, seed=(args.seed, i), spring_k=args.spring_k
+        )
         gam[i] = est.gamma
         err[i] = est.stderr
     out = _Outputs(args, "lyapunov")
@@ -341,7 +342,7 @@ def _selftest_checks():
         return ks < 0.06, f"KS {ks:.4f}"
 
     def lyapunov_pure():
-        est = lyapunov.transfer_lyapunov(chain.ChainSpec(chain.TYPE_II, 1, chain.Constant(1.0)), 6.0, 100000, seed=2)
+        est = lyapunov.transfer_lyapunov(chain.TYPE_II, chain.Constant(1.0), 6.0, 100000, seed=2)
         return abs(est.gamma - math.log(2 + math.sqrt(3))) < 1e-5, f"gamma {est.gamma:.8f}"
 
     return [
@@ -458,6 +459,8 @@ def _apply_config(ap: argparse.ArgumentParser, argv: list[str]) -> list[str]:
     if "--config" not in argv:
         return argv
     idx = argv.index("--config")
+    if idx + 1 == len(argv):
+        ap.error("argument --config: expected one argument")
     path = Path(argv[idx + 1])
     pairs = []
     for line in path.read_text(encoding="utf-8").splitlines():
@@ -477,12 +480,10 @@ def _apply_config(ap: argparse.ArgumentParser, argv: list[str]) -> list[str]:
 def run(argv: list[str]) -> int:
     ap = build_parser()
     try:
-        argv = _apply_config(ap, list(argv))
+        args = ap.parse_args(_apply_config(ap, list(argv)))
     except OSError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_IO
-    try:
-        args = ap.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:

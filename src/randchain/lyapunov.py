@@ -14,12 +14,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import ANDERSON, TYPE_I, TYPE_II, ChainSpec, DisorderLaw
+from .chain import ANDERSON, TYPE_I, TYPE_II, DisorderLaw, GaussianPotential
 from .schmidt import DensityGrid
 from .specfun import rng_from_seed, scaling_f
 
 __all__ = [
-    "TransferStep",
     "LyapunovEstimate",
     "CollapseReport",
     "transfer_lyapunov",
@@ -29,136 +28,98 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class TransferStep:
-    """One 2x2 chain transfer matrix; the lower row is fixed to (1, 0)."""
-
-    a11: float
-    a12: float
-    a21: float = 1.0
-    a22: float = 0.0
-
-    def __post_init__(self):
-        if self.a21 != 1.0 or self.a22 != 0.0:
-            raise ValueError("chain transfer steps have lower row (1, 0)")
-
-    def apply(self, u: float, v: float) -> tuple[float, float]:
-        return self.a11 * u + self.a12 * v, u
-
-
-@dataclass(frozen=True)
 class LyapunovEstimate:
     """Per-step log growth rate with block-mean error bar."""
 
     gamma: float
     stderr: float
     steps: int
-    resets: int
 
     def __post_init__(self):
         if self.stderr < 0 or self.steps < 1:
             raise ValueError("invalid estimate")
 
 
-def _block_gammas_chain2(law, spring_k, omega_sq, n_blocks, block_len, burn_in, rng, renorm_every=1):
-    """Type II / lattice style step u' = a u - v with random a."""
+def _block_gammas(step, n_blocks, block_len, burn_in):
+    """Mean log growth per step of n_blocks trajectories of u' = step(u, v).
+
+    Each step is followed by v' = u and a renormalisation of (u', v'), so
+    no overflow is possible; the logs of the norms after the burn-in are
+    accumulated.
+    """
     u = np.ones(n_blocks)
     v = np.full(n_blocks, 0.5)
     acc = np.zeros(n_blocks)
     for i in range(block_len + burn_in):
-        a = 2.0 - omega_sq * law.sample(rng, n_blocks) / spring_k
-        u, v = a * u - v, u
-        if (i + 1) % renorm_every == 0:
-            norm = np.sqrt(u * u + v * v)
-            u /= norm
-            v /= norm
-            if i >= burn_in:
-                acc += np.log(norm)
-    return acc / block_len
-
-
-def _block_gammas_anderson(law, energy, n_blocks, block_len, burn_in, rng, renorm_every=1):
-    """Lattice with site potential: u' = (E - V) u - v, band [-2, 2]."""
-    u = np.ones(n_blocks)
-    v = np.full(n_blocks, 0.5)
-    acc = np.zeros(n_blocks)
-    for i in range(block_len + burn_in):
-        a = energy - law.sample(rng, n_blocks)
-        u, v = a * u - v, u
-        if (i + 1) % renorm_every == 0:
-            norm = np.sqrt(u * u + v * v)
-            u /= norm
-            v /= norm
-            if i >= burn_in:
-                acc += np.log(norm)
-    return acc / block_len
-
-
-def _block_gammas_hopping(law, omega, n_blocks, block_len, burn_in, rng, renorm_every=1):
-    """Off-diagonal disorder: t_n u' = omega u - t_{n-1} v, one step per site."""
-    u = np.ones(n_blocks)
-    v = np.full(n_blocks, 0.5)
-    t_prev = np.sqrt(law.sample(rng, n_blocks))
-    acc = np.zeros(n_blocks)
-    for i in range(block_len + burn_in):
-        t_cur = np.sqrt(law.sample(rng, n_blocks))
-        u, v = (omega * u - t_prev * v) / t_cur, u
-        t_prev = t_cur
-        if (i + 1) % renorm_every == 0:
-            norm = np.sqrt(u * u + v * v)
-            u /= norm
-            v /= norm
-            if i >= burn_in:
-                acc += np.log(norm)
+        u, v = step(u, v), u
+        norm = np.sqrt(u * u + v * v)
+        u /= norm
+        v /= norm
+        if i >= burn_in:
+            acc += np.log(norm)
     return acc / block_len
 
 
 def transfer_lyapunov(
-    spec: ChainSpec,
+    kind: str,
+    law: DisorderLaw,
     omega_sq_or_e: float,
     n_steps: int,
     seed=0,
+    spring_k: float = 1.0,
     n_blocks: int = 50,
     burn_in: int = 1000,
-    renorm_every: int = 1,
 ) -> LyapunovEstimate:
     """Lyapunov exponent of the chain or lattice at the given frequency/energy.
 
     The argument is the squared frequency for the sprung chains and the
-    energy for the lattice kind.  n_steps counted steps are split over
-    n_blocks independent trajectories (each with its own discarded
-    burn-in); the estimate is the mean of the block means and the error
-    bar their standard error.  By default the vector is renormalised
-    every step, so no overflow is possible; stretching the interval only
-    moves rounding around since the log accumulates exactly.
+    energy for the lattice kind.  The step is
+      type II:  u' = (2 - omega^2 m / K) u - v, one mass m per step;
+      anderson: u' = (E - V) u - v, band [-2, 2];
+      type I:   t_n u' = omega u - t_{n-1} v with t = sqrt(lambda).
+    n_steps counted steps are split over n_blocks independent
+    trajectories (each with its own discarded burn-in); the estimate is
+    the mean of the block means and the error bar their standard error.
     """
+    if kind not in (TYPE_I, TYPE_II, ANDERSON):
+        raise ValueError(f"unsupported kind {kind}")
+    if not spring_k > 0:
+        raise ValueError("spring_k must be positive")
+    if kind != ANDERSON and isinstance(law, GaussianPotential):
+        raise ValueError("sprung chains need a positive law, not a signed potential")
+    if kind == TYPE_I and omega_sq_or_e < 0:
+        raise ValueError("type I chains take omega_sq >= 0")
     if n_steps < 1000:
         raise ValueError("need n_steps >= 1000")
     if n_blocks < 2 or n_steps // n_blocks < 1:
         raise ValueError("invalid block structure")
-    if renorm_every < 1 or burn_in % renorm_every or (n_steps // n_blocks) % renorm_every:
-        raise ValueError("burn_in and block length must be multiples of renorm_every")
     rng = rng_from_seed(seed)
     block_len = n_steps // n_blocks
-    if spec.kind == TYPE_II:
-        blocks = _block_gammas_chain2(
-            spec.law, spec.spring_k, omega_sq_or_e, n_blocks, block_len, burn_in, rng, renorm_every
-        )
-    elif spec.kind == ANDERSON:
-        blocks = _block_gammas_anderson(
-            spec.law, omega_sq_or_e, n_blocks, block_len, burn_in, rng, renorm_every
-        )
-    elif spec.kind == TYPE_I:
-        if omega_sq_or_e < 0:
-            raise ValueError("type I chains take omega_sq >= 0")
-        blocks = _block_gammas_hopping(
-            spec.law, math.sqrt(omega_sq_or_e), n_blocks, block_len, burn_in, rng, renorm_every
-        )
+    if kind == TYPE_II:
+
+        def step(u, v):
+            return (2.0 - omega_sq_or_e * law.sample(rng, n_blocks) / spring_k) * u - v
+
+    elif kind == ANDERSON:
+
+        def step(u, v):
+            return (omega_sq_or_e - law.sample(rng, n_blocks)) * u - v
+
     else:
-        raise ValueError(f"unsupported kind {spec.kind}")
-    total = n_blocks * block_len
+        omega = math.sqrt(omega_sq_or_e)
+        t_prev = np.sqrt(law.sample(rng, n_blocks))
+
+        def step(u, v):
+            nonlocal t_prev
+            t_cur = np.sqrt(law.sample(rng, n_blocks))
+            u_next = (omega * u - t_prev * v) / t_cur
+            t_prev = t_cur
+            return u_next
+
+    blocks = _block_gammas(step, n_blocks, block_len, burn_in)
     gamma = float(np.mean(blocks))
     stderr = float(np.std(blocks, ddof=1) / math.sqrt(n_blocks))
-    return LyapunovEstimate(gamma=gamma, stderr=stderr, steps=total, resets=total // renorm_every)
+    return LyapunovEstimate(gamma=gamma, stderr=stderr, steps=n_blocks * block_len)
 
 
 def _log_abs_average(a: float, b: float, s: float) -> float:
@@ -224,8 +185,6 @@ def band_edge_collapse(
     (2 alpha)^{2/3} (|E| - 2), where it should follow the Airy scaling
     function.
     """
-    from .chain import GaussianPotential
-
     if alpha < 8:
         raise ValueError("weak-disorder collapse needs alpha >= 8")
     energies = np.asarray(energy_grid, dtype=float)
@@ -235,8 +194,7 @@ def band_edge_collapse(
     errs = np.empty(energies.size)
     law = GaussianPotential(1.0 / alpha)
     for i, e in enumerate(energies):
-        spec = ChainSpec(ANDERSON, 1, law, seed=0)
-        est = transfer_lyapunov(spec, float(e), n_steps, seed=(seed, i), n_blocks=n_blocks)
+        est = transfer_lyapunov(ANDERSON, law, float(e), n_steps, seed=(seed, i), n_blocks=n_blocks)
         gammas[i] = est.gamma
         errs[i] = est.stderr
     scaled_gamma = gammas * cube

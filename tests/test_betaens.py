@@ -194,3 +194,11 @@ def test_log_exponent_gap_between_chain_and_ensemble():
 
     gap = slope(chain_dens) - slope(ens_dens)
     assert gap == pytest.approx(1.0, abs=0.3)
+
+
+def test_con_cdf_grid_head_beyond_small_arguments():
+    # A grid that starts well above the small-argument range gets the same
+    # distribution function as one that starts deep inside it.
+    coarse = con_cdf_grid(1.0, np.array([0.1, 0.5, 1.0]))
+    fine = con_cdf_grid(1.0, np.array([1e-6, 1e-4, 1e-2, 0.1, 0.5, 1.0]))
+    assert np.max(np.abs(coarse - fine[3:])) < 1e-5

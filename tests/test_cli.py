@@ -112,6 +112,18 @@ def test_lyapunov_csv(tmp_path):
     assert len(lines) == 3
 
 
+@pytest.mark.parametrize("model", ["type1", "type2"])
+def test_lyapunov_rejects_signed_law_for_sprung_chains(tmp_path, model):
+    # Masses and couplings must be positive: a Gaussian law is refused
+    # before any draw, so no CSV of NaNs or of negative masses is written.
+    argv = [
+        "lyapunov", "--model", model, "--law", "gauss:1",
+        "--grid", "0.5:3:2", "--steps", "20000", "--out", str(tmp_path),
+    ]
+    assert run(argv) == EXIT_NUMERIC
+    assert not (tmp_path / "lyapunov_gamma.csv").exists()
+
+
 def test_betaens_csv(tmp_path):
     argv = ["betaens", "--pairs", "20", "--beta", "2", "--samples", "3", "--out", str(tmp_path)]
     assert run(argv) == EXIT_OK
@@ -138,6 +150,11 @@ def test_config_file_defaults_and_override(tmp_path, capsys):
     # explicit flag wins over the config value
     assert run(["pure", "--config", str(cfg), "--x", "4"]) == EXIT_OK
     assert capsys.readouterr().out.strip() == "1"
+
+
+def test_config_without_value_is_usage_error(capsys):
+    assert run(["pure", "--config"]) == EXIT_USAGE
+    assert "--config" in capsys.readouterr().err
 
 
 def test_schmidt_omega_scalar(capsys):

@@ -276,8 +276,11 @@ def test_gamma1_coefficient_matches_exact_solution(w2):
 
 
 def test_gamma1_agrees_with_lattice_form_near_edge():
-    # The coefficient equals the potential-disorder form 1/(8 (1 - (E/2)^2))
-    # at E = omega for every omega^2 in the band, not only near the edge.
-    w = 1.99
-    lattice = 1.0 / (8.0 * (1.0 - (w / 2.0) ** 2))
-    assert abs(gamma1_coefficient(w * w) / lattice - 1.0) < 0.05
+    # Near the band edge the exact solution follows the lattice form
+    # 1/(8 (1 - omega^2/4)) = 5 at omega^2 = 3.9 only once the edge
+    # variable (2 alpha)^{2/3} (4 - omega^2) / 2 is large: it is 2.7 at
+    # alpha = 200, where alpha * gamma is still 9 % low, and 4.3 at
+    # alpha = 400, where the gap is 2 %.
+    alpha = 400.0
+    gamma = lyapunov_exact(GammaChainParams(alpha, alpha), 3.9)
+    assert abs(alpha * gamma / gamma1_coefficient(3.9) - 1.0) < 0.03

@@ -8,7 +8,6 @@ from randchain.chain import (
     ANDERSON,
     TYPE_I,
     TYPE_II,
-    ChainSpec,
     Constant,
     Gamma,
     GaussianPotential,
@@ -17,7 +16,6 @@ from randchain.chain import (
 from randchain.exact import GammaChainParams, lyapunov_exact
 from randchain.lyapunov import (
     LyapunovEstimate,
-    TransferStep,
     band_edge_collapse,
     thouless_gamma,
     transfer_lyapunov,
@@ -25,42 +23,20 @@ from randchain.lyapunov import (
 from randchain.schmidt import DensityGrid
 
 
-def test_transfer_step_structure():
-    s = TransferStep(0.0, -1.0)
-    assert s.apply(1.0, 0.0) == (0.0, 1.0)
-    with pytest.raises(ValueError):
-        TransferStep(1.0, 1.0, a21=2.0)
-
-
 def test_pure_chain_rotation_zero_exponent():
-    spec = ChainSpec(TYPE_II, 1, Constant(1.0))
-    est = transfer_lyapunov(spec, 2.0, 100_000, seed=0)
+    est = transfer_lyapunov(TYPE_II, Constant(1.0), 2.0, 100_000, seed=0)
     assert abs(est.gamma) < 1e-10
-    assert est.resets == est.steps
 
 
 def test_pure_chain_hyperbolic_closed_form():
-    spec = ChainSpec(TYPE_II, 1, Constant(1.0))
-    est = transfer_lyapunov(spec, 6.0, 10**6, seed=1)
+    est = transfer_lyapunov(TYPE_II, Constant(1.0), 6.0, 10**6, seed=1)
     assert abs(est.gamma - math.log(2.0 + math.sqrt(3.0))) < 1e-6
 
 
 def test_gamma_nonnegative_for_disordered_chains():
     for seed, w2 in ((0, 0.5), (1, 1.0), (2, 3.0)):
-        spec = ChainSpec(TYPE_II, 1, TwoPoint(1.0, 2.0, 0.5))
-        est = transfer_lyapunov(spec, w2, 200_000, seed=seed)
+        est = transfer_lyapunov(TYPE_II, TwoPoint(1.0, 2.0, 0.5), w2, 200_000, seed=seed)
         assert est.gamma >= -2.0 * est.stderr
-
-
-def test_renormalisation_interval_invariance():
-    # Same seed, same trajectory: doubling the renormalisation interval
-    # changes only where the norm is factored out, so the accumulated
-    # log growth moves by rounding alone.
-    spec = ChainSpec(TYPE_II, 1, TwoPoint(1.0, 2.0, 0.5))
-    a = transfer_lyapunov(spec, 1.0, 10**6, seed=3, renorm_every=1)
-    b = transfer_lyapunov(spec, 1.0, 10**6, seed=3, renorm_every=2)
-    assert abs(a.gamma - b.gamma) < 1e-12
-    assert b.resets == a.resets // 2
 
 
 def test_diatomic_matches_finite_chain_product_identity():
@@ -80,7 +56,7 @@ def test_diatomic_matches_finite_chain_product_identity():
             r = 1e-300
         log_u += math.log(abs(r))
     direct = log_u / n
-    est = transfer_lyapunov(ChainSpec(TYPE_II, 1, law), w2, n, seed=8)
+    est = transfer_lyapunov(TYPE_II, law, w2, n, seed=8)
     assert abs(est.gamma - direct) < 2.5 * est.stderr + 5e-4
 
 
@@ -108,7 +84,7 @@ def test_thouless_agrees_with_transfer_for_diatomic():
     g = DensityGrid(0.5 * (edges[1:] + edges[:-1]), hist / mus.size, total_mass=1.0)
     w2 = 1.0
     th = thouless_gamma(g, w2, law, 1.0)
-    est = transfer_lyapunov(ChainSpec(TYPE_II, 1, law), w2, 10**6, seed=9)
+    est = transfer_lyapunov(TYPE_II, law, w2, 10**6, seed=9)
     assert abs(th - est.gamma) < 2.0 * est.stderr + 2e-3
 
 
@@ -190,17 +166,25 @@ def test_band_edge_collapse_validation():
 
 
 def test_transfer_lyapunov_validation():
-    spec = ChainSpec(TYPE_II, 1, Constant(1.0))
     with pytest.raises(ValueError):
-        transfer_lyapunov(spec, 1.0, 100, seed=0)
+        transfer_lyapunov(TYPE_II, Constant(1.0), 1.0, 100, seed=0)
     with pytest.raises(ValueError):
-        LyapunovEstimate(0.0, -1.0, 10, 10)
+        LyapunovEstimate(0.0, -1.0, 10)
+    # an unknown kind, a non-positive spring constant, a signed law on a
+    # sprung chain
+    for kind, law, spring_k in (
+        ("typeIII", Constant(1.0), 1.0),
+        (TYPE_II, Constant(1.0), 0.0),
+        (TYPE_II, GaussianPotential(1.0), 1.0),
+        (TYPE_I, GaussianPotential(1.0), 1.0),
+    ):
+        with pytest.raises(ValueError):
+            transfer_lyapunov(kind, law, 1.0, 10**4, spring_k=spring_k)
 
 
 def test_anderson_band_centre_weak_disorder():
     alpha = 64.0
-    spec = ChainSpec(ANDERSON, 1, GaussianPotential(1.0 / alpha))
-    est = transfer_lyapunov(spec, 0.0, 10**6, seed=6)
+    est = transfer_lyapunov(ANDERSON, GaussianPotential(1.0 / alpha), 0.0, 10**6, seed=6)
     # the band-centre anomaly keeps the ratio a few percent below one
     assert abs(est.gamma * 8.0 * alpha - 1.0) < 0.15
 
@@ -208,11 +192,11 @@ def test_anderson_band_centre_weak_disorder():
 @pytest.mark.parametrize("w2", [1.0, 3.0])
 def test_type1_gamma_chain_matches_exact_solution(w2):
     # The real part of the continued Omega gives the exponent in closed form.
-    est = transfer_lyapunov(ChainSpec(TYPE_I, 1, Gamma(3.0, 3.0)), w2, 10**6, seed=0)
+    est = transfer_lyapunov(TYPE_I, Gamma(3.0, 3.0), w2, 10**6, seed=0)
     assert abs(est.gamma - lyapunov_exact(GammaChainParams(3.0, 3.0), w2)) < 4.0 * est.stderr
 
 
 def test_type1_gamma_chain_exact_solution_rate():
     # A rate other than the shape enters the exponent as + log(rate) / 2.
-    est = transfer_lyapunov(ChainSpec(TYPE_I, 1, Gamma(3.0, 1.5)), 1.0, 10**6, seed=0)
+    est = transfer_lyapunov(TYPE_I, Gamma(3.0, 1.5), 1.0, 10**6, seed=0)
     assert abs(est.gamma - lyapunov_exact(GammaChainParams(3.0, 1.5), 1.0)) < 4.0 * est.stderr
