@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .specfun import gamma_fn, rng_from_seed, whittaker_msq
+from .specfun import gamma_fn, rng_from_seed, whittaker_cdf, whittaker_msq
 from .tridiag import AntisymTridiag, Spectrum, eigenvalues
 
 __all__ = [
@@ -125,14 +125,14 @@ def mp_cdf(mu) -> np.ndarray:
     return (2.0 / math.pi) * (np.arcsin(root) + root * np.sqrt(1.0 - mu))
 
 
-def con_density(c: float, mu: float) -> float:
-    """Density of states of the beta = c/N regime.
+def con_density(c: float, mu):
+    """Density of states of the beta = c/N regime, at a scalar or an array of mu.
 
     D(mu) = 1 / (Gamma(c) Gamma(c+1) |W_{-c+1/2, 0}(-mu)|^2), with the
     Whittaker modulus squared taken as the boundary value from the upper
-    half plane.
+    half plane; an array of mu takes one sweep along the cut.
     """
-    if c <= 0 or mu <= 0:
+    if c <= 0 or np.any(np.asarray(mu) <= 0):
         raise ValueError("c and mu must be positive")
     return 1.0 / (gamma_fn(c) * gamma_fn(c + 1.0) * whittaker_msq(c, mu))
 
@@ -142,32 +142,10 @@ def con_cdf_grid(c: float, mus: np.ndarray) -> np.ndarray:
 
     The mass below min(mus[0], 1e-4) uses the closed small-argument form
     (the density diverges like 1/(mu log^2 mu) there, so plain quadrature
-    from zero would converge only logarithmically); above 1e-4 that form
-    is no longer accurate, and quadrature carries the rest.
+    from zero would converge only logarithmically); one sweep along the
+    cut carries the rest.
     """
-    from scipy.integrate import quad
-
-    from .specfun import digamma, euler_gamma
-
-    mus = np.asarray(mus, dtype=float)
-    if np.any(mus <= 0) or np.any(np.diff(mus) <= 0):
-        raise ValueError("grid must be positive and increasing")
-
-    def segment(a: float, b: float) -> float:
-        return quad(lambda m: con_density(c, m), a, b, limit=100, epsabs=1e-9, epsrel=1e-6)[0]
-
-    const = digamma(c) + 2.0 * euler_gamma()
-    mu_head = min(mus[0], 1e-4)
-    head = (1.0 / (c * math.pi)) * (
-        math.atan((math.log(mu_head) + const) / math.pi) + math.pi / 2.0
-    )
-    out = np.empty(mus.size)
-    out[0] = head
-    if mus[0] > mu_head:
-        out[0] += segment(mu_head, mus[0])
-    for i in range(1, mus.size):
-        out[i] = out[i - 1] + segment(mus[i - 1], mus[i])
-    return out
+    return whittaker_cdf(c, mus)
 
 
 def equal_mass_edges(cdf_vals: np.ndarray, grid: np.ndarray, n_bins: int) -> np.ndarray:

@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -39,39 +40,53 @@ class RunManifest:
     parallelism: int = 1  # module work runs sequentially in this front end
 
 
+class UsageError(ValueError):
+    """A malformed command-line value; run() maps it to EXIT_USAGE."""
+
+
 def parse_grid(spec: str) -> np.ndarray:
     """Grid syntax lo:hi:n (linear); prefix 'g' for geometric spacing."""
     geometric = spec.startswith("g")
     body = spec[1:] if geometric else spec
     parts = body.split(":")
     if len(parts) != 3:
-        raise ValueError(f"grid must be lo:hi:n or glo:hi:n, got {spec!r}")
-    lo, hi, n = float(parts[0]), float(parts[1]), int(parts[2])
-    if n < 1 or hi <= lo:
-        raise ValueError(f"bad grid {spec!r}")
+        raise UsageError(f"grid must be lo:hi:n or glo:hi:n, got {spec!r}")
+    try:
+        lo, hi, n = float(parts[0]), float(parts[1]), int(parts[2])
+    except ValueError as exc:
+        raise UsageError(f"bad grid {spec!r}: {exc}") from exc
+    if n < 1 or not (math.isfinite(lo) and math.isfinite(hi) and hi > lo):
+        raise UsageError(f"bad grid {spec!r}")
     if geometric:
         if lo <= 0:
-            raise ValueError("geometric grid needs lo > 0")
+            raise UsageError("geometric grid needs lo > 0")
         return np.geomspace(lo, hi, n)
     return np.linspace(lo, hi, n)
 
 
+_LAWS = {
+    "const": (chain.Constant, 1),
+    "gamma": (chain.Gamma, 2),
+    "twopoint": (chain.TwoPoint, 3),
+    "gauss": (chain.GaussianPotential, 1),
+}
+
+
 def parse_law(text: str) -> chain.DisorderLaw:
     """Disorder law syntax: const:v | gamma:alpha:rate | twopoint:m:M:p | gauss:var."""
-    parts = text.split(":")
-    kind = parts[0]
+    kind, *fields = text.split(":")
+    if kind not in _LAWS:
+        raise UsageError(f"unknown disorder law kind {kind!r}")
+    law, arity = _LAWS[kind]
+    if len(fields) != arity:
+        raise UsageError(f"bad disorder law {text!r}: {kind} takes {arity} value(s)")
     try:
-        if kind == "const":
-            return chain.Constant(float(parts[1]))
-        if kind == "gamma":
-            return chain.Gamma(float(parts[1]), float(parts[2]))
-        if kind == "twopoint":
-            return chain.TwoPoint(float(parts[1]), float(parts[2]), float(parts[3]))
-        if kind == "gauss":
-            return chain.GaussianPotential(float(parts[1]))
-    except (IndexError, ValueError) as exc:
-        raise ValueError(f"bad disorder law {text!r}: {exc}") from exc
-    raise ValueError(f"unknown disorder law kind {kind!r}")
+        values = [float(f) for f in fields]
+        if not all(math.isfinite(v) for v in values):
+            raise ValueError("values must be finite")
+        return law(*values)
+    except ValueError as exc:
+        raise UsageError(f"bad disorder law {text!r}: {exc}") from exc
 
 
 def write_csv(path: Path, header: list[str], columns: list[np.ndarray]) -> None:
@@ -242,7 +257,7 @@ def cmd_betaens(args) -> int:
         out.csv("mp_target", ["mu", "D"], [inside, dens])
     else:
         mus = np.geomspace(max(1e-6, float(ys[ys > 0].min())), float(ys.max()), 40)
-        dens = np.array([betaens.con_density(args.c_over_n, float(m)) for m in mus])
+        dens = betaens.con_density(args.c_over_n, mus)
         out.csv("whittaker_target", ["mu", "D"], [mus, dens])
     out.finish()
     return EXIT_OK
@@ -434,8 +449,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("betaens", help="anti-symmetric beta-ensemble spectra")
     p.add_argument("--pairs", type=int, required=True)
-    p.add_argument("--beta", type=float, default=None)
-    p.add_argument("--c-over-n", type=float, default=None)
+    regime = p.add_mutually_exclusive_group(required=True)
+    regime.add_argument("--beta", type=float, default=None)
+    regime.add_argument("--c-over-n", type=float, default=None)
     p.add_argument("--samples", type=int, default=50)
     common(p)
     p.set_defaults(func=cmd_betaens)
@@ -488,6 +504,9 @@ def run(argv: list[str]) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         return args.func(args)
+    except UsageError as exc:
+        print(f"usage error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except (ValueError, ArithmeticError) as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC

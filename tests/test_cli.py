@@ -1,10 +1,14 @@
 import json
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from randchain.cli import EXIT_IO, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, parse_grid, parse_law, run
+from randchain import chain
+from randchain.cli import EXIT_IO, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, UsageError, parse_grid, parse_law, run
 
 
 def test_parse_grid_linear_and_geometric():
@@ -19,8 +23,6 @@ def test_parse_grid_linear_and_geometric():
 
 
 def test_parse_law_variants():
-    from randchain import chain
-
     assert isinstance(parse_law("const:1.5"), chain.Constant)
     assert isinstance(parse_law("gamma:1:1"), chain.Gamma)
     assert isinstance(parse_law("twopoint:1:2:0.3"), chain.TwoPoint)
@@ -161,3 +163,124 @@ def test_schmidt_omega_scalar(capsys):
     assert run(["schmidt", "--op", "omega", "--law", "const:1", "--x", "2", "--samples", "5000"]) == EXIT_OK
     out = float(capsys.readouterr().out.strip())
     assert out == pytest.approx(2 * np.log(2), abs=1e-10)
+
+
+def test_betaens_needs_exactly_one_regime(capsys):
+    assert run(["betaens", "--pairs", "5"]) == EXIT_USAGE
+    assert run(["betaens", "--pairs", "5", "--beta", "2", "--c-over-n", "1"]) == EXIT_USAGE
+    assert "not allowed with argument" in capsys.readouterr().err
+
+
+def test_bad_grid_and_law_are_usage_errors(tmp_path, capsys):
+    assert run(["scaling", "--grid", "0:1", "--out", str(tmp_path)]) == EXIT_USAGE
+    assert "usage error" in capsys.readouterr().err
+    argv = ["lyapunov", "--model", "type2", "--law", "gamma:1", "--grid", "1:2:2", "--out", str(tmp_path)]
+    assert run(argv) == EXIT_USAGE
+    assert not list(tmp_path.iterdir())
+
+
+# ----------------------------------------------------------------------
+# property tests of the grid and law syntax
+# ----------------------------------------------------------------------
+
+_points = st.integers(min_value=1, max_value=200)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    lo=st.floats(min_value=-1e6, max_value=1e6),
+    width=st.floats(min_value=1e-3, max_value=1e6),
+    n=_points,
+)
+def test_parse_grid_linear_round_trip(lo, width, n):
+    hi = lo + width
+    grid = parse_grid(f"{lo!r}:{hi!r}:{n}")
+    assert grid.size == n
+    assert grid[0] == lo
+    if n > 1:
+        assert grid[-1] == hi
+    assert np.all(np.diff(grid) > 0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    lo=st.floats(min_value=1e-12, max_value=1e6),
+    ratio=st.floats(min_value=1.001, max_value=1e6),
+    n=_points,
+)
+def test_parse_grid_geometric_round_trip(lo, ratio, n):
+    hi = lo * ratio
+    grid = parse_grid(f"g{lo!r}:{hi!r}:{n}")
+    assert grid.size == n
+    assert grid[0] == lo
+    if n > 1:
+        assert grid[-1] == hi
+    assert np.all(grid > 0)
+    assert np.all(np.diff(grid) > 0)
+
+
+_positive = st.floats(min_value=1e-6, max_value=1e6)
+
+_laws = st.one_of(
+    st.builds(lambda v: ("const", (v,), chain.Constant(v)), _positive),
+    st.builds(lambda a, r: ("gamma", (a, r), chain.Gamma(a, r)), _positive, _positive),
+    st.builds(
+        lambda m, big, q: ("twopoint", (m, big, q), chain.TwoPoint(m, big, q)),
+        _positive,
+        _positive,
+        st.floats(min_value=0.0, max_value=1.0),
+    ),
+    st.builds(lambda v: ("gauss", (v,), chain.GaussianPotential(v)), _positive),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(law=_laws)
+def test_parse_law_round_trip(law):
+    kind, values, expected = law
+    assert parse_law(":".join([kind, *(repr(v) for v in values)])) == expected
+
+
+_number = st.floats(allow_nan=False, allow_infinity=False, min_value=-1e3, max_value=1e3).map(repr)
+_malformed_grids = st.one_of(
+    # wrong number of fields
+    st.lists(_number, max_size=5).filter(lambda f: len(f) != 3).map(":".join),
+    # a field that is not a number
+    st.tuples(_number, st.sampled_from(["x", "", "1..2", "nan", "inf"]), st.integers(1, 9)).map(
+        lambda t: f"{t[0]}:{t[1]}:{t[2]}"
+    ),
+    # hi not above lo, or no points
+    st.tuples(st.integers(-9, 9), st.integers(0, 9), st.integers(1, 9)).map(
+        lambda t: f"{t[0]}:{t[0] - t[1]}:{t[2]}"
+    ),
+    st.tuples(st.integers(-9, 9), st.integers(-9, 0)).map(lambda t: f"{t[0]}:{t[0] + 1}:{t[1]}"),
+    # geometric grid through zero
+    st.tuples(st.integers(-9, 0), st.integers(1, 9)).map(lambda t: f"g{t[0]}:{t[1]}:3"),
+)
+_malformed_laws = st.one_of(
+    st.sampled_from(["weird:1", "", "gamma", "gamma:1", "gamma:1:1:1", "twopoint:1:2", "const:x",
+                     "const:nan", "gauss:inf", "const:-1", "gamma:0:1", "twopoint:1:2:1.5"]),
+    st.text(alphabet="abcxyz", min_size=1).filter(lambda k: k not in ("const", "gamma", "twopoint", "gauss"))
+    .map(lambda k: f"{k}:1"),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(spec=_malformed_grids)
+def test_malformed_grid_exits_usage(spec):
+    with pytest.raises(UsageError):
+        parse_grid(spec)
+    with tempfile.TemporaryDirectory() as out:
+        assert run(["scaling", f"--grid={spec}", "--out", out]) == EXIT_USAGE
+        assert not list(Path(out).iterdir())
+
+
+@settings(max_examples=60, deadline=None)
+@given(spec=_malformed_laws)
+def test_malformed_law_exits_usage(spec):
+    with pytest.raises(UsageError):
+        parse_law(spec)
+    with tempfile.TemporaryDirectory() as out:
+        argv = ["lyapunov", "--model", "type2", f"--law={spec}", "--grid", "1:2:2", "--steps", "10", "--out", out]
+        assert run(argv) == EXIT_USAGE
+        assert not list(Path(out).iterdir())
