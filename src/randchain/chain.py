@@ -13,13 +13,14 @@ with potential disorder used by the band-edge scaling checks.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import gammainc
 
 from .specfun import digamma, rng_from_seed
-from .tridiag import AntisymTridiag, GeneralTridiag, SymTridiag, count_below_many
+from .tridiag import AntisymTridiag, GeneralTridiag, SymTridiag, _sturm_counts, count_below_many
 
 __all__ = [
     "DisorderLaw",
@@ -68,8 +69,8 @@ class Constant(DisorderLaw):
     v: float
 
     def __post_init__(self):
-        if not self.v > 0:
-            raise ValueError("constant value must be positive")
+        if not (self.v > 0 and math.isfinite(self.v)):
+            raise ValueError("constant value must be positive and finite")
 
     def sample(self, rng, n):
         return np.full(int(n), float(self.v))
@@ -92,8 +93,8 @@ class Gamma(DisorderLaw):
     rate: float
 
     def __post_init__(self):
-        if self.alpha <= 0 or self.rate <= 0:
-            raise ValueError("gamma parameters must be positive")
+        if not all(v > 0 and math.isfinite(v) for v in (self.alpha, self.rate)):
+            raise ValueError("gamma parameters must be positive and finite")
 
     def sample(self, rng, n):
         return rng.gamma(shape=self.alpha, scale=1.0 / self.rate, size=int(n))
@@ -118,8 +119,8 @@ class TwoPoint(DisorderLaw):
     p: float
 
     def __post_init__(self):
-        if self.m <= 0 or self.big_m <= 0:
-            raise ValueError("two-point values must be positive")
+        if not all(v > 0 and math.isfinite(v) for v in (self.m, self.big_m)):
+            raise ValueError("two-point values must be positive and finite")
         if not 0.0 <= self.p <= 1.0:
             raise ValueError("p must lie in [0, 1]")
 
@@ -147,8 +148,8 @@ class GaussianPotential(DisorderLaw):
     variance: float
 
     def __post_init__(self):
-        if not self.variance > 0:
-            raise ValueError("variance must be positive")
+        if not (self.variance > 0 and math.isfinite(self.variance)):
+            raise ValueError("variance must be positive and finite")
 
     def sample(self, rng, n):
         return rng.normal(0.0, math.sqrt(self.variance), int(n))
@@ -292,17 +293,32 @@ def squared_frequencies(t: SymTridiag, tol: float | None = None) -> np.ndarray:
     return spec.values**2
 
 
-def empirical_idos(t: SymTridiag, xs) -> np.ndarray:
-    """Fraction of squared frequencies <= x for a zero-diagonal matrix.
+def empirical_idos(t: SymTridiag | Sequence[SymTridiag], xs) -> np.ndarray:
+    """Fraction of squared frequencies <= x for zero-diagonal matrices.
 
-    Sturm counts at +-sqrt(x) bracket the symmetric spectrum; the zero
-    mode is excluded, so the result is normalised by the pair count.
+    `t` is one zero-diagonal SymTridiag, giving shape (m,) for m probes,
+    or a sequence of R of equal size, giving (R, m) with one row per
+    matrix in sequence order; each row equals the one-matrix result.
+    Each matrix is swept once, with Sturm probes at +sqrt(x) and -sqrt(x)
+    that bracket the symmetric spectrum; the zero mode is excluded, so the
+    result is normalised by the pair count.
     """
-    xs = np.asarray(xs, dtype=float)
+    xs = np.atleast_1d(np.asarray(xs, dtype=float))
     if np.any(xs < 0):
         raise ValueError("probe points must be nonnegative")
     roots = np.sqrt(xs)
-    n_pairs = (t.n - 1) // 2
-    upper = count_below_many(t, roots)
-    lower = count_below_many(t, -roots)
+    probes = np.concatenate([roots, -roots])
+    if isinstance(t, SymTridiag):
+        n = t.n
+        counts = count_below_many(t, probes)
+    else:
+        n = t[0].n
+        if any(h.n != n for h in t):
+            raise ValueError("matrices of a batch must have equal size")
+        # Stacked site-major, so the kernel's per-site rows need no copy.
+        diag = np.stack([h.diag for h in t], axis=1)
+        off = np.stack([h.off for h in t], axis=1)
+        counts = _sturm_counts(diag.T, off.T, probes)
+    upper, lower = counts[..., : roots.size], counts[..., roots.size :]
+    n_pairs = (n - 1) // 2
     return np.maximum((upper - lower - 1) / (2.0 * n_pairs), 0.0)

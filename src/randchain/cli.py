@@ -21,12 +21,19 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, betaens, chain, exact, lyapunov, schmidt, tridiag
-from .specfun import scaling_dos, scaling_dos_rotated, scaling_f, scaling_f_rotated
+from .specfun import WHITTAKER_MU_MAX, scaling_dos, scaling_dos_rotated, scaling_f, scaling_f_rotated
 
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_NUMERIC = 3
 EXIT_IO = 4
+
+# Sites plus probe lanes per realization that `dos` counts in one batched
+# Sturm sweep.  It bounds a sweep's memory (about five float arrays of this
+# many elements).  A sweep's time per site is nearly flat up to about a
+# thousand lanes and grows with the lane count beyond, so larger blocks
+# would save little.
+_DOS_BLOCK_ELEMENTS = 1 << 16
 
 
 @dataclasses.dataclass
@@ -256,7 +263,9 @@ def cmd_betaens(args) -> int:
         dens = np.array([betaens.mp_density(float(u)) for u in inside])
         out.csv("mp_target", ["mu", "D"], [inside, dens])
     else:
-        mus = np.geomspace(max(1e-6, float(ys[ys > 0].min())), float(ys.max()), 40)
+        # The target stops at the end of the Whittaker range.
+        top = min(float(ys.max()), WHITTAKER_MU_MAX)
+        mus = np.geomspace(max(1e-6, float(ys[ys > 0].min())), top, 40)
         dens = betaens.con_density(args.c_over_n, mus)
         out.csv("whittaker_target", ["mu", "D"], [mus, dens])
     out.finish()
@@ -265,14 +274,24 @@ def cmd_betaens(args) -> int:
 
 def cmd_dos(args) -> int:
     law = parse_law(args.law)
+    if args.realizations < 1:
+        raise UsageError("--realizations must be at least 1")
+    if args.size < 3:
+        raise UsageError("--size must be at least 3: a smaller chain has no frequency pair")
     n_masses = (args.size + 1) // 2
     edges = parse_grid(args.grid)
     centers = 0.5 * (edges[1:] + edges[:-1])
     acc = np.zeros(centers.size)
-    for s in range(args.realizations):
-        h = chain.anderson_hopping(chain.ChainSpec(chain.TYPE_I, n_masses, law, seed=(args.seed, s)))
-        m = chain.empirical_idos(h, edges)
-        acc += np.diff(m) / np.diff(edges)
+    # One Sturm sweep per block of realizations.  Rows come back in
+    # realization order, so the sums are those of a plain loop.
+    block = max(1, _DOS_BLOCK_ELEMENTS // (args.size + 2 * edges.size))
+    for first in range(0, args.realizations, block):
+        hs = [
+            chain.anderson_hopping(chain.ChainSpec(chain.TYPE_I, n_masses, law, seed=(args.seed, s)))
+            for s in range(first, min(first + block, args.realizations))
+        ]
+        for m in chain.empirical_idos(hs, edges):
+            acc += np.diff(m) / np.diff(edges)
     dens = acc / args.realizations
     out = _Outputs(args, "dos")
     cols = [centers, dens]

@@ -402,11 +402,11 @@ def _whittaker_asymptotic(kappa: float, z: complex, n_terms: int = 14) -> tuple[
     return w, wp
 
 
-# Whittaker values are supported on (0, _WHITTAKER_MU_MAX]; the anchor's
+# Whittaker values are supported on (0, WHITTAKER_MU_MAX]; the anchor's
 # path solve and the lip sweep share one relative tolerance.  The sweep's
 # absolute tolerance is safe because |v|^2 = |W|^2 / mu stays of order one
 # or more below mu = 1 and grows like e^mu above it.
-_WHITTAKER_MU_MAX = 100.0
+WHITTAKER_MU_MAX = 100.0
 _WHITTAKER_RTOL = 1e-10
 _WHITTAKER_ATOL = 1e-12
 # Below this argument the closed small-argument form carries the mass.
@@ -510,8 +510,8 @@ def whittaker_msq(c: float, mu):
     if not (c > 0):
         raise ValueError("c must be positive")
     mus = np.asarray(mu, dtype=float)
-    if not np.all((mus > 0) & (mus <= _WHITTAKER_MU_MAX)):
-        raise ValueError(f"mu must lie in (0, {_WHITTAKER_MU_MAX:g}]")
+    if not np.all((mus > 0) & (mus <= WHITTAKER_MU_MAX)):
+        raise ValueError(f"mu must lie in (0, {WHITTAKER_MU_MAX:g}]")
     points, where = np.unique(mus, return_inverse=True)
     msq = _whittaker_lip(c, points)[0][where].reshape(mus.shape)
     return float(msq) if msq.ndim == 0 else msq
@@ -540,8 +540,8 @@ def whittaker_cdf(c: float, mus) -> np.ndarray:
     mus = np.asarray(mus, dtype=float)
     if mus.ndim != 1 or mus.size == 0 or np.any(mus <= 0) or np.any(np.diff(mus) <= 0):
         raise ValueError("grid must be positive and increasing")
-    if mus[-1] > _WHITTAKER_MU_MAX:
-        raise ValueError(f"grid must end at or below {_WHITTAKER_MU_MAX:g}")
+    if mus[-1] > WHITTAKER_MU_MAX:
+        raise ValueError(f"grid must end at or below {WHITTAKER_MU_MAX:g}")
     mu_head = min(float(mus[0]), _WHITTAKER_HEAD_MU)
     _, mass = _whittaker_lip(c, np.concatenate([[mu_head], mus]) if mus[0] > mu_head else mus)
     return _whittaker_head_mass(c, mu_head) + mass[-mus.size :]

@@ -28,10 +28,7 @@ __all__ = [
     "tracelog_check",
 ]
 
-# Rescaling window for the Sturm recurrence.  Sign counts only need the
-# signs, so both running values are renormalised whenever they threaten
-# to leave the representable range.
-_RESCALE_EVERY = 16
+# Stand-in for a zero Sturm pivot.
 _TINY = 1e-300
 
 
@@ -163,45 +160,52 @@ class Spectrum:
 def _sturm_counts(diag: np.ndarray, off: np.ndarray, xs: np.ndarray) -> np.ndarray:
     """Number of eigenvalues strictly below each probe in xs.
 
-    Signed characteristic-polynomial recurrence p_k = (a_k - x) p_{k-1} -
-    b_{k-1}^2 p_{k-2}; the count is the number of sign changes along the
-    sequence.  An exact zero inherits the previous sign (replaced by a
-    signed tiny), which fixes the strict-below convention and keeps the
-    recurrence alive when zeros recur, e.g. probing a zero-diagonal
-    matrix exactly at zero.  Periodic renormalisation keeps both running
-    values in range without touching signs.
+    One matrix: diag (n,), off (n-1,) and probes xs (m,) give counts (m,).
+    A batch of R matrices of one size: diag (R, n), off (R, n-1) and
+    probes xs (R, m), or (m,) shared by every row, give counts (R, m); row
+    r counts matrix r with exactly the arithmetic of its one-matrix call,
+    so its counts are identical.  A batch sweeps all R·m lanes in one pass
+    over the n sites, which costs about as much as one matrix up to about
+    a thousand lanes: the loop is bound by dispatch overhead, not by lane
+    work.
+
+    Sturm count (Barth, Martin & Wilkinson 1967) in ratio form:
+    the pivots q_k = (a_k - x) - b_{k-1}^2 / q_{k-1} of the LDL^T
+    factorisation of T - x, of which as many are negative as eigenvalues
+    lie below x.  A zero pivot is replaced by a positive tiny, which fixes
+    the strict-below convention (a probe at an eigenvalue does not count
+    it) and keeps the recurrence alive; the next pivot may then overflow
+    to -inf, which counts as negative and contributes nothing beyond it.
+    Pivots stay in range without rescaling, so a probe far below the
+    entries' scale (1e-224 against a zero block) still counts exactly.
     """
-    xs = np.atleast_1d(np.asarray(xs, dtype=float))
-    n = diag.size
-    p_prev = np.ones_like(xs)
-    p_cur = diag[0] - xs
-    zero = p_cur == 0.0
-    if zero.any():
-        p_cur = np.where(zero, _TINY, p_cur)
-    neg_cur = p_cur < 0.0
-    count = neg_cur.astype(np.int64)
-    if n == 1:
-        return count
-    off2 = off * off
-    t = np.empty_like(xs)
-    p_new = np.empty_like(xs)
-    for k in range(1, n):
-        np.multiply(xs, p_cur, out=t)
-        np.multiply(p_cur, diag[k], out=p_new)
-        p_new -= t
-        np.multiply(p_prev, off2[k - 1], out=t)
-        p_new -= t
-        zero = p_new == 0.0
-        if zero.any():
-            p_new[zero] = np.copysign(_TINY, p_cur[zero])
-        neg_new = p_new < 0.0
-        count += neg_new != neg_cur
-        p_prev, p_cur, p_new = p_cur, p_new, p_prev
-        neg_cur = neg_new
-        if k % _RESCALE_EVERY == 0:
-            scale = 1.0 / np.maximum(np.maximum(np.abs(p_cur), np.abs(p_prev)), _TINY)
-            p_prev *= scale
-            p_cur *= scale
+    diag = np.asarray(diag, dtype=float)
+    off = np.asarray(off, dtype=float)
+    xs = np.asarray(xs, dtype=float)
+    n = diag.shape[-1]
+    # Per-site coefficients.  For one matrix they are Python floats, which
+    # the loop reads fastest; for a batch they are the rows of contiguous
+    # (n, R, 1) arrays, each row a column of coefficients across matrices.
+    if diag.ndim == 1:
+        xs = np.atleast_1d(xs)
+        a = diag.tolist()
+        b2 = (off * off).tolist()
+    else:
+        a = np.ascontiguousarray(diag.T)[:, :, None]
+        b2 = np.multiply(off.T, off.T, order="C")[:, :, None]
+    q = a[0] - xs
+    q[q == 0.0] = _TINY
+    count = (q < 0.0).astype(np.int64)
+    t = np.empty_like(q)
+    with np.errstate(over="ignore"):
+        for k in range(1, n):
+            np.divide(b2[k - 1], q, out=t)
+            np.subtract(a[k], xs, out=q)
+            q -= t
+            zero = q == 0.0
+            if zero.any():
+                q[zero] = _TINY
+            count += q < 0.0
     return count
 
 

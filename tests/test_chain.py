@@ -153,6 +153,23 @@ def test_empirical_idos_matches_sorted_spectrum():
     assert np.array_equal(got, expect)
 
 
+def test_empirical_idos_batch_rows_match_single_calls():
+    hs = [anderson_hopping(ChainSpec(TYPE_I, 151, Gamma(1.5, 1.0), seed=(4, s))) for s in range(5)]
+    xs = np.array([0.0, 1e-6, 0.3, 1.0, 2.5, 7.0])
+    batch = empirical_idos(hs, xs)
+    assert batch.shape == (5, xs.size)
+    for h, row in zip(hs, batch):
+        assert np.array_equal(row, empirical_idos(h, xs))
+
+
+def test_empirical_idos_batch_validation():
+    hs = [anderson_hopping(ChainSpec(TYPE_I, n, Constant(1.0))) for n in (11, 12)]
+    with pytest.raises(ValueError):
+        empirical_idos(hs, [1.0])
+    with pytest.raises(ValueError):
+        empirical_idos(hs[:1], [-1.0])
+
+
 def test_frequency_matrix_fixed_boundary_type2():
     r = realize(ChainSpec(TYPE_II, 4, TwoPoint(1.0, 2.0, 0.5), seed=2))
     fm = frequency_matrix(r, boundary="fixed")
@@ -179,6 +196,28 @@ def test_law_validation():
         GaussianPotential(0.0)
     with pytest.raises(ValueError):
         ChainSpec("typeIII", 5, Constant(1.0))
+
+
+_NONFINITE = (math.nan, math.inf, -math.inf)
+
+
+@pytest.mark.parametrize("bad", _NONFINITE)
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda v: Constant(v),
+        lambda v: Gamma(v, 1.0),
+        lambda v: Gamma(1.0, v),
+        lambda v: TwoPoint(v, 2.0, 0.5),
+        lambda v: TwoPoint(1.0, v, 0.5),
+        lambda v: TwoPoint(1.0, 2.0, v),
+        lambda v: GaussianPotential(v),
+    ],
+    ids=["const", "gamma-alpha", "gamma-rate", "twopoint-m", "twopoint-M", "twopoint-p", "gauss"],
+)
+def test_law_rejects_nonfinite_parameters(make, bad):
+    with pytest.raises(ValueError):
+        make(bad)
 
 
 def test_law_mean_log_and_cdf():

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from randchain import chain
+from randchain import chain, cli
 from randchain.cli import EXIT_IO, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, UsageError, parse_grid, parse_law, run
 
 
@@ -142,6 +142,47 @@ def test_dos_csv_with_exact_overlay(tmp_path):
     assert run(argv) == EXIT_OK
     lines = (tmp_path / "dos_dos.csv").read_text().splitlines()
     assert lines[0] == "mu,D_empirical,D_exact"
+
+
+@pytest.mark.parametrize("flag,value", [("--realizations", "0"), ("--realizations", "-1"),
+                                        ("--size", "1"), ("--size", "2")])
+def test_dos_rejects_degenerate_runs(tmp_path, capsys, flag, value):
+    # No realization, or a chain without a frequency pair, has no density:
+    # refused before any CSV is written.
+    argv = ["dos", "--law", "gamma:1:1", "--grid", "0.5:3.5:7", "--out", str(tmp_path), flag, value]
+    assert run(argv) == EXIT_USAGE
+    assert flag in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("budget", [1, 3 * (401 + 2 * 10), cli._DOS_BLOCK_ELEMENTS])
+def test_dos_blocks_match_one_realization_at_a_time(tmp_path, monkeypatch, budget):
+    # Blocks of 1, 3 and all 7 realizations give the bytes of a plain loop
+    # over one-matrix counts.
+    monkeypatch.setattr(cli, "_DOS_BLOCK_ELEMENTS", budget)
+    argv = ["dos", "--law", "gamma:2.5:1", "--size", "401", "--realizations", "7",
+            "--grid", "0.2:5:10", "--seed", "4", "--out", str(tmp_path)]
+    assert run(argv) == EXIT_OK
+    edges = np.linspace(0.2, 5.0, 10)
+    acc = np.zeros(edges.size - 1)
+    for s in range(7):
+        h = chain.anderson_hopping(chain.ChainSpec(chain.TYPE_I, 201, chain.Gamma(2.5, 1.0), seed=(4, s)))
+        acc += np.diff(chain.empirical_idos(h, edges)) / np.diff(edges)
+    rows = (tmp_path / "dos_dos.csv").read_text().splitlines()[1:]
+    assert [r.split(",")[1] for r in rows] == [f"{v:.12g}" for v in acc / 7]
+
+
+def test_betaens_c_over_n_target_stops_at_whittaker_range(tmp_path):
+    # Large c puts sampled y beyond mu = 100; the target grid ends there
+    # and the run completes with its manifest.
+    argv = ["betaens", "--pairs", "50", "--c-over-n", "30", "--samples", "2", "--out", str(tmp_path)]
+    assert run(argv) == EXIT_OK
+    assert (tmp_path / "betaens_manifest.json").exists()
+    spectrum = np.loadtxt(tmp_path / "betaens_spectrum.csv", delimiter=",", skiprows=1)
+    target = np.loadtxt(tmp_path / "betaens_whittaker_target.csv", delimiter=",", skiprows=1)
+    assert spectrum[:, 0].max() > 100.0
+    assert target[-1, 0] == 100.0
+    assert target.shape == (40, 2)
 
 
 def test_config_file_defaults_and_override(tmp_path, capsys):

@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy.linalg import eigh_tridiagonal
 
 from randchain import tridiag
@@ -84,6 +87,98 @@ def test_count_with_zero_offdiagonal_blocks():
     ev = np.linalg.eigvalsh(t.to_dense())
     for x in (-2.0, -0.4, 0.0, 0.5, 1.0, 3.0):
         assert count_below(t, x) == int(np.sum(ev < x))
+
+
+# ----------------------------------------------------------------------
+# property tests of the batched Sturm kernel
+# ----------------------------------------------------------------------
+
+
+@st.composite
+def _sturm_batches(draw):
+    """R equal-size tridiagonals with per-row probes that include ties.
+
+    Diagonals are zero or drawn from [-4, 4]; off-diagonals span twelve
+    decades with either sign, and some are exactly zero (decoupled
+    blocks).  Each row probes 0, some of its own dense eigenvalues and a
+    few arbitrary points.
+    """
+    r = draw(st.integers(1, 4))
+    n = draw(st.integers(1, 40))
+    if draw(st.booleans()):
+        diag = np.zeros((r, n))
+    else:
+        diag = draw(hnp.arrays(float, (r, n), elements=st.floats(-4, 4)))
+    decades = draw(hnp.arrays(float, (r, n - 1), elements=st.floats(-6, 6)))
+    sign = draw(hnp.arrays(float, (r, n - 1), elements=st.sampled_from([-1.0, 0.0, 1.0, 1.0, 1.0])))
+    off = sign * 10.0**decades
+    n_eig = draw(st.integers(0, min(n, 4)))
+    picks = draw(st.lists(st.integers(0, n - 1), min_size=n_eig, max_size=n_eig))
+    free = draw(hnp.arrays(float, (r, 3), elements=st.floats(-1e6, 1e6)))
+    probes = np.empty((r, 1 + n_eig + 3))
+    for i in range(r):
+        ev = np.linalg.eigvalsh(SymTridiag(diag[i], off[i]).to_dense())
+        probes[i] = np.concatenate([[0.0], ev[picks], free[i]])
+    return diag, off, probes
+
+
+@settings(max_examples=200, deadline=None)
+@given(batch=_sturm_batches())
+# Two counts the polynomial form of the recurrence got wrong: zero blocks
+# ahead of a coupled pair (eigenvalue (1 - sqrt 5)/2 missed at 0), and a
+# zero block probed at 5.6e-224, where p_2 = x^2 underflowed.
+@example(batch=(np.r_[np.zeros(7), 1.0][None, :], np.r_[np.zeros(6), -1.0][None, :], np.zeros((1, 4))))
+@example(batch=(np.zeros((1, 2)), np.zeros((1, 1)), np.array([[0.0, 5.58121599e-224]])))
+def test_batched_counts_match_single_and_dense(batch):
+    diag, off, probes = batch
+    counts = tridiag._sturm_counts(diag, off, probes)
+    assert counts.shape == probes.shape
+    shared = tridiag._sturm_counts(diag, off, probes[0])
+    for i in range(diag.shape[0]):
+        t = SymTridiag(diag[i], off[i])
+        assert np.array_equal(counts[i], count_below_many(t, probes[i]))
+        assert np.array_equal(shared[i], count_below_many(t, probes[0]))
+        # A probe at a computed eigenvalue may fall on either side of the
+        # true one: the count lies between the dense counts just below
+        # and just above it.
+        ev = np.linalg.eigvalsh(t.to_dense())
+        tol = 1e-9 * max(float(np.max(np.abs(ev))), 1e-300)
+        lo = np.sum(ev[None, :] < probes[i][:, None] - tol, axis=1)
+        hi = np.sum(ev[None, :] < probes[i][:, None] + tol, axis=1)
+        assert np.all((lo <= counts[i]) & (counts[i] <= hi))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    sizes=st.lists(st.integers(1, 9), min_size=1, max_size=5),
+    decades=st.lists(st.floats(-6, 6), min_size=4, max_size=4),
+)
+@example(sizes=[1, 2, 8], decades=[0.0, -4.0, 0.0, 0.0])  # the polynomial form counted 4
+def test_zero_diagonal_count_at_zero_is_exact(sizes, decades):
+    # Zero couplings split a zero-diagonal matrix into blocks of the given
+    # sizes; each block's spectrum is symmetric with one zero eigenvalue
+    # when its size is odd, so exactly sum(size // 2) lie strictly below 0.
+    n = sum(sizes)
+    off = np.array([10.0 ** decades[k % 4] for k in range(n - 1)])
+    off[np.cumsum(sizes)[:-1] - 1] = 0.0
+    diag = np.zeros(n)
+    want = sum(k // 2 for k in sizes)
+    assert count_below(SymTridiag(diag, off), 0.0) == want
+    batched = tridiag._sturm_counts(np.stack([diag, diag]), np.stack([off, -off]), np.zeros((2, 1)))
+    assert np.array_equal(batched, [[want], [want]])
+
+
+@settings(max_examples=100, deadline=None)
+@given(diag=hnp.arrays(float, st.integers(1, 12), elements=st.sampled_from([-2.0, -0.5, 0.0, 1.0, 3.0])))
+def test_diagonal_matrix_ties_count_strictly_below(diag):
+    # With no coupling the eigenvalues are the diagonal entries exactly;
+    # probing at each of them counts only the strictly smaller ones.
+    off = np.zeros(diag.size - 1)
+    probes = np.unique(diag)
+    want = np.array([np.sum(diag < x) for x in probes])
+    assert np.array_equal(count_below_many(SymTridiag(diag, off), probes), want)
+    batched = tridiag._sturm_counts(diag[None, :], off[None, :], probes[None, :])
+    assert np.array_equal(batched[0], want)
 
 
 def test_eigenvalues_small_exact():
