@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .specfun import gamma_fn, rng_from_seed, whittaker_cdf, whittaker_msq
+from .specfun import rng_from_seed, whittaker_cdf, whittaker_msq
 from .tridiag import AntisymTridiag, Spectrum, eigenvalues
 
 __all__ = [
@@ -134,7 +134,7 @@ def con_density(c: float, mu):
     """
     if c <= 0 or np.any(np.asarray(mu) <= 0):
         raise ValueError("c and mu must be positive")
-    return 1.0 / (gamma_fn(c) * gamma_fn(c + 1.0) * whittaker_msq(c, mu))
+    return 1.0 / (math.gamma(c) * math.gamma(c + 1.0) * whittaker_msq(c, mu))
 
 
 def con_cdf_grid(c: float, mus: np.ndarray) -> np.ndarray:

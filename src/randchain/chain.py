@@ -17,9 +17,9 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammainc
+from scipy.special import gammainc, psi
 
-from .specfun import digamma, rng_from_seed
+from .specfun import rng_from_seed
 from .tridiag import AntisymTridiag, GeneralTridiag, SymTridiag, _sturm_counts, count_below_many
 
 __all__ = [
@@ -103,7 +103,7 @@ class Gamma(DisorderLaw):
         return self.alpha / self.rate
 
     def mean_log(self):
-        return digamma(self.alpha) - math.log(self.rate)
+        return psi(self.alpha) - math.log(self.rate)
 
     def cdf(self, x):
         x = np.asarray(x, dtype=float)

@@ -29,12 +29,10 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import quad
-
-from .specfun import digamma, gamma_fn
+from scipy.special import psi
 
 __all__ = [
     "GammaChainParams",
-    "ContourSpec",
     "ContourError",
     "PureChainValues",
     "k_alpha",
@@ -78,30 +76,6 @@ class GammaChainParams:
                 f"got alpha={self.alpha}"
             )
         return int(n)
-
-
-@dataclass(frozen=True)
-class ContourSpec:
-    """Knobs of the continuation path.
-
-    offset      minimum height above the negative real axis (used directly
-                by the out-of-band path; the in-band path runs through the
-                saddle, which lies higher),
-    t_max       optional override of the tail truncation abscissa,
-    n_points    minimum number of integrand evaluations per leg,
-    check_stability  recompute on a perturbed path and compare.
-    """
-
-    offset: float = 1e-3
-    t_max: float | None = None
-    n_points: int = 100
-    check_stability: bool = True
-
-    def __post_init__(self):
-        if self.offset <= 0:
-            raise ValueError("offset must be positive")
-        if self.n_points < 100:
-            raise ValueError("n_points must be at least 100")
 
 
 # ----------------------------------------------------------------------
@@ -197,8 +171,12 @@ def _phi(alpha: float, kx: float, xi: complex) -> complex:
     return alpha * (cmath.log(xi) - cmath.log(1.0 + xi)) + kx * xi
 
 
-def _contour_nodes(alpha: int, kx: float, spec: ContourSpec, stretch: float = 1.0) -> list[complex]:
-    """Corner points of the integration path from 0 to the damped far tail."""
+def _contour_nodes(alpha: int, kx: float, stretch: float = 1.0, *, t_max: float | None = None) -> list[complex]:
+    """Corner points of the integration path from 0 to the damped far tail.
+
+    t_max, when given, cuts the tail at abscissa -|t_max|; only the test
+    of the stability check uses it, to force a bad path.
+    """
     disc = 4.0 * alpha / kx  # saddle discriminant: complex saddle iff disc > 1
     drop = 45.0 + 5.0 * math.log1p(alpha)
     if disc > 1.04:
@@ -212,7 +190,7 @@ def _contour_nodes(alpha: int, kx: float, spec: ContourSpec, stretch: float = 1.
         leg = stretch * (6.0 * drop / max(phi3, 1e-12)) ** (1.0 / 3.0)
         mid = eta + leg * cmath.exp(2j * math.pi / 3.0)
     else:
-        h = max(spec.offset, 0.5) * stretch
+        h = 0.5 * stretch  # height above the negative real axis
         eta = complex(0.0, h)
         mid = complex(-1.5, h)
     # Far tail: horizontal until the exponent has dropped well below the
@@ -222,8 +200,8 @@ def _contour_nodes(alpha: int, kx: float, spec: ContourSpec, stretch: float = 1.
     end = complex(end_re, mid.imag)
     while _phi(alpha, kx, end).real > ref - drop and end.real > -1e12:
         end = complex(2.0 * end.real, end.imag)
-    if spec.t_max is not None:
-        end = complex(-abs(spec.t_max), mid.imag)
+    if t_max is not None:
+        end = complex(-abs(t_max), mid.imag)
     return [0.0 + 0.0j, eta, mid, end]
 
 
@@ -236,7 +214,7 @@ _WEIGHTS = {
 
 
 def _contour_integrals(
-    alpha: int, kappa: float, x: float, spec: ContourSpec, names: tuple[str, ...], stretch: float = 1.0
+    alpha: int, kappa: float, x: float, names: tuple[str, ...], stretch: float = 1.0, *, t_max: float | None = None
 ) -> dict[str, complex]:
     """Scaled contour integrals int g(xi) e^{phi(xi) - phi_ref} d xi.
 
@@ -245,7 +223,7 @@ def _contour_integrals(
     integrals.
     """
     kx = kappa * x
-    nodes = _contour_nodes(alpha, kx, spec, stretch)
+    nodes = _contour_nodes(alpha, kx, stretch, t_max=t_max)
     samples = []
     for a, b in zip(nodes[:-1], nodes[1:]):
         ts = np.linspace(0.0, 1.0, 65)
@@ -264,28 +242,29 @@ def _contour_integrals(
                     return 0.0
                 return g(xi) * cmath.exp(_phi(alpha, kx, xi) - phi_ref) * seg
 
-            re, _ = quad(lambda t: f(t).real, 0.0, 1.0, limit=max(spec.n_points, 800), epsabs=1e-13, epsrel=1e-10)
-            im, _ = quad(lambda t: f(t).imag, 0.0, 1.0, limit=max(spec.n_points, 800), epsabs=1e-13, epsrel=1e-10)
+            re, _ = quad(lambda t: f(t).real, 0.0, 1.0, limit=800, epsabs=1e-13, epsrel=1e-10)
+            im, _ = quad(lambda t: f(t).imag, 0.0, 1.0, limit=800, epsabs=1e-13, epsrel=1e-10)
             out[name] += complex(re, im)
     return out
 
 
-def _continued_omega(p: GammaChainParams, x: float, spec: ContourSpec) -> complex:
-    """Omega continued to argument -1/x, approached from the upper half plane."""
+def _continued_omega(p: GammaChainParams, x: float, *, t_max: float | None = None) -> complex:
+    """Omega continued to argument -1/x, approached from the upper half plane.
+
+    The value is recomputed on a stretched path; a disagreement raises
+    ContourError.  t_max is passed to _contour_nodes.
+    """
     n = p.integer_alpha()
-    vals = _contour_integrals(n, p.rate, x, spec, ("k", "l"))
+    vals = _contour_integrals(n, p.rate, x, ("k", "l"), t_max=t_max)
     omega = 2.0 * vals["l"] / vals["k"]
-    if spec.check_stability:
-        vals2 = _contour_integrals(n, p.rate, x, spec, ("k", "l"), stretch=1.35)
-        omega2 = 2.0 * vals2["l"] / vals2["k"]
-        if abs(omega - omega2) > 2e-6 * max(1.0, abs(omega)):
-            raise ContourError(
-                f"contour value unstable under path perturbation: {omega} vs {omega2}"
-            )
+    vals2 = _contour_integrals(n, p.rate, x, ("k", "l"), stretch=1.35, t_max=t_max)
+    omega2 = 2.0 * vals2["l"] / vals2["k"]
+    if abs(omega - omega2) > 2e-6 * max(1.0, abs(omega)):
+        raise ContourError(f"contour value unstable under path perturbation: {omega} vs {omega2}")
     return omega
 
 
-def idos_exact(p: GammaChainParams, x: float, contour: ContourSpec | None = None) -> float:
+def idos_exact(p: GammaChainParams, x: float) -> float:
     """Integrated density of states M(x) of the solvable chain, integer alpha.
 
     Computed from the imaginary part of the continued characteristic
@@ -295,8 +274,7 @@ def idos_exact(p: GammaChainParams, x: float, contour: ContourSpec | None = None
     """
     if x <= 0:
         raise ValueError("x must be positive")
-    spec = contour or ContourSpec()
-    omega = _continued_omega(p, x, spec)
+    omega = _continued_omega(p, x)
     m = 1.0 - omega.imag / math.pi
     clamped = min(max(m, 0.0), 1.0)
     if clamped != m:
@@ -304,27 +282,26 @@ def idos_exact(p: GammaChainParams, x: float, contour: ContourSpec | None = None
     return clamped
 
 
-def dos_exact(p: GammaChainParams, mu: float, contour: ContourSpec | None = None) -> float:
+def dos_exact(p: GammaChainParams, mu: float) -> float:
     """Density of states D(mu) from the derivative of the continued Omega."""
     if mu <= 0:
         raise ValueError("mu must be positive")
-    spec = contour or ContourSpec()
     n = p.integer_alpha()
-    vals = _contour_integrals(n, p.rate, mu, spec, ("k", "l", "xk", "xl"))
+    vals = _contour_integrals(n, p.rate, mu, ("k", "l", "xk", "xl"))
     expr = (vals["xl"] * vals["k"] - vals["l"] * vals["xk"]) / vals["k"] ** 2
     return -(2.0 * p.rate / math.pi) * expr.imag
 
 
-def tabulate_idos(p: GammaChainParams, xs, contour: ContourSpec | None = None) -> np.ndarray:
+def tabulate_idos(p: GammaChainParams, xs) -> np.ndarray:
     """(x, M(x)) table for CSV emission."""
     xs = np.asarray(xs, dtype=float)
-    return np.column_stack([xs, [idos_exact(p, float(x), contour) for x in xs]])
+    return np.column_stack([xs, [idos_exact(p, float(x)) for x in xs]])
 
 
-def tabulate_dos(p: GammaChainParams, mus, contour: ContourSpec | None = None) -> np.ndarray:
+def tabulate_dos(p: GammaChainParams, mus) -> np.ndarray:
     """(mu, D(mu)) table for CSV emission."""
     mus = np.asarray(mus, dtype=float)
-    return np.column_stack([mus, [dos_exact(p, float(m), contour) for m in mus]])
+    return np.column_stack([mus, [dos_exact(p, float(m)) for m in mus]])
 
 
 # ----------------------------------------------------------------------
@@ -371,7 +348,7 @@ def weak_disorder_idos(n: int, x: float) -> float:
     if x < 4.0:
         return math.acos(1.0 - 0.5 * x) / math.pi + 1.0 / (2.0 * math.pi * n) / math.sqrt(4.0 / x - 1.0)
     if x == 4.0:
-        return 1.0 - (1.0 / gamma_fn(1.0 / 3.0)) ** 2 * (12.0 / n) ** (1.0 / 3.0)
+        return 1.0 - (1.0 / math.gamma(1.0 / 3.0)) ** 2 * (12.0 / n) ** (1.0 / 3.0)
     g = math.acosh(0.5 * x - 1.0)
     return 1.0 - (g / math.pi) * math.exp(-g - 2.0 * n * (math.sinh(g) - g))
 
@@ -389,8 +366,8 @@ def lyapunov_exact(p: GammaChainParams, omega_sq: float) -> float:
     """
     if omega_sq <= 0:
         raise ValueError("omega_sq must be positive")
-    omega = _continued_omega(p, omega_sq, ContourSpec())
-    return 0.5 * (omega.real + math.log(omega_sq) - digamma(p.alpha) + math.log(p.rate))
+    omega = _continued_omega(p, omega_sq)
+    return 0.5 * (omega.real + math.log(omega_sq) - psi(p.alpha) + math.log(p.rate))
 
 
 def gamma1_coefficient(omega_sq: float) -> float:

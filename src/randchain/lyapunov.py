@@ -199,7 +199,7 @@ def band_edge_collapse(
         errs[i] = est.stderr
     scaled_gamma = gammas * cube
     scaled_err = errs * cube
-    reference = np.array([scaling_f(float(s)) for s in scaled_x])
+    reference = scaling_f(scaled_x)
     rel = np.abs(scaled_gamma - reference) / np.abs(reference)
     return CollapseReport(
         energies=energies,

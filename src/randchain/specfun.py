@@ -1,379 +1,87 @@
-"""Self-contained special functions used by the exact formulas.
+"""Special functions used by the exact formulas.
 
-Gamma/log-gamma, real and rotated-argument Airy functions, the band-edge
-scaling functions, the squared modulus of the Whittaker function on the
-upper side of its cut, and reproducible gamma/chi samplers.  No external
-special-function library is used; numerical integration of the Whittaker
-equation goes through scipy's initial value solver.
+The band-edge scaling functions on scipy's Airy functions, the squared
+modulus of the Whittaker function on the upper side of its cut, and a
+reproducible gamma sampler.  The Whittaker equation is integrated with
+scipy's initial value solver.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import quad, solve_ivp
+from scipy.special import airy, psi
 
 __all__ = [
-    "AiryPair",
-    "ComplexValue",
-    "log_gamma",
-    "gamma_fn",
-    "digamma",
-    "euler_gamma",
-    "airy_eval",
-    "airy_rotated",
+    "SCALING_RANGE",
     "scaling_f",
+    "scaling_f_rotated",
     "scaling_dos",
+    "scaling_dos_rotated",
     "whittaker_msq",
     "whittaker_cdf",
     "whittaker_density_mass",
     "sample_gamma",
-    "sample_chi_tilde",
     "rng_from_seed",
 ]
 
-AIRY_RANGE = 50.0
 SCALING_RANGE = 30.0
 
-# Region boundaries for the Airy evaluation scheme.  The plain Maclaurin
-# series loses about e^{2 zeta} in cancellation for Ai on the positive
-# axis, so beyond _SERIES_EDGE the decaying pair (Ai, Ai') is obtained by
-# marching the ODE y'' = x y down from _ASYMP_EDGE, where the asymptotic
-# series is already accurate to ~1e-12.
-_SERIES_EDGE = 3.5
-_ASYMP_EDGE = 7.5
-_MARCH_STEP = 0.5
-_TAYLOR_TERMS = 28
-
-
-@dataclass(frozen=True)
-class AiryPair:
-    """Values of Ai, Ai', Bi, Bi' at a common point."""
-
-    ai: float
-    ai_prime: float
-    bi: float
-    bi_prime: float
-
-    def wronskian(self) -> float:
-        return self.ai * self.bi_prime - self.ai_prime * self.bi
-
-
-@dataclass(frozen=True)
-class ComplexValue:
-    re: float
-    im: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.re) and math.isfinite(self.im)):
-            raise ValueError("components must be finite")
-
-    def as_complex(self) -> complex:
-        return complex(self.re, self.im)
-
-
 # ----------------------------------------------------------------------
-# gamma family
+# band-edge scaling functions
 # ----------------------------------------------------------------------
 
-# Asymptotic (Stirling) coefficients B_{2k}/(2k(2k-1)).
-_STIRLING = (
-    1.0 / 12.0,
-    -1.0 / 360.0,
-    1.0 / 1260.0,
-    -1.0 / 1680.0,
-    1.0 / 1188.0,
-    -691.0 / 360360.0,
-    1.0 / 156.0,
-    -3617.0 / 122400.0,
-)
-
-# psi(z) ~ ln z - 1/(2z) - sum B_{2k}/(2k z^{2k}).
-_PSI_TAIL = (
-    1.0 / 12.0,
-    -1.0 / 120.0,
-    1.0 / 252.0,
-    -1.0 / 240.0,
-    1.0 / 132.0,
-    -691.0 / 32760.0,
-    1.0 / 12.0,
-)
+_ROT = np.exp(-2j * np.pi / 3.0)
 
 
-def log_gamma(z: float) -> float:
-    """log Gamma(z) for z > 0 via argument push plus Stirling series."""
-    if not z > 0:
-        raise ValueError("log_gamma requires z > 0")
-    shift = 0.0
-    while z < 12.0:
-        shift -= math.log(z)
-        z += 1.0
-    s = (z - 0.5) * math.log(z) - z + 0.5 * math.log(2.0 * math.pi)
-    zi = 1.0 / z
-    z2 = zi * zi
-    t = zi
-    for c in _STIRLING:
-        s += c * t
-        t *= z2
-    return s + shift
+def _scaling_points(name: str, x) -> np.ndarray:
+    xs = np.asarray(x, dtype=float)
+    if not np.all(np.abs(xs) <= SCALING_RANGE):
+        raise ValueError(f"{name} supports |x| <= {SCALING_RANGE}")
+    return xs
 
 
-def gamma_fn(z: float) -> float:
-    return math.exp(log_gamma(z))
+def _as_result(v: np.ndarray):
+    return float(v) if v.ndim == 0 else v
 
 
-def digamma(z: float) -> float:
-    """psi(z) for z > 0."""
-    if not z > 0:
-        raise ValueError("digamma requires z > 0")
-    shift = 0.0
-    while z < 12.0:
-        shift -= 1.0 / z
-        z += 1.0
-    s = math.log(z) - 0.5 / z
-    z2 = 1.0 / (z * z)
-    t = z2
-    for c in _PSI_TAIL:
-        s -= c * t
-        t *= z2
-    return s + shift
+def scaling_f(x):
+    """Band-edge scaling function (Ai Ai' + Bi Bi')/(Ai^2 + Bi^2).
 
-
-def euler_gamma() -> float:
-    return -digamma(1.0)
-
-
-# ----------------------------------------------------------------------
-# Airy functions
-# ----------------------------------------------------------------------
-
-
-def _airy_basis(x) -> tuple:
-    """ODE basis f, g with f(0)=1, f'(0)=0, g(0)=0, g'(0)=1 and derivatives.
-
-    Works for real or complex x; every Airy solution is y(0) f + y'(0) g.
+    x is a scalar (a float is returned) or an array (an array of the same
+    shape is returned), with |x| <= SCALING_RANGE.
     """
-    term_f = 1.0 + 0.0 * x  # promotes to complex when x is complex
-    term_g = x
-    f = term_f
-    g = term_g
-    fp = 0.0 * x
-    gp = 1.0 + 0.0 * x
-    x3 = x * x * x
-    k = 0
-    while True:
-        new_f = term_f * x3 / ((3 * k + 2) * (3 * k + 3))
-        new_g = term_g * x3 / ((3 * k + 3) * (3 * k + 4))
-        f = f + new_f
-        g = g + new_g
-        if x != 0:
-            fp = fp + new_f * (3 * k + 3) / x
-            gp = gp + new_g * (3 * k + 4) / x
-        term_f, term_g = new_f, new_g
-        k += 1
-        if abs(new_f) < 1e-18 * max(abs(f), 1e-30) and abs(new_g) < 1e-18 * max(abs(g), 1e-30):
-            break
-        if k > 200:
-            break
-    return f, fp, g, gp
+    ai, aip, bi, bip = airy(_scaling_points("scaling_f", x))
+    return _as_result((ai * aip + bi * bip) / (ai**2 + bi**2))
 
 
-def _airy_constants() -> tuple[float, float, float, float]:
-    g13 = gamma_fn(1.0 / 3.0)
-    g23 = gamma_fn(2.0 / 3.0)
-    ai0 = 3.0 ** (-2.0 / 3.0) / g23
-    aip0 = -(3.0 ** (-1.0 / 3.0)) / g13
-    bi0 = 3.0 ** (-1.0 / 6.0) / g23
-    bip0 = 3.0 ** (1.0 / 6.0) / g13
-    return ai0, aip0, bi0, bip0
+def scaling_f_rotated(x):
+    """Second route to scaling_f: Re of e^{-2 pi i/3} Ai'(w)/Ai(w) at w = e^{-2 pi i/3} x.
 
-
-_AI0, _AIP0, _BI0, _BIP0 = None, None, None, None
-
-
-def _constants() -> tuple[float, float, float, float]:
-    global _AI0, _AIP0, _BI0, _BIP0
-    if _AI0 is None:
-        _AI0, _AIP0, _BI0, _BIP0 = _airy_constants()
-    return _AI0, _AIP0, _BI0, _BIP0
-
-
-def _maclaurin_pair(x):
-    """(Ai, Ai', Bi, Bi') from the Maclaurin basis; real or complex x."""
-    ai0, aip0, bi0, bip0 = _constants()
-    f, fp, g, gp = _airy_basis(x)
-    return (
-        ai0 * f + aip0 * g,
-        ai0 * fp + aip0 * gp,
-        bi0 * f + bip0 * g,
-        bi0 * fp + bip0 * gp,
-    )
-
-
-def _taylor_step(x0: float, y: float, yp: float, h: float) -> tuple[float, float]:
-    """One Taylor step for y'' = x y from x0 to x0 + h."""
-    c = [y, yp, 0.5 * x0 * y]
-    for n in range(1, _TAYLOR_TERMS):
-        # (n+2)(n+1) c_{n+2} = x0 c_n + c_{n-1}
-        c.append((x0 * c[n] + c[n - 1]) / ((n + 2) * (n + 1)))
-    val = 0.0
-    dval = 0.0
-    for n in range(len(c) - 1, 0, -1):
-        val = val * h + c[n]
-        dval = dval * h + n * c[n]
-    val = val * h + c[0]
-    return val, dval
-
-
-def _march(x0: float, y: float, yp: float, x1: float) -> tuple[float, float]:
-    """Integrate y'' = x y from x0 to x1 by Taylor stepping."""
-    n_steps = max(1, int(math.ceil(abs(x1 - x0) / _MARCH_STEP)))
-    h = (x1 - x0) / n_steps
-    x = x0
-    for _ in range(n_steps):
-        y, yp = _taylor_step(x, y, yp, h)
-        x += h
-    return y, yp
-
-
-def _asymptotic_uv(zeta: float, min_terms: int = 8) -> tuple[np.ndarray, np.ndarray]:
-    """Terms u_k/zeta^k and v_k/zeta^k, truncated at the smallest u term.
-
-    At least min_terms are produced; beyond that the (divergent) series is
-    cut as soon as terms stop decreasing, which is the optimal truncation.
+    The connection formula Ai(w) = e^{-i pi/3} (Ai(x) + i Bi(x)) / 2 makes
+    this equal to scaling_f; the Airy pair is evaluated at the complex
+    point itself.  Scalars and arrays as in scaling_f.
     """
-    us = [1.0]
-    vs = [1.0]
-    uk = 1.0
-    zk = 1.0
-    k = 1
-    while True:
-        uk *= (6 * k - 5) * (6 * k - 1) / (72.0 * k)
-        zk /= zeta
-        term = uk * zk
-        if k >= min_terms and abs(term) >= abs(us[-1]):
-            break
-        us.append(term)
-        vs.append(-term * (6 * k + 1) / (6 * k - 1))
-        if abs(term) < 1e-18 or k > 120:
-            break
-        k += 1
-    return np.array(us), np.array(vs)
+    ai, aip, _, _ = airy(_ROT * _scaling_points("scaling_f_rotated", x))
+    return _as_result((_ROT * aip / ai).real)
 
 
-def _airy_asymptotic_pos(x: float) -> tuple[float, float, float, float]:
-    zeta = (2.0 / 3.0) * x**1.5
-    u, v = _asymptotic_uv(zeta)
-    sgn = (-1.0) ** np.arange(u.size)
-    pref = 1.0 / (2.0 * math.sqrt(math.pi) * x**0.25)
-    ai = pref * math.exp(-zeta) * float(np.sum(sgn * u))
-    aip = -(x**0.25) / (2.0 * math.sqrt(math.pi)) * math.exp(-zeta) * float(np.sum(sgn * v))
-    bi = 1.0 / (math.sqrt(math.pi) * x**0.25) * math.exp(zeta) * float(np.sum(u))
-    bip = (x**0.25) / math.sqrt(math.pi) * math.exp(zeta) * float(np.sum(v))
-    return ai, aip, bi, bip
+def scaling_dos(x):
+    """Band-edge scaling function of the density of states, 1/(pi (Ai^2+Bi^2)).
 
-
-def _airy_asymptotic_neg(x: float) -> tuple[float, float, float, float]:
-    z = -x
-    zeta = (2.0 / 3.0) * z**1.5
-    u, v = _asymptotic_uv(zeta, min_terms=16)
-    m = u.size
-    alt = (-1.0) ** np.arange((m + 1) // 2)
-    pe = float(np.sum(alt[: (m + 1) // 2] * u[0:m:2]))
-    qe = float(np.sum(alt[: m // 2] * u[1:m:2]))
-    pv = float(np.sum(alt[: (m + 1) // 2] * v[0:m:2]))
-    qv = float(np.sum(alt[: m // 2] * v[1:m:2]))
-    c = math.cos(zeta - math.pi / 4.0)
-    s = math.sin(zeta - math.pi / 4.0)
-    inv = 1.0 / (math.sqrt(math.pi) * z**0.25)
-    fac = z**0.25 / math.sqrt(math.pi)
-    ai = inv * (c * pe + s * qe)
-    bi = inv * (-s * pe + c * qe)
-    aip = fac * (s * pv - c * qv)
-    bip = fac * (c * pv + s * qv)
-    return ai, aip, bi, bip
-
-
-def airy_eval(x: float) -> AiryPair:
-    """Ai, Ai', Bi, Bi' at real x, |x| <= 50.
-
-    Maclaurin series near the origin, asymptotic series far out, and a
-    Taylor-series ODE march in between; the marched route keeps the
-    decaying Ai branch accurate where the plain series cancels badly.
+    Scalars and arrays as in scaling_f.
     """
-    x = float(x)
-    if not math.isfinite(x) or abs(x) > AIRY_RANGE:
-        raise ValueError(f"airy_eval supports |x| <= {AIRY_RANGE}, got {x}")
-    if abs(x) <= _SERIES_EDGE:
-        ai, aip, bi, bip = _maclaurin_pair(x)
-        return AiryPair(ai, aip, bi, bip)
-    if x > 0:
-        if x >= _ASYMP_EDGE:
-            return AiryPair(*_airy_asymptotic_pos(x))
-        ai_e, aip_e, _, _ = _airy_asymptotic_pos(_ASYMP_EDGE)
-        ai, aip = _march(_ASYMP_EDGE, ai_e, aip_e, x)
-        _, _, bi, bip = _maclaurin_pair(x)
-        return AiryPair(ai, aip, bi, bip)
-    if x <= -_ASYMP_EDGE:
-        return AiryPair(*_airy_asymptotic_neg(x))
-    a0, ap0, b0, bp0 = _maclaurin_pair(-_SERIES_EDGE)
-    ai, aip = _march(-_SERIES_EDGE, a0, ap0, x)
-    bi, bip = _march(-_SERIES_EDGE, b0, bp0, x)
-    return AiryPair(ai, aip, bi, bip)
+    ai, _, bi, _ = airy(_scaling_points("scaling_dos", x))
+    return _as_result(1.0 / (np.pi * (ai**2 + bi**2)))
 
 
-_ROT = cmath.exp(-2j * math.pi / 3.0)
-
-
-def airy_rotated(x: float) -> tuple[complex, complex]:
-    """Ai and Ai' at the rotated argument e^{-2 pi i/3} x.
-
-    Complex Maclaurin series for |x| <= 4.5; beyond that the connection
-    formula through the real pair is used.
-    """
-    x = float(x)
-    if abs(x) <= 4.5:
-        w = _ROT * x
-        ai0, aip0, _, _ = _constants()
-        f, fp, g, gp = _airy_basis(w)
-        return ai0 * f + aip0 * g, ai0 * fp + aip0 * gp
-    p = airy_eval(x)
-    ai_rot = 0.5 * cmath.exp(-1j * math.pi / 3.0) * (p.ai + 1j * p.bi)
-    aip_rot = 0.5 * cmath.exp(1j * math.pi / 3.0) * (p.ai_prime + 1j * p.bi_prime)
-    return ai_rot, aip_rot
-
-
-def scaling_f(x: float) -> float:
-    """Band-edge scaling function (Ai Ai' + Bi Bi')/(Ai^2 + Bi^2)."""
-    x = float(x)
-    if abs(x) > SCALING_RANGE:
-        raise ValueError(f"scaling_f supports |x| <= {SCALING_RANGE}")
-    p = airy_eval(x)
-    return (p.ai * p.ai_prime + p.bi * p.bi_prime) / (p.ai**2 + p.bi**2)
-
-
-def scaling_f_rotated(x: float) -> float:
-    """Alternative route to scaling_f through the rotated-argument ratio."""
-    ai, aip = airy_rotated(x)
-    return (_ROT * aip / ai).real
-
-
-def scaling_dos(x: float) -> float:
-    """Band-edge scaling function of the density of states, 1/(pi (Ai^2+Bi^2))."""
-    x = float(x)
-    if abs(x) > SCALING_RANGE:
-        raise ValueError(f"scaling_dos supports |x| <= {SCALING_RANGE}")
-    p = airy_eval(x)
-    return 1.0 / (math.pi * (p.ai**2 + p.bi**2))
-
-
-def scaling_dos_rotated(x: float) -> float:
-    """Rotated-argument route to scaling_dos (imaginary part of the ratio)."""
-    ai, aip = airy_rotated(x)
-    return (_ROT * aip / ai).imag
+def scaling_dos_rotated(x):
+    """Rotated-argument route to scaling_dos: Im of the ratio in scaling_f_rotated."""
+    ai, aip, _, _ = airy(_ROT * _scaling_points("scaling_dos_rotated", x))
+    return _as_result((_ROT * aip / ai).imag)
 
 
 # ----------------------------------------------------------------------
@@ -463,7 +171,7 @@ def _whittaker_lip(c: float, mus: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     F = int norm / |v|^2 ds = int D(mu) dmu.
     """
     kappa = 0.5 - c
-    norm = 1.0 / (gamma_fn(c) * gamma_fn(c + 1.0))
+    norm = 1.0 / (math.gamma(c) * math.gamma(c + 1.0))
     s_eval = np.log(mus)
     s_anchor = min(float(s_eval[0]), 0.0)
     v, dv = _whittaker_anchor(kappa, math.exp(s_anchor))
@@ -513,8 +221,7 @@ def whittaker_msq(c: float, mu):
     if not np.all((mus > 0) & (mus <= WHITTAKER_MU_MAX)):
         raise ValueError(f"mu must lie in (0, {WHITTAKER_MU_MAX:g}]")
     points, where = np.unique(mus, return_inverse=True)
-    msq = _whittaker_lip(c, points)[0][where].reshape(mus.shape)
-    return float(msq) if msq.ndim == 0 else msq
+    return _as_result(_whittaker_lip(c, points)[0][where].reshape(mus.shape))
 
 
 def _whittaker_head_mass(c: float, mu: float) -> float:
@@ -524,7 +231,7 @@ def _whittaker_head_mass(c: float, mu: float) -> float:
     quadrature from zero hopeless (the mass below mu decays only like
     1/|log mu|), so this closed form carries it.
     """
-    const = digamma(c) + 2.0 * euler_gamma()
+    const = psi(c) + 2.0 * np.euler_gamma
     return (1.0 / (c * math.pi)) * (math.atan((math.log(mu) + const) / math.pi) + math.pi / 2.0)
 
 
@@ -554,7 +261,7 @@ def whittaker_density_mass(c: float, eps: float = 1e-5, cut: float = 60.0) -> fl
     small-argument law, the body up to cut by one lip sweep, and the tail
     from the exponential asymptotics.
     """
-    norm = 1.0 / (gamma_fn(c) * gamma_fn(c + 1.0))
+    norm = 1.0 / (math.gamma(c) * math.gamma(c + 1.0))
     below_cut = whittaker_cdf(c, np.array([eps, cut]))[-1]
     # Tail: |W|^2 ~ e^{mu} mu^{1-2c}, so D ~ norm mu^{2c-1} e^{-mu}.
     tail, _ = quad(lambda m: norm * m ** (2.0 * c - 1.0) * math.exp(-m), cut, math.inf, limit=200)
@@ -584,11 +291,3 @@ def sample_gamma(alpha: float, rate: float, seed, n: int) -> np.ndarray:
     rng = rng_from_seed(seed)
     return rng.gamma(shape=alpha, scale=1.0 / rate, size=int(n))
 
-
-def sample_chi_tilde(params, seed) -> np.ndarray:
-    """Square roots of Gamma[k/2, 1] draws for an array of parameters k."""
-    params = np.asarray(params, dtype=float)
-    if np.any(params <= 0):
-        raise ValueError("chi parameters must be positive")
-    rng = rng_from_seed(seed)
-    return np.sqrt(rng.gamma(shape=params / 2.0, scale=1.0))

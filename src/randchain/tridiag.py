@@ -1,10 +1,9 @@
 """Deterministic spectral engine for real symmetric tridiagonal matrices.
 
 Everything here is built on the three-term recurrence for the
-characteristic polynomial of a tridiagonal matrix: Sturm sign counts
-(exact eigenvalue counting), bisection eigenvalues, ratio sequences
-whose product is det(I - yT), and a trace-log consistency check for
-anti-symmetric matrices.
+characteristic polynomial of a tridiagonal matrix: Sturm counts (exact
+eigenvalue counting) and bisection eigenvalues, plus a trace-log
+consistency check for anti-symmetric matrices.
 """
 
 from __future__ import annotations
@@ -19,21 +18,14 @@ __all__ = [
     "GeneralTridiag",
     "AntisymTridiag",
     "Spectrum",
-    "EigenvalueHit",
     "count_below",
     "count_below_many",
     "eigenvalues",
-    "charpoly_ratios",
-    "charpoly_det",
     "tracelog_check",
 ]
 
 # Stand-in for a zero Sturm pivot.
 _TINY = 1e-300
-
-
-class EigenvalueHit(ArithmeticError):
-    """A ratio recurrence landed exactly on an eigenvalue."""
 
 
 @dataclass(frozen=True)
@@ -254,42 +246,6 @@ def eigenvalues(
         if np.max(hi - lo) <= tol:
             break
     return Spectrum(0.5 * (lo + hi), tol=tol, source=source)
-
-
-def charpoly_ratios(t: SymTridiag, y: float) -> np.ndarray:
-    """Ratio sequence r_k(y) = P_k(y)/P_{k-1}(y) for P_k(y) = det(I_k - y T_k).
-
-    The product of the returned sequence equals det(I - yT).  Raises
-    EigenvalueHit when some ratio vanishes exactly (y sits on a root of a
-    leading principal minor); callers perturb y and retry.
-    """
-    n = t.n
-    r = np.empty(n)
-    r[0] = 1.0 - y * t.diag[0]
-    if r[0] == 0.0:
-        raise EigenvalueHit("ratio hit zero at index 0")
-    y2 = y * y
-    for k in range(1, n):
-        val = (1.0 - y * t.diag[k]) - y2 * t.off[k - 1] ** 2 / r[k - 1]
-        if val == 0.0:
-            raise EigenvalueHit(f"ratio hit zero at index {k}")
-        r[k] = val
-    return r
-
-
-def charpoly_det(t: SymTridiag, y: float, tol: float = 1e-12, retries: int = 3) -> float:
-    """det(I - yT) as the product of charpoly_ratios, with perturb-and-retry.
-
-    Exact ratio zeros are measure-zero events; on a hit the evaluation
-    point is nudged by 10*tol, at most `retries` times.
-    """
-    shift = 0.0
-    for _ in range(retries + 1):
-        try:
-            return float(np.prod(charpoly_ratios(t, y + shift)))
-        except EigenvalueHit:
-            shift = 10.0 * tol if shift == 0.0 else 10.0 * shift
-    raise EigenvalueHit(f"persistent eigenvalue hit near y={y}")
 
 
 def tracelog_check(lam: AntisymTridiag, x: float, m_terms: int) -> tuple[float, float]:

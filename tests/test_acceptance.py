@@ -321,9 +321,10 @@ def test_criterion_09_band_edge_airy_collapse():
     ss = np.array([-4.0, -3.0, -2.0, -1.0, 0.0, 1.0, 2.0, 3.0, 4.0])
     energies = 2.0 + ss * (2.0 * alpha) ** (-2.0 / 3.0)
     rep = lyapunov.band_edge_collapse(alpha, energies, 10**7, seed=9)
+    xs = np.linspace(-6, 6, 61)
     dual = max(
-        max(abs(scaling_f(float(x)) - scaling_f_rotated(float(x))) for x in np.linspace(-6, 6, 61)),
-        max(abs(scaling_dos(float(x)) - scaling_dos_rotated(float(x))) for x in np.linspace(-6, 6, 61)),
+        np.max(np.abs(scaling_f(xs) - scaling_f_rotated(xs))),
+        np.max(np.abs(scaling_dos(xs) - scaling_dos_rotated(xs))),
     )
     elapsed = time.time() - t0
     ok = rep.max_rel_dev <= 0.15 and dual < 1e-8

@@ -212,8 +212,19 @@ def test_betaens_needs_exactly_one_regime(capsys):
     assert "not allowed with argument" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [["--pairs", "5", "--beta", "-1"], ["--pairs", "0", "--beta", "2"]])
+def test_betaens_rejected_spec_is_usage_error(tmp_path, capsys, argv):
+    # Values only the ensemble spec rejects are refused before any sampling.
+    assert run(["betaens", *argv, "--samples", "2", "--out", str(tmp_path)]) == EXIT_USAGE
+    assert "usage error" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
 def test_bad_grid_and_law_are_usage_errors(tmp_path, capsys):
     assert run(["scaling", "--grid", "0:1", "--out", str(tmp_path)]) == EXIT_USAGE
+    assert "usage error" in capsys.readouterr().err
+    # A well-formed grid beyond the scaling functions' range |x| <= 30.
+    assert run(["scaling", "--grid=-40:40:3", "--out", str(tmp_path)]) == EXIT_USAGE
     assert "usage error" in capsys.readouterr().err
     argv = ["lyapunov", "--model", "type2", "--law", "gamma:1", "--grid", "1:2:2", "--out", str(tmp_path)]
     assert run(argv) == EXIT_USAGE

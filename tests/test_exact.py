@@ -8,7 +8,6 @@ from scipy.optimize import brentq
 
 from randchain import chain
 from randchain.exact import (
-    ContourSpec,
     GammaChainParams,
     dos_exact,
     gamma1_coefficient,
@@ -133,11 +132,11 @@ def test_idos_monotone_and_bounded():
 def test_idos_clamp_magnitude_is_tiny():
     # Where M is essentially saturated the raw imaginary part may stray
     # past 1 by quadrature error only.
-    from randchain.exact import ContourSpec, _continued_omega
+    from randchain.exact import _continued_omega
 
     p = GammaChainParams(1.0, 1.0)
     for x in (30.0, 60.0):
-        raw = 1.0 - _continued_omega(p, float(x), ContourSpec()).imag / math.pi
+        raw = 1.0 - _continued_omega(p, float(x)).imag / math.pi
         assert abs(raw - min(max(raw, 0.0), 1.0)) < 1e-6
 
 
@@ -183,9 +182,10 @@ def test_contour_stability_control():
     # An unreasonable forced truncation of the tail must be caught by the
     # stability check rather than silently accepted.
     p = GammaChainParams(1.0, 1.0)
-    bad = ContourSpec(t_max=1.5, check_stability=True)
+    from randchain.exact import _continued_omega
+
     with pytest.raises(ArithmeticError):
-        idos_exact(p, 0.05, bad)
+        _continued_omega(p, 0.05, t_max=1.5)
 
 
 def test_saddle_point_location():

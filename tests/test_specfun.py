@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.special as sp
@@ -8,99 +9,20 @@ from randchain import specfun as sf
 
 
 # ----------------------------------------------------------------------
-# gamma family
-# ----------------------------------------------------------------------
-
-
-def test_log_gamma_against_scipy():
-    for z in (0.1, 1.0 / 3.0, 0.9, 1.0, 2.5, 7.7, 11.99, 12.01, 53.0, 400.0):
-        assert sf.log_gamma(z) == pytest.approx(sp.gammaln(z), rel=1e-13, abs=1e-13)
-
-
-def test_digamma_against_scipy():
-    for z in (0.05, 0.5, 1.0, 3.3, 11.9, 12.1, 77.0):
-        assert sf.digamma(z) == pytest.approx(sp.digamma(z), abs=1e-12)
-
-
-def test_euler_gamma_constant():
-    assert sf.euler_gamma() == pytest.approx(0.5772156649015329, abs=1e-12)
-
-
-# ----------------------------------------------------------------------
-# Airy functions
-# ----------------------------------------------------------------------
-
-
-def test_airy_at_zero_matches_series_oracle():
-    # Maclaurin oracle: at x = 0 the series collapses to 3^{-2/3}/Gamma(2/3);
-    # the constant is computed here from an independent gamma implementation.
-    oracle = 3.0 ** (-2.0 / 3.0) / sp.gamma(2.0 / 3.0)
-    assert oracle == pytest.approx(0.3550280539, abs=1e-9)
-    assert sf.airy_eval(0.0).ai == pytest.approx(oracle, rel=1e-12)
-
-
-def _asymptotic_ai_oracle(x: float, n_terms: int = 10) -> float:
-    # Independent asymptotic-series evaluation of Ai for x >> 1.
-    zeta = (2.0 / 3.0) * x**1.5
-    term = 1.0
-    total = 1.0
-    for k in range(1, n_terms):
-        term *= (6 * k - 5) * (6 * k - 1) / (72.0 * k) / zeta
-        total += (-1.0) ** k * term
-    return math.exp(-zeta) / (2.0 * math.sqrt(math.pi) * x**0.25) * total
-
-
-def test_airy_at_five_matches_asymptotic_oracle():
-    got = sf.airy_eval(5.0).ai
-    assert got == pytest.approx(_asymptotic_ai_oracle(5.0), rel=1e-4)
-    # The leading factor alone is only good to about a percent here.
-    leading = math.exp(-(2.0 / 3.0) * 5.0**1.5) / (2.0 * math.sqrt(math.pi) * 5.0**0.25)
-    assert got == pytest.approx(leading, rel=2e-2)
-
-
-def test_airy_wronskian_thousand_random_points():
-    rng = np.random.default_rng(7)
-    target = 1.0 / math.pi
-    for x in rng.uniform(-50.0, 50.0, 1000):
-        w = sf.airy_eval(float(x)).wronskian()
-        assert abs(w - target) / target < 1e-10
-
-
-def test_airy_matches_scipy_everywhere():
-    rng = np.random.default_rng(3)
-    xs = np.concatenate([rng.uniform(-50, 50, 300), [-7.5, -4.0, 0.0, 3.5, 7.5, 50.0, -50.0]])
-    for x in xs:
-        mine = sf.airy_eval(float(x))
-        ai, aip, bi, bip = sp.airy(float(x))
-        for got, ref in ((mine.ai, ai), (mine.ai_prime, aip), (mine.bi, bi), (mine.bi_prime, bip)):
-            assert got == pytest.approx(ref, rel=2e-10, abs=1e-280)
-
-
-def test_airy_range_error():
-    with pytest.raises(ValueError):
-        sf.airy_eval(50.5)
-    with pytest.raises(ValueError):
-        sf.airy_eval(float("nan"))
-
-
-def test_rotated_airy_matches_scipy_complex():
-    rng = np.random.default_rng(5)
-    rot = np.exp(-2j * math.pi / 3.0)
-    for x in np.concatenate([rng.uniform(-6, 6, 60), [4.49, 4.5, 4.51, -4.5]]):
-        a, ap = sf.airy_rotated(float(x))
-        ref = sp.airy(rot * float(x))
-        assert a == pytest.approx(ref[0], rel=1e-10)
-        assert ap == pytest.approx(ref[1], rel=1e-10)
-
-
-# ----------------------------------------------------------------------
 # band-edge scaling functions
 # ----------------------------------------------------------------------
 
 
+def _mp_airy(x: float) -> tuple[float, float, float, float]:
+    # Oracle: Ai, Ai', Bi, Bi' from mpmath at 40 digits.
+    with mpmath.workdps(40):
+        x = mpmath.mpf(x)
+        return tuple(float(f(x, derivative=d)) for f in (mpmath.airyai, mpmath.airybi) for d in (0, 1))
+
+
 def test_scaling_f_at_zero_composes_airy():
-    p = sf.airy_eval(0.0)
-    expect = (p.ai * p.ai_prime + p.bi * p.bi_prime) / (p.ai**2 + p.bi**2)
+    ai, aip, bi, bip = _mp_airy(0.0)
+    expect = (ai * aip + bi * bip) / (ai**2 + bi**2)
     assert sf.scaling_f(0.0) == pytest.approx(expect, rel=1e-14)
 
 
@@ -115,8 +37,34 @@ def test_scaling_dual_representations_on_grid():
 
 
 def test_scaling_dos_at_zero_composes_airy():
-    p = sf.airy_eval(0.0)
-    assert sf.scaling_dos(0.0) == pytest.approx(1.0 / (math.pi * (p.ai**2 + p.bi**2)), rel=1e-14)
+    ai, _, bi, _ = _mp_airy(0.0)
+    assert sf.scaling_dos(0.0) == pytest.approx(1.0 / (math.pi * (ai**2 + bi**2)), rel=1e-14)
+
+
+def test_scaling_functions_match_mpmath_over_range():
+    # The whole documented range, in one array call per function.
+    xs = np.linspace(-sf.SCALING_RANGE, sf.SCALING_RANGE, 241)
+    with mpmath.workdps(40):
+        f_ref, dos_ref = [], []
+        for x in xs:
+            x = mpmath.mpf(float(x))
+            ai, aip = mpmath.airyai(x), mpmath.airyai(x, derivative=1)
+            bi, bip = mpmath.airybi(x), mpmath.airybi(x, derivative=1)
+            m2 = ai**2 + bi**2
+            f_ref.append(float((ai * aip + bi * bip) / m2))
+            dos_ref.append(float(1 / (mpmath.pi * m2)))
+    np.testing.assert_allclose(sf.scaling_f(xs), f_ref, rtol=1e-11, atol=0)
+    np.testing.assert_allclose(sf.scaling_dos(xs), dos_ref, rtol=1e-11, atol=0)
+
+
+def test_scaling_functions_take_scalars_and_arrays():
+    xs = np.array([[-6.0, 0.5], [2.0, 6.0]])
+    for f in (sf.scaling_f, sf.scaling_f_rotated, sf.scaling_dos, sf.scaling_dos_rotated):
+        assert isinstance(f(0.5), float)
+        got = f(xs)
+        assert got.shape == xs.shape
+        # Equal to rounding: numpy divides complex scalars and arrays in different ways.
+        np.testing.assert_allclose(got, [[f(float(x)) for x in row] for row in xs], rtol=1e-14, atol=0)
 
 
 def test_scaling_dos_lifshitz_tail():
@@ -137,6 +85,18 @@ def test_scaling_range_errors():
         sf.scaling_dos(-31.0)
 
 
+def test_airy_range_error():
+    # Every Airy-based scaling function refuses points beyond its range and NaN,
+    # for scalars and for arrays with a single bad entry.
+    for fn in (sf.scaling_f, sf.scaling_dos, sf.scaling_f_rotated, sf.scaling_dos_rotated):
+        with pytest.raises(ValueError):
+            fn(sf.SCALING_RANGE + 0.5)
+        with pytest.raises(ValueError):
+            fn(float("nan"))
+        with pytest.raises(ValueError):
+            fn(np.array([0.0, 40.0]))
+
+
 # ----------------------------------------------------------------------
 # Whittaker modulus squared
 # ----------------------------------------------------------------------
@@ -152,7 +112,7 @@ def test_whittaker_small_mu_law():
     # mu (log mu)^2 D within 25 percent of c at c = 1.
     c = 1.0
     mu = 1e-4
-    d = 1.0 / (sf.gamma_fn(c) * sf.gamma_fn(c + 1.0) * sf.whittaker_msq(c, mu))
+    d = 1.0 / (math.gamma(c) * math.gamma(c + 1.0) * sf.whittaker_msq(c, mu))
     ratio = mu * math.log(mu) ** 2 * d / c
     assert 0.75 <= ratio <= 1.25
 
@@ -202,7 +162,7 @@ def test_whittaker_cdf_increments_match_quadrature():
 
     c = 2.0
     grid = np.array([1e-2, 0.3, 2.0, 9.0, 30.0])
-    norm = 1.0 / (sf.gamma_fn(c) * sf.gamma_fn(c + 1.0))
+    norm = 1.0 / (math.gamma(c) * math.gamma(c + 1.0))
     steps = [
         quad(lambda m: norm / sf.whittaker_msq(c, m), a, b, epsabs=1e-12, epsrel=1e-10)[0]
         for a, b in zip(grid[:-1], grid[1:])

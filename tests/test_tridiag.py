@@ -10,10 +10,7 @@ from scipy.linalg import eigh_tridiagonal
 from randchain import tridiag
 from randchain.tridiag import (
     AntisymTridiag,
-    EigenvalueHit,
     SymTridiag,
-    charpoly_det,
-    charpoly_ratios,
     count_below,
     count_below_many,
     eigenvalues,
@@ -207,42 +204,6 @@ def test_eigenvalue_ranks_selection():
     full = eigenvalues(t).values
     sel = eigenvalues(t, ranks=np.array([1, 30, 60])).values
     assert sel == pytest.approx([full[0], full[29], full[59]], abs=1e-9)
-
-
-def test_charpoly_ratios_at_zero():
-    rng = np.random.default_rng(10)
-    t = SymTridiag(rng.normal(size=12), rng.normal(size=11))
-    r = charpoly_ratios(t, 0.0)
-    assert np.all(r == 1.0)
-    assert np.prod(r) == 1.0
-
-
-def test_charpoly_ratio_product_three_by_three():
-    t = SymTridiag(np.zeros(3), np.ones(2))
-    for y in (0.3, -0.7, 1.1):
-        x = -y * y
-        prod = float(np.prod(charpoly_ratios(t, y)))
-        assert prod == pytest.approx(1.0 + 2.0 * x, rel=1e-12)
-
-
-def test_charpoly_ratio_product_matches_determinant_recurrence():
-    rng = np.random.default_rng(12)
-    t = SymTridiag(rng.normal(size=30), rng.normal(size=29))
-    for y in rng.uniform(-0.4, 0.4, 6):
-        # determinant recurrence oracle for det(I - yT)
-        p_prev, p_cur = 1.0, 1.0 - y * t.diag[0]
-        for k in range(1, 30):
-            p_prev, p_cur = p_cur, (1.0 - y * t.diag[k]) * p_cur - y * y * t.off[k - 1] ** 2 * p_prev
-        prod = float(np.prod(charpoly_ratios(t, float(y))))
-        assert abs(prod - p_cur) / abs(p_cur) < 1e-8
-
-
-def test_charpoly_eigenvalue_hit_and_retry():
-    t = SymTridiag(np.array([2.0, 0.0]), np.array([1.0]))
-    with pytest.raises(EigenvalueHit):
-        charpoly_ratios(t, 0.5)  # r_1 = 1 - 0.5*2 = 0 exactly
-    val = charpoly_det(t, 0.5)  # perturb-and-retry succeeds
-    assert math.isfinite(val)
 
 
 def test_tracelog_single_pair_closed_form():
