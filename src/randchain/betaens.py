@@ -45,7 +45,6 @@ class BetaEnsembleSpec:
     beta: float | None = None
     regime: str = FIXED_BETA
     c: float | None = None
-    seed: int = 0
 
     def __post_init__(self):
         if self.n_pairs < 1:
@@ -74,7 +73,7 @@ class BetaEnsembleSpec:
         return 2.0 * float(self.c) / self.n_pairs
 
 
-def sample_matrix(spec: BetaEnsembleSpec, seed=None) -> AntisymTridiag:
+def sample_matrix(spec: BetaEnsembleSpec, seed) -> AntisymTridiag:
     """Draw one anti-symmetric tridiagonal matrix of the ensemble.
 
     Superdiagonal entries are square roots of Gamma[k beta/4, 1] draws
@@ -85,7 +84,7 @@ def sample_matrix(spec: BetaEnsembleSpec, seed=None) -> AntisymTridiag:
     beta = spec.effective_beta()
     n = spec.n_pairs
     ks = np.arange(2 * n, 0, -1, dtype=float)
-    rng = rng_from_seed(spec.seed if seed is None else seed)
+    rng = rng_from_seed(seed)
     sup = np.sqrt(rng.gamma(shape=ks * beta / 4.0, scale=1.0))
     return AntisymTridiag(sup)
 
@@ -96,11 +95,11 @@ def squared_spectrum(m: AntisymTridiag, tol: float | None = None) -> Spectrum:
     n_pairs = (h.n - 1) // 2
     _, hi = h.gershgorin()
     ranks = np.arange(h.n - n_pairs + 1, h.n + 1)
-    pos = eigenvalues(h, tol, ranks=ranks, bounds=(0.0, hi), source="beta-ensemble")
-    return Spectrum(pos.values**2, tol=pos.tol, source="beta-ensemble-squared")
+    pos = eigenvalues(h, tol, ranks=ranks, bounds=(0.0, hi))
+    return Spectrum(pos.values**2, tol=pos.tol)
 
 
-def scaled_squared_spectrum(spec: BetaEnsembleSpec, seed=None) -> np.ndarray:
+def scaled_squared_spectrum(spec: BetaEnsembleSpec, seed) -> np.ndarray:
     """Squared spectrum scaled onto (0, 1) for the fixed-beta MP limit.
 
     The Laguerre standardisation is w = 2 y / beta, and the global law
@@ -111,11 +110,13 @@ def scaled_squared_spectrum(spec: BetaEnsembleSpec, seed=None) -> np.ndarray:
     return y / (2.0 * spec.n_pairs * beta)
 
 
-def mp_density(mu: float) -> float:
-    """Marchenko-Pastur density (2/pi) mu^{-1/2} (1 - mu)^{1/2} on (0, 1)."""
-    if not 0.0 < mu < 1.0:
+def mp_density(mu):
+    """Marchenko-Pastur density (2/pi) mu^{-1/2} (1 - mu)^{1/2} on (0, 1), at a scalar or an array."""
+    mu = np.asarray(mu, dtype=float)
+    if not np.all((0.0 < mu) & (mu < 1.0)):
         raise ValueError("mu must lie in (0, 1)")
-    return (2.0 / math.pi) * math.sqrt((1.0 - mu) / mu)
+    d = (2.0 / math.pi) * np.sqrt((1.0 - mu) / mu)
+    return float(d) if d.ndim == 0 else d
 
 
 def mp_cdf(mu) -> np.ndarray:

@@ -17,10 +17,10 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammainc, psi
+from scipy.special import gammainc, ndtr, psi
 
 from .specfun import rng_from_seed
-from .tridiag import AntisymTridiag, GeneralTridiag, SymTridiag, _sturm_counts, count_below_many
+from .tridiag import AntisymTridiag, GeneralTridiag, SymTridiag, _sturm_counts, count_below_many, eigenvalues
 
 __all__ = [
     "DisorderLaw",
@@ -161,8 +161,6 @@ class GaussianPotential(DisorderLaw):
         raise ValueError("mean_log undefined for a signed potential")
 
     def cdf(self, x):
-        from scipy.special import ndtr
-
         return ndtr(np.asarray(x, dtype=float) / math.sqrt(self.variance))
 
 
@@ -214,9 +212,8 @@ def realize(spec: ChainSpec) -> ChainRealization:
     if spec.kind == TYPE_II:
         masses = spec.law.sample(rng, n)
         lam = np.empty(2 * n - 1)
-        lam[0] = spec.spring_k / masses[0]
-        for j in range(1, n):
-            lam[2 * j - 1] = lam[2 * j] = spec.spring_k / masses[j]
+        lam[0::2] = spec.spring_k / masses
+        lam[1::2] = spec.spring_k / masses[1:]
         return ChainRealization(lam, masses, spec)
     return ChainRealization(spec.law.sample(rng, n), None, spec)
 
@@ -284,8 +281,6 @@ def squared_frequencies(t: SymTridiag, tol: float | None = None) -> np.ndarray:
 
     Only the positive half of the symmetric spectrum is bisected.
     """
-    from .tridiag import eigenvalues
-
     n_pairs = (t.n - 1) // 2
     _, hi = t.gershgorin()
     ranks = np.arange(t.n - n_pairs + 1, t.n + 1)

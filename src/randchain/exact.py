@@ -46,8 +46,6 @@ __all__ = [
     "gamma1_coefficient",
     "lyapunov_exact",
     "saddle_point",
-    "tabulate_idos",
-    "tabulate_dos",
 ]
 
 logger = logging.getLogger(__name__)
@@ -171,12 +169,8 @@ def _phi(alpha: float, kx: float, xi: complex) -> complex:
     return alpha * (cmath.log(xi) - cmath.log(1.0 + xi)) + kx * xi
 
 
-def _contour_nodes(alpha: int, kx: float, stretch: float = 1.0, *, t_max: float | None = None) -> list[complex]:
-    """Corner points of the integration path from 0 to the damped far tail.
-
-    t_max, when given, cuts the tail at abscissa -|t_max|; only the test
-    of the stability check uses it, to force a bad path.
-    """
+def _contour_nodes(alpha: int, kx: float, stretch: float = 1.0) -> list[complex]:
+    """Corner points of the integration path from 0 to the damped far tail."""
     disc = 4.0 * alpha / kx  # saddle discriminant: complex saddle iff disc > 1
     drop = 45.0 + 5.0 * math.log1p(alpha)
     if disc > 1.04:
@@ -200,8 +194,6 @@ def _contour_nodes(alpha: int, kx: float, stretch: float = 1.0, *, t_max: float 
     end = complex(end_re, mid.imag)
     while _phi(alpha, kx, end).real > ref - drop and end.real > -1e12:
         end = complex(2.0 * end.real, end.imag)
-    if t_max is not None:
-        end = complex(-abs(t_max), mid.imag)
     return [0.0 + 0.0j, eta, mid, end]
 
 
@@ -213,9 +205,7 @@ _WEIGHTS = {
 }
 
 
-def _contour_integrals(
-    alpha: int, kappa: float, x: float, names: tuple[str, ...], stretch: float = 1.0, *, t_max: float | None = None
-) -> dict[str, complex]:
+def _contour_integrals(alpha: int, kappa: float, x: float, names: tuple[str, ...], stretch: float = 1.0) -> dict[str, complex]:
     """Scaled contour integrals int g(xi) e^{phi(xi) - phi_ref} d xi.
 
     All requested weights share one path and one reference exponent, so
@@ -223,7 +213,7 @@ def _contour_integrals(
     integrals.
     """
     kx = kappa * x
-    nodes = _contour_nodes(alpha, kx, stretch, t_max=t_max)
+    nodes = _contour_nodes(alpha, kx, stretch)
     samples = []
     for a, b in zip(nodes[:-1], nodes[1:]):
         ts = np.linspace(0.0, 1.0, 65)
@@ -248,16 +238,16 @@ def _contour_integrals(
     return out
 
 
-def _continued_omega(p: GammaChainParams, x: float, *, t_max: float | None = None) -> complex:
+def _continued_omega(p: GammaChainParams, x: float) -> complex:
     """Omega continued to argument -1/x, approached from the upper half plane.
 
     The value is recomputed on a stretched path; a disagreement raises
-    ContourError.  t_max is passed to _contour_nodes.
+    ContourError.
     """
     n = p.integer_alpha()
-    vals = _contour_integrals(n, p.rate, x, ("k", "l"), t_max=t_max)
+    vals = _contour_integrals(n, p.rate, x, ("k", "l"))
     omega = 2.0 * vals["l"] / vals["k"]
-    vals2 = _contour_integrals(n, p.rate, x, ("k", "l"), stretch=1.35, t_max=t_max)
+    vals2 = _contour_integrals(n, p.rate, x, ("k", "l"), stretch=1.35)
     omega2 = 2.0 * vals2["l"] / vals2["k"]
     if abs(omega - omega2) > 2e-6 * max(1.0, abs(omega)):
         raise ContourError(f"contour value unstable under path perturbation: {omega} vs {omega2}")
@@ -290,18 +280,6 @@ def dos_exact(p: GammaChainParams, mu: float) -> float:
     vals = _contour_integrals(n, p.rate, mu, ("k", "l", "xk", "xl"))
     expr = (vals["xl"] * vals["k"] - vals["l"] * vals["xk"]) / vals["k"] ** 2
     return -(2.0 * p.rate / math.pi) * expr.imag
-
-
-def tabulate_idos(p: GammaChainParams, xs) -> np.ndarray:
-    """(x, M(x)) table for CSV emission."""
-    xs = np.asarray(xs, dtype=float)
-    return np.column_stack([xs, [idos_exact(p, float(x)) for x in xs]])
-
-
-def tabulate_dos(p: GammaChainParams, mus) -> np.ndarray:
-    """(mu, D(mu)) table for CSV emission."""
-    mus = np.asarray(mus, dtype=float)
-    return np.column_stack([mus, [dos_exact(p, float(m)) for m in mus]])
 
 
 # ----------------------------------------------------------------------

@@ -22,6 +22,7 @@ from scipy.stats import ks_2samp
 
 from .chain import Constant, DisorderLaw, Gamma, TwoPoint
 from .specfun import rng_from_seed
+from .tridiag import SymTridiag, count_below, count_below_many
 
 __all__ = [
     "DensityGrid",
@@ -258,36 +259,39 @@ def omega_type2_mc(law: DisorderLaw, spring_k: float, x: float, n: int, seed=0, 
 def node_count(masses: np.ndarray, spring_k: float, omega_sq: float) -> int:
     """Exact node count of the fixed-boundary chain with the given masses.
 
-    Iterates the displacement ratios from U_0 = 0, U_1 = 1 and counts
-    negative ratios; the total equals the number of squared frequencies
-    of the fixed-boundary chain strictly below omega_sq (Sturm duality).
+    The displacement ratios U_{j+1}/U_j from U_0 = 0, U_1 = 1 are m_j/K > 0
+    times the Sturm pivots of the frequency matrix (diagonal 2K/m_j,
+    off-diagonal -K/sqrt(m_j m_{j+1})) at omega_sq, so the negative ratios
+    number its squared frequencies strictly below omega_sq.
     """
-    count = 0
-    r = math.inf
-    for m in np.asarray(masses, dtype=float):
-        a = 2.0 - omega_sq * m / spring_k
-        r = a - (0.0 if math.isinf(r) else 1.0 / r)
-        if r == 0.0:
-            r = 1e-300
-        if r < 0.0:
-            count += 1
-    return count
+    return count_below(_fixed_frequency_matrix(masses, spring_k), omega_sq)
 
 
-def idos_node_fraction(law: DisorderLaw, spring_k: float, omega_sq: float, n_steps: int, seed=0) -> float:
+def _fixed_frequency_matrix(masses: np.ndarray, spring_k: float) -> SymTridiag:
+    """Frequency matrix of the chain with both end masses tied to walls."""
+    m = np.asarray(masses, dtype=float)
+    off = m[:-1] * m[1:]
+    np.sqrt(off, out=off)  # in place, so a long chain's peak memory stays near its two bands
+    return SymTridiag(2.0 * spring_k / m, np.divide(-spring_k, off, out=off))
+
+
+def idos_node_fraction(law: DisorderLaw, spring_k: float, omega_sq, n_steps: int, seed=0):
     """Integrated density of states as the fraction of negative ratios.
 
-    One realized chain of n_steps masses is swept; the negative-ratio
-    count is an exact eigenvalue count for that finite chain, so the
-    fraction is an unbiased finite-size estimate of M(omega^2).
+    One realized chain of n_steps masses is drawn and every probe omega_sq
+    is counted on it; the negative-ratio count is an exact eigenvalue
+    count for that finite chain, so the fraction is an unbiased
+    finite-size estimate of M(omega^2).  A scalar omega_sq gives a float,
+    an array gives an array.
     """
-    if omega_sq < 0:
+    w2 = np.asarray(omega_sq, dtype=float)
+    if np.any(w2 < 0):
         raise ValueError("omega_sq must be nonnegative")
-    if omega_sq == 0.0:
-        return 0.0
-    rng = rng_from_seed(seed)
-    masses = law.sample(rng, n_steps)
-    return node_count(masses, spring_k, omega_sq) / float(n_steps)
+    if n_steps < 1:
+        raise ValueError("n_steps must be >= 1")
+    t = _fixed_frequency_matrix(law.sample(rng_from_seed(seed), n_steps), spring_k)
+    frac = count_below_many(t, w2) / float(n_steps)
+    return float(frac[0]) if w2.ndim == 0 else frac
 
 
 # ----------------------------------------------------------------------

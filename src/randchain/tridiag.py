@@ -27,6 +27,12 @@ __all__ = [
 # Stand-in for a zero Sturm pivot.
 _TINY = 1e-300
 
+# Most lanes (matrix-probe pairs) that _sturm_counts runs as one Python-float
+# loop each, the break-even with the array loop measured on a 2-core box; and
+# the sites that the float loop turns into Python floats at a time.
+_FLOAT_LOOP_LANES = 96
+_FLOAT_LOOP_CHUNK = 1024
+
 
 @dataclass(frozen=True)
 class SymTridiag:
@@ -140,13 +146,33 @@ class Spectrum:
 
     values: np.ndarray
     tol: float
-    source: str = ""
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float)
         if v.size > 1 and np.any(np.diff(v) < -self.tol):
             raise ValueError("spectrum must be sorted to within tol")
         object.__setattr__(self, "values", v)
+
+
+def _float_loop(diag: np.ndarray, off: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    """Counts lane by lane over Python floats, site chunk by chunk: diag (R, n), off (R, n-1), xs (R, m)."""
+    tiny = _TINY  # a local reads faster than a global in the loop
+    q = [[(a0 - x) or tiny for x in row_xs] for a0, row_xs in zip(diag[:, 0].tolist(), xs.tolist())]
+    counts = (np.array(q) < 0.0).astype(np.int64)
+    for k in range(0, diag.shape[1] - 1, _FLOAT_LOOP_CHUNK):
+        chunk = slice(k, k + _FLOAT_LOOP_CHUNK)
+        rows = zip(diag[:, 1:][:, chunk].tolist(), np.square(off[:, chunk]).tolist(), xs.tolist())
+        for r, (a, b2, row_xs) in enumerate(rows):
+            pairs = list(zip(a, b2))
+            for i, x in enumerate(row_xs):
+                qi, c = q[r][i], 0
+                for ak, bk in pairs:
+                    qi = ((ak - x) - bk / qi) or tiny
+                    if qi < 0.0:
+                        c += 1
+                q[r][i] = qi
+                counts[r, i] += c
+    return counts
 
 
 def _sturm_counts(diag: np.ndarray, off: np.ndarray, xs: np.ndarray) -> np.ndarray:
@@ -156,30 +182,38 @@ def _sturm_counts(diag: np.ndarray, off: np.ndarray, xs: np.ndarray) -> np.ndarr
     A batch of R matrices of one size: diag (R, n), off (R, n-1) and
     probes xs (R, m), or (m,) shared by every row, give counts (R, m); row
     r counts matrix r with exactly the arithmetic of its one-matrix call,
-    so its counts are identical.  A batch sweeps all R·m lanes in one pass
-    over the n sites, which costs about as much as one matrix up to about
-    a thousand lanes: the loop is bound by dispatch overhead, not by lane
-    work.
+    so its counts are identical.
 
     Sturm count (Barth, Martin & Wilkinson 1967) in ratio form:
     the pivots q_k = (a_k - x) - b_{k-1}^2 / q_{k-1} of the LDL^T
     factorisation of T - x, of which as many are negative as eigenvalues
-    lie below x.  A zero pivot is replaced by a positive tiny, which fixes
-    the strict-below convention (a probe at an eigenvalue does not count
-    it) and keeps the recurrence alive; the next pivot may then overflow
-    to -inf, which counts as negative and contributes nothing beyond it.
-    Pivots stay in range without rescaling, so a probe far below the
-    entries' scale (1e-224 against a zero block) still counts exactly.
+    lie below x.  A zero pivot (either sign) is replaced by a positive
+    tiny, which fixes the strict-below convention (a probe at an
+    eigenvalue does not count it) and keeps the recurrence alive; the next
+    pivot may then overflow to -inf, which counts as negative and
+    contributes nothing beyond it.  Pivots stay in range without
+    rescaling, so a probe far below the entries' scale (1e-224 against a
+    zero block) still counts exactly.
+
+    Two loop shapes share this arithmetic and zero rule, so their counts
+    agree.  Up to _FLOAT_LOOP_LANES lanes (matrix-probe pairs) each runs
+    its own loop over Python floats, about 0.12 us per lane and site; more
+    lanes share one loop over the sites on arrays, about 11 us per site,
+    bound by numpy dispatch rather than lane work up to ~1000 lanes.
     """
     diag = np.asarray(diag, dtype=float)
     off = np.asarray(off, dtype=float)
-    xs = np.asarray(xs, dtype=float)
+    xs = np.atleast_1d(np.asarray(xs, dtype=float))
     n = diag.shape[-1]
+    lanes = xs.size if diag.ndim == 1 else diag.shape[0] * xs.shape[-1]
+    if lanes <= _FLOAT_LOOP_LANES:
+        if diag.ndim == 1:
+            return _float_loop(diag[None], off[None], xs.reshape(1, -1)).reshape(xs.shape)
+        return _float_loop(diag, off, np.broadcast_to(xs, (diag.shape[0], xs.shape[-1])))
     # Per-site coefficients.  For one matrix they are Python floats, which
     # the loop reads fastest; for a batch they are the rows of contiguous
     # (n, R, 1) arrays, each row a column of coefficients across matrices.
     if diag.ndim == 1:
-        xs = np.atleast_1d(xs)
         a = diag.tolist()
         b2 = (off * off).tolist()
     else:
@@ -214,7 +248,6 @@ def count_below_many(t: SymTridiag, xs) -> np.ndarray:
 def eigenvalues(
     t: SymTridiag,
     tol: float | None = None,
-    source: str = "bisection",
     ranks: np.ndarray | None = None,
     bounds: tuple[float, float] | None = None,
 ) -> Spectrum:
@@ -245,7 +278,7 @@ def eigenvalues(
         lo = np.where(take, lo, mid)
         if np.max(hi - lo) <= tol:
             break
-    return Spectrum(0.5 * (lo + hi), tol=tol, source=source)
+    return Spectrum(0.5 * (lo + hi), tol=tol)
 
 
 def tracelog_check(lam: AntisymTridiag, x: float, m_terms: int) -> tuple[float, float]:
@@ -256,7 +289,7 @@ def tracelog_check(lam: AntisymTridiag, x: float, m_terms: int) -> tuple[float, 
     they agree to the truncation error inside the convergence radius.
     """
     h = lam.hermitian_image()
-    spec = eigenvalues(h, source="tracelog")
+    spec = eigenvalues(h)
     rho2 = float(np.max(np.abs(spec.values))) ** 2
     if abs(x) * rho2 >= 1.0:
         raise ValueError(

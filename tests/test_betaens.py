@@ -100,6 +100,16 @@ def test_mp_density_values():
         mp_density(1.5)
 
 
+def test_mp_density_takes_arrays():
+    mus = np.array([0.01, 0.3, 0.5, 0.99])
+    got = mp_density(mus)
+    assert isinstance(got, np.ndarray)
+    assert np.array_equal(got, [mp_density(float(m)) for m in mus])
+    assert isinstance(mp_density(0.5), float)
+    with pytest.raises(ValueError):
+        mp_density(np.array([0.5, 1.0]))
+
+
 def test_mp_density_unit_mass():
     val = quad(mp_density, 1e-12, 1.0 - 1e-12, limit=200)[0]
     assert val == pytest.approx(1.0, abs=1e-6)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from randchain import chain, cli
+from randchain import chain, cli, exact, schmidt
 from randchain.cli import EXIT_IO, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, UsageError, parse_grid, parse_law, run
 
 
@@ -70,6 +70,23 @@ def test_csv_outputs_are_byte_identical(tmp_path):
     assert f1 == f2
 
 
+def test_nodefrac_grid_matches_pointwise_node_fractions(tmp_path):
+    # One chain counted at every grid point writes what one call per
+    # point writes: each call redraws the same chain from the seed.
+    argv = [
+        "schmidt", "--op", "nodefrac", "--law", "twopoint:1:2:0.3",
+        "--grid", "0.1:4.4:9", "--samples", "3000", "--seed", "5", "--out", str(tmp_path),
+    ]
+    assert run(argv) == EXIT_OK
+    rows = (tmp_path / "schmidt_idos.csv").read_text().splitlines()[1:]
+    law = chain.TwoPoint(1.0, 2.0, 0.3)
+    want = [
+        f"{w2:.12g},{schmidt.idos_node_fraction(law, 1.0, float(w2), 3000, seed=5):.12g}"
+        for w2 in parse_grid("0.1:4.4:9")
+    ]
+    assert rows == want
+
+
 def test_manifest_records_run(tmp_path):
     argv = [
         "scaling", "--grid=-2:2:5", "--out", str(tmp_path), "--prefix", "sc", "--seed", "3",
@@ -89,6 +106,17 @@ def test_exact_csv_headers_name_quantities(tmp_path):
     lines = (tmp_path / "exact_idos.csv").read_text().splitlines()
     assert lines[0] == "x,M"
     assert len(lines) == 4
+
+
+@pytest.mark.parametrize(
+    "what,header,fn", [("idos", "x,M", "idos_exact"), ("dos", "mu,D", "dos_exact")], ids=["idos", "dos"]
+)
+def test_exact_csv_matches_pointwise_calls(tmp_path, what, header, fn):
+    argv = ["exact", "--alpha", "1", "--kappa", "1", "--what", what, "--grid", "0.5:1:2", "--out", str(tmp_path)]
+    assert run(argv) == EXIT_OK
+    lines = (tmp_path / f"exact_{what}.csv").read_text().splitlines()
+    p = exact.GammaChainParams(1.0, 1.0)
+    assert lines == [header] + [f"{x:.12g},{getattr(exact, fn)(p, x):.12g}" for x in (0.5, 1.0)]
 
 
 def test_exact_covers_singular_region(tmp_path):

@@ -19,8 +19,6 @@ from randchain.exact import (
     omega_exact,
     pure_chain,
     saddle_point,
-    tabulate_dos,
-    tabulate_idos,
     weak_disorder_idos,
 )
 
@@ -178,14 +176,21 @@ def test_dos_carries_unit_mass_up_to_singular_head():
     assert body + idos_exact(p, cut) == pytest.approx(1.0, abs=5e-3)
 
 
-def test_contour_stability_control():
+def test_contour_stability_control(monkeypatch):
     # An unreasonable forced truncation of the tail must be caught by the
     # stability check rather than silently accepted.
     p = GammaChainParams(1.0, 1.0)
-    from randchain.exact import _continued_omega
+    from randchain import exact
 
+    nodes = exact._contour_nodes
+
+    def truncated(alpha, kx, stretch=1.0):
+        path = nodes(alpha, kx, stretch)
+        return path[:-1] + [complex(-1.5, path[-2].imag)]
+
+    monkeypatch.setattr(exact, "_contour_nodes", truncated)
     with pytest.raises(ArithmeticError):
-        _continued_omega(p, 0.05, t_max=1.5)
+        exact._continued_omega(p, 0.05)
 
 
 def test_saddle_point_location():
@@ -212,14 +217,6 @@ def test_dos_matches_idos_finite_difference():
     for mu in (0.8, 1.7, 2.9):
         fd = (idos_exact(p, mu + h) - idos_exact(p, mu - h)) / (2.0 * h)
         assert abs(dos_exact(p, mu) - fd) < 1e-3
-
-
-def test_tabulations_shapes():
-    p = GammaChainParams(1.0, 1.0)
-    t1 = tabulate_idos(p, [0.5, 1.0])
-    t2 = tabulate_dos(p, [0.5, 1.0])
-    assert t1.shape == (2, 2) and t2.shape == (2, 2)
-    assert t1[0, 1] == pytest.approx(idos_exact(p, 0.5), rel=1e-12)
 
 
 # ----------------------------------------------------------------------

@@ -133,9 +133,24 @@ def test_node_fraction_zero_frequency():
     assert idos_node_fraction(TwoPoint(1.0, 2.0, 0.3), 1.0, 0.0, 1000, seed=0) == 0.0
 
 
+def test_node_fraction_needs_a_chain():
+    with pytest.raises(ValueError):
+        idos_node_fraction(TwoPoint(1.0, 2.0, 0.3), 1.0, 1.0, 0, seed=0)
+
+
 def test_node_fraction_pure_half_at_two():
     got = idos_node_fraction(Constant(1.0), 1.0, 2.0, 10**5, seed=1)
     assert abs(got - 0.5) < 1e-3
+
+
+def _ratio_node_count(masses, spring_k, omega_sq):
+    """Reference: negative displacement ratios r = a - 1/r from U_0 = 0, U_1 = 1."""
+    count, r = 0, math.inf
+    for m in masses.tolist():
+        r = (2.0 - omega_sq * m / spring_k) - (0.0 if math.isinf(r) else 1.0 / r)
+        r = r or 1e-300
+        count += r < 0.0
+    return count
 
 
 def test_node_count_equals_sturm_count_exactly():
@@ -146,6 +161,7 @@ def test_node_count_equals_sturm_count_exactly():
         nc = node_count(masses, 1.0, w2)
         t = tridiag.SymTridiag(2.0 / masses, -1.0 / np.sqrt(masses[:-1] * masses[1:]))
         assert nc == tridiag.count_below(t, w2)
+        assert nc == _ratio_node_count(masses, 1.0, w2)
 
 
 def test_node_fraction_monotone_in_omega_sq():

@@ -91,6 +91,29 @@ def test_count_with_zero_offdiagonal_blocks():
 # ----------------------------------------------------------------------
 
 
+def _both_shapes(diag, off, probes):
+    """Kernel counts from the float loop, checked against the array loop.
+
+    The probes given are few enough for the per-lane float loop; tiled
+    along their last axis past _FLOAT_LOOP_LANES they force the array
+    loop, whose counts must be the same tiles.  The float loop must also
+    give the same counts when its site chunks are short, so that pivots
+    cross chunk boundaries.
+    """
+    lanes = probes.size if np.ndim(diag) == 1 else np.shape(diag)[0] * probes.shape[-1]
+    assert lanes <= tridiag._FLOAT_LOOP_LANES
+    counts = tridiag._sturm_counts(diag, off, probes)
+    reps = tridiag._FLOAT_LOOP_LANES // probes.shape[-1] + 1
+    assert np.array_equal(tridiag._sturm_counts(diag, off, np.tile(probes, reps)), np.tile(counts, reps))
+    chunk = tridiag._FLOAT_LOOP_CHUNK
+    try:
+        tridiag._FLOAT_LOOP_CHUNK = 3
+        assert np.array_equal(tridiag._sturm_counts(diag, off, probes), counts)
+    finally:
+        tridiag._FLOAT_LOOP_CHUNK = chunk
+    return counts
+
+
 @st.composite
 def _sturm_batches(draw):
     """R equal-size tridiagonals with per-row probes that include ties.
@@ -128,12 +151,13 @@ def _sturm_batches(draw):
 @example(batch=(np.zeros((1, 2)), np.zeros((1, 1)), np.array([[0.0, 5.58121599e-224]])))
 def test_batched_counts_match_single_and_dense(batch):
     diag, off, probes = batch
-    counts = tridiag._sturm_counts(diag, off, probes)
+    counts = _both_shapes(diag, off, probes)
     assert counts.shape == probes.shape
-    shared = tridiag._sturm_counts(diag, off, probes[0])
+    shared = _both_shapes(diag, off, probes[0])
     for i in range(diag.shape[0]):
         t = SymTridiag(diag[i], off[i])
         assert np.array_equal(counts[i], count_below_many(t, probes[i]))
+        assert np.array_equal(counts[i], _both_shapes(t.diag, t.off, probes[i]))
         assert np.array_equal(shared[i], count_below_many(t, probes[0]))
         # A probe at a computed eigenvalue may fall on either side of the
         # true one: the count lies between the dense counts just below
@@ -161,7 +185,7 @@ def test_zero_diagonal_count_at_zero_is_exact(sizes, decades):
     diag = np.zeros(n)
     want = sum(k // 2 for k in sizes)
     assert count_below(SymTridiag(diag, off), 0.0) == want
-    batched = tridiag._sturm_counts(np.stack([diag, diag]), np.stack([off, -off]), np.zeros((2, 1)))
+    batched = _both_shapes(np.stack([diag, diag]), np.stack([off, -off]), np.zeros((2, 1)))
     assert np.array_equal(batched, [[want], [want]])
 
 
@@ -174,7 +198,7 @@ def test_diagonal_matrix_ties_count_strictly_below(diag):
     probes = np.unique(diag)
     want = np.array([np.sum(diag < x) for x in probes])
     assert np.array_equal(count_below_many(SymTridiag(diag, off), probes), want)
-    batched = tridiag._sturm_counts(diag[None, :], off[None, :], probes[None, :])
+    batched = _both_shapes(diag[None, :], off[None, :], probes[None, :])
     assert np.array_equal(batched[0], want)
 
 
