@@ -208,17 +208,16 @@ def cmd_lyapunov(args) -> int:
     law = parse_law(args.law)
     kind = {"type1": chain.TYPE_I, "type2": chain.TYPE_II, "anderson": chain.ANDERSON}[args.model]
     grid = parse_grid(args.grid)
-    gam = np.empty(grid.size)
-    err = np.empty(grid.size)
-    for i, v in enumerate(grid):
-        est = lyapunov.transfer_lyapunov(
-            kind, law, float(v), args.steps, seed=(args.seed, i), spring_k=args.spring_k
-        )
-        gam[i] = est.gamma
-        err[i] = est.stderr
+    if args.steps < lyapunov.MIN_STEPS:
+        raise UsageError(f"--steps must be at least {lyapunov.MIN_STEPS}")
+    if not args.spring_k > 0:
+        raise UsageError("--spring-k must be positive")
+    # Grid point i draws from the seed (seed, i).
+    ests = lyapunov.transfer_lyapunov(kind, law, grid, args.steps, seed=args.seed, spring_k=args.spring_k)
     out = _Outputs(args, "lyapunov")
     label = "E" if kind == chain.ANDERSON else "omega_sq"
-    out.csv("gamma", [label, "gamma", "stderr"], [grid, gam, err])
+    columns = [grid, np.array([e.gamma for e in ests]), np.array([e.stderr for e in ests])]
+    out.csv("gamma", [label, "gamma", "stderr"], columns)
     out.finish()
     return EXIT_OK
 

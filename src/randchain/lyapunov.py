@@ -5,6 +5,13 @@ mass for a sprung chain, one step per lattice site for the hopping and
 potential-disorder tight-binding forms.  Block-mean error bars, the
 Thouless-formula cross-check against an integrated density of states,
 and the band-edge rescaling onto the Airy scaling function live here.
+
+`transfer_lyapunov` takes one frequency/energy or an array of them.  The
+values of an array are lanes of one transfer sweep beside the blocks,
+value i drawing its disorder from the seed (seed, i); each lane's
+arithmetic is that of the one-value call at that seed, so the two agree
+bit for bit.  The disorder is drawn in chunks of steps, one draw per
+value and chunk.
 """
 
 from __future__ import annotations
@@ -21,10 +28,20 @@ from .specfun import rng_from_seed, scaling_f
 __all__ = [
     "LyapunovEstimate",
     "CollapseReport",
+    "MIN_STEPS",
     "transfer_lyapunov",
     "thouless_gamma",
     "band_edge_collapse",
 ]
+
+# Fewest counted steps a transfer estimate accepts.
+MIN_STEPS = 1000
+
+# Disorder values (steps x values x blocks) drawn per chunk of a transfer
+# sweep.  A chunk costs one draw per value and one array operation per
+# step coefficient, instead of one of each per step; the bound keeps its
+# few arrays of this many elements near half a megabyte each.
+_CHUNK_ELEMENTS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -36,41 +53,50 @@ class LyapunovEstimate:
     steps: int
 
     def __post_init__(self):
-        if self.stderr < 0 or self.steps < 1:
+        if not self.stderr >= 0 or self.steps < 1:
             raise ValueError("invalid estimate")
 
 
-def _block_gammas(step, n_blocks, block_len, burn_in):
-    """Mean log growth per step of n_blocks trajectories of u' = step(u, v).
+def _block_gammas(chunk_coefficients, step, lanes, block_len, burn_in):
+    """Mean log growth per step of trajectories u' = step(coefficient, u, v).
 
-    Each step is followed by v' = u and a renormalisation of (u', v'), so
-    no overflow is possible; the logs of the norms after the burn-in are
-    accumulated.
+    lanes is the (values, blocks) shape of the state, and
+    chunk_coefficients(c) gives the coefficients of the next c steps, one
+    per step.  Each step is followed by v' = u and a renormalisation of
+    (u', v'), so no overflow is possible; the logs of the norms after the
+    burn-in are accumulated.
     """
-    u = np.ones(n_blocks)
-    v = np.full(n_blocks, 0.5)
-    acc = np.zeros(n_blocks)
-    for i in range(block_len + burn_in):
-        u, v = step(u, v), u
-        norm = np.sqrt(u * u + v * v)
-        u /= norm
-        v /= norm
-        if i >= burn_in:
-            acc += np.log(norm)
+    u = np.ones(lanes)
+    v = np.full(lanes, 0.5)
+    acc = np.zeros(lanes)
+    total = block_len + burn_in
+    chunk = max(1, _CHUNK_ELEMENTS // (lanes[0] * lanes[1]))
+    for start in range(0, total, chunk):
+        for i, coefficient in enumerate(chunk_coefficients(min(chunk, total - start)), start):
+            u, v = step(coefficient, u, v), u
+            norm = np.sqrt(u * u + v * v)
+            u /= norm
+            v /= norm
+            if i >= burn_in:
+                acc += np.log(norm)
     return acc / block_len
+
+
+def _linear_step(a, u, v):
+    return a * u - v
 
 
 def transfer_lyapunov(
     kind: str,
     law: DisorderLaw,
-    omega_sq_or_e: float,
+    omega_sq_or_e,
     n_steps: int,
     seed=0,
     spring_k: float = 1.0,
     n_blocks: int = 50,
     burn_in: int = 1000,
-) -> LyapunovEstimate:
-    """Lyapunov exponent of the chain or lattice at the given frequency/energy.
+) -> LyapunovEstimate | list[LyapunovEstimate]:
+    """Lyapunov exponents of the chain or lattice at given frequencies/energies.
 
     The argument is the squared frequency for the sprung chains and the
     energy for the lattice kind.  The step is
@@ -80,6 +106,17 @@ def transfer_lyapunov(
     n_steps counted steps are split over n_blocks independent
     trajectories (each with its own discarded burn-in); the estimate is
     the mean of the block means and the error bar their standard error.
+
+    A scalar argument draws from the generator of `seed` and returns one
+    estimate.  A 1-D array returns one estimate per value, value i drawn
+    from the generator of (seed, i): bit for bit the scalar call at that
+    seed.  All values step together as lanes of one sweep.  Each value's
+    disorder is drawn in chunks of c steps, as one draw of c * n_blocks
+    reshaped to (c, n_blocks), which the generator fills in the order of
+    c draws of n_blocks.
+
+    Raises ValueError for invalid arguments and ArithmeticError when an
+    estimate comes out non-finite.
     """
     if kind not in (TYPE_I, TYPE_II, ANDERSON):
         raise ValueError(f"unsupported kind {kind}")
@@ -87,39 +124,63 @@ def transfer_lyapunov(
         raise ValueError("spring_k must be positive")
     if kind != ANDERSON and isinstance(law, GaussianPotential):
         raise ValueError("sprung chains need a positive law, not a signed potential")
-    if kind == TYPE_I and omega_sq_or_e < 0:
+    values = np.asarray(omega_sq_or_e, dtype=float)
+    scalar = values.ndim == 0
+    if values.ndim > 1 or values.size == 0:
+        raise ValueError("need a scalar or a non-empty 1-D array of values")
+    if not np.all(np.isfinite(values)):
+        raise ValueError("frequencies and energies must be finite")
+    if kind == TYPE_I and np.any(values < 0):
         raise ValueError("type I chains take omega_sq >= 0")
-    if n_steps < 1000:
-        raise ValueError("need n_steps >= 1000")
+    if n_steps < MIN_STEPS:
+        raise ValueError(f"need n_steps >= {MIN_STEPS}")
     if n_blocks < 2 or n_steps // n_blocks < 1:
         raise ValueError("invalid block structure")
-    rng = rng_from_seed(seed)
+    if burn_in < 0:
+        raise ValueError("burn_in must be >= 0")
+    values = values.reshape(-1, 1)  # one row of block lanes per value
+    rngs = [rng_from_seed(seed)] if scalar else [rng_from_seed((seed, i)) for i in range(values.size)]
     block_len = n_steps // n_blocks
+
+    def draw(c):
+        """Disorder of the next c steps, shape (c, values, n_blocks)."""
+        return np.stack([law.sample(rng, c * n_blocks).reshape(c, n_blocks) for rng in rngs], axis=1)
+
+    step = _linear_step
     if kind == TYPE_II:
 
-        def step(u, v):
-            return (2.0 - omega_sq_or_e * law.sample(rng, n_blocks) / spring_k) * u - v
+        def coefficients(c):
+            return 2.0 - values * draw(c) / spring_k
 
     elif kind == ANDERSON:
 
-        def step(u, v):
-            return (omega_sq_or_e - law.sample(rng, n_blocks)) * u - v
+        def coefficients(c):
+            return values - draw(c)
 
     else:
-        omega = math.sqrt(omega_sq_or_e)
-        t_prev = np.sqrt(law.sample(rng, n_blocks))
+        omega = np.sqrt(values)
+        t_prev = np.sqrt(np.stack([law.sample(rng, n_blocks) for rng in rngs]))
 
-        def step(u, v):
+        def coefficients(c):
             nonlocal t_prev
-            t_cur = np.sqrt(law.sample(rng, n_blocks))
-            u_next = (omega * u - t_prev * v) / t_cur
-            t_prev = t_cur
-            return u_next
+            t = np.sqrt(draw(c))
+            pairs = zip([t_prev, *t[:-1]], t)
+            t_prev = t[-1]
+            return pairs
 
-    blocks = _block_gammas(step, n_blocks, block_len, burn_in)
-    gamma = float(np.mean(blocks))
-    stderr = float(np.std(blocks, ddof=1) / math.sqrt(n_blocks))
-    return LyapunovEstimate(gamma=gamma, stderr=stderr, steps=n_blocks * block_len)
+        def step(pair, u, v):
+            t_last, t_cur = pair
+            return (omega * u - t_last * v) / t_cur
+
+    blocks = _block_gammas(coefficients, step, (values.size, n_blocks), block_len, burn_in)
+    estimates = []
+    for value, row in zip(values[:, 0], blocks):
+        gamma = float(np.mean(row))
+        stderr = float(np.std(row, ddof=1) / math.sqrt(n_blocks))
+        if not (math.isfinite(gamma) and math.isfinite(stderr)):
+            raise ArithmeticError(f"non-finite Lyapunov estimate at {value:g}")
+        estimates.append(LyapunovEstimate(gamma=gamma, stderr=stderr, steps=n_blocks * block_len))
+    return estimates[0] if scalar else estimates
 
 
 def _log_abs_average(a: float, b: float, s: float) -> float:
@@ -190,13 +251,10 @@ def band_edge_collapse(
     energies = np.asarray(energy_grid, dtype=float)
     cube = (2.0 * alpha) ** (1.0 / 3.0)
     scaled_x = (2.0 * alpha) ** (2.0 / 3.0) * (np.abs(energies) - 2.0)
-    gammas = np.empty(energies.size)
-    errs = np.empty(energies.size)
     law = GaussianPotential(1.0 / alpha)
-    for i, e in enumerate(energies):
-        est = transfer_lyapunov(ANDERSON, law, float(e), n_steps, seed=(seed, i), n_blocks=n_blocks)
-        gammas[i] = est.gamma
-        errs[i] = est.stderr
+    ests = transfer_lyapunov(ANDERSON, law, energies, n_steps, seed=seed, n_blocks=n_blocks)
+    gammas = np.array([est.gamma for est in ests])
+    errs = np.array([est.stderr for est in ests])
     scaled_gamma = gammas * cube
     scaled_err = errs * cube
     reference = scaling_f(scaled_x)

@@ -99,15 +99,6 @@ class DensityGrid:
         pts = np.linspace(lo, hi, n)
         return DensityGrid(pts, np.full(n, 1.0 / n))
 
-    @staticmethod
-    def from_cdf(cdf, edges: np.ndarray) -> "DensityGrid":
-        """Grid whose cell masses are CDF increments over the given edges."""
-        edges = np.asarray(edges, dtype=float)
-        vals = np.asarray([cdf(e) for e in edges], dtype=float)
-        w = np.diff(vals)
-        pts = 0.5 * (edges[1:] + edges[:-1])
-        return DensityGrid(pts, w, total_mass=float(vals[-1] - vals[0]))
-
 
 @dataclass(frozen=True)
 class XiTypeI:

@@ -142,6 +142,52 @@ def test_lyapunov_csv(tmp_path):
     assert len(lines) == 3
 
 
+_LYAPUNOV_CSV = {
+    ("type1", "gamma:2:2", "0.5:3:3", "1234"): """omega_sq,gamma,stderr
+0.5,0.0731910108825,0.00740045223321
+1.75,0.142282889662,0.0124103162161
+3,0.23607081122,0.014044961619
+""",
+    ("type2", "twopoint:1:2:0.5", "0.5:3:3", "1000"): """omega_sq,gamma,stderr
+0.5,0.0128586103385,0.00510954779655
+1.75,0.112248546303,0.00949160764505
+3,0.506076696682,0.0207658474784
+""",
+    ("anderson", "gauss:0.1", "-3:3:3", "1500"): """E,gamma,stderr
+-3,0.953490066696,0.00327108291824
+0,0.0142597582057,0.00266184188023
+3,0.959365429733,0.00311711580151
+""",
+}
+
+
+@pytest.mark.parametrize("model, law, grid, steps", list(_LYAPUNOV_CSV))
+def test_lyapunov_csv_text_is_pinned(tmp_path, model, law, grid, steps):
+    # Computed by the per-energy, per-step loop the chunked sweep replaced.
+    argv = ["lyapunov", "--model", model, "--law", law, f"--grid={grid}", "--steps", steps,
+            "--seed", "7", "--out", str(tmp_path)]
+    assert run(argv) == EXIT_OK
+    assert (tmp_path / "lyapunov_gamma.csv").read_text() == _LYAPUNOV_CSV[model, law, grid, steps]
+
+
+@pytest.mark.parametrize("flags", [["--steps", "999"], ["--spring-k", "0"], ["--spring-k=-1"], ["--spring-k", "nan"]])
+def test_lyapunov_bad_steps_or_spring_are_usage_errors(tmp_path, capsys, flags):
+    argv = ["lyapunov", "--model", "type2", "--law", "const:1", "--grid", "1:2:2", *flags, "--out", str(tmp_path)]
+    assert run(argv) == EXIT_USAGE
+    assert "usage error" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+def test_lyapunov_nonfinite_estimate_exits_numeric(tmp_path, capsys):
+    # omega^2 m / K overflows for K = 1e-320: no CSV of NaNs is written.
+    argv = ["lyapunov", "--model", "type2", "--law", "const:1", "--grid", "1:2:2", "--steps", "5000",
+            "--spring-k", "1e-320", "--out", str(tmp_path)]
+    with np.errstate(all="ignore"):
+        assert run(argv) == EXIT_NUMERIC
+    assert "non-finite" in capsys.readouterr().err
+    assert not (tmp_path / "lyapunov_gamma.csv").exists()
+
+
 @pytest.mark.parametrize("model", ["type1", "type2"])
 def test_lyapunov_rejects_signed_law_for_sprung_chains(tmp_path, model):
     # Masses and couplings must be positive: a Gaussian law is refused

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from randchain import chain, schmidt, tridiag
+from randchain import chain, lyapunov, schmidt, tridiag
 from randchain.chain import (
     ANDERSON,
     TYPE_I,
@@ -21,6 +21,7 @@ from randchain.lyapunov import (
     transfer_lyapunov,
 )
 from randchain.schmidt import DensityGrid
+from randchain.specfun import rng_from_seed
 
 
 def test_pure_chain_rotation_zero_exponent():
@@ -170,6 +171,15 @@ def test_transfer_lyapunov_validation():
         transfer_lyapunov(TYPE_II, Constant(1.0), 1.0, 100, seed=0)
     with pytest.raises(ValueError):
         LyapunovEstimate(0.0, -1.0, 10)
+    with pytest.raises(ValueError):
+        LyapunovEstimate(0.0, math.nan, 10)
+    # a negative burn-in would count steps it never took
+    with pytest.raises(ValueError):
+        transfer_lyapunov(TYPE_II, Constant(1.0), 1.0, 10**4, burn_in=-5)
+    # an empty or two-dimensional set of values
+    for values in (np.array([]), np.ones((2, 2))):
+        with pytest.raises(ValueError):
+            transfer_lyapunov(ANDERSON, GaussianPotential(0.1), values, 10**4)
     # an unknown kind, a non-positive spring constant, a signed law on a
     # sprung chain
     for kind, law, spring_k in (
@@ -200,3 +210,88 @@ def test_type1_gamma_chain_exact_solution_rate():
     # A rate other than the shape enters the exponent as + log(rate) / 2.
     est = transfer_lyapunov(TYPE_I, Gamma(3.0, 1.5), 1.0, 10**6, seed=0)
     assert abs(est.gamma - lyapunov_exact(GammaChainParams(3.0, 1.5), 1.0)) < 4.0 * est.stderr
+
+
+@pytest.mark.parametrize("kind, law", [(ANDERSON, GaussianPotential(0.1)), (TYPE_II, Constant(1.0))])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_transfer_lyapunov_rejects_nonfinite_values(kind, law, bad):
+    with pytest.raises(ValueError):
+        transfer_lyapunov(kind, law, bad, 10**4)
+    with pytest.raises(ValueError):
+        transfer_lyapunov(kind, law, np.array([1.0, bad]), 10**4)
+
+
+def test_transfer_lyapunov_nonfinite_estimate_is_an_error():
+    # omega^2 m / K overflows: every step coefficient is -inf.
+    with np.errstate(all="ignore"), pytest.raises(ArithmeticError):
+        transfer_lyapunov(TYPE_II, Constant(1.0), 1.0, 5000, spring_k=1e-320)
+
+
+def _reference_lyapunov(kind, law, value, n_steps, seed, spring_k, n_blocks, burn_in):
+    """The per-step transfer loop the chunked kernel replaced: one draw per step."""
+    rng = rng_from_seed(seed)
+    block_len = n_steps // n_blocks
+    if kind == TYPE_I:
+        t_prev = np.sqrt(law.sample(rng, n_blocks))
+    u = np.ones(n_blocks)
+    v = np.full(n_blocks, 0.5)
+    acc = np.zeros(n_blocks)
+    for i in range(block_len + burn_in):
+        if kind == TYPE_II:
+            u_next = (2.0 - value * law.sample(rng, n_blocks) / spring_k) * u - v
+        elif kind == ANDERSON:
+            u_next = (value - law.sample(rng, n_blocks)) * u - v
+        else:
+            t_cur = np.sqrt(law.sample(rng, n_blocks))
+            u_next = (math.sqrt(value) * u - t_prev * v) / t_cur
+            t_prev = t_cur
+        u, v = u_next, u
+        norm = np.sqrt(u * u + v * v)
+        u /= norm
+        v /= norm
+        if i >= burn_in:
+            acc += np.log(norm)
+    blocks = acc / block_len
+    return float(np.mean(blocks)), float(np.std(blocks, ddof=1) / math.sqrt(n_blocks))
+
+
+_BIT_CASES = [
+    (TYPE_II, TwoPoint(1.0, 2.0, 0.5), [0.5, 1.75, 3.0], 1.3),
+    (TYPE_I, Gamma(2.0, 2.0), [0.0, 0.5, 3.0], 1.0),
+    (ANDERSON, GaussianPotential(0.1), [-3.0, 0.0, 2.5], 1.0),
+]
+
+
+@pytest.mark.parametrize("kind, law, values, spring_k", _BIT_CASES)
+@pytest.mark.parametrize("burn_in", [0, 13])
+def test_array_call_equals_scalar_calls_bitwise(kind, law, values, spring_k, burn_in):
+    # 1003 // 7 = 143 counted steps; with the burn-in neither 156 nor 143
+    # fills the last chunk of three values, nor of one.
+    n_steps, n_blocks = 1003, 7
+    ests = transfer_lyapunov(kind, law, np.array(values), n_steps, seed=4,
+                             spring_k=spring_k, n_blocks=n_blocks, burn_in=burn_in)
+    assert len(ests) == len(values)
+    for i, (value, est) in enumerate(zip(values, ests)):
+        one = transfer_lyapunov(kind, law, value, n_steps, seed=(4, i),
+                                spring_k=spring_k, n_blocks=n_blocks, burn_in=burn_in)
+        assert (est.gamma, est.stderr, est.steps) == (one.gamma, one.stderr, one.steps)
+    # a one-point array is value 0 of its seed
+    (single,) = transfer_lyapunov(kind, law, np.array(values[-1:]), n_steps, seed=4,
+                                  spring_k=spring_k, n_blocks=n_blocks, burn_in=burn_in)
+    one = transfer_lyapunov(kind, law, values[-1], n_steps, seed=(4, 0),
+                            spring_k=spring_k, n_blocks=n_blocks, burn_in=burn_in)
+    assert (single.gamma, single.stderr) == (one.gamma, one.stderr)
+
+
+@pytest.mark.parametrize("kind, law, values, spring_k", _BIT_CASES)
+@pytest.mark.parametrize("chunk_elements", [1, 7 * 7 * 3, 256 * 7 * 3])
+def test_chunked_sweep_equals_per_step_loop_bitwise(monkeypatch, kind, law, values, spring_k, chunk_elements):
+    # Chunks of 1, 7 and 256 steps of three values by seven blocks: one
+    # draw per step, a last chunk the steps do not fill, and one chunk.
+    monkeypatch.setattr(lyapunov, "_CHUNK_ELEMENTS", chunk_elements)
+    n_steps, n_blocks, burn_in = 1003, 7, 13
+    ests = transfer_lyapunov(kind, law, np.array(values), n_steps, seed=6,
+                             spring_k=spring_k, n_blocks=n_blocks, burn_in=burn_in)
+    for i, (value, est) in enumerate(zip(values, ests)):
+        ref = _reference_lyapunov(kind, law, value, n_steps, (6, i), spring_k, n_blocks, burn_in)
+        assert (est.gamma, est.stderr) == ref
