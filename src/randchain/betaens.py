@@ -12,12 +12,13 @@ disordered-chain singularity up to one power of log.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from .specfun import rng_from_seed, whittaker_cdf, whittaker_msq
-from .tridiag import AntisymTridiag, Spectrum, eigenvalues
+from .tridiag import AntisymTridiag, Spectrum, eigenvalues_many
 
 __all__ = [
     "FIXED_BETA",
@@ -89,14 +90,25 @@ def sample_matrix(spec: BetaEnsembleSpec, seed) -> AntisymTridiag:
     return AntisymTridiag(sup)
 
 
-def squared_spectrum(m: AntisymTridiag, tol: float | None = None) -> Spectrum:
-    """The N positive squared eigenvalues y_j = x_j^2 of the +-i x_j pairs."""
-    h = m.hermitian_image()
-    n_pairs = (h.n - 1) // 2
-    _, hi = h.gershgorin()
-    ranks = np.arange(h.n - n_pairs + 1, h.n + 1)
-    pos = eigenvalues(h, tol, ranks=ranks, bounds=(0.0, hi))
-    return Spectrum(pos.values**2, tol=pos.tol)
+def squared_spectrum(m: AntisymTridiag | Sequence[AntisymTridiag], tol: float | None = None):
+    """The N positive squared eigenvalues y_j = x_j^2 of the +-i x_j pairs.
+
+    `m` is one matrix, giving one Spectrum, or a sequence of R of equal
+    size, giving R in sequence order from one batched bisection; each
+    equals the one-matrix result.  Only the positive half of the symmetric
+    spectrum of the Hermitian image is bisected, from the bracket
+    (0, Gershgorin upper bound) of each matrix.
+    """
+    one = isinstance(m, AntisymTridiag)
+    hs = [x.hermitian_image() for x in ([m] if one else m)]
+    if not hs:
+        raise ValueError("need at least one matrix")
+    n = hs[0].n
+    n_pairs = (n - 1) // 2
+    ranks = np.arange(n - n_pairs + 1, n + 1)
+    pos = eigenvalues_many(hs, tol, ranks, [(0.0, h.gershgorin()[1]) for h in hs])
+    ys = [Spectrum(p.values**2, tol=p.tol) for p in pos]
+    return ys[0] if one else ys
 
 
 def scaled_squared_spectrum(spec: BetaEnsembleSpec, seed) -> np.ndarray:

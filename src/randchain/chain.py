@@ -19,8 +19,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammainc, ndtr, psi
 
+from .betaens import squared_spectrum
 from .specfun import rng_from_seed
-from .tridiag import AntisymTridiag, GeneralTridiag, SymTridiag, _sturm_counts, count_below_many, eigenvalues
+from .tridiag import AntisymTridiag, GeneralTridiag, SymTridiag, _sturm_counts, count_below_many
 
 __all__ = [
     "DisorderLaw",
@@ -276,16 +277,22 @@ def anderson_hopping(spec: ChainSpec) -> SymTridiag:
     return SymTridiag(np.zeros(2 * n - 1), np.sqrt(r.lambdas[: 2 * n - 2]))
 
 
-def squared_frequencies(t: SymTridiag, tol: float | None = None) -> np.ndarray:
-    """Positive squared frequencies from a zero-diagonal hopping matrix.
+def squared_frequencies(t: SymTridiag | Sequence[SymTridiag], tol: float | None = None) -> np.ndarray:
+    """Positive squared frequencies from zero-diagonal hopping matrices.
 
-    Only the positive half of the symmetric spectrum is bisected.
+    `t` is one zero-diagonal SymTridiag, giving shape (n_pairs,), or a
+    sequence of R of equal size, giving (R, n_pairs) with one row per
+    matrix in sequence order; each row equals the one-matrix result.  A
+    zero-diagonal matrix is the Hermitian image of the anti-symmetric one
+    with its off-diagonal as superdiagonal, so this is
+    betaens.squared_spectrum of those: only the positive half of the
+    symmetric spectrum is bisected.
     """
-    n_pairs = (t.n - 1) // 2
-    _, hi = t.gershgorin()
-    ranks = np.arange(t.n - n_pairs + 1, t.n + 1)
-    spec = eigenvalues(t, tol, ranks=ranks, bounds=(0.0, hi))
-    return spec.values**2
+    ts = [t] if isinstance(t, SymTridiag) else list(t)
+    if any(np.any(h.diag != 0.0) for h in ts):
+        raise ValueError("hopping matrices must have a zero diagonal")
+    ys = np.array([y.values for y in squared_spectrum([AntisymTridiag(h.off) for h in ts], tol)])
+    return ys[0] if isinstance(t, SymTridiag) else ys
 
 
 def empirical_idos(t: SymTridiag | Sequence[SymTridiag], xs) -> np.ndarray:

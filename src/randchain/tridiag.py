@@ -3,13 +3,16 @@
 Everything here is built on the three-term recurrence for the
 characteristic polynomial of a tridiagonal matrix: Sturm counts (exact
 eigenvalue counting) and bisection eigenvalues, plus a trace-log
-consistency check for anti-symmetric matrices.
+consistency check for anti-symmetric matrices.  The Sturm kernel and
+eigenvalues_many take a batch of equal-size matrices as a lane axis of
+one sweep, and every row equals its one-matrix result.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections.abc import Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,6 +24,7 @@ __all__ = [
     "count_below",
     "count_below_many",
     "eigenvalues",
+    "eigenvalues_many",
     "tracelog_check",
 ]
 
@@ -210,12 +214,15 @@ def _sturm_counts(diag: np.ndarray, off: np.ndarray, xs: np.ndarray) -> np.ndarr
         if diag.ndim == 1:
             return _float_loop(diag[None], off[None], xs.reshape(1, -1)).reshape(xs.shape)
         return _float_loop(diag, off, np.broadcast_to(xs, (diag.shape[0], xs.shape[-1])))
-    # Per-site coefficients.  For one matrix they are Python floats, which
-    # the loop reads fastest; for a batch they are the rows of contiguous
-    # (n, R, 1) arrays, each row a column of coefficients across matrices.
-    if diag.ndim == 1:
-        a = diag.tolist()
-        b2 = (off * off).tolist()
+    # Per-site coefficients.  For one matrix (or a batch of one) they are
+    # Python floats, which the loop reads fastest; for a batch they are the
+    # rows of contiguous (n, R, 1) arrays, each row a column of
+    # coefficients across matrices.
+    if diag.ndim == 1 or diag.shape[0] == 1:
+        a = diag.reshape(-1).tolist()
+        b2 = (off * off).reshape(-1).tolist()
+        if diag.ndim == 2:
+            xs = xs.reshape(1, -1)
     else:
         a = np.ascontiguousarray(diag.T)[:, :, None]
         b2 = np.multiply(off.T, off.T, order="C")[:, :, None]
@@ -255,30 +262,80 @@ def eigenvalues(
 
     By default all n are computed; `ranks` (1-based, ascending) restricts
     the computation to selected order statistics, and `bounds` overrides
-    the Gershgorin bracket when sharper enclosures are known.
+    the Gershgorin bracket when sharper enclosures are known.  This is the
+    one-matrix case of eigenvalues_many.
     """
-    lo0, hi0 = t.gershgorin() if bounds is None else (float(bounds[0]), float(bounds[1]))
-    diameter = max(hi0 - lo0, 1.0)
-    if tol is None:
-        tol = 1e-12 * diameter
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    want = np.arange(1, t.n + 1) if ranks is None else np.asarray(ranks, dtype=np.int64)
-    m = want.size
-    lo = np.full(m, lo0 - 1e-12 * diameter - 1e-300)
-    hi = np.full(m, hi0 + 1e-12 * diameter)
+    return eigenvalues_many([t], tol, ranks, None if bounds is None else [bounds])[0]
+
+
+def eigenvalues_many(
+    ts: Sequence[SymTridiag],
+    tol: float | None = None,
+    ranks: np.ndarray | None = None,
+    bounds: Sequence[tuple[float, float]] | None = None,
+) -> list[Spectrum]:
+    """Sturm bisection of R equal-size matrices at once, one Spectrum each.
+
+    `tol` and `ranks` are shared by every matrix; `bounds`, if given, is
+    one (lo, hi) bracket per matrix.  Each matrix gets the bracket, the
+    default tol (1e-12 of its bracket width, at least 1e-12) and the
+    iteration count that a call on it alone would get.  Every bisection
+    step probes the midpoints of all unfinished matrices in one Sturm
+    sweep of shape (R, m); a matrix leaves the sweep once its widest
+    bracket is within its tol or it has run its iterations.  The kernel's
+    row counts equal one-matrix counts, so every value is bitwise that of
+    the one-matrix call.
+    """
+    ts = list(ts)
+    if not ts:
+        raise ValueError("need at least one matrix")
+    n = ts[0].n
+    if any(t.n != n for t in ts):
+        raise ValueError("matrices of a batch must have equal size")
+    if bounds is None:
+        brackets = [t.gershgorin() for t in ts]
+    else:
+        brackets = [(float(b[0]), float(b[1])) for b in bounds]
+        if len(brackets) != len(ts):
+            raise ValueError("need one bracket per matrix")
+    want = np.arange(1, n + 1) if ranks is None else np.asarray(ranks, dtype=np.int64)
+    tols, los, his, n_iters = [], [], [], []
+    for lo0, hi0 in brackets:
+        diameter = max(hi0 - lo0, 1.0)
+        row_tol = 1e-12 * diameter if tol is None else tol
+        if row_tol <= 0:
+            raise ValueError("tol must be positive")
+        lo, hi = lo0 - 1e-12 * diameter - 1e-300, hi0 + 1e-12 * diameter
+        tols.append(row_tol)
+        los.append(lo)
+        his.append(hi)
+        n_iters.append(max(int(math.ceil(math.log2((hi - lo) / row_tol))) + 2, 8))
+    # Working state of the unfinished rows, in their original order.
+    rows = np.arange(len(ts))
+    diag = np.stack([t.diag for t in ts])
+    off = np.stack([t.off for t in ts])
+    lo = np.repeat(np.array(los)[:, None], want.size, axis=1)
+    hi = np.repeat(np.array(his)[:, None], want.size, axis=1)
+    row_tol, n_iter = np.array(tols), np.array(n_iters)
+    out: list[Spectrum | None] = [None] * len(ts)
     # Bisection on the counting function: the k-th smallest eigenvalue is
     # below mid exactly when count_below(mid) >= k.
-    n_iter = max(int(math.ceil(math.log2((hi[0] - lo[0]) / tol))) + 2, 8)
-    for _ in range(n_iter):
+    for step in range(1, max(n_iters) + 1):
         mid = 0.5 * (lo + hi)
-        c = _sturm_counts(t.diag, t.off, mid)
+        c = _sturm_counts(diag, off, mid)
         take = c >= want
         hi = np.where(take, mid, hi)
         lo = np.where(take, lo, mid)
-        if np.max(hi - lo) <= tol:
-            break
-    return Spectrum(0.5 * (lo + hi), tol=tol)
+        stop = (np.max(hi - lo, axis=1) <= row_tol) | (step >= n_iter)
+        if stop.any():
+            for i in np.flatnonzero(stop):
+                out[rows[i]] = Spectrum(0.5 * (lo[i] + hi[i]), tol=tols[rows[i]])
+            keep = ~stop
+            rows, diag, off, lo, hi, row_tol, n_iter = (
+                a[keep] for a in (rows, diag, off, lo, hi, row_tol, n_iter))
+            if not rows.size:
+                break
+    return out
 
 
 def tracelog_check(lam: AntisymTridiag, x: float, m_terms: int) -> tuple[float, float]:

@@ -182,11 +182,9 @@ def test_criterion_05_node_count_duality():
 def test_criterion_06_lyapunov_thouless_consistency():
     law = TwoPoint(1.0, 2.0, 0.3)
 
-    per_real = []
     n_real = 12
-    for s in range(n_real):
-        r = chain.realize(ChainSpec(TYPE_II, 2000, law, seed=(6, s)))
-        per_real.append(tridiag.eigenvalues(chain.frequency_matrix(r)).values[1:])
+    fms = [chain.frequency_matrix(chain.realize(ChainSpec(TYPE_II, 2000, law, seed=(6, s)))) for s in range(n_real)]
+    per_real = [spec.values[1:] for spec in tridiag.eigenvalues_many(fms)]
     all_mu = np.sort(np.concatenate(per_real))
     edges = np.linspace(0.0, float(all_mu.max()) * 1.0005, 1200)
     centers = 0.5 * (edges[1:] + edges[:-1])

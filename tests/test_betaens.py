@@ -73,6 +73,20 @@ def test_squared_spectrum_three_by_three_closed_form():
     assert y == pytest.approx([2.0 * 0.7**2], abs=1e-10)
 
 
+def test_squared_spectrum_batch_equals_single_calls():
+    # Fixed beta and c/N samples of one size, in one batched bisection.
+    for spec in (BetaEnsembleSpec(30, beta=2.0), BetaEnsembleSpec(30, regime=C_OVER_N, c=1.0)):
+        ms = [sample_matrix(spec, seed=(9, s)) for s in range(5)]
+        batch = squared_spectrum(ms)
+        assert len(batch) == 5
+        for m, y in zip(ms, batch):
+            one = squared_spectrum(m)
+            assert np.array_equal(y.values.view(np.int64), one.values.view(np.int64))
+            assert y.tol == one.tol
+    with pytest.raises(ValueError):
+        squared_spectrum([])
+
+
 def test_full_spectrum_symmetry():
     m = sample_matrix(BetaEnsembleSpec(20, beta=1.5), seed=3)
     ev = tridiag.eigenvalues(m.hermitian_image()).values

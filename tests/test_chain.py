@@ -162,6 +162,21 @@ def test_empirical_idos_batch_rows_match_single_calls():
         assert np.array_equal(row, empirical_idos(h, xs))
 
 
+def test_squared_frequencies_batch_rows_match_single_calls():
+    hs = [anderson_hopping(ChainSpec(TYPE_I, 61, Gamma(1.5, 1.0), seed=(5, s))) for s in range(4)]
+    batch = squared_frequencies(hs)
+    assert batch.shape == (4, 60)
+    for h, row in zip(hs, batch):
+        assert np.array_equal(row.view(np.int64), squared_frequencies(h).view(np.int64))
+    assert np.array_equal(squared_frequencies(hs[:1]), batch[:1])
+
+
+def test_squared_frequencies_needs_zero_diagonal():
+    h = anderson_hopping(ChainSpec(TYPE_I, 11, Constant(1.0)))
+    with pytest.raises(ValueError):
+        squared_frequencies(tridiag.SymTridiag(np.full(h.n, 0.5), h.off))
+
+
 def test_empirical_idos_batch_validation():
     hs = [anderson_hopping(ChainSpec(TYPE_I, n, Constant(1.0))) for n in (11, 12)]
     with pytest.raises(ValueError):

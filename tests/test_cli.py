@@ -170,7 +170,8 @@ def test_lyapunov_csv_text_is_pinned(tmp_path, model, law, grid, steps):
     assert (tmp_path / "lyapunov_gamma.csv").read_text() == _LYAPUNOV_CSV[model, law, grid, steps]
 
 
-@pytest.mark.parametrize("flags", [["--steps", "999"], ["--spring-k", "0"], ["--spring-k=-1"], ["--spring-k", "nan"]])
+@pytest.mark.parametrize("flags", [["--steps", "999"], ["--spring-k", "0"], ["--spring-k=-1"], ["--spring-k", "nan"],
+                                   ["--model", "type1", "--grid=-1:1:3"]])
 def test_lyapunov_bad_steps_or_spring_are_usage_errors(tmp_path, capsys, flags):
     argv = ["lyapunov", "--model", "type2", "--law", "const:1", "--grid", "1:2:2", *flags, "--out", str(tmp_path)]
     assert run(argv) == EXIT_USAGE
@@ -244,6 +245,111 @@ def test_dos_blocks_match_one_realization_at_a_time(tmp_path, monkeypatch, budge
         acc += np.diff(chain.empirical_idos(h, edges)) / np.diff(edges)
     rows = (tmp_path / "dos_dos.csv").read_text().splitlines()[1:]
     assert [r.split(",")[1] for r in rows] == [f"{v:.12g}" for v in acc / 7]
+
+
+_BETAENS_CSV = {
+    ("--beta", "2", "--pairs", "6", "--samples", "3"): {
+        "spectrum": """y,cdf
+0.134872385494,0.0555555555556
+0.165578451515,0.111111111111
+0.441681586071,0.166666666667
+0.888907545277,0.222222222222
+0.91448701235,0.277777777778
+1.05216087663,0.333333333333
+2.03231008063,0.388888888889
+2.42860180131,0.444444444444
+3.14311980549,0.5
+4.80892939822,0.555555555556
+5.25925570166,0.611111111111
+7.35017210464,0.666666666667
+7.38878838085,0.722222222222
+9.53174408586,0.777777777778
+11.4485154234,0.833333333333
+12.9632168555,0.888888888889
+17.0296760826,0.944444444444
+26.2570980695,1
+""",
+        "mp_target": """mu,D
+0.00561968272894,8.46838285082
+0.00689910214648,7.63801527746
+0.0184033994196,4.64940758555
+0.0370378143865,3.24610126671
+0.0381036255146,3.19860871913
+0.0438400365261,2.97310294257
+0.0846795866927,2.09303905523
+0.101191741721,1.89732231432
+0.130963325229,1.63992629155
+0.200372058259,1.27176106236
+0.219135654236,1.20174243609
+0.306257171027,0.958156043438
+0.307866182535,0.954540070532
+0.397156003577,0.784335779872
+0.477021475974,0.666581236451
+0.540134035647,0.587414935457
+0.709569836777,0.407289683375
+""",
+    },
+    ("--c-over-n", "1", "--pairs", "8", "--samples", "2"): {
+        "spectrum": """y,cdf
+5.68534613306e-08,0.0625
+1.12482385824e-05,0.125
+0.00132193003584,0.1875
+0.0201480319103,0.25
+0.0822305789493,0.3125
+0.189301595758,0.375
+0.206913453321,0.4375
+0.224091040954,0.5
+0.391440126185,0.5625
+0.438932118407,0.625
+0.668788669093,0.6875
+1.97798047819,0.75
+2.1602205596,0.8125
+2.65682262447,0.875
+3.7629874535,0.9375
+3.85703840078,1
+""",
+        # The 40-point target grid runs from 1e-6 to the largest sampled y.
+        "whittaker_target": """mu,D
+1e-06,5401.84764618
+1.47529308481e-06,3873.82329351
+2.61442179895,0.0763726170008
+3.85703840078,0.0376371727423
+""",
+    },
+}
+
+
+@pytest.mark.parametrize("flags", list(_BETAENS_CSV))
+def test_betaens_csv_text_is_pinned(tmp_path, flags):
+    # Computed by the one-sample-at-a-time loop the batched bisection replaced.
+    assert run(["betaens", *flags, "--seed", "5", "--out", str(tmp_path)]) == EXIT_OK
+    for name, text in _BETAENS_CSV[flags].items():
+        got = (tmp_path / f"betaens_{name}.csv").read_text()
+        if name == "whittaker_target":
+            lines = got.splitlines(keepends=True)
+            assert len(lines) == 41
+            got = "".join(lines[:3] + lines[-2:])
+        assert got == text
+
+
+@pytest.mark.parametrize("budget", [1, 2 * 20 * 41])
+def test_betaens_blocks_match_one_batch(tmp_path, monkeypatch, budget):
+    # Blocks of 1 and 2 samples give the bytes of the 5 samples in one batch.
+    argv = ["betaens", "--pairs", "20", "--beta", "1.5", "--samples", "5", "--seed", "3"]
+    assert run([*argv, "--out", str(tmp_path / "one")]) == EXIT_OK
+    monkeypatch.setattr(cli, "_BETAENS_BLOCK_ELEMENTS", budget)
+    assert run([*argv, "--out", str(tmp_path / "blocks")]) == EXIT_OK
+    for name in ("spectrum", "mp_target"):
+        one = (tmp_path / "one" / f"betaens_{name}.csv").read_bytes()
+        assert (tmp_path / "blocks" / f"betaens_{name}.csv").read_bytes() == one
+
+
+@pytest.mark.parametrize("samples", ["0", "-2"])
+def test_betaens_without_samples_is_usage_error(tmp_path, capsys, samples):
+    argv = ["betaens", "--pairs", "10", "--beta", "2", "--samples", samples, "--out", str(tmp_path)]
+    assert run(argv) == EXIT_USAGE
+    assert "--samples" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
 
 
 def test_betaens_c_over_n_target_stops_at_whittaker_range(tmp_path):

@@ -75,11 +75,8 @@ def test_thouless_pure_chain_zero():
 
 def test_thouless_agrees_with_transfer_for_diatomic():
     law = TwoPoint(1.0, 2.0, 0.5)
-    mus = []
-    for s in range(8):
-        r = chain.realize(chain.ChainSpec(TYPE_II, 2000, law, seed=40 + s))
-        mus.append(tridiag.eigenvalues(chain.frequency_matrix(r)).values[1:])
-    mus = np.sort(np.concatenate(mus))
+    fms = [chain.frequency_matrix(chain.realize(chain.ChainSpec(TYPE_II, 2000, law, seed=40 + s))) for s in range(8)]
+    mus = np.sort(np.concatenate([spec.values[1:] for spec in tridiag.eigenvalues_many(fms)]))
     edges = np.linspace(0.0, float(mus.max()) * 1.001, 400)
     hist, _ = np.histogram(mus, bins=edges)
     g = DensityGrid(0.5 * (edges[1:] + edges[:-1]), hist / mus.size, total_mass=1.0)

@@ -14,6 +14,7 @@ from randchain.tridiag import (
     count_below,
     count_below_many,
     eigenvalues,
+    eigenvalues_many,
     tracelog_check,
 )
 
@@ -228,6 +229,82 @@ def test_eigenvalue_ranks_selection():
     full = eigenvalues(t).values
     sel = eigenvalues(t, ranks=np.array([1, 30, 60])).values
     assert sel == pytest.approx([full[0], full[29], full[59]], abs=1e-9)
+
+
+# ----------------------------------------------------------------------
+# property tests of the batched bisection
+# ----------------------------------------------------------------------
+
+
+@st.composite
+def _bisection_batches(draw):
+    """R equal-size matrices with arguments shared by eigenvalues_many.
+
+    Each row has its own scale over six decades, so Gershgorin widths
+    below 1 give rows different iteration counts; a tol far below the
+    entries' spacing makes the iteration cap, not the width test, end
+    some rows.  Off-diagonals include exact zeros; ranks, bounds and tol
+    are drawn or left at their defaults.
+    """
+    r = draw(st.integers(1, 4))
+    n = draw(st.integers(1, 48))
+    scale = 10.0 ** draw(hnp.arrays(float, (r, 1), elements=st.floats(-4, 2)))
+    if draw(st.booleans()):
+        diag = np.zeros((r, n))
+    else:
+        diag = scale * draw(hnp.arrays(float, (r, n), elements=st.floats(-4, 4)))
+    sign = draw(hnp.arrays(float, (r, n - 1), elements=st.sampled_from([0.0, 1.0, 1.0, -1.0])))
+    off = scale * sign * draw(hnp.arrays(float, (r, n - 1), elements=st.floats(0.1, 2.0)))
+    ts = [SymTridiag(diag[i], off[i]) for i in range(r)]
+    ranks = None
+    if draw(st.booleans()):
+        ranks = np.array(sorted(draw(st.sets(st.integers(1, n), min_size=1))))
+    tol = draw(st.none() | st.floats(-17, -6).map(lambda e: 10.0**e))
+    bounds = None
+    if draw(st.booleans()):
+        pad = draw(hnp.arrays(float, (r, 2), elements=st.floats(0, 3)))
+        bounds = [(t.gershgorin()[0] - p[0], t.gershgorin()[1] + p[1]) for t, p in zip(ts, pad)]
+    return ts, tol, ranks, bounds
+
+
+def _wide_batch(r, n, tol):
+    """r full-spectrum rows of n sites, scales 1e-3 ** i (different iteration counts)."""
+    rng = np.random.default_rng(n)
+    ts = [SymTridiag(rng.normal(size=n) * 1e-3**i, rng.uniform(0.1, 2.0, n - 1) * 1e-3**i) for i in range(r)]
+    return ts, tol, None, None
+
+
+@settings(max_examples=150, deadline=None)
+@given(batch=_bisection_batches())
+# Full spectra with R * m on either side of _FLOAT_LOOP_LANES = 96 while
+# each row alone stays within it; and a tol that only the cap can meet.
+@example(batch=_wide_batch(2, 48, None))
+@example(batch=_wide_batch(3, 40, None))
+@example(batch=_wide_batch(3, 12, 1e-17))
+def test_batched_bisection_rows_equal_single_calls_bitwise(batch):
+    ts, tol, ranks, bounds = batch
+    got = eigenvalues_many(ts, tol, ranks, bounds)
+    assert len(got) == len(ts)
+    for i, t in enumerate(ts):
+        one = eigenvalues(t, tol, ranks, None if bounds is None else bounds[i])
+        assert np.array_equal(got[i].values.view(np.int64), one.values.view(np.int64))
+        assert got[i].tol == one.tol
+        ev = np.linalg.eigvalsh(t.to_dense())
+        want = ev if ranks is None else ev[ranks - 1]
+        slack = got[i].tol + 1e-10 * max(float(np.max(np.abs(ev))), np.max(np.abs(t.off), initial=0.0), 1e-300)
+        assert np.all(np.abs(got[i].values - want) <= slack)
+
+
+def test_batched_bisection_validation():
+    t = SymTridiag(np.zeros(3), np.ones(2))
+    with pytest.raises(ValueError):
+        eigenvalues_many([])
+    with pytest.raises(ValueError):
+        eigenvalues_many([t, SymTridiag(np.zeros(2), np.ones(1))])
+    with pytest.raises(ValueError):
+        eigenvalues_many([t, t], bounds=[(-2.0, 2.0)])
+    with pytest.raises(ValueError):
+        eigenvalues_many([t], tol=0.0)
 
 
 def test_tracelog_single_pair_closed_form():
