@@ -6,7 +6,9 @@ squared values y_j = x_j^2 follow a Laguerre-type joint law.  Two large-N
 regimes are covered: fixed beta, where the scaled squared spectrum obeys
 the Marchenko-Pastur law, and beta = c/N, where the density of states is
 a squared-Whittaker-function law whose mu -> 0 divergence parallels the
-disordered-chain singularity up to one power of log.
+disordered-chain singularity up to one power of log.  Dyson's type I
+chain has an anti-symmetric tridiagonal lambda matrix of the same form, so
+squared_spectrum also gives its squared frequencies.
 """
 
 from __future__ import annotations
@@ -21,12 +23,9 @@ from .specfun import rng_from_seed, whittaker_cdf, whittaker_msq
 from .tridiag import AntisymTridiag, Spectrum, eigenvalues_many
 
 __all__ = [
-    "FIXED_BETA",
-    "C_OVER_N",
     "BetaEnsembleSpec",
     "sample_matrix",
     "squared_spectrum",
-    "scaled_squared_spectrum",
     "mp_density",
     "mp_cdf",
     "con_density",
@@ -34,30 +33,22 @@ __all__ = [
     "equal_mass_edges",
 ]
 
-FIXED_BETA = "fixed"
-C_OVER_N = "c_over_n"
-
 
 @dataclass(frozen=True)
 class BetaEnsembleSpec:
-    """Ensemble parameters: matrix size 2 n_pairs + 1, coupling beta."""
+    """Matrix size 2 n_pairs + 1 and exactly one of a fixed beta or c for beta = c/N."""
 
     n_pairs: int
     beta: float | None = None
-    regime: str = FIXED_BETA
     c: float | None = None
 
     def __post_init__(self):
         if self.n_pairs < 1:
             raise ValueError("n_pairs must be >= 1")
-        if self.regime == FIXED_BETA:
-            if self.beta is None or self.beta <= 0:
-                raise ValueError("fixed regime needs beta > 0")
-        elif self.regime == C_OVER_N:
-            if self.c is None or self.c <= 0:
-                raise ValueError("c_over_n regime needs c > 0")
-        else:
-            raise ValueError(f"unknown regime {self.regime}")
+        if (self.beta is None) == (self.c is None):
+            raise ValueError("give exactly one of beta and c")
+        if not (self.c if self.beta is None else self.beta) > 0:
+            raise ValueError("beta or c must be positive")
 
     def effective_beta(self) -> float:
         """Coupling used by the sampler.
@@ -69,9 +60,17 @@ class BetaEnsembleSpec:
         spectrum at n_pairs = 200 matches the squared-Whittaker density
         at the same c with KS = 0.005.
         """
-        if self.regime == FIXED_BETA:
+        if self.c is None:
             return float(self.beta)
         return 2.0 * float(self.c) / self.n_pairs
+
+    def mp_unit(self) -> float:
+        """The unit 2 N beta of the squared spectrum in the fixed-beta MP limit.
+
+        The Laguerre standardisation is w = 2 y / beta, and the global law
+        lives on mu = w / (4N), i.e. mu = y / (2 N beta).
+        """
+        return 2.0 * self.n_pairs * self.effective_beta()
 
 
 def sample_matrix(spec: BetaEnsembleSpec, seed) -> AntisymTridiag:
@@ -90,7 +89,7 @@ def sample_matrix(spec: BetaEnsembleSpec, seed) -> AntisymTridiag:
     return AntisymTridiag(sup)
 
 
-def squared_spectrum(m: AntisymTridiag | Sequence[AntisymTridiag], tol: float | None = None):
+def squared_spectrum(m: AntisymTridiag | Sequence[AntisymTridiag]):
     """The N positive squared eigenvalues y_j = x_j^2 of the +-i x_j pairs.
 
     `m` is one matrix, giving one Spectrum, or a sequence of R of equal
@@ -106,20 +105,9 @@ def squared_spectrum(m: AntisymTridiag | Sequence[AntisymTridiag], tol: float | 
     n = hs[0].n
     n_pairs = (n - 1) // 2
     ranks = np.arange(n - n_pairs + 1, n + 1)
-    pos = eigenvalues_many(hs, tol, ranks, [(0.0, h.gershgorin()[1]) for h in hs])
+    pos = eigenvalues_many(hs, ranks=ranks, bounds=[(0.0, h.gershgorin()[1]) for h in hs])
     ys = [Spectrum(p.values**2, tol=p.tol) for p in pos]
     return ys[0] if one else ys
-
-
-def scaled_squared_spectrum(spec: BetaEnsembleSpec, seed) -> np.ndarray:
-    """Squared spectrum scaled onto (0, 1) for the fixed-beta MP limit.
-
-    The Laguerre standardisation is w = 2 y / beta, and the global law
-    lives on mu = w / (4N), i.e. mu = y / (2 N beta).
-    """
-    beta = spec.effective_beta()
-    y = squared_spectrum(sample_matrix(spec, seed)).values
-    return y / (2.0 * spec.n_pairs * beta)
 
 
 def mp_density(mu):

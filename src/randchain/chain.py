@@ -19,9 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammainc, ndtr, psi
 
-from .betaens import squared_spectrum
 from .specfun import rng_from_seed
-from .tridiag import AntisymTridiag, GeneralTridiag, SymTridiag, _sturm_counts, count_below_many
+from .tridiag import AntisymTridiag, GeneralTridiag, SymTridiag, _sturm_counts
 
 __all__ = [
     "DisorderLaw",
@@ -40,7 +39,6 @@ __all__ = [
     "frequency_matrix",
     "anderson_hopping",
     "empirical_idos",
-    "squared_frequencies",
 ]
 
 TYPE_I = "typeI"
@@ -53,9 +51,6 @@ class DisorderLaw:
     """Base class for the supported disorder laws."""
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        raise NotImplementedError
-
-    def mean(self) -> float:
         raise NotImplementedError
 
     def mean_log(self) -> float:
@@ -75,9 +70,6 @@ class Constant(DisorderLaw):
 
     def sample(self, rng, n):
         return np.full(int(n), float(self.v))
-
-    def mean(self):
-        return float(self.v)
 
     def mean_log(self):
         return math.log(self.v)
@@ -99,9 +91,6 @@ class Gamma(DisorderLaw):
 
     def sample(self, rng, n):
         return rng.gamma(shape=self.alpha, scale=1.0 / self.rate, size=int(n))
-
-    def mean(self):
-        return self.alpha / self.rate
 
     def mean_log(self):
         return psi(self.alpha) - math.log(self.rate)
@@ -129,9 +118,6 @@ class TwoPoint(DisorderLaw):
         pick = rng.random(int(n)) < self.p
         return np.where(pick, self.m, self.big_m)
 
-    def mean(self):
-        return self.p * self.m + (1.0 - self.p) * self.big_m
-
     def mean_log(self):
         return self.p * math.log(self.m) + (1.0 - self.p) * math.log(self.big_m)
 
@@ -154,9 +140,6 @@ class GaussianPotential(DisorderLaw):
 
     def sample(self, rng, n):
         return rng.normal(0.0, math.sqrt(self.variance), int(n))
-
-    def mean(self):
-        return 0.0
 
     def mean_log(self):
         raise ValueError("mean_log undefined for a signed potential")
@@ -222,8 +205,8 @@ def realize(spec: ChainSpec) -> ChainRealization:
 def lambda_matrix(r: ChainRealization) -> AntisymTridiag:
     """The (2N-1) x (2N-1) anti-symmetric matrix with sqrt(lambda) couplings."""
     n = r.n_masses
-    if np.any(r.lambdas <= 0):
-        raise ValueError("lambdas must be positive")
+    if np.any(r.lambdas < 0):
+        raise ValueError("lambdas must be nonnegative")
     return AntisymTridiag(np.sqrt(r.lambdas[: 2 * n - 2]))
 
 
@@ -267,32 +250,12 @@ def frequency_matrix(r: ChainRealization, boundary: str = "free") -> SymTridiag:
 def anderson_hopping(spec: ChainSpec) -> SymTridiag:
     """Hopping matrix of the off-diagonal tight-binding model.
 
-    Zero diagonal, off-diagonal sqrt(lambda_j); the spectrum coincides
-    with that of i Lambda and is symmetric about zero.
+    The Hermitian image of the lambda matrix: zero diagonal, off-diagonal
+    sqrt(lambda_j); its spectrum is that of i Lambda, symmetric about zero.
     """
     if spec.kind != TYPE_I:
         raise ValueError("anderson_hopping requires a type I spec")
-    r = realize(spec)
-    n = spec.n_masses
-    return SymTridiag(np.zeros(2 * n - 1), np.sqrt(r.lambdas[: 2 * n - 2]))
-
-
-def squared_frequencies(t: SymTridiag | Sequence[SymTridiag], tol: float | None = None) -> np.ndarray:
-    """Positive squared frequencies from zero-diagonal hopping matrices.
-
-    `t` is one zero-diagonal SymTridiag, giving shape (n_pairs,), or a
-    sequence of R of equal size, giving (R, n_pairs) with one row per
-    matrix in sequence order; each row equals the one-matrix result.  A
-    zero-diagonal matrix is the Hermitian image of the anti-symmetric one
-    with its off-diagonal as superdiagonal, so this is
-    betaens.squared_spectrum of those: only the positive half of the
-    symmetric spectrum is bisected.
-    """
-    ts = [t] if isinstance(t, SymTridiag) else list(t)
-    if any(np.any(h.diag != 0.0) for h in ts):
-        raise ValueError("hopping matrices must have a zero diagonal")
-    ys = np.array([y.values for y in squared_spectrum([AntisymTridiag(h.off) for h in ts], tol)])
-    return ys[0] if isinstance(t, SymTridiag) else ys
+    return lambda_matrix(realize(spec)).hermitian_image()
 
 
 def empirical_idos(t: SymTridiag | Sequence[SymTridiag], xs) -> np.ndarray:
@@ -300,27 +263,26 @@ def empirical_idos(t: SymTridiag | Sequence[SymTridiag], xs) -> np.ndarray:
 
     `t` is one zero-diagonal SymTridiag, giving shape (m,) for m probes,
     or a sequence of R of equal size, giving (R, m) with one row per
-    matrix in sequence order; each row equals the one-matrix result.
-    Each matrix is swept once, with Sturm probes at +sqrt(x) and -sqrt(x)
+    matrix in sequence order; one matrix is the batch of one.  Each
+    matrix is swept once, with Sturm probes at +sqrt(x) and -sqrt(x)
     that bracket the symmetric spectrum; the zero mode is excluded, so the
     result is normalised by the pair count.
     """
+    ts = [t] if isinstance(t, SymTridiag) else list(t)
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
     if np.any(xs < 0):
         raise ValueError("probe points must be nonnegative")
+    n = ts[0].n
+    if any(h.n != n for h in ts):
+        raise ValueError("matrices of a batch must have equal size")
+    if any(np.any(h.diag != 0.0) for h in ts):
+        raise ValueError("hopping matrices must have a zero diagonal")
     roots = np.sqrt(xs)
-    probes = np.concatenate([roots, -roots])
-    if isinstance(t, SymTridiag):
-        n = t.n
-        counts = count_below_many(t, probes)
-    else:
-        n = t[0].n
-        if any(h.n != n for h in t):
-            raise ValueError("matrices of a batch must have equal size")
-        # Stacked site-major, so the kernel's per-site rows need no copy.
-        diag = np.stack([h.diag for h in t], axis=1)
-        off = np.stack([h.off for h in t], axis=1)
-        counts = _sturm_counts(diag.T, off.T, probes)
-    upper, lower = counts[..., : roots.size], counts[..., roots.size :]
+    # Stacked site-major, so the kernel's per-site rows need no copy.
+    diag = np.stack([h.diag for h in ts], axis=1)
+    off = np.stack([h.off for h in ts], axis=1)
+    counts = _sturm_counts(diag.T, off.T, np.concatenate([roots, -roots]))
+    upper, lower = counts[:, : roots.size], counts[:, roots.size :]
     n_pairs = (n - 1) // 2
-    return np.maximum((upper - lower - 1) / (2.0 * n_pairs), 0.0)
+    m = np.maximum((upper - lower - 1) / (2.0 * n_pairs), 0.0)
+    return m[0] if isinstance(t, SymTridiag) else m

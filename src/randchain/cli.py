@@ -244,10 +244,7 @@ def cmd_scaling(args) -> int:
 
 def cmd_betaens(args) -> int:
     try:
-        if args.c_over_n is not None:
-            spec = betaens.BetaEnsembleSpec(args.pairs, regime=betaens.C_OVER_N, c=args.c_over_n)
-        else:
-            spec = betaens.BetaEnsembleSpec(args.pairs, beta=args.beta)
+        spec = betaens.BetaEnsembleSpec(args.pairs, beta=args.beta, c=args.c_over_n)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     if args.samples < 1:
@@ -264,7 +261,7 @@ def cmd_betaens(args) -> int:
     emp = np.arange(1, ys.size + 1) / ys.size
     out.csv("spectrum", ["y", "cdf"], [ys, emp])
     if args.c_over_n is None:
-        scaled = np.sort(ys / (2.0 * spec.n_pairs * spec.effective_beta()))
+        scaled = np.sort(ys / spec.mp_unit())
         inside = scaled[(scaled > 0) & (scaled < 1)]
         out.csv("mp_target", ["mu", "D"], [inside, betaens.mp_density(inside)])
     else:
@@ -367,7 +364,7 @@ def _selftest_checks():
         spec = betaens.BetaEnsembleSpec(60, beta=2.0)
         ms = [betaens.sample_matrix(spec, seed=(3, s)) for s in range(10)]
         ys = np.concatenate([y.values for y in betaens.squared_spectrum(ms)])
-        mus = np.sort(ys / (2.0 * spec.n_pairs * spec.effective_beta()))
+        mus = np.sort(ys / spec.mp_unit())
         ks = float(np.max(np.abs(np.arange(1, mus.size + 1) / mus.size - betaens.mp_cdf(mus))))
         return ks < 0.06, f"KS {ks:.4f}"
 

@@ -273,13 +273,20 @@ def idos_exact(p: GammaChainParams, x: float) -> float:
 
 
 def dos_exact(p: GammaChainParams, mu: float) -> float:
-    """Density of states D(mu) from the derivative of the continued Omega."""
+    """Density of states D(mu) from the derivative of the continued Omega.
+
+    The path is not checked against a stretched one, as idos_exact's is;
+    a negative density shows that it failed and raises ContourError.
+    """
     if mu <= 0:
         raise ValueError("mu must be positive")
     n = p.integer_alpha()
     vals = _contour_integrals(n, p.rate, mu, ("k", "l", "xk", "xl"))
     expr = (vals["xl"] * vals["k"] - vals["l"] * vals["xk"]) / vals["k"] ** 2
-    return -(2.0 * p.rate / math.pi) * expr.imag
+    d = -(2.0 * p.rate / math.pi) * expr.imag
+    if d < 0:
+        raise ContourError(f"negative density {d:.3g} at mu={mu:g}: contour path failed")
+    return d
 
 
 # ----------------------------------------------------------------------

@@ -236,9 +236,7 @@ class CollapseReport:
     max_rel_dev: float
 
 
-def band_edge_collapse(
-    alpha: float, energy_grid, n_steps: int, seed=0, n_blocks: int = 50
-) -> CollapseReport:
+def band_edge_collapse(alpha: float, energy_grid, n_steps: int, seed=0) -> CollapseReport:
     """Rescaled Lyapunov exponents of the weakly disordered lattice.
 
     The site potential has variance 1/alpha; for each energy E the
@@ -252,7 +250,7 @@ def band_edge_collapse(
     cube = (2.0 * alpha) ** (1.0 / 3.0)
     scaled_x = (2.0 * alpha) ** (2.0 / 3.0) * (np.abs(energies) - 2.0)
     law = GaussianPotential(1.0 / alpha)
-    ests = transfer_lyapunov(ANDERSON, law, energies, n_steps, seed=seed, n_blocks=n_blocks)
+    ests = transfer_lyapunov(ANDERSON, law, energies, n_steps, seed=seed)
     gammas = np.array([est.gamma for est in ests])
     errs = np.array([est.stderr for est in ests])
     scaled_gamma = gammas * cube

@@ -373,11 +373,11 @@ def _halfline_cdf(grid: DensityGrid, q: np.ndarray, positive: bool) -> np.ndarra
     return out
 
 
-def density_iteration(kind, law: DisorderLaw, grid: DensityGrid, n_iter: int, leak_limit: float = 0.01) -> tuple[DensityGrid, list[float]]:
+def density_iteration(kind, law: DisorderLaw, grid: DensityGrid, n_iter: int) -> tuple[DensityGrid, list[float]]:
     """Iterate the stationary-density map n_iter times on the grid.
 
     Returns the final grid and the L1 residuals between successive
-    iterates.  Raises GridError when more than leak_limit of the mass
+    iterates.  Raises GridError when more than 1 % of the mass
     per step falls outside the grid.
     """
     residuals: list[float] = []
@@ -396,10 +396,8 @@ def density_iteration(kind, law: DisorderLaw, grid: DensityGrid, n_iter: int, le
         current = new
     # Early iterates of a poor start may spill widely; what matters is the
     # leakage of the settled map.
-    if leak_fraction > leak_limit:
-        raise GridError(
-            f"mass leak fraction {leak_fraction:.3g} at the final step exceeds {leak_limit:.3g}"
-        )
+    if leak_fraction > 0.01:
+        raise GridError(f"mass leak fraction {leak_fraction:.3g} at the final step exceeds 0.01")
     if current.total_mass < 0.5 * grid.total_mass:
         raise GridError(
             f"grid retained only {current.total_mass:.3g} of {grid.total_mass:.3g}; "

@@ -93,14 +93,14 @@ class WhittakerError(ArithmeticError):
     """Non-convergent Whittaker integration."""
 
 
-def _whittaker_asymptotic(kappa: float, z: complex, n_terms: int = 14) -> tuple[complex, complex]:
-    """W and W' from the large-|z| series e^{-z/2} z^kappa sum a_s / z^s (mu=0)."""
+def _whittaker_asymptotic(kappa: float, z: complex) -> tuple[complex, complex]:
+    """W and W' from the large-|z| series e^{-z/2} z^kappa sum a_s / z^s (mu=0), 14 terms."""
     a = 1.0
     s_sum = 1.0 + 0j
     d_sum = 0.0 + 0j
     zi = 1.0 / z
     zp = 1.0 + 0j
-    for s in range(1, n_terms):
+    for s in range(1, 14):
         a *= -((kappa - s + 0.5) ** 2) / s
         zp *= zi
         s_sum += a * zp
@@ -254,15 +254,15 @@ def whittaker_cdf(c: float, mus) -> np.ndarray:
     return _whittaker_head_mass(c, mu_head) + mass[-mus.size :]
 
 
-def whittaker_density_mass(c: float, eps: float = 1e-5, cut: float = 60.0) -> float:
+def whittaker_density_mass(c: float, cut: float = 60.0) -> float:
     """Total mass of D(mu) = 1/(Gamma(c) Gamma(c+1) |W_{-c+1/2,0}(-mu)|^2).
 
-    The head below min(eps, 1e-4) is summed with the closed form of the
+    The head below 1e-5 is summed with the closed form of the
     small-argument law, the body up to cut by one lip sweep, and the tail
     from the exponential asymptotics.
     """
     norm = 1.0 / (math.gamma(c) * math.gamma(c + 1.0))
-    below_cut = whittaker_cdf(c, np.array([eps, cut]))[-1]
+    below_cut = whittaker_cdf(c, np.array([1e-5, cut]))[-1]
     # Tail: |W|^2 ~ e^{mu} mu^{1-2c}, so D ~ norm mu^{2c-1} e^{-mu}.
     tail, _ = quad(lambda m: norm * m ** (2.0 * c - 1.0) * math.exp(-m), cut, math.inf, limit=200)
     return float(below_cut) + tail

@@ -50,12 +50,13 @@ def test_criterion_01_pure_chain_closed_forms():
     )
 
     t0 = time.time()
-    h = chain.anderson_hopping(ChainSpec(TYPE_I, 2001, Constant(1.0)))
+    spec = ChainSpec(TYPE_I, 2001, Constant(1.0))
+    h = chain.anderson_hopping(spec)
     m_emp = chain.empirical_idos(h, np.array([2.0, 4.0 - 1e-12]))
     half_width = 0.2
     band = chain.empirical_idos(h, np.array([2.0 - half_width, 2.0 + half_width]))
     d_emp = (band[1] - band[0]) / (2.0 * half_width)
-    mus = chain.squared_frequencies(h)
+    mus = betaens.squared_spectrum(chain.lambda_matrix(chain.realize(spec))).values
     omega_emp = float(np.mean(np.log1p(2.0 * mus)))
     elapsed = time.time() - t0
 
@@ -347,7 +348,7 @@ def test_criterion_10_beta_ensembles():
     spec = betaens.BetaEnsembleSpec(200, beta=2.0)
     fine = np.linspace(1e-6, 1.0 - 1e-9, 4001)
     edges = np.interp(np.linspace(0.0, 1.0, 51)[1:-1], betaens.mp_cdf(fine), fine)
-    scale = 2.0 * spec.n_pairs * spec.effective_beta()
+    scale = spec.mp_unit()
     acc = np.zeros(edges.size)
     n_samples = 100
     for s in range(n_samples):
@@ -357,7 +358,7 @@ def test_criterion_10_beta_ensembles():
 
     # beta = c/N regime against the squared-Whittaker law, c = 1.
     c = 1.0
-    spec2 = betaens.BetaEnsembleSpec(400, regime=betaens.C_OVER_N, c=c)
+    spec2 = betaens.BetaEnsembleSpec(400, c=c)
     grid = np.geomspace(1e-10, 80.0, 140)
     cdf = betaens.con_cdf_grid(c, grid)
     bin_edges = betaens.equal_mass_edges(cdf, grid, 50)

@@ -7,7 +7,6 @@ from scipy.integrate import quad
 
 from randchain import tridiag
 from randchain.betaens import (
-    C_OVER_N,
     BetaEnsembleSpec,
     con_cdf_grid,
     con_density,
@@ -15,7 +14,6 @@ from randchain.betaens import (
     mp_cdf,
     mp_density,
     sample_matrix,
-    scaled_squared_spectrum,
     squared_spectrum,
 )
 from randchain.tridiag import AntisymTridiag, count_below_many
@@ -27,9 +25,7 @@ def test_spec_validation():
     with pytest.raises(ValueError):
         BetaEnsembleSpec(10)
     with pytest.raises(ValueError):
-        BetaEnsembleSpec(10, regime=C_OVER_N)
-    with pytest.raises(ValueError):
-        BetaEnsembleSpec(10, regime="bogus", beta=1.0)
+        BetaEnsembleSpec(10, beta=2.0, c=1.0)
 
 
 def test_sampled_matrix_has_zero_eigenvalue():
@@ -60,7 +56,7 @@ def test_entry_squared_means_follow_shape_profile():
 def test_top_block_entries_share_distribution_in_c_over_n_regime():
     # With beta ~ 1/N the top entries become i.i.d.: their shape
     # parameters agree to O(1/N).
-    spec = BetaEnsembleSpec(400, regime=C_OVER_N, c=2.0)
+    spec = BetaEnsembleSpec(400, c=2.0)
     beta = spec.effective_beta()
     ks = np.arange(800, 795, -1)
     shapes = ks * beta / 4.0
@@ -75,7 +71,7 @@ def test_squared_spectrum_three_by_three_closed_form():
 
 def test_squared_spectrum_batch_equals_single_calls():
     # Fixed beta and c/N samples of one size, in one batched bisection.
-    for spec in (BetaEnsembleSpec(30, beta=2.0), BetaEnsembleSpec(30, regime=C_OVER_N, c=1.0)):
+    for spec in (BetaEnsembleSpec(30, beta=2.0), BetaEnsembleSpec(30, c=1.0)):
         ms = [sample_matrix(spec, seed=(9, s)) for s in range(5)]
         batch = squared_spectrum(ms)
         assert len(batch) == 5
@@ -135,7 +131,8 @@ def test_mp_density_unit_mass():
 
 def test_fixed_beta_marchenko_pastur_ks():
     spec = BetaEnsembleSpec(100, beta=2.0)
-    mus = np.sort(np.concatenate([scaled_squared_spectrum(spec, seed=(4, s)) for s in range(30)]))
+    ys = squared_spectrum([sample_matrix(spec, seed=(4, s)) for s in range(30)])
+    mus = np.sort(np.concatenate([y.values for y in ys]) / spec.mp_unit())
     emp = np.arange(1, mus.size + 1) / mus.size
     ks = float(np.max(np.abs(emp - mp_cdf(mus))))
     assert ks < 0.03
@@ -144,7 +141,8 @@ def test_fixed_beta_marchenko_pastur_ks():
 def test_fixed_beta_scaling_is_beta_independent():
     for beta in (1.0, 4.0):
         spec = BetaEnsembleSpec(80, beta=beta)
-        mus = np.sort(np.concatenate([scaled_squared_spectrum(spec, seed=(5, s)) for s in range(20)]))
+        ys = squared_spectrum([sample_matrix(spec, seed=(5, s)) for s in range(20)])
+        mus = np.sort(np.concatenate([y.values for y in ys]) / spec.mp_unit())
         emp = np.arange(1, mus.size + 1) / mus.size
         assert float(np.max(np.abs(emp - mp_cdf(mus)))) < 0.04
 
@@ -159,7 +157,7 @@ def test_con_density_positive_and_small_mu_law():
 
 def test_c_over_n_squared_spectrum_matches_whittaker_law():
     c = 1.0
-    spec = BetaEnsembleSpec(150, regime=C_OVER_N, c=c)
+    spec = BetaEnsembleSpec(150, c=c)
     grid = np.geomspace(1e-10, 80.0, 160)
     cdf = con_cdf_grid(c, grid)
     probes = np.concatenate([np.sqrt(grid), -np.sqrt(grid)])
@@ -185,7 +183,7 @@ def test_c_over_n_head_mass_scales_with_c():
     mu0 = 1e-6
     root = math.sqrt(mu0)
     for c in (0.5, 2.0):
-        spec = BetaEnsembleSpec(150, regime=C_OVER_N, c=c)
+        spec = BetaEnsembleSpec(150, c=c)
         total = 0.0
         n_samples = 60
         for s in range(n_samples):

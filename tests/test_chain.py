@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from randchain import chain, tridiag
+from randchain.betaens import squared_spectrum
 from randchain.chain import (
     ANDERSON,
     TYPE_I,
@@ -19,7 +20,6 @@ from randchain.chain import (
     frequency_matrix,
     lambda_matrix,
     realize,
-    squared_frequencies,
 )
 
 
@@ -120,6 +120,16 @@ def test_anderson_hopping_spectrum_symmetric():
     assert np.max(np.abs(ev + ev[::-1])) < 1e-9
 
 
+def test_anderson_hopping_keeps_zero_couplings():
+    # Gamma(0.01) draws underflow to exactly 0 now and then: a zero
+    # coupling splits the chain, which the counts still handle.
+    spec = ChainSpec(TYPE_I, 2001, Gamma(0.01, 1.0), seed=0)
+    h = anderson_hopping(spec)
+    assert np.count_nonzero(h.off == 0.0) > 0
+    assert np.array_equal(h.off, lambda_matrix(realize(spec)).sup)
+    assert empirical_idos(h, [4.0])[0] == 1.0
+
+
 def test_anderson_hopping_requires_type1():
     with pytest.raises(ValueError):
         anderson_hopping(ChainSpec(TYPE_II, 5, Constant(1.0)))
@@ -145,8 +155,9 @@ def test_pure_chain_histogram_matches_arcsine_dos():
 
 
 def test_empirical_idos_matches_sorted_spectrum():
-    h = anderson_hopping(ChainSpec(TYPE_I, 201, Gamma(1.0, 1.0), seed=10))
-    mus = np.sort(squared_frequencies(h))
+    spec = ChainSpec(TYPE_I, 201, Gamma(1.0, 1.0), seed=10)
+    h = anderson_hopping(spec)
+    mus = np.sort(squared_spectrum(lambda_matrix(realize(spec))).values)
     xs = np.array([0.1, 0.7, 2.0, 5.0])
     got = empirical_idos(h, xs)
     expect = np.searchsorted(mus, xs) / mus.size
@@ -162,19 +173,10 @@ def test_empirical_idos_batch_rows_match_single_calls():
         assert np.array_equal(row, empirical_idos(h, xs))
 
 
-def test_squared_frequencies_batch_rows_match_single_calls():
-    hs = [anderson_hopping(ChainSpec(TYPE_I, 61, Gamma(1.5, 1.0), seed=(5, s))) for s in range(4)]
-    batch = squared_frequencies(hs)
-    assert batch.shape == (4, 60)
-    for h, row in zip(hs, batch):
-        assert np.array_equal(row.view(np.int64), squared_frequencies(h).view(np.int64))
-    assert np.array_equal(squared_frequencies(hs[:1]), batch[:1])
-
-
-def test_squared_frequencies_needs_zero_diagonal():
+def test_empirical_idos_needs_zero_diagonal():
     h = anderson_hopping(ChainSpec(TYPE_I, 11, Constant(1.0)))
     with pytest.raises(ValueError):
-        squared_frequencies(tridiag.SymTridiag(np.full(h.n, 0.5), h.off))
+        empirical_idos(tridiag.SymTridiag(np.full(h.n, 0.5), h.off), [1.0])
 
 
 def test_empirical_idos_batch_validation():

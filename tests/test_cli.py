@@ -48,6 +48,14 @@ def test_numeric_failure_exit():
     assert run(["exact", "--alpha", "1.5", "--kappa", "1", "--grid", "1:2:2"]) == EXIT_NUMERIC
 
 
+def test_exact_dos_negative_density_exits_numeric(tmp_path, capsys):
+    # At alpha = 20 the unchecked contour path gives D < 0 from mu = 5.5.
+    argv = ["exact", "--alpha", "20", "--kappa", "20", "--what", "dos", "--grid", "4:8:9", "--out", str(tmp_path)]
+    assert run(argv) == EXIT_NUMERIC
+    assert "negative density" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
 def test_io_failure_exit(tmp_path):
     blocker = tmp_path / "blocker"
     blocker.write_text("not a directory")
@@ -516,3 +524,10 @@ def test_malformed_law_exits_usage(spec):
         argv = ["lyapunov", "--model", "type2", f"--law={spec}", "--grid", "1:2:2", "--steps", "10", "--out", out]
         assert run(argv) == EXIT_USAGE
         assert not list(Path(out).iterdir())
+
+
+def test_selftest_passes(capsys):
+    assert run(["selftest"]) == EXIT_OK
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 10
+    assert all(line.startswith("PASS ") for line in lines)
