@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, betaens, chain, exact, lyapunov, schmidt, tridiag
-from .specfun import SCALING_RANGE, WHITTAKER_MU_MAX, scaling_dos, scaling_dos_rotated, scaling_f, scaling_f_rotated
+from .specfun import ROTATED_DOS_MAX, SCALING_RANGE, WHITTAKER_MU_MAX, scaling_dos, scaling_dos_rotated, scaling_f, scaling_f_rotated
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -174,12 +174,12 @@ def cmd_exact(args) -> int:
     p = exact.GammaChainParams(args.alpha, args.kappa)
     xs = parse_grid(args.grid)
     out = _Outputs(args, "exact")
-    fn, header = {
-        "omega": (exact.omega_exact, ["x", "Omega"]),
-        "dos": (exact.dos_exact, ["mu", "D"]),
-        "idos": (exact.idos_exact, ["x", "M"]),
-    }[args.what]
-    out.csv(args.what, header, [xs, np.array([fn(p, float(x)) for x in xs])])
+    if args.what == "omega":
+        out.csv("omega", ["x", "Omega"], [xs, np.array([exact.omega_exact(p, float(x)) for x in xs])])
+    elif args.what == "dos":
+        out.csv("dos", ["mu", "D"], [xs, exact.dos_exact(p, xs)])
+    else:
+        out.csv("idos", ["x", "M"], [xs, exact.idos_exact(p, xs)])
     out.finish()
     return EXIT_OK
 
@@ -235,6 +235,8 @@ def cmd_scaling(args) -> int:
     xs = parse_grid(args.grid)
     if np.max(np.abs(xs)) > SCALING_RANGE:
         raise UsageError(f"scaling grid must lie within |x| <= {SCALING_RANGE:g}")
+    if np.max(xs) > ROTATED_DOS_MAX:
+        raise UsageError(f"scaling grid must end at or below {ROTATED_DOS_MAX:g}: dos_scale_rotated is noise beyond")
     out = _Outputs(args, "scaling")
     columns = [xs, scaling_f(xs), scaling_f_rotated(xs), scaling_dos(xs), scaling_dos_rotated(xs)]
     out.csv("scaling", ["x", "F", "F_rotated", "dos_scale", "dos_scale_rotated"], columns)
@@ -301,7 +303,7 @@ def cmd_dos(args) -> int:
     if isinstance(law, chain.Gamma) and abs(law.alpha - round(law.alpha)) < 1e-12:
         p = exact.GammaChainParams(law.alpha, law.rate)
         header.append("D_exact")
-        cols.append(np.array([exact.dos_exact(p, float(c)) for c in centers]))
+        cols.append(exact.dos_exact(p, centers))
     out.csv("dos", header, cols)
     out.finish()
     return EXIT_OK
@@ -368,6 +370,13 @@ def _selftest_checks():
         ks = float(np.max(np.abs(np.arange(1, mus.size + 1) / mus.size - betaens.mp_cdf(mus))))
         return ks < 0.06, f"KS {ks:.4f}"
 
+    def exact_routes():
+        p = exact.GammaChainParams(2.0, 1.0)
+        xs = np.array([0.01, 1.0, 3.5])
+        contour = np.array([exact._idos_contour(p, float(x)) for x in xs])
+        gap = float(np.max(np.abs(exact.idos_exact(p, xs) - contour)))
+        return gap < 1e-6, f"max |M_whittaker - M_contour| {gap:.1e}"
+
     def lyapunov_pure():
         est = lyapunov.transfer_lyapunov(chain.TYPE_II, chain.Constant(1.0), 6.0, 100000, seed=2)
         return abs(est.gamma - math.log(2 + math.sqrt(3))) < 1e-5, f"gamma {est.gamma:.8f}"
@@ -383,6 +392,7 @@ def _selftest_checks():
         ("gamma-sampler-mean", gamma_sampler),
         ("marchenko-pastur", mp_quick),
         ("pure-chain-lyapunov", lyapunov_pure),
+        ("exact-routes-agree", exact_routes),
     ]
 
 

@@ -14,6 +14,12 @@ staying on the upper side of the negative real axis (the pole of order
 alpha at xi = -1 is passed above).  Integer alpha keeps the integrand
 single valued, which is what makes the continuation well defined.
 
+For alpha <= 3 a second route takes a whole grid at once and any
+alpha: an ensemble matrix at beta = 2c/N is a Dyson chain whose gamma
+shape falls linearly from c to 0, so Dyson's M and D are c-derivatives
+of the ensemble's Whittaker law, carried through one sweep along its
+cut (docs/DECISIONS.md, D4).
+
 The module also carries the closed forms of the chain without disorder,
 the large-alpha corrections to its integrated density of states, the
 Lyapunov exponent from the real part of the continued Omega, and the
@@ -29,7 +35,9 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import quad
-from scipy.special import psi
+from scipy.special import polygamma, psi
+
+from .specfun import WHITTAKER_MU_MAX, _as_result, whittaker_dc
 
 __all__ = [
     "GammaChainParams",
@@ -41,6 +49,8 @@ __all__ = [
     "gamma_chain_density",
     "idos_exact",
     "dos_exact",
+    "dyson_head",
+    "WHITTAKER_ROUTE_ALPHA_MAX",
     "pure_chain",
     "weak_disorder_idos",
     "gamma1_coefficient",
@@ -70,7 +80,7 @@ class GammaChainParams:
         n = round(self.alpha)
         if abs(self.alpha - n) > 1e-12 or n < 1:
             raise ValueError(
-                "analytic continuation is restricted to positive integer alpha; "
+                "the contour continuation is restricted to positive integer alpha; "
                 f"got alpha={self.alpha}"
             )
         return int(n)
@@ -238,6 +248,12 @@ def _contour_integrals(alpha: int, kappa: float, x: float, names: tuple[str, ...
     return out
 
 
+def _check_stretched(got, again) -> None:
+    """Raise ContourError when a value and its stretched-path twin disagree."""
+    if abs(got - again) > 2e-6 * max(1.0, abs(got)):
+        raise ContourError(f"contour value unstable under path perturbation: {got} vs {again}")
+
+
 def _continued_omega(p: GammaChainParams, x: float) -> complex:
     """Omega continued to argument -1/x, approached from the upper half plane.
 
@@ -248,45 +264,118 @@ def _continued_omega(p: GammaChainParams, x: float) -> complex:
     vals = _contour_integrals(n, p.rate, x, ("k", "l"))
     omega = 2.0 * vals["l"] / vals["k"]
     vals2 = _contour_integrals(n, p.rate, x, ("k", "l"), stretch=1.35)
-    omega2 = 2.0 * vals2["l"] / vals2["k"]
-    if abs(omega - omega2) > 2e-6 * max(1.0, abs(omega)):
-        raise ContourError(f"contour value unstable under path perturbation: {omega} vs {omega2}")
+    _check_stretched(omega, 2.0 * vals2["l"] / vals2["k"])
     return omega
 
 
-def idos_exact(p: GammaChainParams, x: float) -> float:
-    """Integrated density of states M(x) of the solvable chain, integer alpha.
-
-    Computed from the imaginary part of the continued characteristic
-    function; the result is clamped to [0, 1] and the clamp magnitude
-    logged, since discretised imaginary parts can stray by quadrature
-    error.
-    """
-    if x <= 0:
-        raise ValueError("x must be positive")
-    omega = _continued_omega(p, x)
-    m = 1.0 - omega.imag / math.pi
-    clamped = min(max(m, 0.0), 1.0)
-    if clamped != m:
-        logger.debug("idos_exact clamp at x=%g: %.3e", x, abs(m - clamped))
-    return clamped
-
-
-def dos_exact(p: GammaChainParams, mu: float) -> float:
-    """Density of states D(mu) from the derivative of the continued Omega.
-
-    The path is not checked against a stretched one, as idos_exact's is;
-    a negative density shows that it failed and raises ContourError.
-    """
-    if mu <= 0:
-        raise ValueError("mu must be positive")
-    n = p.integer_alpha()
-    vals = _contour_integrals(n, p.rate, mu, ("k", "l", "xk", "xl"))
+def _contour_dos(p: GammaChainParams, mu: float, stretch: float = 1.0) -> float:
+    """D(mu) from the derivative of the continued Omega on one path."""
+    vals = _contour_integrals(p.integer_alpha(), p.rate, mu, ("k", "l", "xk", "xl"), stretch)
     expr = (vals["xl"] * vals["k"] - vals["l"] * vals["xk"]) / vals["k"] ** 2
-    d = -(2.0 * p.rate / math.pi) * expr.imag
-    if d < 0:
-        raise ContourError(f"negative density {d:.3g} at mu={mu:g}: contour path failed")
-    return d
+    return -(2.0 * p.rate / math.pi) * expr.imag
+
+
+def _idos_contour(p: GammaChainParams, x: float) -> float:
+    """M(x) = 1 - Im Omega(-1/x + i0) / pi on the contour route, unclamped."""
+    return 1.0 - _continued_omega(p, x).imag / math.pi
+
+
+# Route bound, ledger D4: whittaker_msq holds to 4.7e-8 at c = 3 but only
+# to 2.9e-5 at c = 5, so Dyson's solution comes from the c-derivative of
+# the Whittaker law for alpha up to this shape (and kappa x up to
+# WHITTAKER_MU_MAX), and from the contour continuation beyond.
+WHITTAKER_ROUTE_ALPHA_MAX = 3.0
+# Below this kappa x the closed form dyson_head carries M (relative error
+# below 1e-7 there).
+_DYSON_HEAD_MU = 1e-8
+
+
+def dyson_head(p: GammaChainParams, x: float) -> float:
+    """Dyson's singular head M(x) ~ psi'(alpha) / ((log kappa x + psi(alpha) + 2 gamma_E)^2 + pi^2).
+
+    The c-derivative at c = alpha of the beta = c/N ensemble's head mass
+    (1/pi) (atan((log mu + psi(c) + 2 gamma_E) / pi) + pi/2) at mu = kappa x
+    (ledger D4).  The relative error is about 1e-3 at x = 1e-4, 1e-5 at
+    1e-6 and 1e-7 at 1e-8.
+    """
+    if not x > 0:
+        raise ValueError("x must be positive")
+    big_l = math.log(p.rate * x) + float(psi(p.alpha)) + 2.0 * float(np.euler_gamma)
+    return float(polygamma(1, p.alpha)) / (big_l * big_l + math.pi**2)
+
+
+def _points(x, name: str) -> np.ndarray:
+    xs = np.asarray(x, dtype=float)
+    if xs.size == 0 or not np.all(np.isfinite(xs) & (xs > 0)):
+        raise ValueError(f"{name} must be positive and finite")
+    return xs
+
+
+def _whittaker_route(p: GammaChainParams, xs: np.ndarray) -> bool:
+    return p.alpha <= WHITTAKER_ROUTE_ALPHA_MAX and p.rate * float(np.max(xs)) <= WHITTAKER_MU_MAX
+
+
+def _dyson_whittaker(p: GammaChainParams, xs: np.ndarray, idos: bool) -> np.ndarray:
+    """M or D at xs from one c-derivative sweep of the Whittaker law (ledger D4).
+
+    M_{alpha,kappa}(x) = d/dc [c F_c(kappa x)] and
+    D_{alpha,kappa}(x) = kappa d/dc [c D_c(kappa x)] at c = alpha; below
+    min(kappa x, 1e-8) the head of M is dyson_head.
+    """
+    points, where = np.unique(xs, return_inverse=True)
+    mus = p.rate * points
+    if idos:
+        mu_head = min(float(mus[0]), _DYSON_HEAD_MU)
+        _, mass = whittaker_dc(p.alpha, np.concatenate([[mu_head], mus]) if mus[0] > mu_head else mus)
+        vals = dyson_head(p, mu_head / p.rate) + mass[-mus.size :]
+    else:
+        dens, _ = whittaker_dc(p.alpha, mus)
+        vals = p.rate * dens
+    return vals[where].reshape(xs.shape)
+
+
+def idos_exact(p: GammaChainParams, x):
+    """Integrated density of states M(x) of the solvable chain.
+
+    x is a scalar (a float is returned) or an array (an array of the same
+    shape is returned).  For alpha <= WHITTAKER_ROUTE_ALPHA_MAX and
+    kappa max(x) <= WHITTAKER_MU_MAX the whole grid comes from one
+    c-derivative sweep of the Whittaker law; otherwise each point comes
+    from the imaginary part of the contour-continued Omega, which needs
+    integer alpha (ValueError for any other).  The result is clamped to
+    [0, 1] and the clamp magnitude logged, since either route can stray
+    past the ends by its discretisation error.
+    """
+    xs = _points(x, "x")
+    if _whittaker_route(p, xs):
+        m = _dyson_whittaker(p, xs, idos=True)
+    else:
+        m = np.array([_idos_contour(p, float(v)) for v in xs.ravel()]).reshape(xs.shape)
+    clamped = np.clip(m, 0.0, 1.0)
+    if np.any(clamped != m):
+        logger.debug("idos_exact clamp: %.3e", float(np.max(np.abs(m - clamped))))
+    return _as_result(clamped)
+
+
+def dos_exact(p: GammaChainParams, mu):
+    """Density of states D(mu), at a scalar or an array of mu as idos_exact.
+
+    The routes are those of idos_exact.  On the contour route D is the
+    derivative of the continued Omega, recomputed on the stretched path of
+    _continued_omega; a negative density anywhere on the grid, and then a
+    disagreement between the paths, raise ContourError.
+    """
+    mus = _points(mu, "mu")
+    if _whittaker_route(p, mus):
+        return _as_result(_dyson_whittaker(p, mus, idos=False))
+    flat = [float(m) for m in mus.ravel()]
+    d = np.array([_contour_dos(p, m) for m in flat])
+    if np.any(d < 0):
+        i = int(np.argmax(d < 0))
+        raise ContourError(f"negative density {d[i]:.3g} at mu={flat[i]:g}: contour path failed")
+    for m, got in zip(flat, d):
+        _check_stretched(got, _contour_dos(p, m, stretch=1.35))
+    return _as_result(d.reshape(mus.shape))
 
 
 # ----------------------------------------------------------------------

@@ -17,18 +17,25 @@ from scipy.special import airy, psi
 
 __all__ = [
     "SCALING_RANGE",
+    "ROTATED_DOS_MAX",
     "scaling_f",
     "scaling_f_rotated",
     "scaling_dos",
     "scaling_dos_rotated",
     "whittaker_msq",
     "whittaker_cdf",
+    "whittaker_dc",
     "whittaker_density_mass",
     "sample_gamma",
     "rng_from_seed",
 ]
 
 SCALING_RANGE = 30.0
+# scaling_dos_rotated takes Im of a ratio of order sqrt(x), so it keeps only
+# absolute accuracy (~1e-15) while the density falls like e^{-4 x^{3/2}/3}:
+# against mpmath its relative error is 1.4e-7 at x = 6, 1.3e-5 at 7 and
+# 3.8e-3 at 8.  It refuses points beyond this.
+ROTATED_DOS_MAX = 6.0
 
 # ----------------------------------------------------------------------
 # band-edge scaling functions
@@ -79,8 +86,14 @@ def scaling_dos(x):
 
 
 def scaling_dos_rotated(x):
-    """Rotated-argument route to scaling_dos: Im of the ratio in scaling_f_rotated."""
-    ai, aip, _, _ = airy(_ROT * _scaling_points("scaling_dos_rotated", x))
+    """Rotated-argument route to scaling_dos: Im of the ratio in scaling_f_rotated.
+
+    Scalars and arrays as in scaling_f, for -SCALING_RANGE <= x <= ROTATED_DOS_MAX.
+    """
+    xs = _scaling_points("scaling_dos_rotated", x)
+    if not np.all(xs <= ROTATED_DOS_MAX):
+        raise ValueError(f"scaling_dos_rotated has no relative accuracy beyond x = {ROTATED_DOS_MAX:g}")
+    ai, aip, _, _ = airy(_ROT * xs)
     return _as_result((_ROT * aip / ai).imag)
 
 
@@ -93,21 +106,36 @@ class WhittakerError(ArithmeticError):
     """Non-convergent Whittaker integration."""
 
 
-def _whittaker_asymptotic(kappa: float, z: complex) -> tuple[complex, complex]:
-    """W and W' from the large-|z| series e^{-z/2} z^kappa sum a_s / z^s (mu=0), 14 terms."""
+def _whittaker_asymptotic(kappa: float, z: complex) -> tuple[complex, complex, complex, complex]:
+    """W, W' and their kappa-derivatives from the large-|z| series, 14 terms.
+
+    W ~ e^{-z/2} z^kappa sum a_s / z^s (second index 0), with
+    a_s = -a_{s-1} (kappa - s + 1/2)^2 / s; the derivatives differentiate
+    the series term by term, z^kappa giving the factor log z.
+    """
     a = 1.0
+    da = 0.0
     s_sum = 1.0 + 0j
     d_sum = 0.0 + 0j
+    ds_sum = 0.0 + 0j
+    dd_sum = 0.0 + 0j
     zi = 1.0 / z
     zp = 1.0 + 0j
     for s in range(1, 14):
+        da = da * (-((kappa - s + 0.5) ** 2) / s) - a * (2.0 * (kappa - s + 0.5) / s)
         a *= -((kappa - s + 0.5) ** 2) / s
         zp *= zi
         s_sum += a * zp
         d_sum += -s * a * zp * zi
-    w = cmath.exp(-0.5 * z + kappa * cmath.log(z)) * s_sum
-    wp = cmath.exp(-0.5 * z + kappa * cmath.log(z)) * ((-0.5 + kappa / z) * s_sum + d_sum)
-    return w, wp
+        ds_sum += da * zp
+        dd_sum += -s * da * zp * zi
+    log_z = cmath.log(z)
+    lead = cmath.exp(-0.5 * z + kappa * log_z)
+    w = lead * s_sum
+    wp = lead * ((-0.5 + kappa / z) * s_sum + d_sum)
+    dw = log_z * w + lead * ds_sum
+    dwp = log_z * wp + lead * (zi * s_sum + (-0.5 + kappa / z) * ds_sum + dd_sum)
+    return w, wp, dw, dwp
 
 
 # Whittaker values are supported on (0, WHITTAKER_MU_MAX]; the anchor's
@@ -121,7 +149,7 @@ _WHITTAKER_ATOL = 1e-12
 _WHITTAKER_HEAD_MU = 1e-4
 
 
-def _whittaker_anchor(kappa: float, mu: float) -> tuple[complex, complex]:
+def _whittaker_anchor(kappa: float, mu: float, dc: bool = False) -> list[complex]:
     """(v, dv/dt) at t = log mu + i pi, with w = sqrt(z) v and t = log z.
 
     The Whittaker equation with second index 0,
@@ -129,64 +157,77 @@ def _whittaker_anchor(kappa: float, mu: float) -> tuple[complex, complex]:
     becomes v_tt = e^t (e^t/4 - kappa) v, which has no singularity at
     z = 0.  It is integrated from an asymptotic start at 40 e^{i pi/6}
     along a straight segment in the t plane, which stays inside the upper
-    half z plane all the way to the cut.
+    half z plane all the way to the cut.  With dc, (u, du/dt) follow for
+    u = dv/dkappa, which obeys u_tt = e^t (e^t/4 - kappa) u - e^t v.
     """
     z0 = 40.0 * cmath.exp(1j * math.pi / 6.0)
-    w0, wp0 = _whittaker_asymptotic(kappa, z0)
+    w0, wp0, dw0, dwp0 = _whittaker_asymptotic(kappa, z0)
     sz0 = cmath.sqrt(z0)
-    v0 = w0 / sz0
-    vt0 = sz0 * wp0 - 0.5 * w0 / sz0
+    start = [w0 / sz0, sz0 * wp0 - 0.5 * w0 / sz0]
+    if dc:
+        start += [dw0 / sz0, sz0 * dwp0 - 0.5 * dw0 / sz0]
 
     t0 = cmath.log(z0)
     t1 = math.log(mu) + 1j * math.pi  # log(-mu) approached from above
     direction = t1 - t0
 
-    # State y = (v, dv/dr) with r the straight-line parameter in the t plane;
-    # dv/dr = direction dv/dt.
+    # State y = (v, dv/dr[, u, du/dr]) with r the straight-line parameter in
+    # the t plane; d/dr = direction d/dt.
     def rhs(r, y):
         z = cmath.exp(t0 + r * direction)
-        return [y[1], (z * (0.25 * z - kappa) * y[0]) * direction * direction]
+        q = z * (0.25 * z - kappa)
+        out = [y[1], (q * y[0]) * direction * direction]
+        if dc:
+            out += [y[3], (q * y[2] - z * y[0]) * direction * direction]
+        return out
 
-    sol = solve_ivp(
-        rhs,
-        (0.0, 1.0),
-        np.array([v0, vt0 * direction], dtype=complex),
-        method="DOP853",
-        rtol=_WHITTAKER_RTOL,
-        atol=1e-250,
-    )
+    y0 = np.array([s * direction if i % 2 else s for i, s in enumerate(start)], dtype=complex)
+    sol = solve_ivp(rhs, (0.0, 1.0), y0, method="DOP853", rtol=_WHITTAKER_RTOL, atol=1e-250)
     if not sol.success:
         raise WhittakerError(f"Whittaker ODE integration failed: {sol.message}")
-    return complex(sol.y[0, -1]), complex(sol.y[1, -1] / direction)
+    end = sol.y[:, -1]
+    return [complex(e / direction) if i % 2 else complex(e) for i, e in enumerate(end)]
 
 
-def _whittaker_lip(c: float, mus: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """|W|^2 at the ascending points mus, and the mass of D from mus[0] up to each.
+def _whittaker_lip(c: float, mus: np.ndarray, dc: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """|W|^2 at the ascending points mus, and the sweep's states there (one column each).
 
     On the lip t = s + i pi of the cut (z = -mu, mu = e^s) the equation for
     v is real, v_ss = mu (mu/4 + kappa) v, so Re v and Im v are swept as
     two real solutions from the anchor at min(mus[0], 1).  Upward in s the
     wanted solution grows like e^{mu/2} and every other one decays
-    relative to it, so errors do not grow.  The fifth state is
-    F = int norm / |v|^2 ds = int D(mu) dmu.
+    relative to it, so errors do not grow.  The states are Re v, Im v,
+    their s-derivatives and F = int norm / |v|^2 ds = int D(mu) dmu.
+    With dc five more carry their kappa-derivatives: u = dv/dkappa obeys
+    u_ss = mu (mu/4 + kappa) u + mu v, and dF/dkappa grows at the rate
+    norm (psi(c) + psi(c+1) - 2 v.u / |v|^2) / |v|^2.
     """
     kappa = 0.5 - c
     norm = 1.0 / (math.gamma(c) * math.gamma(c + 1.0))
+    dlog_norm = float(psi(c) + psi(c + 1.0))  # d log(norm) / dkappa
     s_eval = np.log(mus)
     s_anchor = min(float(s_eval[0]), 0.0)
-    v, dv = _whittaker_anchor(kappa, math.exp(s_anchor))
+    start = _whittaker_anchor(kappa, math.exp(s_anchor), dc)
+    y0 = []
+    for v, dv in zip(start[0::2], start[1::2]):
+        y0 += [v.real, v.imag, dv.real, dv.imag, 0.0]
     if s_eval[-1] == s_anchor:  # one point, at the anchor
-        return _finite(mus * abs(v) ** 2), np.zeros(1)
+        return _finite(mus * abs(start[0]) ** 2), np.array(y0)[:, None]
 
     def rhs(s, y):
         mu = math.exp(s)
         q = mu * (0.25 * mu + kappa)
-        return [y[2], y[3], q * y[0], q * y[1], norm / (y[0] * y[0] + y[1] * y[1])]
+        r2 = y[0] * y[0] + y[1] * y[1]
+        out = [y[2], y[3], q * y[0], q * y[1], norm / r2]
+        if dc:
+            vu = y[0] * y[5] + y[1] * y[6]
+            out += [y[7], y[8], q * y[5] + mu * y[0], q * y[6] + mu * y[1], norm * (dlog_norm - 2.0 * vu / r2) / r2]
+        return out
 
     sol = solve_ivp(
         rhs,
         (s_anchor, float(s_eval[-1])),
-        [v.real, v.imag, dv.real, dv.imag, 0.0],
+        y0,
         method="DOP853",
         t_eval=s_eval,
         rtol=_WHITTAKER_RTOL,
@@ -194,8 +235,8 @@ def _whittaker_lip(c: float, mus: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     )
     if not sol.success:
         raise WhittakerError(f"Whittaker sweep failed: {sol.message}")
-    re, im, flux = sol.y[0], sol.y[1], sol.y[4]
-    return _finite(mus * (re * re + im * im)), flux - flux[0]
+    re, im = sol.y[0], sol.y[1]
+    return _finite(mus * (re * re + im * im)), sol.y
 
 
 def _finite(msq: np.ndarray) -> np.ndarray:
@@ -235,13 +276,7 @@ def _whittaker_head_mass(c: float, mu: float) -> float:
     return (1.0 / (c * math.pi)) * (math.atan((math.log(mu) + const) / math.pi) + math.pi / 2.0)
 
 
-def whittaker_cdf(c: float, mus) -> np.ndarray:
-    """Distribution function of D(mu) = 1/(Gamma(c) Gamma(c+1) |W_{-c+1/2,0}(-mu)|^2).
-
-    mus is an ascending grid in (0, 100].  The mass below
-    min(mus[0], 1e-4) comes from the small-argument closed form, which is
-    no longer accurate above 1e-4; one lip sweep carries the rest.
-    """
+def _ascending_grid(c: float, mus) -> np.ndarray:
     if not (c > 0):
         raise ValueError("c must be positive")
     mus = np.asarray(mus, dtype=float)
@@ -249,9 +284,39 @@ def whittaker_cdf(c: float, mus) -> np.ndarray:
         raise ValueError("grid must be positive and increasing")
     if mus[-1] > WHITTAKER_MU_MAX:
         raise ValueError(f"grid must end at or below {WHITTAKER_MU_MAX:g}")
+    return mus
+
+
+def whittaker_cdf(c: float, mus) -> np.ndarray:
+    """Distribution function of D(mu) = 1/(Gamma(c) Gamma(c+1) |W_{-c+1/2,0}(-mu)|^2).
+
+    mus is an ascending grid in (0, 100].  The mass below
+    min(mus[0], 1e-4) comes from the small-argument closed form, which is
+    no longer accurate above 1e-4; one lip sweep carries the rest.
+    """
+    mus = _ascending_grid(c, mus)
     mu_head = min(float(mus[0]), _WHITTAKER_HEAD_MU)
-    _, mass = _whittaker_lip(c, np.concatenate([[mu_head], mus]) if mus[0] > mu_head else mus)
+    _, y = _whittaker_lip(c, np.concatenate([[mu_head], mus]) if mus[0] > mu_head else mus)
+    mass = y[4] - y[4][0]
     return _whittaker_head_mass(c, mu_head) + mass[-mus.size :]
+
+
+def whittaker_dc(c: float, mus) -> tuple[np.ndarray, np.ndarray]:
+    """c-derivatives of c D_c(mu) and of c times the mass of D_c from mus[0] to mu.
+
+    D_c(mu) = 1/(Gamma(c) Gamma(c+1) |W_{-c+1/2,0}(-mu)|^2) on an ascending
+    grid in (0, 100], as for whittaker_cdf.  One lip sweep carries the
+    five states of whittaker_cdf and their kappa-derivatives
+    (kappa = 1/2 - c), so no step in c is taken.  With v.u = Re(conj(v) u),
+    d/dc (c D_c) = 2 c D_c (v.u / |v|^2 - psi(c)).
+    """
+    mus = _ascending_grid(c, mus)
+    _, y = _whittaker_lip(c, mus, dc=True)
+    re, im, ure, uim = y[0], y[1], y[5], y[6]
+    r2 = re * re + im * im
+    dens = 2.0 * (re * ure + im * uim - psi(c) * r2) / (math.gamma(c) ** 2 * mus * r2 * r2)
+    mass = (y[4] - y[4][0]) - c * (y[9] - y[9][0])
+    return dens, mass
 
 
 def whittaker_density_mass(c: float, cut: float = 60.0) -> float:

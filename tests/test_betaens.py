@@ -204,7 +204,7 @@ def test_log_exponent_gap_between_chain_and_ensemble():
 
     p = GammaChainParams(1.0, 1.0)
     mus = np.geomspace(1e-8, 1e-4, 7)
-    chain_dens = np.array([dos_exact(p, float(m)) for m in mus])
+    chain_dens = dos_exact(p, mus)
     ens_dens = np.array([con_density(1.0, float(m)) for m in mus])
     ll = np.log(np.abs(np.log(mus)))
 

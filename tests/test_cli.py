@@ -44,8 +44,13 @@ def test_unknown_flag_usage_exit():
 
 
 def test_numeric_failure_exit():
-    # non-integer alpha cannot be continued
-    assert run(["exact", "--alpha", "1.5", "--kappa", "1", "--grid", "1:2:2"]) == EXIT_NUMERIC
+    # non-integer alpha beyond the Whittaker route cannot be continued
+    assert run(["exact", "--alpha", "4.5", "--kappa", "1", "--grid", "1:2:2"]) == EXIT_NUMERIC
+
+
+def test_exact_takes_non_integer_alpha_up_to_three(tmp_path):
+    assert run(["exact", "--alpha", "1.5", "--kappa", "1", "--grid", "1:2:2", "--out", str(tmp_path)]) == EXIT_OK
+    assert (tmp_path / "exact_idos.csv").read_text().splitlines()[0] == "x,M"
 
 
 def test_exact_dos_negative_density_exits_numeric(tmp_path, capsys):
@@ -123,8 +128,9 @@ def test_exact_csv_matches_pointwise_calls(tmp_path, what, header, fn):
     argv = ["exact", "--alpha", "1", "--kappa", "1", "--what", what, "--grid", "0.5:1:2", "--out", str(tmp_path)]
     assert run(argv) == EXIT_OK
     lines = (tmp_path / f"exact_{what}.csv").read_text().splitlines()
-    p = exact.GammaChainParams(1.0, 1.0)
-    assert lines == [header] + [f"{x:.12g},{getattr(exact, fn)(p, x):.12g}" for x in (0.5, 1.0)]
+    xs = np.array([0.5, 1.0])
+    vals = getattr(exact, fn)(exact.GammaChainParams(1.0, 1.0), xs)
+    assert lines == [header] + [f"{x:.12g},{v:.12g}" for x, v in zip(xs, vals)]
 
 
 def test_exact_covers_singular_region(tmp_path):
@@ -419,6 +425,20 @@ def test_bad_grid_and_law_are_usage_errors(tmp_path, capsys):
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("grid", ["0:7:8", "-6:10:17", "6.5:20:3"])
+def test_scaling_grid_past_rotated_range_is_usage_error(tmp_path, capsys, grid):
+    # dos_scale_rotated has no correct digit far into the tail; such a grid
+    # is refused before any CSV is written.
+    assert run(["scaling", f"--grid={grid}", "--out", str(tmp_path)]) == EXIT_USAGE
+    assert "usage error" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+def test_scaling_readme_grid_runs(tmp_path):
+    assert run(["scaling", "--grid=-6:6:121", "--out", str(tmp_path)]) == EXIT_OK
+    assert len((tmp_path / "scaling_scaling.csv").read_text().splitlines()) == 122
+
+
 # ----------------------------------------------------------------------
 # property tests of the grid and law syntax
 # ----------------------------------------------------------------------
@@ -529,5 +549,5 @@ def test_malformed_law_exits_usage(spec):
 def test_selftest_passes(capsys):
     assert run(["selftest"]) == EXIT_OK
     lines = capsys.readouterr().out.splitlines()
-    assert len(lines) == 10
+    assert len(lines) == 11
     assert all(line.startswith("PASS ") for line in lines)

@@ -1,15 +1,18 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.special as sp
 from scipy.integrate import quad
 from scipy.optimize import brentq
 
-from randchain import chain
+from randchain import chain, exact
 from randchain.exact import (
+    ContourError,
     GammaChainParams,
     dos_exact,
+    dyson_head,
     gamma1_coefficient,
     gamma_chain_density,
     idos_exact,
@@ -101,9 +104,65 @@ def test_stationary_density_normalised():
 # ----------------------------------------------------------------------
 
 
-def test_idos_rejects_non_integer_alpha():
+def _idos_mpmath(alpha: float, kappa: float, x: float) -> float:
+    # Oracle: M = 1 - Im Omega / pi with Omega = 2 d/db log U(alpha, b, -kappa x - i0)
+    # at b = 1, the continued characteristic function in closed form.
+    with mpmath.workdps(25):
+        z = mpmath.mpc(-kappa * x, -mpmath.mpf(10) ** -30)
+        omega = 2 * mpmath.diff(lambda b: mpmath.log(mpmath.hyperu(alpha, b, z)), 1)
+        return 1.0 - float(mpmath.im(omega)) / math.pi
+
+
+@pytest.mark.parametrize("alpha,kappa,x", [(1.5, 1.0, 0.01), (2.5, 2.0, 1.3), (0.5, 1.0, 3.0)])
+def test_idos_non_integer_alpha_matches_mpmath(alpha, kappa, x):
+    # The c-derivative route takes any alpha up to WHITTAKER_ROUTE_ALPHA_MAX.
+    assert abs(idos_exact(GammaChainParams(alpha, kappa), x) - _idos_mpmath(alpha, kappa, x)) <= 1e-6
+
+
+def test_idos_non_integer_alpha_matches_empirical():
+    p = GammaChainParams(1.5, 1.5)
+    xs = np.array([0.3, 2.0, 4.5])
+    hs = [chain.anderson_hopping(chain.ChainSpec(chain.TYPE_I, 2001, chain.Gamma(1.5, 1.5), seed=(650, s)))
+          for s in range(10)]
+    emp = chain.empirical_idos(hs, xs).mean(axis=0)
+    assert np.max(np.abs(emp - idos_exact(p, xs))) < 0.01
+
+
+@pytest.mark.parametrize("alpha", [1.0, 2.0, 3.0])
+@pytest.mark.parametrize("kappa", [1.0, 3.0])
+def test_whittaker_route_matches_contour_route(alpha, kappa):
+    p = GammaChainParams(alpha, kappa)
+    xs = np.array([1e-6, 1e-3, 0.05, 0.5, 1.5, 3.0, 4.5, 6.0])
+    m_contour = np.array([exact._idos_contour(p, float(x)) for x in xs])
+    d_contour = np.array([exact._contour_dos(p, float(x)) for x in xs])
+    assert np.max(np.abs(idos_exact(p, xs) - m_contour)) <= 1e-6
+    assert np.max(np.abs(dos_exact(p, xs) / d_contour - 1.0)) <= 1e-5
+
+
+def test_routes_by_shape_and_range():
+    # A scalar gives a float and an array an array of its shape.  Beyond
+    # alpha = 3 or kappa x = WHITTAKER_MU_MAX the contour route takes only
+    # integer alpha.
+    p = GammaChainParams(1.5, 1.0)
+    assert isinstance(idos_exact(p, 0.5), float) and isinstance(dos_exact(p, 0.5), float)
+    xs = np.array([[0.5, 2.0], [1.0, 0.5]])
+    assert idos_exact(p, xs).shape == dos_exact(p, xs).shape == xs.shape
     with pytest.raises(ValueError):
-        idos_exact(GammaChainParams(1.5, 1.0), 1.0)
+        idos_exact(GammaChainParams(4.5, 1.0), 1.0)
+    with pytest.raises(ValueError):
+        dos_exact(GammaChainParams(1.5, 1.0), np.array([1.0, 101.0]))
+    for bad in (0.0, -1.0, np.array([1.0, float("nan")])):
+        with pytest.raises(ValueError):
+            idos_exact(p, bad)
+
+
+@pytest.mark.parametrize("alpha,kappa", [(1.0, 1.0), (2.0, 2.0), (3.0, 1.5), (1.0, 3.0)])
+def test_dyson_head_matches_contour_route(alpha, kappa):
+    # Against the contour route, which shares nothing with the closed form.
+    p = GammaChainParams(alpha, kappa)
+    for x, bound in ((1e-4, 1e-3), (1e-6, 1e-5), (1e-8, 1e-7)):
+        contour = exact._idos_contour(p, x)
+        assert abs(dyson_head(p, x) / contour - 1.0) <= bound, x
 
 
 def test_idos_large_alpha_half_at_band_centre():
@@ -113,7 +172,8 @@ def test_idos_large_alpha_half_at_band_centre():
 
 def test_idos_dyson_singularity_scaling():
     p = GammaChainParams(1.0, 1.0)
-    vals = {x: idos_exact(p, x) * math.log(x) ** 2 for x in (1e-4, 1e-5, 1e-6)}
+    xs = np.array([1e-4, 1e-5, 1e-6])
+    vals = dict(zip(xs, idos_exact(p, xs) * np.log(xs) ** 2))
     for a in vals.values():
         for b in vals.values():
             assert abs(a / b - 1.0) <= 0.25
@@ -122,7 +182,7 @@ def test_idos_dyson_singularity_scaling():
 def test_idos_monotone_and_bounded():
     p = GammaChainParams(1.0, 1.0)
     xs = np.geomspace(1e-3, 8.0, 25)
-    vals = [idos_exact(p, float(x)) for x in xs]
+    vals = list(idos_exact(p, xs))
     assert all(0.0 <= v <= 1.0 for v in vals)
     assert all(b >= a - 1e-9 for a, b in zip(vals, vals[1:]))
 
@@ -147,7 +207,7 @@ def test_idos_matches_empirical_spot_check():
         h = chain.anderson_hopping(chain.ChainSpec(chain.TYPE_I, 2001, chain.Gamma(1.0, 1.0), seed=500 + s))
         acc += chain.empirical_idos(h, xs)
     emp = acc / n_real
-    ex = np.array([idos_exact(p, float(x)) for x in xs])
+    ex = idos_exact(p, xs)
     assert np.max(np.abs(emp - ex)) < 0.01
 
 
@@ -162,17 +222,20 @@ def test_idos_matches_empirical_at_alpha_three():
         h = chain.anderson_hopping(chain.ChainSpec(chain.TYPE_I, 2001, chain.Gamma(3.0, 3.0), seed=(600, s)))
         acc += chain.empirical_idos(h, xs)
     emp = acc / n_real
-    ex = np.array([idos_exact(p, float(x)) for x in xs])
+    ex = idos_exact(p, xs)
     assert np.max(np.abs(emp - ex)) < 0.01
 
 
 def test_dos_carries_unit_mass_up_to_singular_head():
     # The density integrates to one; below the cut the mass follows the
     # 1/(log x)^2 law of the integrated density, so the body accounts for
-    # 1 - M(cut).
+    # 1 - M(cut).  The body is an 80-node Gauss-Legendre rule in log mu.
     p = GammaChainParams(2.0, 2.0)
     cut = 1e-3
-    body = quad(lambda m: dos_exact(p, m), cut, 12.0, limit=80)[0]
+    nodes, weights = np.polynomial.legendre.leggauss(80)
+    half = 0.5 * math.log(12.0 / cut)
+    mus = cut * np.exp(half * (nodes + 1.0))
+    body = half * float(np.sum(weights * mus * dos_exact(p, mus)))
     assert body + idos_exact(p, cut) == pytest.approx(1.0, abs=5e-3)
 
 
@@ -191,6 +254,22 @@ def test_contour_stability_control(monkeypatch):
     monkeypatch.setattr(exact, "_contour_nodes", truncated)
     with pytest.raises(ArithmeticError):
         exact._continued_omega(p, 0.05)
+
+
+def test_contour_dos_checks_its_path():
+    # Beyond the band edge at alpha = 20 the contour path fails: stretched by
+    # 1.35 it gives 0.162 where it gives 0.199 at mu = 7.  In the band the
+    # check passes and the values are those of the one path.
+    p = GammaChainParams(20.0, 20.0)
+    with pytest.raises(ContourError):
+        dos_exact(p, 7.0)
+    mus = np.array([0.5, 2.0, 3.9])
+    one_path = []
+    for mu in mus:
+        v = exact._contour_integrals(20, 20.0, float(mu), ("k", "l", "xk", "xl"))
+        expr = (v["xl"] * v["k"] - v["l"] * v["xk"]) / v["k"] ** 2
+        one_path.append(-(2.0 * 20.0 / math.pi) * expr.imag)
+    assert dos_exact(p, mus).tolist() == one_path
 
 
 def test_saddle_point_location():
@@ -214,9 +293,10 @@ def test_saddle_point_location():
 def test_dos_matches_idos_finite_difference():
     p = GammaChainParams(1.0, 1.0)
     h = 1e-4
-    for mu in (0.8, 1.7, 2.9):
-        fd = (idos_exact(p, mu + h) - idos_exact(p, mu - h)) / (2.0 * h)
-        assert abs(dos_exact(p, mu) - fd) < 1e-3
+    mus = np.array([0.8, 1.7, 2.9])
+    m = idos_exact(p, np.concatenate([mus - h, mus + h]))
+    fd = (m[3:] - m[:3]) / (2.0 * h)
+    assert np.max(np.abs(dos_exact(p, mus) - fd)) < 1e-3
 
 
 # ----------------------------------------------------------------------

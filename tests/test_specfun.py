@@ -78,6 +78,22 @@ def test_scaling_dos_identity_at_one():
     assert abs(sf.scaling_dos(1.0) - sf.scaling_dos_rotated(1.0)) < 1e-8
 
 
+@pytest.mark.parametrize("x", [7.0, 10.0, 20.0])
+def test_rotated_dos_refuses_the_far_tail(x):
+    # Past ROTATED_DOS_MAX = 6 the rotated route keeps only absolute accuracy
+    # (relative error 1.3e-5 at x = 7 and 886 at x = 10 against mpmath).
+    with pytest.raises(ValueError):
+        sf.scaling_dos_rotated(x)
+    with pytest.raises(ValueError):
+        sf.scaling_dos_rotated(np.array([0.0, x]))
+    assert sf.scaling_dos(x) > 0.0
+
+
+def test_rotated_dos_relative_accuracy_up_to_its_range():
+    xs = np.array([-6.0, 0.0, 3.0, sf.ROTATED_DOS_MAX])
+    np.testing.assert_allclose(sf.scaling_dos_rotated(xs), sf.scaling_dos(xs), rtol=1e-6, atol=0)
+
+
 def test_scaling_range_errors():
     with pytest.raises(ValueError):
         sf.scaling_f(30.5)
@@ -132,6 +148,10 @@ def test_whittaker_domain_errors():
         sf.whittaker_msq(1.0, np.array([1.0, 101.0]))
     with pytest.raises(ValueError):
         sf.whittaker_cdf(1.0, np.array([1.0, 0.5]))
+    with pytest.raises(ValueError):
+        sf.whittaker_dc(1.0, np.array([1.0, 0.5]))
+    with pytest.raises(ValueError):
+        sf.whittaker_dc(1.0, np.array([1.0, 101.0]))
 
 
 @pytest.mark.parametrize("mu", [1e-6, 1e-2, 1.0, 20.0, 40.0, 60.0, 80.0, 100.0])
@@ -207,3 +227,23 @@ def test_sample_gamma_validation():
         sf.sample_gamma(0.0, 1.0, 0, 10)
     with pytest.raises(ValueError):
         sf.sample_gamma(1.0, 1.0, 0, 0)
+
+
+@pytest.mark.parametrize("c", [0.5, 1.5, 3.0])
+def test_whittaker_dc_matches_central_difference(c):
+    # The carried c-derivatives against a central difference in c of the
+    # five-state sweep.  Its own error is of order h^2: at h = 1e-4 it is
+    # 1.5e-7 relative in the density and 1.8e-9 in the mass, at c = 0.5.
+    mus = np.geomspace(1e-4, 30.0, 12)
+    h = 1e-4
+
+    def c_dens(cc):
+        return cc / (math.gamma(cc) * math.gamma(cc + 1.0) * sf.whittaker_msq(cc, mus))
+
+    def c_mass(cc):
+        f = sf.whittaker_cdf(cc, mus)
+        return cc * (f - f[0])
+
+    dens, mass = sf.whittaker_dc(c, mus)
+    np.testing.assert_allclose(dens, (c_dens(c + h) - c_dens(c - h)) / (2 * h), rtol=1e-6, atol=0)
+    np.testing.assert_allclose(mass, (c_mass(c + h) - c_mass(c - h)) / (2 * h), rtol=0, atol=1e-8)
