@@ -171,7 +171,10 @@ def cmd_pure(args) -> int:
 
 
 def cmd_exact(args) -> int:
-    p = exact.GammaChainParams(args.alpha, args.kappa)
+    try:
+        p = exact.GammaChainParams(args.alpha, args.kappa)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
     xs = parse_grid(args.grid)
     out = _Outputs(args, "exact")
     if args.what == "omega":
@@ -186,6 +189,16 @@ def cmd_exact(args) -> int:
 
 def cmd_schmidt(args) -> int:
     law = parse_law(args.law)
+    if isinstance(law, chain.GaussianPotential):
+        raise UsageError("schmidt needs a positive law, not a signed potential")
+    if args.samples < 1 or args.burn_in < 0:
+        raise UsageError("need --samples >= 1 and --burn-in >= 0")
+    if args.iters < 1:
+        raise UsageError("--iters must be at least 1")
+    if not args.spring_k > 0:
+        raise UsageError("--spring-k must be positive")
+    if (args.op in ("omega", "omega2") or args.op == "density" and args.kind == "xi") and not args.x > 0:
+        raise UsageError("--x must be positive")
     out = _Outputs(args, "schmidt")
     if args.op == "omega":
         val = schmidt.omega_mc(schmidt.XiTypeI(args.x), law, args.samples, seed=args.seed, burn_in=args.burn_in)

@@ -73,8 +73,8 @@ class GammaChainParams:
     rate: float
 
     def __post_init__(self):
-        if self.alpha <= 0 or self.rate <= 0:
-            raise ValueError("alpha and rate must be positive")
+        if not (0 < self.alpha < math.inf and 0 < self.rate < math.inf):
+            raise ValueError("alpha and rate must be positive and finite")
 
     def integer_alpha(self) -> int:
         n = round(self.alpha)

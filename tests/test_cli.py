@@ -193,6 +193,35 @@ def test_lyapunov_bad_steps_or_spring_are_usage_errors(tmp_path, capsys, flags):
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("argv", [
+    ["--op", "density", "--law", "gamma:1:1", "--grid", "g1e-3:10:20", "--iters", "0"],
+    ["--op", "density", "--law", "gamma:1:1", "--grid", "g1e-3:10:20", "--iters=-3"],
+    ["--op", "density", "--law", "gamma:1:1", "--grid", "g1e-3:10:20", "--x", "0"],
+    ["--op", "density", "--law", "const:1", "--kind", "ratio2", "--grid=-5:5:20", "--spring-k", "0"],
+    ["--op", "omega", "--law", "const:1", "--x=-1"],
+    ["--op", "omega", "--law", "const:1", "--burn-in=-1"],
+    ["--op", "omega2", "--law", "const:1", "--x", "nan"],
+    ["--op", "omega2", "--law", "const:1", "--samples", "0"],
+    ["--op", "omega2", "--law", "const:1", "--spring-k", "0"],
+    ["--op", "omega", "--law", "gauss:1"],
+    ["--op", "omega2", "--law", "gauss:1"],
+])
+def test_schmidt_degenerate_runs_are_usage_errors(tmp_path, capsys, argv):
+    # Refused before any work: no traceback, no NaN printed with exit 0.
+    assert run(["schmidt", *argv, "--out", str(tmp_path)]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert "usage error" in captured.err and not captured.out
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("flags", [["--alpha", "1", "--kappa", "nan"], ["--alpha", "1", "--kappa", "inf"],
+                                   ["--alpha", "nan", "--kappa", "1"], ["--alpha", "inf", "--kappa", "1"]])
+def test_exact_nonfinite_parameters_are_usage_errors(tmp_path, capsys, flags):
+    assert run(["exact", *flags, "--grid", "1:2:2", "--out", str(tmp_path)]) == EXIT_USAGE
+    assert "usage error" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
 def test_lyapunov_nonfinite_estimate_exits_numeric(tmp_path, capsys):
     # omega^2 m / K overflows for K = 1e-320: no CSV of NaNs is written.
     argv = ["lyapunov", "--model", "type2", "--law", "const:1", "--grid", "1:2:2", "--steps", "5000",

@@ -156,6 +156,13 @@ def test_routes_by_shape_and_range():
             idos_exact(p, bad)
 
 
+@pytest.mark.parametrize("alpha,rate", [(0.0, 1.0), (1.0, -1.0), (math.nan, 1.0), (1.0, math.nan),
+                                        (math.inf, 1.0), (1.0, math.inf)])
+def test_gamma_params_reject_nonpositive_and_nonfinite(alpha, rate):
+    with pytest.raises(ValueError):
+        GammaChainParams(alpha, rate)
+
+
 @pytest.mark.parametrize("alpha,kappa", [(1.0, 1.0), (2.0, 2.0), (3.0, 1.5), (1.0, 3.0)])
 def test_dyson_head_matches_contour_route(alpha, kappa):
     # Against the contour route, which shares nothing with the closed form.

@@ -6,6 +6,7 @@ from scipy.integrate import quad
 
 from randchain import chain, schmidt, tridiag
 from randchain.chain import Constant, Gamma, TwoPoint
+from randchain.specfun import rng_from_seed
 from randchain.schmidt import (
     AntisymRatio,
     DensityGrid,
@@ -71,6 +72,96 @@ def test_mc_stationary_validation():
         mc_stationary(XiTypeI(1.0), Gamma(1.0, 1.0), 0)
     with pytest.raises(TypeError):
         mc_stationary(object(), Gamma(1.0, 1.0), 10)
+
+
+def _mc_reference(kind, law, n_samples, burn_in, seed):
+    # The per-step loop on numpy scalars that mc_stationary replaced.
+    draws = law.sample(rng_from_seed(seed), n_samples + burn_in)
+    out = np.empty(draws.size)
+    v = kind.x if isinstance(kind, XiTypeI) else (1.0 if isinstance(kind, RatioTypeII) else 0.0)
+    for i in range(draws.size):
+        if isinstance(kind, XiTypeI):
+            v = math.inf if 1.0 + v == 0.0 else kind.x * draws[i] / (1.0 + v)
+        elif isinstance(kind, RatioTypeII):
+            a = 2.0 - kind.omega_sq * draws[i] / kind.spring_k
+            v = a - 1.0 / v if v != 0.0 and not math.isinf(v) else a
+        else:
+            v = math.inf if 1.0 + v == 0.0 else -(draws[i] / (kind.y * kind.y)) / (1.0 + v)
+        out[i] = v
+    return out[burn_in:]
+
+
+@pytest.mark.parametrize("kind, law", [
+    (XiTypeI(1.0), Gamma(1.0, 1.0)),
+    (XiTypeI(0.3), Gamma(2.5, 2.0)),
+    (XiTypeI(2.0), Constant(1.0)),
+    (RatioTypeII(1.3, 1.0), TwoPoint(1.0, 2.0, 0.3)),
+    (RatioTypeII(0.7, 1.7), Gamma(1.0, 1.0)),
+    (AntisymRatio(3.0), Gamma(1.0, 1.0)),
+    (AntisymRatio(0.5), Constant(1.0)),
+])
+def test_mc_stationary_equals_numpy_scalar_loop_bitwise(kind, law):
+    got = mc_stationary(kind, law, 5000, burn_in=200, seed=17)
+    assert np.array_equal(got, _mc_reference(kind, law, 5000, 200, 17), equal_nan=True)
+
+
+def _eta_reference(law, spring_k, x, n, burn_in, rng):
+    # The eta loop on numpy scalars that _eta_samples replaced.
+    lam = spring_k / law.sample(rng, n + burn_in)
+    out = np.empty(lam.size)
+    eta = 1.0
+    for i in range(lam.size):
+        xl = x * lam[i]
+        denom = xl * (1.0 + eta)
+        if denom == 0.0:
+            eta = math.inf
+        else:
+            eta = (eta * (1.0 + xl) + 1.0) / denom if not math.isinf(eta) else (1.0 + xl) / xl
+        out[i] = eta
+    return out[burn_in:]
+
+
+def _omega_type2_reference(law, spring_k, x, n, seed, burn_in):
+    # omega_type2_mc's average over the reference eta samples.
+    rng = rng_from_seed(seed)
+    base = 1.0 + 1.0 / _eta_reference(law, spring_k, x, n, burn_in, rng)
+    if isinstance(law, TwoPoint):
+        return float(np.mean(law.p * np.log(base + x * spring_k / law.m)
+                             + (1.0 - law.p) * np.log(base + x * spring_k / law.big_m)))
+    if isinstance(law, Constant):
+        return float(np.mean(np.log(base + x * spring_k / law.v)))
+    return float(np.mean(np.log(base + x * spring_k / law.sample(rng, base.size))))
+
+
+@pytest.mark.parametrize("law, spring_k, x", [
+    (TwoPoint(1.0, 2.0, 0.3), 1.0, 1.0),
+    (Gamma(1.0, 1.0), 1.0, 0.7),
+    (Constant(1.5), 2.0, 3.0),
+    (Constant(1.0), 1e-320, 1e-10),  # x K/m underflows to 0 at every step
+])
+def test_omega_type2_equals_numpy_scalar_loop_bitwise(law, spring_k, x):
+    got = schmidt._eta_samples(law, spring_k, x, 5000, 100, rng_from_seed(23))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        want = _eta_reference(law, spring_k, x, 5000, 100, rng_from_seed(23))
+        want_omega = _omega_type2_reference(law, spring_k, x, 5000, 23, 100)
+    assert np.array_equal(got, want, equal_nan=True)
+    got_omega = omega_type2_mc(law, spring_k, x, 5000, seed=23, burn_in=100)
+    assert got_omega == want_omega or (math.isnan(got_omega) and math.isnan(want_omega))
+
+
+def test_recursion_parameter_validation():
+    with pytest.raises(ValueError):
+        RatioTypeII(1.0, 0.0)
+    with pytest.raises(ValueError):
+        AntisymRatio(0.0)
+    with pytest.raises(ValueError):
+        AntisymRatio(1e-200)  # y**2 underflows to 0
+    with pytest.raises(ValueError):
+        omega_type2_mc(Constant(1.0), 1.0, 1.0, 0)
+    with pytest.raises(ValueError):
+        omega_type2_mc(Constant(1.0), 0.0, 1.0, 10)
+    with pytest.raises(ValueError):
+        omega_type2_mc(Constant(1.0), 1.0, float("nan"), 10)
 
 
 # ----------------------------------------------------------------------
@@ -227,6 +318,43 @@ def test_ratio_map_two_point_negative_mass_matches_node_fraction():
     neg = float(np.sum(out.weights[out.points < 0.0])) / out.total_mass
     mc = idos_node_fraction(TwoPoint(1.0, 2.0, 0.5), 1.0, 1.0, 4 * 10**5, seed=9)
     assert abs(neg - mc) < 5e-3
+
+
+def _step_xi_reference(grid, law, x):
+    # The per-step type I map that density_iteration's kernel replaced.
+    cdf_at_edges = law.cdf(grid.edges()[:, None] * ((1.0 + grid.points)[None, :] / x))
+    new_w = (np.diff(cdf_at_edges, axis=0) * grid.weights[None, :]).sum(axis=1)
+    return new_w, grid.total_mass - float(np.sum(new_w))
+
+
+@pytest.mark.parametrize("kind, law, start", [
+    (XiTypeI(1.0), Gamma(1.0, 1.0), DensityGrid.geometric(1e-6, 80.0, 200)),
+    (XiTypeI(0.5), Gamma(2.5, 1.0), DensityGrid.geometric(1e-6, 80.0, 150)),
+    (XiTypeI(2.0), Constant(1.0), DensityGrid.geometric(1e-3, 10.0, 120)),
+    (RatioTypeII(5.0, 1.0), TwoPoint(1.0, 2.0, 1.0), DensityGrid.uniform(-40.0, 40.0, 401)),
+])
+def test_density_iteration_equals_chained_single_steps_bitwise(kind, law, start):
+    k = 6
+    many, residuals = density_iteration(kind, law, start, k)
+    g, chained = start, []
+    for _ in range(k):
+        g, res = density_iteration(kind, law, g, 1)
+        chained += res
+    assert np.array_equal(many.weights, g.weights) and many.total_mass == g.total_mass
+    assert residuals == chained
+    if isinstance(kind, XiTypeI):
+        g = start
+        for _ in range(k):
+            new_w, _ = _step_xi_reference(g, law, kind.x)
+            g = DensityGrid(g.points, new_w, total_mass=float(np.sum(new_w)))
+        assert np.array_equal(many.weights, g.weights) and many.total_mass == g.total_mass
+
+
+def test_density_iteration_needs_an_iteration():
+    g = DensityGrid.geometric(1e-3, 10.0, 50)
+    for n_iter in (0, -1):
+        with pytest.raises(ValueError):
+            density_iteration(XiTypeI(1.0), Gamma(1.0, 1.0), g, n_iter)
 
 
 def test_density_iteration_unsupported_kind():
