@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .specfun import rng_from_seed, whittaker_cdf, whittaker_msq
+from .specfun import _as_result, _scaled_msq, rng_from_seed, whittaker_cdf
 from .tridiag import AntisymTridiag, Spectrum, eigenvalues_many
 
 __all__ = [
@@ -131,11 +131,12 @@ def con_density(c: float, mu):
 
     D(mu) = 1 / (Gamma(c) Gamma(c+1) |W_{-c+1/2, 0}(-mu)|^2), with the
     Whittaker modulus squared taken as the boundary value from the upper
-    half plane; an array of mu takes one sweep along the cut.
+    half plane; an array of mu takes one sweep along the cut.  The sweep
+    carries Gamma(c)^2 |W|^2, so D = 1/(c Gamma(c)^2 |W|^2) holds wherever
+    the sweep does, past the c at which Gamma(c)^2 or |W|^2 alone leave the
+    double range.
     """
-    if c <= 0 or np.any(np.asarray(mu) <= 0):
-        raise ValueError("c and mu must be positive")
-    return 1.0 / (math.gamma(c) * math.gamma(c + 1.0) * whittaker_msq(c, mu))
+    return _as_result(1.0 / (c * _scaled_msq(c, mu)))
 
 
 def con_cdf_grid(c: float, mus: np.ndarray) -> np.ndarray:

@@ -208,6 +208,8 @@ def cmd_schmidt(args) -> int:
         print(f"{val:.12g}")
     elif args.op == "nodefrac":
         grid = parse_grid(args.grid) if args.grid else np.array([args.x])
+        if not np.all(grid >= 0):
+            raise UsageError("nodefrac takes omega_sq >= 0")
         vals = schmidt.idos_node_fraction(law, args.spring_k, grid, args.samples, seed=args.seed)
         if grid.size == 1:
             print(f"{vals[0]:.12g}")
@@ -272,19 +274,20 @@ def cmd_betaens(args) -> int:
         ms = [betaens.sample_matrix(spec, seed=(args.seed, s)) for s in seeds]
         ys += [y.values for y in betaens.squared_spectrum(ms)]
     ys = np.sort(np.concatenate(ys))
-    out = _Outputs(args, "betaens")
-    emp = np.arange(1, ys.size + 1) / ys.size
-    out.csv("spectrum", ["y", "cdf"], [ys, emp])
+    # The target is computed before any file is written, so a numeric
+    # failure leaves no output.
     if args.c_over_n is None:
         scaled = np.sort(ys / spec.mp_unit())
         inside = scaled[(scaled > 0) & (scaled < 1)]
-        out.csv("mp_target", ["mu", "D"], [inside, betaens.mp_density(inside)])
+        target = ("mp_target", [inside, betaens.mp_density(inside)])
     else:
         # The target stops at the end of the Whittaker range.
         top = min(float(ys.max()), WHITTAKER_MU_MAX)
         mus = np.geomspace(max(1e-6, float(ys[ys > 0].min())), top, 40)
-        dens = betaens.con_density(args.c_over_n, mus)
-        out.csv("whittaker_target", ["mu", "D"], [mus, dens])
+        target = ("whittaker_target", [mus, betaens.con_density(args.c_over_n, mus)])
+    out = _Outputs(args, "betaens")
+    out.csv("spectrum", ["y", "cdf"], [ys, np.arange(1, ys.size + 1) / ys.size])
+    out.csv(target[0], ["mu", "D"], target[1])
     out.finish()
     return EXIT_OK
 

@@ -14,11 +14,11 @@ staying on the upper side of the negative real axis (the pole of order
 alpha at xi = -1 is passed above).  Integer alpha keeps the integrand
 single valued, which is what makes the continuation well defined.
 
-For alpha <= 3 a second route takes a whole grid at once and any
-alpha: an ensemble matrix at beta = 2c/N is a Dyson chain whose gamma
-shape falls linearly from c to 0, so Dyson's M and D are c-derivatives
-of the ensemble's Whittaker law, carried through one sweep along its
-cut (docs/DECISIONS.md, D4).
+For kappa x up to 100 a second route takes a whole grid at once and
+any alpha: an ensemble matrix at beta = 2c/N is a Dyson chain whose
+gamma shape falls linearly from c to 0, so Dyson's M and D are
+c-derivatives of the ensemble's Whittaker law, carried through one
+sweep along its cut (docs/DECISIONS.md, D4).
 
 The module also carries the closed forms of the chain without disorder,
 the large-alpha corrections to its integrated density of states, the
@@ -50,7 +50,6 @@ __all__ = [
     "idos_exact",
     "dos_exact",
     "dyson_head",
-    "WHITTAKER_ROUTE_ALPHA_MAX",
     "pure_chain",
     "weak_disorder_idos",
     "gamma1_coefficient",
@@ -280,11 +279,6 @@ def _idos_contour(p: GammaChainParams, x: float) -> float:
     return 1.0 - _continued_omega(p, x).imag / math.pi
 
 
-# Route bound, ledger D4: whittaker_msq holds to 4.7e-8 at c = 3 but only
-# to 2.9e-5 at c = 5, so Dyson's solution comes from the c-derivative of
-# the Whittaker law for alpha up to this shape (and kappa x up to
-# WHITTAKER_MU_MAX), and from the contour continuation beyond.
-WHITTAKER_ROUTE_ALPHA_MAX = 3.0
 # Below this kappa x the closed form dyson_head carries M (relative error
 # below 1e-7 there).
 _DYSON_HEAD_MU = 1e-8
@@ -312,7 +306,7 @@ def _points(x, name: str) -> np.ndarray:
 
 
 def _whittaker_route(p: GammaChainParams, xs: np.ndarray) -> bool:
-    return p.alpha <= WHITTAKER_ROUTE_ALPHA_MAX and p.rate * float(np.max(xs)) <= WHITTAKER_MU_MAX
+    return p.rate * float(np.max(xs)) <= WHITTAKER_MU_MAX
 
 
 def _dyson_whittaker(p: GammaChainParams, xs: np.ndarray, idos: bool) -> np.ndarray:
@@ -338,11 +332,11 @@ def idos_exact(p: GammaChainParams, x):
     """Integrated density of states M(x) of the solvable chain.
 
     x is a scalar (a float is returned) or an array (an array of the same
-    shape is returned).  For alpha <= WHITTAKER_ROUTE_ALPHA_MAX and
-    kappa max(x) <= WHITTAKER_MU_MAX the whole grid comes from one
-    c-derivative sweep of the Whittaker law; otherwise each point comes
-    from the imaginary part of the contour-continued Omega, which needs
-    integer alpha (ValueError for any other).  The result is clamped to
+    shape is returned).  For kappa max(x) <= WHITTAKER_MU_MAX the whole
+    grid comes from one c-derivative sweep of the Whittaker law, at any
+    alpha > 0; otherwise each point comes from the imaginary part of the
+    contour-continued Omega, which needs integer alpha (ValueError for
+    any other).  The result is clamped to
     [0, 1] and the clamp magnitude logged, since either route can stray
     past the ends by its discretisation error.
     """

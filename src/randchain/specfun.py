@@ -8,12 +8,11 @@ scipy's initial value solver.
 
 from __future__ import annotations
 
-import cmath
 import math
 
 import numpy as np
-from scipy.integrate import quad, solve_ivp
-from scipy.special import airy, psi
+from scipy.integrate import solve_ivp
+from scipy.special import airy, gammaincc, polygamma, psi
 
 __all__ = [
     "SCALING_RANGE",
@@ -103,125 +102,79 @@ def scaling_dos_rotated(x):
 
 
 class WhittakerError(ArithmeticError):
-    """Non-convergent Whittaker integration."""
+    """Non-convergent Whittaker integration, or a value outside the double range."""
 
 
-def _whittaker_asymptotic(kappa: float, z: complex) -> tuple[complex, complex, complex, complex]:
-    """W, W' and their kappa-derivatives from the large-|z| series, 14 terms.
-
-    W ~ e^{-z/2} z^kappa sum a_s / z^s (second index 0), with
-    a_s = -a_{s-1} (kappa - s + 1/2)^2 / s; the derivatives differentiate
-    the series term by term, z^kappa giving the factor log z.
-    """
-    a = 1.0
-    da = 0.0
-    s_sum = 1.0 + 0j
-    d_sum = 0.0 + 0j
-    ds_sum = 0.0 + 0j
-    dd_sum = 0.0 + 0j
-    zi = 1.0 / z
-    zp = 1.0 + 0j
-    for s in range(1, 14):
-        da = da * (-((kappa - s + 0.5) ** 2) / s) - a * (2.0 * (kappa - s + 0.5) / s)
-        a *= -((kappa - s + 0.5) ** 2) / s
-        zp *= zi
-        s_sum += a * zp
-        d_sum += -s * a * zp * zi
-        ds_sum += da * zp
-        dd_sum += -s * da * zp * zi
-    log_z = cmath.log(z)
-    lead = cmath.exp(-0.5 * z + kappa * log_z)
-    w = lead * s_sum
-    wp = lead * ((-0.5 + kappa / z) * s_sum + d_sum)
-    dw = log_z * w + lead * ds_sum
-    dwp = log_z * wp + lead * (zi * s_sum + (-0.5 + kappa / z) * ds_sum + dd_sum)
-    return w, wp, dw, dwp
-
-
-# Whittaker values are supported on (0, WHITTAKER_MU_MAX]; the anchor's
-# path solve and the lip sweep share one relative tolerance.  The sweep's
-# absolute tolerance is safe because |v|^2 = |W|^2 / mu stays of order one
-# or more below mu = 1 and grows like e^mu above it.
+# Whittaker values are supported on (0, WHITTAKER_MU_MAX].  The sweep's
+# absolute tolerance is safe because it carries the Gamma(c)-scaled
+# solution V, with |V| of order one or more at the anchor for every c.
 WHITTAKER_MU_MAX = 100.0
 _WHITTAKER_RTOL = 1e-10
 _WHITTAKER_ATOL = 1e-12
 # Below this argument the closed small-argument form carries the mass.
 _WHITTAKER_HEAD_MU = 1e-4
+# Terms of the anchor series; at c mu <= 1 they fall like 1/k!.
+_WHITTAKER_TERMS = 30
 
 
-def _whittaker_anchor(kappa: float, mu: float, dc: bool = False) -> list[complex]:
-    """(v, dv/dt) at t = log mu + i pi, with w = sqrt(z) v and t = log z.
+def _whittaker_anchor(c: float, mu: float, dc: bool = False) -> list[complex]:
+    """(V, dV/dt) at t = log mu + i pi, with V = Gamma(c) w / sqrt(z) and t = log z.
 
-    The Whittaker equation with second index 0,
-    w'' = (1/4 - kappa/z - 1/(4 z^2)) w,
-    becomes v_tt = e^t (e^t/4 - kappa) v, which has no singularity at
-    z = 0.  It is integrated from an asymptotic start at 40 e^{i pi/6}
-    along a straight segment in the t plane, which stays inside the upper
-    half z plane all the way to the cut.  With dc, (u, du/dt) follow for
-    u = dv/dkappa, which obeys u_tt = e^t (e^t/4 - kappa) u - e^t v.
+    W_{1/2-c,0}(z) = e^{-z/2} z^{1/2} U(c, 1, z) (DLMF 13.14.3), and the
+    convergent series of DLMF 13.2.9 gives
+
+        Gamma(c) U(c, 1, z) = -sum_k (c)_k z^k / (k!)^2 (log z + psi(c+k) - 2 psi(k+1)),
+
+    so V = e^{-z/2} Gamma(c) U(c, 1, z).  Taken at c mu <= 1, where the
+    terms do not cancel.  With dc, (U, dU/dt) follow for U = dV/dkappa
+    (kappa = 1/2 - c), term by term with (c)_k' = (c)_k (psi(c+k) - psi(c)).
     """
-    z0 = 40.0 * cmath.exp(1j * math.pi / 6.0)
-    w0, wp0, dw0, dwp0 = _whittaker_asymptotic(kappa, z0)
-    sz0 = cmath.sqrt(z0)
-    start = [w0 / sz0, sz0 * wp0 - 0.5 * w0 / sz0]
+    k = np.arange(_WHITTAKER_TERMS, dtype=float)
+    terms = np.cumprod(np.concatenate([[1.0], -mu * (c + k[:-1]) / (k[1:] * k[1:])]))
+    psi_ck = psi(c + k)
+    g = math.log(mu) + 1j * math.pi + psi_ck - 2.0 * psi(k + 1.0)
+    lead = math.exp(0.5 * mu)
+    s, zs = -np.sum(terms * g), -np.sum(terms * (k * g + 1.0))  # Gamma(c) U and z d/dz of it
+    out = [lead * s, lead * (0.5 * mu * s + zs)]
     if dc:
-        start += [dw0 / sz0, sz0 * dwp0 - 0.5 * dw0 / sz0]
-
-    t0 = cmath.log(z0)
-    t1 = math.log(mu) + 1j * math.pi  # log(-mu) approached from above
-    direction = t1 - t0
-
-    # State y = (v, dv/dr[, u, du/dr]) with r the straight-line parameter in
-    # the t plane; d/dr = direction d/dt.
-    def rhs(r, y):
-        z = cmath.exp(t0 + r * direction)
-        q = z * (0.25 * z - kappa)
-        out = [y[1], (q * y[0]) * direction * direction]
-        if dc:
-            out += [y[3], (q * y[2] - z * y[0]) * direction * direction]
-        return out
-
-    y0 = np.array([s * direction if i % 2 else s for i, s in enumerate(start)], dtype=complex)
-    sol = solve_ivp(rhs, (0.0, 1.0), y0, method="DOP853", rtol=_WHITTAKER_RTOL, atol=1e-250)
-    if not sol.success:
-        raise WhittakerError(f"Whittaker ODE integration failed: {sol.message}")
-    end = sol.y[:, -1]
-    return [complex(e / direction) if i % 2 else complex(e) for i, e in enumerate(end)]
+        d = psi_ck - psi(c)
+        p = polygamma(1, c + k)
+        s_c, zs_c = -np.sum(terms * (d * g + p)), -np.sum(terms * (d * (k * g + 1.0) + k * p))
+        out += [-lead * s_c, -lead * (0.5 * mu * s_c + zs_c)]
+    return [complex(v) for v in out]
 
 
-def _whittaker_lip(c: float, mus: np.ndarray, dc: bool = False) -> tuple[np.ndarray, np.ndarray]:
-    """|W|^2 at the ascending points mus, and the sweep's states there (one column each).
+def _whittaker_lip(c: float, mus: np.ndarray, dc: bool = False) -> np.ndarray:
+    """The sweep's states at the ascending points mus, one column each.
 
     On the lip t = s + i pi of the cut (z = -mu, mu = e^s) the equation for
-    v is real, v_ss = mu (mu/4 + kappa) v, so Re v and Im v are swept as
-    two real solutions from the anchor at min(mus[0], 1).  Upward in s the
-    wanted solution grows like e^{mu/2} and every other one decays
-    relative to it, so errors do not grow.  The states are Re v, Im v,
-    their s-derivatives and F = int norm / |v|^2 ds = int D(mu) dmu.
-    With dc five more carry their kappa-derivatives: u = dv/dkappa obeys
-    u_ss = mu (mu/4 + kappa) u + mu v, and dF/dkappa grows at the rate
-    norm (psi(c) + psi(c+1) - 2 v.u / |v|^2) / |v|^2.
+    V is real, V_ss = mu (mu/4 + kappa) V, so Re V and Im V are swept as
+    two real solutions from the anchor at min(mus[0], 1/max(c, 1)).
+    Upward in s the wanted solution grows like e^{mu/2} and every other
+    one decays relative to it, so errors do not grow.  The states are
+    Re V, Im V, their s-derivatives and G = int ds / |V|^2, which is c
+    times the mass of D.  With dc five more carry their kappa-derivatives:
+    U = dV/dkappa obeys U_ss = mu (mu/4 + kappa) U + mu V, and dG/dkappa
+    grows at the rate -2 V.U / |V|^4.
     """
     kappa = 0.5 - c
-    norm = 1.0 / (math.gamma(c) * math.gamma(c + 1.0))
-    dlog_norm = float(psi(c) + psi(c + 1.0))  # d log(norm) / dkappa
     s_eval = np.log(mus)
-    s_anchor = min(float(s_eval[0]), 0.0)
-    start = _whittaker_anchor(kappa, math.exp(s_anchor), dc)
+    s_anchor = min(float(s_eval[0]), -math.log(max(c, 1.0)))
+    start = _whittaker_anchor(c, math.exp(s_anchor), dc)
     y0 = []
     for v, dv in zip(start[0::2], start[1::2]):
         y0 += [v.real, v.imag, dv.real, dv.imag, 0.0]
     if s_eval[-1] == s_anchor:  # one point, at the anchor
-        return _finite(mus * abs(start[0]) ** 2), np.array(y0)[:, None]
+        return np.array(y0)[:, None]
 
     def rhs(s, y):
         mu = math.exp(s)
         q = mu * (0.25 * mu + kappa)
         r2 = y[0] * y[0] + y[1] * y[1]
-        out = [y[2], y[3], q * y[0], q * y[1], norm / r2]
+        out = [y[2], y[3], q * y[0], q * y[1], 1.0 / r2]
         if dc:
             vu = y[0] * y[5] + y[1] * y[6]
-            out += [y[7], y[8], q * y[5] + mu * y[0], q * y[6] + mu * y[1], norm * (dlog_norm - 2.0 * vu / r2) / r2]
+            out += [y[7], y[8], q * y[5] + mu * y[0], q * y[6] + mu * y[1], -2.0 * vu / (r2 * r2)]
         return out
 
     sol = solve_ivp(
@@ -235,34 +188,40 @@ def _whittaker_lip(c: float, mus: np.ndarray, dc: bool = False) -> tuple[np.ndar
     )
     if not sol.success:
         raise WhittakerError(f"Whittaker sweep failed: {sol.message}")
-    re, im = sol.y[0], sol.y[1]
-    return _finite(mus * (re * re + im * im)), sol.y
+    return sol.y
 
 
-def _finite(msq: np.ndarray) -> np.ndarray:
-    if not np.all(np.isfinite(msq)):
-        raise WhittakerError("non-finite Whittaker value")
-    return msq
-
-
-def whittaker_msq(c: float, mu):
-    """|W_{-c+1/2, 0}(-mu)|^2 as the limit from the upper half plane.
-
-    mu is a scalar (a float is returned) or an array of points in
-    (0, 100] (an array of the same shape is returned).  One path solve
-    from the large-|z| asymptotic series anchors the complex solution
-    v = w / sqrt(z) at mu_a = min(mu, 1) on the upper lip of the cut;
-    from there one real ODE sweep upward in log mu along the lip gives
-    every requested point.  Against mpmath the relative error is below
-    2e-9 over mu in [1e-10, 100] for c in {0.5, 1, 2}.
-    """
+def _scaled_msq(c: float, mu) -> np.ndarray:
+    """Gamma(c)^2 |W_{-c+1/2,0}(-mu)|^2 = mu |V|^2, at a scalar or an array of mu in (0, 100]."""
     if not (c > 0):
         raise ValueError("c must be positive")
     mus = np.asarray(mu, dtype=float)
     if not np.all((mus > 0) & (mus <= WHITTAKER_MU_MAX)):
         raise ValueError(f"mu must lie in (0, {WHITTAKER_MU_MAX:g}]")
     points, where = np.unique(mus, return_inverse=True)
-    return _as_result(_whittaker_lip(c, points)[0][where].reshape(mus.shape))
+    y = _whittaker_lip(c, points)
+    msq = points * (y[0] * y[0] + y[1] * y[1])
+    if not np.all(np.isfinite(msq)):
+        raise WhittakerError("non-finite Whittaker value")
+    return msq[where].reshape(mus.shape)
+
+
+def whittaker_msq(c: float, mu):
+    """|W_{-c+1/2, 0}(-mu)|^2 as the limit from the upper half plane.
+
+    mu is a scalar (a float is returned) or an array of points in
+    (0, 100] (an array of the same shape is returned).  The convergent
+    series of U(c, 1, z) anchors the Gamma(c)-scaled solution on the upper
+    lip of the cut at mu_a = min(mu, 1/max(c, 1)); from there one real ODE
+    sweep upward in log mu along the lip gives every requested point.
+    Against mpmath the relative error is below 1e-9 over mu in
+    [1e-6, 100] for c from 0.5 to 100.  |W|^2 falls below the normal
+    doubles from about c = 100, where WhittakerError is raised.
+    """
+    msq = np.exp(np.log(_scaled_msq(c, mu)) - 2.0 * math.lgamma(c))
+    if not np.all(msq >= np.finfo(float).tiny):
+        raise WhittakerError(f"|W|^2 at c = {c:g} lies outside the normal doubles")
+    return _as_result(msq)
 
 
 def _whittaker_head_mass(c: float, mu: float) -> float:
@@ -296,8 +255,8 @@ def whittaker_cdf(c: float, mus) -> np.ndarray:
     """
     mus = _ascending_grid(c, mus)
     mu_head = min(float(mus[0]), _WHITTAKER_HEAD_MU)
-    _, y = _whittaker_lip(c, np.concatenate([[mu_head], mus]) if mus[0] > mu_head else mus)
-    mass = y[4] - y[4][0]
+    y = _whittaker_lip(c, np.concatenate([[mu_head], mus]) if mus[0] > mu_head else mus)
+    mass = (y[4] - y[4][0]) / c
     return _whittaker_head_mass(c, mu_head) + mass[-mus.size :]
 
 
@@ -307,15 +266,16 @@ def whittaker_dc(c: float, mus) -> tuple[np.ndarray, np.ndarray]:
     D_c(mu) = 1/(Gamma(c) Gamma(c+1) |W_{-c+1/2,0}(-mu)|^2) on an ascending
     grid in (0, 100], as for whittaker_cdf.  One lip sweep carries the
     five states of whittaker_cdf and their kappa-derivatives
-    (kappa = 1/2 - c), so no step in c is taken.  With v.u = Re(conj(v) u),
-    d/dc (c D_c) = 2 c D_c (v.u / |v|^2 - psi(c)).
+    (kappa = 1/2 - c), so no step in c is taken.  With c D_c = 1/(mu |V|^2)
+    and c times the mass = G, d/dc = -d/dkappa gives
+    d/dc (c D_c) = 2 V.U / (mu |V|^4), V.U = Re(conj(V) U).
     """
     mus = _ascending_grid(c, mus)
-    _, y = _whittaker_lip(c, mus, dc=True)
+    y = _whittaker_lip(c, mus, dc=True)
     re, im, ure, uim = y[0], y[1], y[5], y[6]
     r2 = re * re + im * im
-    dens = 2.0 * (re * ure + im * uim - psi(c) * r2) / (math.gamma(c) ** 2 * mus * r2 * r2)
-    mass = (y[4] - y[4][0]) - c * (y[9] - y[9][0])
+    dens = 2.0 * (re * ure + im * uim) / (mus * r2 * r2)
+    mass = -(y[9] - y[9][0])
     return dens, mass
 
 
@@ -324,13 +284,15 @@ def whittaker_density_mass(c: float, cut: float = 60.0) -> float:
 
     The head below 1e-5 is summed with the closed form of the
     small-argument law, the body up to cut by one lip sweep, and the tail
-    from the exponential asymptotics.
+    from the exponential asymptotics, which hold only well past the
+    turning point mu = 4c - 2: a cut below 8c is refused.
     """
-    norm = 1.0 / (math.gamma(c) * math.gamma(c + 1.0))
+    if not cut >= 8.0 * c:
+        raise ValueError(f"cut must be at least 8c = {8.0 * c:g}")
     below_cut = whittaker_cdf(c, np.array([1e-5, cut]))[-1]
-    # Tail: |W|^2 ~ e^{mu} mu^{1-2c}, so D ~ norm mu^{2c-1} e^{-mu}.
-    tail, _ = quad(lambda m: norm * m ** (2.0 * c - 1.0) * math.exp(-m), cut, math.inf, limit=200)
-    return float(below_cut) + tail
+    # Tail: |W|^2 ~ e^{mu} mu^{1-2c}, so D ~ mu^{2c-1} e^{-mu} / (Gamma(c) Gamma(c+1)).
+    norm = math.exp(math.lgamma(2.0 * c) - math.lgamma(c) - math.lgamma(c + 1.0))
+    return float(below_cut) + norm * float(gammaincc(2.0 * c, cut))
 
 
 # ----------------------------------------------------------------------

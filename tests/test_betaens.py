@@ -155,6 +155,17 @@ def test_con_density_positive_and_small_mu_law():
     assert mu * math.log(mu) ** 2 * con_density(c, mu) == pytest.approx(c, rel=0.25)
 
 
+def test_whittaker_law_crosses_over_to_marchenko_pastur():
+    # At beta = 2c/N the fixed-beta unit 2 N beta is 4c, so for large c the
+    # Whittaker law in mu = 4c m tends to the Marchenko-Pastur law in m;
+    # at m = 0.05 the relative gap is -2.5e-2, -6.5e-3 and -1.6e-3 at
+    # c = 10, 40 and 160.
+    m = 0.05
+    gaps = [abs(4.0 * c * con_density(c, 4.0 * c * m) / mp_density(m) - 1.0) for c in (10.0, 40.0, 160.0)]
+    assert gaps[0] < 3e-2 and gaps[1] < 1e-2 and gaps[2] < 2.5e-3
+    assert gaps[0] > gaps[1] > gaps[2]
+
+
 def test_c_over_n_squared_spectrum_matches_whittaker_law():
     c = 1.0
     spec = BetaEnsembleSpec(150, c=c)

@@ -2,6 +2,7 @@ import json
 import tempfile
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -44,8 +45,8 @@ def test_unknown_flag_usage_exit():
 
 
 def test_numeric_failure_exit():
-    # non-integer alpha beyond the Whittaker route cannot be continued
-    assert run(["exact", "--alpha", "4.5", "--kappa", "1", "--grid", "1:2:2"]) == EXIT_NUMERIC
+    # non-integer alpha beyond the Whittaker route (kappa x > 100) cannot be continued
+    assert run(["exact", "--alpha", "4.5", "--kappa", "30", "--grid", "4:5:2"]) == EXIT_NUMERIC
 
 
 def test_exact_takes_non_integer_alpha_up_to_three(tmp_path):
@@ -81,6 +82,14 @@ def test_csv_outputs_are_byte_identical(tmp_path):
     f1 = (d1 / "schmidt_idos.csv").read_bytes()
     f2 = (d2 / "schmidt_idos.csv").read_bytes()
     assert f1 == f2
+
+
+@pytest.mark.parametrize("where", [["--x", "-1"], ["--grid=-1:1:3"]])
+def test_schmidt_nodefrac_negative_omega_sq_is_usage_error(tmp_path, capsys, where):
+    argv = ["schmidt", "--op", "nodefrac", "--law", "const:1", *where, "--out", str(tmp_path)]
+    assert run(argv) == EXIT_USAGE
+    assert "usage error" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
 
 
 def test_nodefrac_grid_matches_pointwise_node_fractions(tmp_path):
@@ -353,10 +362,10 @@ _BETAENS_CSV = {
 """,
         # The 40-point target grid runs from 1e-6 to the largest sampled y.
         "whittaker_target": """mu,D
-1e-06,5401.84764618
-1.47529308481e-06,3873.82329351
-2.61442179895,0.0763726170008
-3.85703840078,0.0376371727423
+1e-06,5401.84764698
+1.47529308481e-06,3873.82329409
+2.61442179895,0.0763726170114
+3.85703840078,0.0376371727476
 """,
     },
 }
@@ -406,6 +415,39 @@ def test_betaens_c_over_n_target_stops_at_whittaker_range(tmp_path):
     assert spectrum[:, 0].max() > 100.0
     assert target[-1, 0] == 100.0
     assert target.shape == (40, 2)
+
+
+def test_betaens_large_c_target_matches_mpmath(tmp_path):
+    # At c = 30 the target runs through the turning point; D against
+    # 1/(Gamma(c) Gamma(c+1) |W|^2) from mpmath at its ends and middle.
+    argv = ["betaens", "--pairs", "50", "--c-over-n", "30", "--samples", "2", "--seed", "5", "--out", str(tmp_path)]
+    assert run(argv) == EXIT_OK
+    target = np.loadtxt(tmp_path / "betaens_whittaker_target.csv", delimiter=",", skiprows=1)
+    for mu, dens in target[[0, 20, -1]]:
+        with mpmath.workdps(30):
+            w = mpmath.whitw(-29.5, 0, mpmath.mpc(-mu, 1e-25 * max(mu, 1.0)))
+            ref = float(1 / (mpmath.gamma(30) * mpmath.gamma(31) * abs(w) ** 2))
+        assert dens == pytest.approx(ref, rel=1e-6, abs=0), mu
+
+
+def test_betaens_target_holds_past_the_double_range(tmp_path):
+    # Gamma(c) Gamma(c+1) |W|^2 is not a double at c = 150; D still is.
+    argv = ["betaens", "--pairs", "50", "--c-over-n", "150", "--samples", "2", "--out", str(tmp_path)]
+    assert run(argv) == EXIT_OK
+    target = np.loadtxt(tmp_path / "betaens_whittaker_target.csv", delimiter=",", skiprows=1)
+    assert np.all(np.isfinite(target[:, 1]) & (target[:, 1] > 0))
+
+
+def test_betaens_target_failure_writes_no_files(tmp_path, monkeypatch, capsys):
+    # The target is computed before any CSV is written.
+    def failing(c, mu):
+        raise ArithmeticError("no target")
+
+    monkeypatch.setattr(cli.betaens, "con_density", failing)
+    argv = ["betaens", "--pairs", "8", "--c-over-n", "1", "--samples", "2", "--out", str(tmp_path)]
+    assert run(argv) == EXIT_NUMERIC
+    assert "no target" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
 
 
 def test_config_file_defaults_and_override(tmp_path, capsys):

@@ -113,9 +113,10 @@ def _idos_mpmath(alpha: float, kappa: float, x: float) -> float:
         return 1.0 - float(mpmath.im(omega)) / math.pi
 
 
-@pytest.mark.parametrize("alpha,kappa,x", [(1.5, 1.0, 0.01), (2.5, 2.0, 1.3), (0.5, 1.0, 3.0)])
+@pytest.mark.parametrize("alpha,kappa,x", [(1.5, 1.0, 0.01), (2.5, 2.0, 1.3), (0.5, 1.0, 3.0),
+                                           (4.5, 1.0, 1.3), (7.5, 2.0, 3.0)])
 def test_idos_non_integer_alpha_matches_mpmath(alpha, kappa, x):
-    # The c-derivative route takes any alpha up to WHITTAKER_ROUTE_ALPHA_MAX.
+    # The c-derivative route takes any alpha for kappa x up to WHITTAKER_MU_MAX.
     assert abs(idos_exact(GammaChainParams(alpha, kappa), x) - _idos_mpmath(alpha, kappa, x)) <= 1e-6
 
 
@@ -128,7 +129,7 @@ def test_idos_non_integer_alpha_matches_empirical():
     assert np.max(np.abs(emp - idos_exact(p, xs))) < 0.01
 
 
-@pytest.mark.parametrize("alpha", [1.0, 2.0, 3.0])
+@pytest.mark.parametrize("alpha", [1.0, 2.0, 3.0, 5.0, 10.0, 20.0])
 @pytest.mark.parametrize("kappa", [1.0, 3.0])
 def test_whittaker_route_matches_contour_route(alpha, kappa):
     p = GammaChainParams(alpha, kappa)
@@ -141,14 +142,13 @@ def test_whittaker_route_matches_contour_route(alpha, kappa):
 
 def test_routes_by_shape_and_range():
     # A scalar gives a float and an array an array of its shape.  Beyond
-    # alpha = 3 or kappa x = WHITTAKER_MU_MAX the contour route takes only
-    # integer alpha.
+    # kappa x = WHITTAKER_MU_MAX the contour route takes only integer alpha.
     p = GammaChainParams(1.5, 1.0)
     assert isinstance(idos_exact(p, 0.5), float) and isinstance(dos_exact(p, 0.5), float)
     xs = np.array([[0.5, 2.0], [1.0, 0.5]])
     assert idos_exact(p, xs).shape == dos_exact(p, xs).shape == xs.shape
     with pytest.raises(ValueError):
-        idos_exact(GammaChainParams(4.5, 1.0), 1.0)
+        idos_exact(GammaChainParams(4.5, 30.0), 4.0)
     with pytest.raises(ValueError):
         dos_exact(GammaChainParams(1.5, 1.0), np.array([1.0, 101.0]))
     for bad in (0.0, -1.0, np.array([1.0, float("nan")])):
@@ -265,17 +265,18 @@ def test_contour_stability_control(monkeypatch):
 
 def test_contour_dos_checks_its_path():
     # Beyond the band edge at alpha = 20 the contour path fails: stretched by
-    # 1.35 it gives 0.162 where it gives 0.199 at mu = 7.  In the band the
-    # check passes and the values are those of the one path.
-    p = GammaChainParams(20.0, 20.0)
+    # 1.35 it gives 0.162 where it gives 0.199 at mu = 7.  In the band, at
+    # kappa mu > 100 where the contour route serves, the check passes and
+    # the values are those of the one path.
     with pytest.raises(ContourError):
-        dos_exact(p, 7.0)
-    mus = np.array([0.5, 2.0, 3.9])
+        dos_exact(GammaChainParams(20.0, 20.0), 7.0)
+    p = GammaChainParams(30.0, 30.0)
+    mus = np.array([3.5, 3.7, 3.9])
     one_path = []
     for mu in mus:
-        v = exact._contour_integrals(20, 20.0, float(mu), ("k", "l", "xk", "xl"))
+        v = exact._contour_integrals(30, 30.0, float(mu), ("k", "l", "xk", "xl"))
         expr = (v["xl"] * v["k"] - v["l"] * v["xk"]) / v["k"] ** 2
-        one_path.append(-(2.0 * 20.0 / math.pi) * expr.imag)
+        one_path.append(-(2.0 * 30.0 / math.pi) * expr.imag)
     assert dos_exact(p, mus).tolist() == one_path
 
 

@@ -166,6 +166,32 @@ def test_whittaker_msq_against_mpmath(c, mu):
     assert got == pytest.approx(ref, rel=1e-7)
 
 
+@pytest.mark.parametrize("mu", [1e-6, 1.0, 20.0, 60.0, 100.0])
+@pytest.mark.parametrize("c", [5.0, 10.0, 30.0, 60.0])
+def test_whittaker_msq_large_c_against_mpmath(c, mu):
+    # Through the turning point mu = 4c - 2 and well below it, where |W|^2
+    # is of order 1/Gamma(c)^2: the oracle of the test above.
+    with mpmath.workdps(30):
+        ref = float(abs(mpmath.whitw(0.5 - c, 0, mpmath.mpc(-mu, 1e-25 * max(mu, 1.0)))) ** 2)
+    assert sf.whittaker_msq(c, mu) == pytest.approx(ref, rel=1e-8, abs=0)
+
+
+def test_whittaker_msq_refuses_values_below_the_normal_doubles():
+    # |W|^2 is about 1e-520 at c = 150, mu = 1: a WhittakerError, not 0.
+    with pytest.raises(sf.WhittakerError):
+        sf.whittaker_msq(150.0, 1.0)
+    with pytest.raises(sf.WhittakerError):
+        sf.whittaker_msq(150.0, np.array([1e-3, 50.0]))
+
+
+def test_whittaker_density_mass_needs_a_cut_past_the_turning_point():
+    # The tail formula holds only well past mu = 4c - 2; at c = 20 the
+    # default cut of 60 is refused, and a cut of 8c serves c = 5.
+    with pytest.raises(ValueError):
+        sf.whittaker_density_mass(20.0)
+    assert sf.whittaker_density_mass(5.0, cut=40.0) == pytest.approx(1.0, abs=1e-6)
+
+
 def test_whittaker_msq_array_matches_scalar_calls():
     # Unsorted, with a repeat, and two-dimensional: one sweep serves all.
     mus = np.array([[60.0, 1e-3, 2.5], [0.7, 60.0, 95.0]])
