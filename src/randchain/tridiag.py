@@ -32,10 +32,13 @@ __all__ = [
 _TINY = 1e-300
 
 # Most lanes (matrix-probe pairs) that _sturm_counts runs as one Python-float
-# loop each, the break-even with the array loop measured on a 2-core box; and
-# the sites that the float loop turns into Python floats at a time.
-_FLOAT_LOOP_LANES = 96
+# loop each, the break-even with the array loop measured on a 2-core box
+# (docs/sturm_lanes.py); the sites that the float loop turns into Python
+# floats at a time; and the elements (sites times lanes) of the array loop's
+# block of a - x, small enough to stay in cache.
+_FLOAT_LOOP_LANES = 32
 _FLOAT_LOOP_CHUNK = 1024
+_ARRAY_BLOCK_ELEMENTS = 2**15
 
 
 @dataclass(frozen=True)
@@ -201,9 +204,19 @@ def _sturm_counts(diag: np.ndarray, off: np.ndarray, xs: np.ndarray) -> np.ndarr
 
     Two loop shapes share this arithmetic and zero rule, so their counts
     agree.  Up to _FLOAT_LOOP_LANES lanes (matrix-probe pairs) each runs
-    its own loop over Python floats, about 0.12 us per lane and site; more
-    lanes share one loop over the sites on arrays, about 11 us per site,
-    bound by numpy dispatch rather than lane work up to ~1000 lanes.
+    its own loop over Python floats, about 0.12 us per lane and site.
+    More lanes share one loop over the sites on arrays.  It takes a - x
+    for a block of sites in one subtraction (at most _ARRAY_BLOCK_ELEMENTS
+    elements, so that the block stays in cache), then three ufunc calls
+    per site (divide, subtract, compare), and sums the negative pivots
+    once per block: about 5-7 us per site up to ~300 lanes, bound by numpy
+    dispatch, and about 3 ns per lane and site at 3e4 lanes.  The array
+    loop makes no zero test per site.  It runs with division by zero and
+    invalid operations raising: a zero pivot at site k makes the divide at
+    site k+1 raise (b^2/0, or 0/0 on a zero coupling), and only then are
+    the zero pivots replaced and that divide redone, so every lane sees
+    the operands the float loop's test gives it.  A zero left at the last
+    site is not negative, as its replacement would not be.
     """
     diag = np.asarray(diag, dtype=float)
     off = np.asarray(off, dtype=float)
@@ -214,15 +227,16 @@ def _sturm_counts(diag: np.ndarray, off: np.ndarray, xs: np.ndarray) -> np.ndarr
         if diag.ndim == 1:
             return _float_loop(diag[None], off[None], xs.reshape(1, -1)).reshape(xs.shape)
         return _float_loop(diag, off, np.broadcast_to(xs, (diag.shape[0], xs.shape[-1])))
-    # Per-site coefficients.  For one matrix (or a batch of one) they are
-    # Python floats, which the loop reads fastest; for a batch they are the
-    # rows of contiguous (n, R, 1) arrays, each row a column of
-    # coefficients across matrices.
+    # Per-site coefficients, as rows of contiguous arrays that broadcast
+    # against the probes: a (n, 1, ...) for one matrix and (n, R, 1) for a
+    # batch, each row a column of coefficients across matrices.  For one
+    # matrix (or a batch of one) b2 holds Python floats, which the divide
+    # reads fastest.
     if diag.ndim == 1 or diag.shape[0] == 1:
-        a = diag.reshape(-1).tolist()
         b2 = (off * off).reshape(-1).tolist()
         if diag.ndim == 2:
             xs = xs.reshape(1, -1)
+        a = diag.reshape((-1,) + (1,) * xs.ndim)
     else:
         a = np.ascontiguousarray(diag.T)[:, :, None]
         b2 = np.multiply(off.T, off.T, order="C")[:, :, None]
@@ -230,26 +244,48 @@ def _sturm_counts(diag: np.ndarray, off: np.ndarray, xs: np.ndarray) -> np.ndarr
     q[q == 0.0] = _TINY
     count = (q < 0.0).astype(np.int64)
     t = np.empty_like(q)
-    with np.errstate(over="ignore"):
-        for k in range(1, n):
-            np.divide(b2[k - 1], q, out=t)
-            np.subtract(a[k], xs, out=q)
-            q -= t
-            zero = q == 0.0
-            if zero.any():
-                q[zero] = _TINY
-            count += q < 0.0
+    sites = max(1, min(_ARRAY_BLOCK_ELEMENTS // q.size, n - 1, 255))
+    shifted = np.empty((sites,) + q.shape)
+    negs = np.empty((sites,) + q.shape, dtype=bool)
+    # Negative pivots are tallied in bytes, which hold the count of up to
+    # 255 sites, and added to count before they could overflow.
+    block_tally = np.empty(q.shape, dtype=np.uint8)
+    tally = np.zeros_like(block_tally)
+    held = 0
+    with np.errstate(over="ignore", divide="raise", invalid="raise"):
+        for k0 in range(1, n, sites):
+            s = min(sites, n - k0)
+            np.subtract(a[k0:k0 + s], xs, out=shifted[:s])
+            for k, a_k, neg in zip(range(k0, k0 + s), shifted, negs):
+                try:
+                    np.divide(b2[k - 1], q, out=t)
+                except FloatingPointError:
+                    q[q == 0.0] = _TINY
+                    np.divide(b2[k - 1], q, out=t)
+                np.subtract(a_k, t, out=q)
+                np.less(q, 0.0, out=neg)
+            if held + s > 255:
+                count += tally
+                tally.fill(0)
+                held = 0
+            np.add.reduce(negs[:s].view(np.uint8), axis=0, out=block_tally)
+            tally += block_tally
+            held += s
+    count += tally
     return count
 
 
 def count_below(t: SymTridiag, x: float) -> int:
-    """Exact number of eigenvalues of t strictly below x."""
-    return int(_sturm_counts(t.diag, t.off, np.array([float(x)]))[0])
+    """Exact number of eigenvalues of t strictly below x (a NaN probe is refused)."""
+    return int(count_below_many(t, np.array([float(x)]))[0])
 
 
 def count_below_many(t: SymTridiag, xs) -> np.ndarray:
     """Vectorised count_below over an array of probe points."""
-    return _sturm_counts(t.diag, t.off, np.asarray(xs, dtype=float))
+    xs = np.asarray(xs, dtype=float)
+    if np.isnan(xs).any():
+        raise ValueError("probe points must not be NaN")
+    return _sturm_counts(t.diag, t.off, xs)
 
 
 def eigenvalues(
@@ -260,10 +296,10 @@ def eigenvalues(
 ) -> Spectrum:
     """Eigenvalues by Sturm bisection, each bracketed to width <= tol.
 
-    By default all n are computed; `ranks` (1-based, ascending) restricts
-    the computation to selected order statistics, and `bounds` overrides
-    the Gershgorin bracket when sharper enclosures are known.  This is the
-    one-matrix case of eigenvalues_many.
+    By default all n are computed; `ranks` (1-based integers, strictly
+    ascending, within 1..n) restricts the computation to selected order
+    statistics, and `bounds` overrides the Gershgorin bracket when sharper
+    enclosures are known.  This is the one-matrix case of eigenvalues_many.
     """
     return eigenvalues_many([t], tol, ranks, None if bounds is None else [bounds])[0]
 
@@ -285,6 +321,10 @@ def eigenvalues_many(
     bracket is within its tol or it has run its iterations.  The kernel's
     row counts equal one-matrix counts, so every value is bitwise that of
     the one-matrix call.
+
+    Ranks outside 1..n or not strictly ascending, and a bracket that does
+    not hold the wanted ranks (checked by one Sturm count at its ends),
+    raise ValueError before any bisection.
     """
     ts = list(ts)
     if not ts:
@@ -298,7 +338,17 @@ def eigenvalues_many(
         brackets = [(float(b[0]), float(b[1])) for b in bounds]
         if len(brackets) != len(ts):
             raise ValueError("need one bracket per matrix")
-    want = np.arange(1, n + 1) if ranks is None else np.asarray(ranks, dtype=np.int64)
+        if not np.isfinite(brackets).all():
+            raise ValueError("bounds must be finite")
+    if ranks is None:
+        want = np.arange(1, n + 1)
+    else:
+        want = np.asarray(ranks)
+        if want.ndim != 1 or not want.size or not np.issubdtype(want.dtype, np.integer):
+            raise ValueError("ranks must be a non-empty 1-d array of integers")
+        if want[0] < 1 or want[-1] > n or np.any(np.diff(want) <= 0):
+            raise ValueError(f"ranks must be strictly ascending within 1..{n}")
+        want = want.astype(np.int64)
     tols, los, his, n_iters = [], [], [], []
     for lo0, hi0 in brackets:
         diameter = max(hi0 - lo0, 1.0)
@@ -310,10 +360,20 @@ def eigenvalues_many(
         los.append(lo)
         his.append(hi)
         n_iters.append(max(int(math.ceil(math.log2((hi - lo) / row_tol))) + 2, 8))
-    # Working state of the unfinished rows, in their original order.
-    rows = np.arange(len(ts))
     diag = np.stack([t.diag for t in ts])
     off = np.stack([t.off for t in ts])
+    if bounds is not None:
+        # The k-th eigenvalue lies in [lo, hi) exactly when
+        # count_below(lo) < k <= count_below(hi).
+        ends = _sturm_counts(diag, off, np.column_stack([los, his]))
+        bad = np.flatnonzero((ends[:, 0] >= want[0]) | (ends[:, 1] < want[-1]))
+        if bad.size:
+            i = bad[0]
+            raise ValueError(
+                f"bracket {brackets[i]} of matrix {i} does not hold ranks {want[0]}..{want[-1]}: "
+                f"{ends[i, 0]} eigenvalues lie below it and {n - ends[i, 1]} at or above it")
+    # Working state of the unfinished rows, in their original order.
+    rows = np.arange(len(ts))
     lo = np.repeat(np.array(los)[:, None], want.size, axis=1)
     hi = np.repeat(np.array(his)[:, None], want.size, axis=1)
     row_tol, n_iter = np.array(tols), np.array(n_iters)

@@ -92,20 +92,33 @@ def test_count_with_zero_offdiagonal_blocks():
 # ----------------------------------------------------------------------
 
 
+def _lanes(diag, probes):
+    return probes.size if np.ndim(diag) == 1 else np.shape(diag)[0] * probes.shape[-1]
+
+
 def _both_shapes(diag, off, probes):
     """Kernel counts from the float loop, checked against the array loop.
 
     The probes given are few enough for the per-lane float loop; tiled
     along their last axis past _FLOAT_LOOP_LANES they force the array
-    loop, whose counts must be the same tiles.  The float loop must also
-    give the same counts when its site chunks are short, so that pivots
-    cross chunk boundaries.
+    loop, whose counts must be the same tiles, also when its blocks of
+    sites are 1, 2 or 3 sites long, so that pivots (zero ones included)
+    cross block boundaries.  The float loop must also give the same
+    counts when its site chunks are short, so that pivots cross chunk
+    boundaries.
     """
-    lanes = probes.size if np.ndim(diag) == 1 else np.shape(diag)[0] * probes.shape[-1]
-    assert lanes <= tridiag._FLOAT_LOOP_LANES
+    assert _lanes(diag, probes) <= tridiag._FLOAT_LOOP_LANES
     counts = tridiag._sturm_counts(diag, off, probes)
     reps = tridiag._FLOAT_LOOP_LANES // probes.shape[-1] + 1
-    assert np.array_equal(tridiag._sturm_counts(diag, off, np.tile(probes, reps)), np.tile(counts, reps))
+    tiled = np.tile(probes, reps)
+    assert np.array_equal(tridiag._sturm_counts(diag, off, tiled), np.tile(counts, reps))
+    block = tridiag._ARRAY_BLOCK_ELEMENTS
+    try:
+        for sites in (1, 2, 3):
+            tridiag._ARRAY_BLOCK_ELEMENTS = sites * _lanes(diag, tiled)
+            assert np.array_equal(tridiag._sturm_counts(diag, off, tiled), np.tile(counts, reps))
+    finally:
+        tridiag._ARRAY_BLOCK_ELEMENTS = block
     chunk = tridiag._FLOAT_LOOP_CHUNK
     try:
         tridiag._FLOAT_LOOP_CHUNK = 3
@@ -203,6 +216,96 @@ def test_diagonal_matrix_ties_count_strictly_below(diag):
     assert np.array_equal(batched[0], want)
 
 
+def test_array_loop_zero_pivots_at_block_boundaries():
+    # Blocks of 4 sites (1-4, 5-8, 9): probes at 0.5 meet exact zero pivots
+    # at sites 4, 5 and 9, the last site of a block, the first of the next
+    # and the last of the matrix.  Row 0 decouples those sites, so the
+    # divides after its zero pivots are 0/0; row 1 couples sites 4 and 5,
+    # so the divide after site 4 is b^2/0.  Other probes cross the same
+    # boundaries with nonzero pivots.
+    diag = np.array([[1.0, -0.3, 2.0, 0.7, 0.5, 0.5, -1.0, 0.2, 1.4, 0.5]] * 2)
+    off = np.array([
+        [0.8, 1.1, 0.6, 0.0, 0.0, 0.0, 0.9, 0.4, 0.0],
+        [0.8, 1.1, 0.6, 0.0, 1.3, 0.7, 0.9, 0.4, 0.0],
+    ])
+    probes = np.array([0.5, -1.0, 2.0, 0.0])
+    want = [tridiag._sturm_counts(diag[i], off[i], probes) for i in range(2)]
+    for i in range(2):
+        ev = np.linalg.eigvalsh(SymTridiag(diag[i], off[i]).to_dense())
+        assert np.array_equal(want[i][1:], np.sum(ev[None, :] < probes[1:, None], axis=1))
+    tiled = np.tile(probes, 30)  # 2 * 120 lanes, past _FLOAT_LOOP_LANES
+    block = tridiag._ARRAY_BLOCK_ELEMENTS
+    try:
+        for lanes, per_row in ((240, np.tile(want, 30)), (120, np.tile(want[0], 30))):
+            tridiag._ARRAY_BLOCK_ELEMENTS = 4 * lanes
+            rows = (diag, off) if lanes == 240 else (diag[0], off[0])
+            assert np.array_equal(tridiag._sturm_counts(*rows, tiled), per_row)
+    finally:
+        tridiag._ARRAY_BLOCK_ELEMENTS = block
+
+
+@pytest.mark.parametrize("sites", [1, 7, 300])
+def test_array_loop_long_matrix_counts_past_a_byte(sites):
+    # The array loop tallies negative pivots in bytes and adds them to the
+    # counts before 256 sites; a matrix of 700 sites with counts near 700
+    # crosses that flush, with blocks of 1, 7 and 255 sites.
+    rng = np.random.default_rng(21)
+    t = SymTridiag(rng.normal(size=700), rng.uniform(0.1, 1.0, 699))
+    probes = np.linspace(-3.5, 3.5, 8)
+    want = np.tile(count_below_many(t, probes), 16)
+    ev = np.linalg.eigvalsh(t.to_dense())
+    assert np.array_equal(want[:8], np.sum(ev[None, :] < probes[:, None], axis=1))
+    block = tridiag._ARRAY_BLOCK_ELEMENTS
+    try:
+        tridiag._ARRAY_BLOCK_ELEMENTS = sites * 128
+        assert np.array_equal(tridiag._sturm_counts(t.diag, t.off, np.tile(probes, 16)), want)
+    finally:
+        tridiag._ARRAY_BLOCK_ELEMENTS = block
+
+
+def test_count_below_many_keeps_the_probe_shape():
+    rng = np.random.default_rng(5)
+    t = SymTridiag(rng.normal(size=30), rng.uniform(0.1, 1.0, 29))
+    for shape in ((2, 3), (40, 3)):  # float loop, array loop
+        probes = rng.uniform(-3.0, 3.0, shape)
+        got = count_below_many(t, probes)
+        assert got.shape == shape
+        assert np.array_equal(got.ravel(), count_below_many(t, probes.ravel()))
+
+
+def test_count_refuses_nan_probes_and_counts_infinite_ones():
+    t = SymTridiag(np.zeros(5), np.ones(4))
+    with pytest.raises(ValueError, match="NaN"):
+        count_below(t, math.nan)
+    with pytest.raises(ValueError, match="NaN"):
+        count_below_many(t, [0.0, math.nan])
+    with pytest.raises(ValueError, match="NaN"):
+        count_below_many(t, np.full(200, math.nan))  # array-loop size
+    assert count_below(t, math.inf) == 5
+    assert count_below(t, -math.inf) == 0
+    probes = np.tile([-math.inf, 0.0, math.inf], 40)
+    assert np.array_equal(count_below_many(t, probes), np.tile([0, 2, 5], 40))
+
+
+def test_bisection_refuses_ranks_and_brackets_it_cannot_honour():
+    t = SymTridiag(np.zeros(5), np.ones(4))
+    for ranks in ([0], [6], [3, 1], [2, 2], [], np.array([1.0, 2.0]), np.array([[1, 2]])):
+        with pytest.raises(ValueError, match="ranks"):
+            eigenvalues(t, ranks=np.asarray(ranks))
+    with pytest.raises(ValueError, match="does not hold"):
+        eigenvalues(t, bounds=(5.0, 6.0))
+    with pytest.raises(ValueError, match="does not hold"):
+        eigenvalues(t, ranks=np.array([1, 5]), bounds=(-1.5, 1.5))  # eigenvalues +-sqrt 3 lie outside
+    with pytest.raises(ValueError, match="does not hold"):
+        eigenvalues_many([t, t], ranks=np.array([3]), bounds=[(-0.5, 0.5), (0.5, 2.5)])
+    with pytest.raises(ValueError, match="finite"):
+        eigenvalues(t, bounds=(-math.inf, 2.0))
+    # A bracket that holds the wanted ranks keeps the values of the
+    # default bracket's bisection to within tol.
+    got = eigenvalues(t, ranks=np.array([2, 4]), bounds=(-1.5, 1.5)).values
+    assert got == pytest.approx([-1.0, 1.0], abs=1e-12)
+
+
 def test_eigenvalues_small_exact():
     t = SymTridiag(np.zeros(3), np.ones(2))
     got = eigenvalues(t, tol=1e-13).values
@@ -276,10 +379,13 @@ def _wide_batch(r, n, tol):
 
 @settings(max_examples=150, deadline=None)
 @given(batch=_bisection_batches())
-# Full spectra with R * m on either side of _FLOAT_LOOP_LANES = 96 while
-# each row alone stays within it; and a tol that only the cap can meet.
+# Full spectra with R * m on either side of _FLOAT_LOOP_LANES = 32 while
+# each row alone stays within it (24 and 12 lanes a row), or with rows that
+# take the array loop alone too (48 and 40); and a tol that only the cap
+# can meet.
 @example(batch=_wide_batch(2, 48, None))
 @example(batch=_wide_batch(3, 40, None))
+@example(batch=_wide_batch(2, 24, None))
 @example(batch=_wide_batch(3, 12, 1e-17))
 def test_batched_bisection_rows_equal_single_calls_bitwise(batch):
     ts, tol, ranks, bounds = batch
