@@ -300,6 +300,8 @@ def cmd_dos(args) -> int:
         raise UsageError("--size must be at least 3: a smaller chain has no frequency pair")
     n_masses = (args.size + 1) // 2
     edges = parse_grid(args.grid)
+    if edges.size < 2:
+        raise UsageError("--grid must have at least 2 edges: a single edge bounds no bin")
     centers = 0.5 * (edges[1:] + edges[:-1])
     acc = np.zeros(centers.size)
     # One Sturm sweep per block of realizations.  Rows come back in

@@ -34,7 +34,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.special import polygamma, psi
 
 from .specfun import WHITTAKER_MU_MAX, _as_result, whittaker_dc
@@ -98,6 +97,8 @@ def _weighted_integral_scaled(p: GammaChainParams, x: float, weight) -> tuple[fl
     the u^{alpha-1} e^{-u} peak is divided out in log space so large alpha
     cannot overflow.  Ratios of scaled values at the same (p, x) are exact.
     """
+    # Most commands never need scipy.integrate, and importing it costs about 0.36 s.
+    from scipy.integrate import quad
     if x <= 0:
         raise ValueError("x must be positive")
     alpha, kappa = p.alpha, p.rate
@@ -221,6 +222,8 @@ def _contour_integrals(alpha: int, kappa: float, x: float, names: tuple[str, ...
     ratios of the returned values are exact ratios of the continued
     integrals.
     """
+    # Most commands never need scipy.integrate, and importing it costs about 0.36 s.
+    from scipy.integrate import quad
     kx = kappa * x
     nodes = _contour_nodes(alpha, kx, stretch)
     samples = []

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.stats import ks_2samp
 
 from .chain import Constant, DisorderLaw, Gamma, TwoPoint
 from .specfun import rng_from_seed
@@ -458,6 +457,8 @@ def letac_check(alpha: float, beta: float, p: float, n: int, seed=0) -> KsResult
     X/(1+Y) with X ~ Gamma[alpha, p] and Y ~ Kummer[alpha+beta, -beta, p]
     is compared against direct Kummer[alpha, beta, p] samples.
     """
+    # Only the selftest needs scipy.stats, and importing it costs about 0.6 s.
+    from scipy.stats import ks_2samp
     if alpha <= 0 or p <= 0 or alpha + beta <= 0:
         raise ValueError("require alpha > 0, p > 0 and alpha + beta > 0")
     rng = rng_from_seed(seed)

@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.integrate import solve_ivp
 from scipy.special import airy, gammaincc, polygamma, psi
 
 __all__ = [
@@ -157,6 +156,8 @@ def _whittaker_lip(c: float, mus: np.ndarray, dc: bool = False) -> np.ndarray:
     U = dV/dkappa obeys U_ss = mu (mu/4 + kappa) U + mu V, and dG/dkappa
     grows at the rate -2 V.U / |V|^4.
     """
+    # Most commands never need scipy.integrate, and importing it costs about 0.36 s.
+    from scipy.integrate import solve_ivp
     kappa = 0.5 - c
     s_eval = np.log(mus)
     s_anchor = min(float(s_eval[0]), -math.log(max(c, 1.0)))

@@ -55,6 +55,11 @@ class SymTridiag:
             raise ValueError("need diag of length n and off of length n-1")
         if not (np.all(np.isfinite(d)) and np.all(np.isfinite(e))):
             raise ValueError("matrix entries must be finite")
+        # The Sturm recurrence divides by b^2: an overflowing square gives
+        # NaN pivots and wrong counts.
+        with np.errstate(over="ignore"):
+            if not np.all(np.isfinite(e * e)):
+                raise ValueError("off-diagonal entries must have a finite square (|b| below about 1.34e154)")
         object.__setattr__(self, "diag", d)
         object.__setattr__(self, "off", e)
 

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -272,10 +275,10 @@ def test_dos_csv_with_exact_overlay(tmp_path):
 
 
 @pytest.mark.parametrize("flag,value", [("--realizations", "0"), ("--realizations", "-1"),
-                                        ("--size", "1"), ("--size", "2")])
+                                        ("--size", "1"), ("--size", "2"), ("--grid", "0.5:3.5:1")])
 def test_dos_rejects_degenerate_runs(tmp_path, capsys, flag, value):
-    # No realization, or a chain without a frequency pair, has no density:
-    # refused before any CSV is written.
+    # No realization, a chain without a frequency pair or a grid without a
+    # bin has no density: refused before any CSV is written.
     argv = ["dos", "--law", "gamma:1:1", "--grid", "0.5:3.5:7", "--out", str(tmp_path), flag, value]
     assert run(argv) == EXIT_USAGE
     assert flag in capsys.readouterr().err
@@ -622,3 +625,44 @@ def test_selftest_passes(capsys):
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 11
     assert all(line.startswith("PASS ") for line in lines)
+
+
+_MODULE_PROBE = """
+import json, sys, tempfile
+import randchain, randchain.cli
+from randchain.cli import run
+
+def heavy():
+    return [m for m in ("scipy.integrate", "scipy.stats") if m in sys.modules]
+
+res = {"import": heavy()}
+with tempfile.TemporaryDirectory() as out:
+    light = [
+        ["lyapunov", "--model", "type2", "--law", "twopoint:1:2:0.5", "--grid", "1:3:2", "--steps", "2000"],
+        ["schmidt", "--op", "omega", "--law", "gamma:1:1", "--x", "1", "--samples", "2000"],
+        ["scaling", "--grid=-6:6:13"],
+        ["pure", "--what", "idos", "--x", "2"],
+    ]
+    res["light_codes"] = [run([*argv, "--out", out]) for argv in light]
+    res["light"] = heavy()
+    res["integrate_codes"] = [
+        run(["exact", "--alpha", "1", "--kappa", "1", "--grid", "g1e-3:1:3", "--out", out]),
+        run(["betaens", "--c-over-n", "1", "--pairs", "8", "--samples", "1", "--out", out]),
+    ]
+print(json.dumps(res))
+"""
+
+
+def test_light_commands_do_not_load_scipy_integrate_or_stats():
+    # Most commands need only scipy.special; scipy.integrate and
+    # scipy.stats (about 1 s of import together) load only in the
+    # functions that use them.  A fresh interpreter shows what loads.
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run([sys.executable, "-c", _MODULE_PROBE], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    res = json.loads(proc.stdout.splitlines()[-1])
+    assert res["import"] == []
+    assert res["light_codes"] == [EXIT_OK] * 4
+    assert res["light"] == []
+    assert res["integrate_codes"] == [EXIT_OK] * 2

@@ -77,6 +77,23 @@ def test_count_survives_rescaling_large_entries():
         assert count_below(t, float(x)) == int(np.sum(ref < x))
 
 
+def test_couplings_with_an_overflowing_square_are_refused():
+    # b^2 overflows past |b| ~ 1.34e154; the Sturm recurrence divides by it.
+    with pytest.raises(ValueError, match="finite square"):
+        SymTridiag(np.zeros(3), [1e160, 1e160])
+    with pytest.raises(ValueError, match="finite square"):
+        AntisymTridiag(np.array([1.0, -1e155])).hermitian_image()
+    # Just below, both loop shapes still count as the dense solver does.
+    rng = np.random.default_rng(8)
+    t = SymTridiag(rng.normal(size=50) * 1e150, rng.uniform(-1.0, 1.0, 49) * 1e150)
+    ev = np.linalg.eigvalsh(t.to_dense())
+    probes = np.concatenate([rng.uniform(-3e150, 3e150, 20), 0.5 * (ev[1:] + ev[:-1])])
+    want = np.array([np.sum(ev < x) for x in probes])
+    assert probes.size > tridiag._FLOAT_LOOP_LANES
+    assert np.array_equal(count_below_many(t, probes), want)
+    assert [count_below(t, float(x)) for x in probes] == want.tolist()
+
+
 def test_count_with_zero_offdiagonal_blocks():
     # A zero coupling decouples the matrix; counts stay exact.
     diag = np.array([0.3, -1.2, 0.7, 2.0, -0.5])
