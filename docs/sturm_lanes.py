@@ -1,8 +1,8 @@
-"""Table behind docs/DECISIONS.md (ledger D3): cost of the two Sturm loop shapes.
+"""Tables behind docs/DECISIONS.md (ledgers D3 and D6): cost of the Sturm loop shapes and of bisection.
 
 Run from the repository root:
 
-    PYTHONPATH=src python docs/sturm_lanes.py [--sites N] [--against OTHER/src/randchain/tridiag.py]
+    PYTHONPATH=src python docs/sturm_lanes.py [--sites N] [--against OTHER/src/randchain/tridiag.py] [--bisect]
 
 It prints one markdown table of microseconds per site of
 tridiag._sturm_counts on matrices of 400 sites (or --sites), from 16 to
@@ -17,6 +17,13 @@ With --against, the array loop of another copy of tridiag.py (say, a
 checkout of an earlier commit) is timed interleaved with this one, and
 the median of the per-repeat ratios (this / other) is added.  Every
 timed call also checks that both copies give the same counts.
+
+With --bisect, a second table times tridiag.eigenvalues_many on the
+bisections of the beta-ensembles benchmark (the two betaens commands'
+batches, the rank-restricted call and squared_spectrum) and on a full
+spectrum of 2000 sites: Sturm sweeps and milliseconds per call, and with
+--against the other copy's sweeps, milliseconds and the median ratio,
+asserting on every call that both copies give bitwise the same values.
 """
 
 from __future__ import annotations
@@ -29,7 +36,7 @@ import time
 
 import numpy as np
 
-from randchain import tridiag
+from randchain import betaens, tridiag
 
 BATCH = 8
 LANES = (16, 24, 32, 40, 48, 64, 96, 150, 300, 600, 1200, 2000, 4000, 8000, 16000, 30000)
@@ -101,10 +108,74 @@ def row(sites: int, lanes: int, rows: int, other) -> str:
     return "| " + " | ".join(cells) + " |"
 
 
+def bisections() -> dict:
+    """name -> (matrices, ranks, bounds) of the bisections timed by --bisect."""
+    rng = np.random.default_rng(31)
+    cases = {}
+    for name, spec, samples in (("betaens --pairs 100 --beta 2 --samples 8", betaens.BetaEnsembleSpec(100, beta=2.0), 8),
+                                ("betaens --pairs 200 --c-over-n 1 --samples 6", betaens.BetaEnsembleSpec(200, c=1.0), 6)):
+        ms = [betaens.sample_matrix(spec, seed=(31, s)) for s in range(samples)]
+        cases[name] = positive_half(ms)
+    n = 401
+    sym = tridiag.SymTridiag(rng.normal(size=n), rng.uniform(0.2, 1.5, n - 1))
+    cases["eigenvalues, n = 401, 40 ranks"] = ([sym], np.sort(rng.choice(np.arange(1, n + 1), 40, replace=False)), None)
+    sup = np.sqrt(rng.gamma(np.arange(300, 0, -1) * 0.5, 1.0))
+    cases["squared_spectrum, n = 301"] = positive_half([tridiag.AntisymTridiag(sup)])
+    n = 2000
+    cases["eigenvalues, n = 2000, all ranks"] = (
+        [tridiag.SymTridiag(rng.normal(size=n), rng.uniform(0.1, 2.0, n - 1))], None, None)
+    return cases
+
+
+def positive_half(ms):
+    """The eigenvalues_many arguments of betaens.squared_spectrum on the matrices ms."""
+    hs = [m.hermitian_image() for m in ms]
+    n = hs[0].n
+    return hs, np.arange(n - (n - 1) // 2 + 1, n + 1), [(0.0, h.gershgorin()[1]) for h in hs]
+
+
+def bisect_ms(module, ts, ranks, bounds) -> tuple[float, int, list]:
+    """Milliseconds and Sturm sweeps of one eigenvalues_many call of module, and its spectra."""
+    kernel = module._sturm_counts
+    sweeps = 0
+
+    def counted(*args):
+        nonlocal sweeps
+        sweeps += 1
+        return kernel(*args)
+
+    module._sturm_counts = counted
+    try:
+        start = time.perf_counter()
+        spectra = module.eigenvalues_many(ts, ranks=ranks, bounds=bounds)
+        return 1e3 * (time.perf_counter() - start), sweeps, spectra
+    finally:
+        module._sturm_counts = kernel
+
+
+def bisect_row(name: str, ts, ranks, bounds, other) -> str:
+    times, other_times, ratios = [], [], []
+    for _ in range(REPEATS):
+        ms, sweeps, spectra = bisect_ms(tridiag, ts, ranks, bounds)
+        times.append(ms)
+        if other is not None:
+            ms_other, sweeps_other, spectra_other = bisect_ms(other, ts, ranks, bounds)
+            for a, b in zip(spectra, spectra_other):
+                assert np.array_equal(a.values.view(np.int64), b.values.view(np.int64)) and a.tol == b.tol
+            other_times.append(ms_other)
+            ratios.append(ms / ms_other)
+    lanes = len(ts) * (ts[0].n if ranks is None else len(ranks))
+    cells = [name, str(lanes), str(sweeps), f"{statistics.median(times):.1f}"]
+    if other is not None:
+        cells += [str(sweeps_other), f"{statistics.median(other_times):.1f}", f"{statistics.median(ratios):.2f}"]
+    return "| " + " | ".join(cells) + " |"
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--sites", type=int, default=400, help="matrix size (default 400)")
     parser.add_argument("--against", help="path of another tridiag.py whose array loop to time alongside")
+    parser.add_argument("--bisect", action="store_true", help="also time eigenvalues_many on the benchmark's bisections")
     args = parser.parse_args()
     other = None if args.against is None else load(args.against)
     print(f"us per site of tridiag._sturm_counts, {args.sites} sites, median of {REPEATS} interleaved repeats")
@@ -117,6 +188,18 @@ def main() -> None:
     for lanes in LANES:
         for rows in (1, BATCH):
             print(row(args.sites, lanes, rows, other), flush=True)
+    if not args.bisect:
+        return
+    print()
+    print(f"ms per tridiag.eigenvalues_many call, median of {REPEATS} interleaved repeats")
+    print()
+    head = ["bisection", "matrices x ranks", "sweeps", "ms"]
+    if other is not None:
+        head += ["other sweeps", "other ms", "ms / other"]
+    print("| " + " | ".join(head) + " |")
+    print("|---" * len(head) + "|")
+    for name, case in bisections().items():
+        print(bisect_row(name, *case, other), flush=True)
 
 
 if __name__ == "__main__":

@@ -38,8 +38,8 @@ _DOS_BLOCK_ELEMENTS = 1 << 16
 # Lanes times sites (per sample: wanted eigenvalues times matrix size) that
 # `betaens` bisects in one batch; it bounds the batch's arrays.  Each
 # bisection step is one Sturm sweep, whose numpy dispatch per site the
-# batch shares: at N = 100 pairs a sample costs 84 ms alone, 9.4 ms in a
-# batch of 16 and 4.1 ms in one of 128 (2.6e6 elements).
+# batch shares: at N = 100 pairs a sample costs 14 ms alone, 4.3 ms in a
+# batch of 16 and 2.9 ms in one of 128 (2.6e6 elements).
 _BETAENS_BLOCK_ELEMENTS = 1 << 22
 
 
@@ -199,6 +199,8 @@ def cmd_schmidt(args) -> int:
         raise UsageError("--spring-k must be positive")
     if (args.op in ("omega", "omega2") or args.op == "density" and args.kind == "xi") and not args.x > 0:
         raise UsageError("--x must be positive")
+    if args.op == "density" and args.grid is None:
+        raise UsageError("--op density needs --grid")
     out = _Outputs(args, "schmidt")
     if args.op == "omega":
         val = schmidt.omega_mc(schmidt.XiTypeI(args.x), law, args.samples, seed=args.seed, burn_in=args.burn_in)

@@ -36,9 +36,14 @@ _TINY = 1e-300
 # (docs/sturm_lanes.py); the sites that the float loop turns into Python
 # floats at a time; and the elements (sites times lanes) of the array loop's
 # block of a - x, small enough to stay in cache.
-_FLOAT_LOOP_LANES = 32
+_FLOAT_LOOP_LANES = 20
 _FLOAT_LOOP_CHUNK = 1024
 _ARRAY_BLOCK_ELEMENTS = 2**15
+
+# Lanes whose work in the array loop costs as much per site as the loop's
+# numpy dispatch (about 2-3 us against 2.5-3 ns per lane, docs/sturm_lanes.py),
+# which sets how many bisection steps one sweep looks ahead (_lookahead_levels).
+_LOOKAHEAD_LANES = 1000
 
 
 @dataclass(frozen=True)
@@ -212,16 +217,17 @@ def _sturm_counts(diag: np.ndarray, off: np.ndarray, xs: np.ndarray) -> np.ndarr
     its own loop over Python floats, about 0.12 us per lane and site.
     More lanes share one loop over the sites on arrays.  It takes a - x
     for a block of sites in one subtraction (at most _ARRAY_BLOCK_ELEMENTS
-    elements, so that the block stays in cache), then three ufunc calls
-    per site (divide, subtract, compare), and sums the negative pivots
-    once per block: about 5-7 us per site up to ~300 lanes, bound by numpy
-    dispatch, and about 3 ns per lane and site at 3e4 lanes.  The array
-    loop makes no zero test per site.  It runs with division by zero and
-    invalid operations raising: a zero pivot at site k makes the divide at
-    site k+1 raise (b^2/0, or 0/0 on a zero coupling), and only then are
-    the zero pivots replaced and that divide redone, so every lane sees
-    the operands the float loop's test gives it.  A zero left at the last
-    site is not negative, as its replacement would not be.
+    elements, so that the block stays in cache), turns each row of the
+    block into its site's pivots in place with two ufunc calls (divide,
+    subtract), then compares the whole block with zero once and sums its
+    negative pivots: about 2-3 us per site up to ~300 lanes, bound by
+    numpy dispatch, and about 2.5 ns per lane and site at 3e4 lanes.  The
+    array loop makes no zero test per site.  It runs with division by
+    zero and invalid operations raising: a zero pivot at site k makes the
+    divide at site k+1 raise (b^2/0, or 0/0 on a zero coupling), and only
+    then are the zero pivots replaced and that divide redone, so every
+    lane sees the operands the float loop's test gives it.  A zero left
+    at the last site is not negative, as its replacement would not be.
     """
     diag = np.asarray(diag, dtype=float)
     off = np.asarray(off, dtype=float)
@@ -250,7 +256,7 @@ def _sturm_counts(diag: np.ndarray, off: np.ndarray, xs: np.ndarray) -> np.ndarr
     count = (q < 0.0).astype(np.int64)
     t = np.empty_like(q)
     sites = max(1, min(_ARRAY_BLOCK_ELEMENTS // q.size, n - 1, 255))
-    shifted = np.empty((sites,) + q.shape)
+    pivots = np.empty((sites,) + q.shape)
     negs = np.empty((sites,) + q.shape, dtype=bool)
     # Negative pivots are tallied in bytes, which hold the count of up to
     # 255 sites, and added to count before they could overflow.
@@ -260,15 +266,19 @@ def _sturm_counts(diag: np.ndarray, off: np.ndarray, xs: np.ndarray) -> np.ndarr
     with np.errstate(over="ignore", divide="raise", invalid="raise"):
         for k0 in range(1, n, sites):
             s = min(sites, n - k0)
-            np.subtract(a[k0:k0 + s], xs, out=shifted[:s])
-            for k, a_k, neg in zip(range(k0, k0 + s), shifted, negs):
+            # Each row of the block's a - x becomes that site's pivot in place.
+            np.subtract(a[k0:k0 + s], xs, out=pivots[:s])
+            prev = q
+            for k, row in zip(range(k0, k0 + s), pivots):
                 try:
-                    np.divide(b2[k - 1], q, out=t)
+                    np.divide(b2[k - 1], prev, out=t)
                 except FloatingPointError:
-                    q[q == 0.0] = _TINY
-                    np.divide(b2[k - 1], q, out=t)
-                np.subtract(a_k, t, out=q)
-                np.less(q, 0.0, out=neg)
+                    prev[prev == 0.0] = _TINY
+                    np.divide(b2[k - 1], prev, out=t)
+                np.subtract(row, t, out=row)
+                prev = row
+            q[...] = prev
+            np.less(pivots[:s], 0.0, out=negs[:s])
             if held + s > 255:
                 count += tally
                 tally.fill(0)
@@ -320,12 +330,16 @@ def eigenvalues_many(
     `tol` and `ranks` are shared by every matrix; `bounds`, if given, is
     one (lo, hi) bracket per matrix.  Each matrix gets the bracket, the
     default tol (1e-12 of its bracket width, at least 1e-12) and the
-    iteration count that a call on it alone would get.  Every bisection
-    step probes the midpoints of all unfinished matrices in one Sturm
-    sweep of shape (R, m); a matrix leaves the sweep once its widest
-    bracket is within its tol or it has run its iterations.  The kernel's
-    row counts equal one-matrix counts, so every value is bitwise that of
-    the one-matrix call.
+    iteration count that a call on it alone would get.  Each Sturm sweep
+    probes every distinct bracket of the unfinished matrices (ranks still
+    sharing one probe it once) at the dyadic midpoints of the next k
+    bisection steps, k from _lookahead_levels, and the steps are then
+    replayed rank by rank from those counts; a matrix leaves once its
+    widest bracket is within its tol or it has run its iterations,
+    checked after every replayed step.  A replayed midpoint is the probe
+    the plain one-step loop would make, and the kernel's row counts equal
+    one-matrix counts, so every value is bitwise that of one step per
+    sweep and of the one-matrix call.
 
     Ranks outside 1..n or not strictly ascending, and a bracket that does
     not hold the wanted ranks (checked by one Sturm count at its ends),
@@ -383,24 +397,73 @@ def eigenvalues_many(
     hi = np.repeat(np.array(his)[:, None], want.size, axis=1)
     row_tol, n_iter = np.array(tols), np.array(n_iters)
     out: list[Spectrum | None] = [None] * len(ts)
-    # Bisection on the counting function: the k-th smallest eigenvalue is
-    # below mid exactly when count_below(mid) >= k.
-    for step in range(1, max(n_iters) + 1):
-        mid = 0.5 * (lo + hi)
-        c = _sturm_counts(diag, off, mid)
-        take = c >= want
-        hi = np.where(take, mid, hi)
-        lo = np.where(take, lo, mid)
-        stop = (np.max(hi - lo, axis=1) <= row_tol) | (step >= n_iter)
-        if stop.any():
-            for i in np.flatnonzero(stop):
-                out[rows[i]] = Spectrum(0.5 * (lo[i] + hi[i]), tol=tols[rows[i]])
-            keep = ~stop
-            rows, diag, off, lo, hi, row_tol, n_iter = (
-                a[keep] for a in (rows, diag, off, lo, hi, row_tol, n_iter))
-            if not rows.size:
-                break
+    step = 0
+    while rows.size:
+        # Ranks of a row that share a bracket sit next to each other (the
+        # counting function is monotone); number its distinct brackets.
+        # Short rows repeat their last bracket up to the longest.
+        group = np.zeros(lo.shape, dtype=np.intp)
+        np.cumsum((lo[:, 1:] != lo[:, :-1]) | (hi[:, 1:] != hi[:, :-1]), axis=1, out=group[:, 1:])
+        r = np.arange(rows.size)[:, None]
+        width = int(group[:, -1].max()) + 1
+        node_lo = np.repeat(lo[:, -1:], width, axis=1)
+        node_hi = np.repeat(hi[:, -1:], width, axis=1)
+        node_lo[r, group] = lo
+        node_hi[r, group] = hi
+        levels = _lookahead_levels(node_lo.size, int(n_iter.max()) - step)
+        # Probe the dyadic midpoints of the next `levels` steps of every
+        # distinct bracket in one sweep: a heap per bracket, node h of
+        # which splits into nodes 2h + 1 and 2h + 2, built level by level.
+        node_lo, node_hi = node_lo[:, :, None], node_hi[:, :, None]
+        probes = [0.5 * (node_lo + node_hi)]
+        for _ in range(levels - 1):
+            mid = probes[-1]
+            node_lo = np.stack([node_lo, mid], axis=-1).reshape(rows.size, width, -1)
+            node_hi = np.stack([mid, node_hi], axis=-1).reshape(rows.size, width, -1)
+            probes.append(0.5 * (node_lo + node_hi))
+        counts = _sturm_counts(diag, off, np.concatenate(probes, axis=2).reshape(rows.size, -1))
+        counts = counts.reshape(rows.size, width, -1)
+        # Replay plain bisection on those counts: a rank's bracket is the
+        # heap node it has reached, so its midpoint is that node's probe,
+        # bit for bit.  The k-th smallest eigenvalue is below mid exactly
+        # when count_below(mid) >= k.
+        node = np.zeros(lo.shape, dtype=np.intp)
+        for _ in range(levels):
+            step += 1
+            mid = 0.5 * (lo + hi)
+            take = counts[r, group, node] >= want
+            hi = np.where(take, mid, hi)
+            lo = np.where(take, lo, mid)
+            node = 2 * node + 2 - take
+            stop = (np.max(hi - lo, axis=1) <= row_tol) | (step >= n_iter)
+            if stop.any():
+                for i in np.flatnonzero(stop):
+                    out[rows[i]] = Spectrum(0.5 * (lo[i] + hi[i]), tol=tols[rows[i]])
+                keep = ~stop
+                rows, diag, off, lo, hi, row_tol, n_iter, group, node, counts = (
+                    a[keep] for a in (rows, diag, off, lo, hi, row_tol, n_iter, group, node, counts))
+                r = r[:rows.size]
+                if not rows.size:
+                    break
     return out
+
+
+def _lookahead_levels(lanes: int, left: int) -> int:
+    """Bisection steps per Sturm sweep for `lanes` distinct brackets, at most `left`.
+
+    k steps probe lanes * (2^k - 1) midpoints in one sweep.  A sweep of m
+    lanes costs, per site and in units of the array loop's cost per
+    lane, _LOOKAHEAD_LANES + m in the array loop and m * _LOOKAHEAD_LANES
+    / _FLOAT_LOOP_LANES in the float loop; the kernel takes the cheaper.
+    The k returned makes the most steps per unit of that cost.  It is at
+    most log2(_LOOKAHEAD_LANES) + 1: past that, one more level's probes
+    cost more than the dispatch of the sweep they save.
+    """
+    def steps_per_cost(k: int) -> float:
+        m = lanes * (2**k - 1)
+        return k / min(_LOOKAHEAD_LANES + m, m * _LOOKAHEAD_LANES / _FLOAT_LOOP_LANES)
+
+    return max(range(1, min(left, _LOOKAHEAD_LANES.bit_length()) + 1), key=steps_per_cost)
 
 
 def tracelog_check(lam: AntisymTridiag, x: float, m_terms: int) -> tuple[float, float]:

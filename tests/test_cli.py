@@ -226,6 +226,17 @@ def test_schmidt_degenerate_runs_are_usage_errors(tmp_path, capsys, argv):
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("kind", ["xi", "ratio2"])
+def test_schmidt_density_without_grid_is_usage_error(tmp_path, capsys, kind):
+    # The density iteration starts from the grid; without one it died with
+    # an AttributeError traceback and exit 1.
+    argv = ["schmidt", "--op", "density", "--kind", kind, "--law", "gamma:1:1", "--x", "1", "--iters", "3"]
+    assert run([*argv, "--out", str(tmp_path)]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert "--grid" in captured.err and not captured.out
+    assert not list(tmp_path.iterdir())
+
+
 @pytest.mark.parametrize("flags", [["--alpha", "1", "--kappa", "nan"], ["--alpha", "1", "--kappa", "inf"],
                                    ["--alpha", "nan", "--kappa", "1"], ["--alpha", "inf", "--kappa", "1"]])
 def test_exact_nonfinite_parameters_are_usage_errors(tmp_path, capsys, flags):

@@ -116,16 +116,20 @@ def _lanes(diag, probes):
 def _both_shapes(diag, off, probes):
     """Kernel counts from the float loop, checked against the array loop.
 
-    The probes given are few enough for the per-lane float loop; tiled
-    along their last axis past _FLOAT_LOOP_LANES they force the array
-    loop, whose counts must be the same tiles, also when its blocks of
-    sites are 1, 2 or 3 sites long, so that pivots (zero ones included)
-    cross block boundaries.  The float loop must also give the same
-    counts when its site chunks are short, so that pivots cross chunk
-    boundaries.
+    The probes given run through the per-lane float loop (its lane
+    threshold raised to theirs if need be); tiled along their last axis
+    past _FLOAT_LOOP_LANES they force the array loop, whose counts must be
+    the same tiles, also when its blocks of sites are 1, 2 or 3 sites
+    long, so that pivots (zero ones included) cross block boundaries.  The
+    float loop must also give the same counts when its site chunks are
+    short, so that pivots cross chunk boundaries.
     """
-    assert _lanes(diag, probes) <= tridiag._FLOAT_LOOP_LANES
-    counts = tridiag._sturm_counts(diag, off, probes)
+    float_lanes = tridiag._FLOAT_LOOP_LANES
+    try:
+        tridiag._FLOAT_LOOP_LANES = max(float_lanes, _lanes(diag, probes))
+        counts = tridiag._sturm_counts(diag, off, probes)
+    finally:
+        tridiag._FLOAT_LOOP_LANES = float_lanes
     reps = tridiag._FLOAT_LOOP_LANES // probes.shape[-1] + 1
     tiled = np.tile(probes, reps)
     assert np.array_equal(tridiag._sturm_counts(diag, off, tiled), np.tile(counts, reps))
@@ -139,9 +143,11 @@ def _both_shapes(diag, off, probes):
     chunk = tridiag._FLOAT_LOOP_CHUNK
     try:
         tridiag._FLOAT_LOOP_CHUNK = 3
+        tridiag._FLOAT_LOOP_LANES = max(float_lanes, _lanes(diag, probes))
         assert np.array_equal(tridiag._sturm_counts(diag, off, probes), counts)
     finally:
         tridiag._FLOAT_LOOP_CHUNK = chunk
+        tridiag._FLOAT_LOOP_LANES = float_lanes
     return counts
 
 
@@ -396,10 +402,9 @@ def _wide_batch(r, n, tol):
 
 @settings(max_examples=150, deadline=None)
 @given(batch=_bisection_batches())
-# Full spectra with R * m on either side of _FLOAT_LOOP_LANES = 32 while
-# each row alone stays within it (24 and 12 lanes a row), or with rows that
-# take the array loop alone too (48 and 40); and a tol that only the cap
-# can meet.
+# Full spectra of 2 or 3 rows of 12 to 48 sites, whose sweeps cross
+# _FLOAT_LOOP_LANES as the ranks' brackets come apart, batched and alone;
+# and a tol that only the cap can meet.
 @example(batch=_wide_batch(2, 48, None))
 @example(batch=_wide_batch(3, 40, None))
 @example(batch=_wide_batch(2, 24, None))
@@ -416,6 +421,93 @@ def test_batched_bisection_rows_equal_single_calls_bitwise(batch):
         want = ev if ranks is None else ev[ranks - 1]
         slack = got[i].tol + 1e-10 * max(float(np.max(np.abs(ev))), np.max(np.abs(t.off), initial=0.0), 1e-300)
         assert np.all(np.abs(got[i].values - want) <= slack)
+
+
+def _one_level_bisection(t, tol=None, ranks=None, bounds=None):
+    """Plain Sturm bisection of one matrix, one sweep per step: (values, tol)."""
+    lo0, hi0 = t.gershgorin() if bounds is None else (float(bounds[0]), float(bounds[1]))
+    diameter = max(hi0 - lo0, 1.0)
+    row_tol = 1e-12 * diameter if tol is None else tol
+    lo, hi = lo0 - 1e-12 * diameter - 1e-300, hi0 + 1e-12 * diameter
+    n_iter = max(int(math.ceil(math.log2((hi - lo) / row_tol))) + 2, 8)
+    want = np.arange(1, t.n + 1) if ranks is None else np.asarray(ranks)
+    lo, hi = np.full(want.size, lo), np.full(want.size, hi)
+    for _ in range(n_iter):
+        mid = 0.5 * (lo + hi)
+        take = tridiag._sturm_counts(t.diag, t.off, mid) >= want
+        hi = np.where(take, mid, hi)
+        lo = np.where(take, lo, mid)
+        if np.max(hi - lo) <= row_tol:
+            break
+    return 0.5 * (lo + hi), row_tol
+
+
+@st.composite
+def _degenerate_batches(draw):
+    """Zero couplings between few diagonal values: repeated eigenvalues, whose ranks share a bracket to the end."""
+    r = draw(st.integers(1, 4))
+    n = draw(st.integers(2, 40))
+    diag = draw(hnp.arrays(float, (r, n), elements=st.sampled_from([-1.0, 0.0, 0.5, 2.0])))
+    off = draw(hnp.arrays(float, (r, n - 1), elements=st.sampled_from([0.0, 0.0, 0.0, 1.0])))
+    ranks = None
+    if draw(st.booleans()):
+        ranks = np.array(sorted(draw(st.sets(st.integers(1, n), min_size=1))))
+    tol = draw(st.none() | st.just(1e-17))
+    return [SymTridiag(diag[i], off[i]) for i in range(r)], tol, ranks, None
+
+
+@settings(max_examples=150, deadline=None)
+@given(batch=_bisection_batches() | _degenerate_batches(), lookahead=st.sampled_from([None, 30, 5000]))
+@example(batch=_wide_batch(3, 12, 1e-17), lookahead=None)
+@example(batch=_wide_batch(3, 40, None), lookahead=None)
+@example(batch=([SymTridiag(np.r_[np.zeros(20), np.ones(20)], np.zeros(39))] * 2, None, None, None), lookahead=None)
+# An eigenvalue at exactly 2.0, where probes computed as lo + (hi - lo) / 2
+# instead of the plain loop's (lo + hi) / 2 change a count and a value.
+@example(batch=([SymTridiag(np.array([2.0, 2.0, 2.0, 0.0]), np.array([1.0, 1.0, 0.0]))], None, None, None),
+         lookahead=None)
+def test_lookahead_bisection_equals_one_level_loop_bitwise(batch, lookahead):
+    # Each sweep probes the dyadic midpoints of several steps ahead and
+    # replays the steps from their counts; every value, and the step at
+    # which each row stops, must be those of the plain loop.  The batch
+    # and its matrices one at a time look ahead by different numbers of
+    # steps, and so do other values of _LOOKAHEAD_LANES.
+    ts, tol, ranks, bounds = batch
+    want = [_one_level_bisection(t, tol, ranks, None if bounds is None else bounds[i]) for i, t in enumerate(ts)]
+    lanes = tridiag._LOOKAHEAD_LANES
+    try:
+        tridiag._LOOKAHEAD_LANES = lanes if lookahead is None else lookahead
+        got = eigenvalues_many(ts, tol, ranks, bounds)
+        alone = [eigenvalues_many([t], tol, ranks, None if bounds is None else [bounds[i]])[0]
+                 for i, t in enumerate(ts)]
+    finally:
+        tridiag._LOOKAHEAD_LANES = lanes
+    for (values, row_tol), batched, single in zip(want, got, alone):
+        for spectrum in (batched, single):
+            assert np.array_equal(spectrum.values.view(np.int64), values.view(np.int64))
+            assert spectrum.tol == row_tol
+
+
+def test_rank_restricted_bisection_takes_few_sweeps(monkeypatch):
+    # 40 of 401 ranks: the early sweeps look ahead through the brackets
+    # the ranks still share, so there are at most half as many sweeps as
+    # the one-step loop makes (one per bisection step, at most n_iter), and
+    # every value is the one-step loop's.
+    rng = np.random.default_rng(31)
+    t = SymTridiag(rng.normal(size=401), rng.uniform(0.2, 1.5, 400))
+    ranks = np.sort(rng.choice(np.arange(1, 402), size=40, replace=False))
+    kernel, sweeps = tridiag._sturm_counts, []
+
+    def counted(*args):
+        sweeps.append(args)
+        return kernel(*args)
+
+    monkeypatch.setattr(tridiag, "_sturm_counts", counted)
+    values, _ = _one_level_bisection(t, ranks=ranks)
+    steps = len(sweeps)
+    sweeps.clear()
+    got = eigenvalues(t, ranks=ranks)
+    assert np.array_equal(got.values.view(np.int64), values.view(np.int64))
+    assert len(sweeps) <= steps // 2
 
 
 def test_batched_bisection_validation():
