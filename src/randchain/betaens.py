@@ -142,10 +142,10 @@ def con_density(c: float, mu):
 def con_cdf_grid(c: float, mus: np.ndarray) -> np.ndarray:
     """Distribution function of con_density on an ascending grid.
 
-    The mass below min(mus[0], 1e-4) uses the closed small-argument form
-    (the density diverges like 1/(mu log^2 mu) there, so plain quadrature
-    from zero would converge only logarithmically); one sweep along the
-    cut carries the rest.
+    The density diverges like 1/(mu log^2 mu) at zero, so quadrature from
+    zero would converge only logarithmically; instead one sweep along the
+    cut carries the mass from its exact value at the sweep's anchor
+    (specfun.whittaker_cdf).
     """
     return whittaker_cdf(c, mus)
 

@@ -156,12 +156,16 @@ class _Outputs:
 def cmd_pure(args) -> int:
     what = args.what
     if args.x is not None:
+        if not args.x >= 0:
+            raise UsageError("pure takes x >= 0")
         print(f"{getattr(exact.pure_chain(args.x), what):.12g}")
         return EXIT_OK
     if args.grid is None:
         print("pure needs --x or --grid", file=sys.stderr)
         return EXIT_USAGE
     xs = parse_grid(args.grid)
+    if not np.all(xs >= 0):
+        raise UsageError("pure takes x >= 0")
     col = np.array([getattr(exact.pure_chain(float(x)), what) for x in xs])
     name = {"xi": "xi", "omega": "Omega", "dos": "D", "idos": "M"}[what]
     out = _Outputs(args, "pure")
@@ -176,6 +180,8 @@ def cmd_exact(args) -> int:
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     xs = parse_grid(args.grid)
+    if not np.all(xs > 0):
+        raise UsageError("exact takes x > 0")
     out = _Outputs(args, "exact")
     if args.what == "omega":
         out.csv("omega", ["x", "Omega"], [xs, np.array([exact.omega_exact(p, float(x)) for x in xs])])

@@ -18,7 +18,9 @@ For kappa x up to 100 a second route takes a whole grid at once and
 any alpha: an ensemble matrix at beta = 2c/N is a Dyson chain whose
 gamma shape falls linearly from c to 0, so Dyson's M and D are
 c-derivatives of the ensemble's Whittaker law, carried through one
-sweep along its cut (docs/DECISIONS.md, D4).
+sweep along its cut (docs/DECISIONS.md, D4).  The sweep starts from the
+law's exact mass at its anchor, so Dyson's singular head at small x
+needs no closed form on this route; dyson_head gives it separately.
 
 The module also carries the closed forms of the chain without disorder,
 the large-alpha corrections to its integrated density of states, the
@@ -282,18 +284,13 @@ def _idos_contour(p: GammaChainParams, x: float) -> float:
     return 1.0 - _continued_omega(p, x).imag / math.pi
 
 
-# Below this kappa x the closed form dyson_head carries M (relative error
-# below 1e-7 there).
-_DYSON_HEAD_MU = 1e-8
-
-
 def dyson_head(p: GammaChainParams, x: float) -> float:
     """Dyson's singular head M(x) ~ psi'(alpha) / ((log kappa x + psi(alpha) + 2 gamma_E)^2 + pi^2).
 
     The c-derivative at c = alpha of the beta = c/N ensemble's head mass
     (1/pi) (atan((log mu + psi(c) + 2 gamma_E) / pi) + pi/2) at mu = kappa x
     (ledger D4).  The relative error is about 1e-3 at x = 1e-4, 1e-5 at
-    1e-6 and 1e-7 at 1e-8.
+    1e-6 and 1e-7 at 1e-8.  idos_exact does not use it.
     """
     if not x > 0:
         raise ValueError("x must be positive")
@@ -316,18 +313,13 @@ def _dyson_whittaker(p: GammaChainParams, xs: np.ndarray, idos: bool) -> np.ndar
     """M or D at xs from one c-derivative sweep of the Whittaker law (ledger D4).
 
     M_{alpha,kappa}(x) = d/dc [c F_c(kappa x)] and
-    D_{alpha,kappa}(x) = kappa d/dc [c D_c(kappa x)] at c = alpha; below
-    min(kappa x, 1e-8) the head of M is dyson_head.
+    D_{alpha,kappa}(x) = kappa d/dc [c D_c(kappa x)] at c = alpha.  The
+    sweep starts M from its exact value at its anchor, however small
+    kappa x is, so no closed form of the head is spliced in.
     """
     points, where = np.unique(xs, return_inverse=True)
-    mus = p.rate * points
-    if idos:
-        mu_head = min(float(mus[0]), _DYSON_HEAD_MU)
-        _, mass = whittaker_dc(p.alpha, np.concatenate([[mu_head], mus]) if mus[0] > mu_head else mus)
-        vals = dyson_head(p, mu_head / p.rate) + mass[-mus.size :]
-    else:
-        dens, _ = whittaker_dc(p.alpha, mus)
-        vals = p.rate * dens
+    dens, mass = whittaker_dc(p.alpha, p.rate * points)
+    vals = mass if idos else p.rate * dens
     return vals[where].reshape(xs.shape)
 
 
@@ -337,11 +329,11 @@ def idos_exact(p: GammaChainParams, x):
     x is a scalar (a float is returned) or an array (an array of the same
     shape is returned).  For kappa max(x) <= WHITTAKER_MU_MAX the whole
     grid comes from one c-derivative sweep of the Whittaker law, at any
-    alpha > 0; otherwise each point comes from the imaginary part of the
-    contour-continued Omega, which needs integer alpha (ValueError for
-    any other).  The result is clamped to
-    [0, 1] and the clamp magnitude logged, since either route can stray
-    past the ends by its discretisation error.
+    alpha > 0 and any x > 0, the singular head included; otherwise each
+    point comes from the imaginary part of the contour-continued Omega,
+    which needs integer alpha (ValueError for any other).  The result is
+    clamped to [0, 1] and the clamp magnitude logged, since either route
+    can stray past the ends by its discretisation error.
     """
     xs = _points(x, "x")
     if _whittaker_route(p, xs):

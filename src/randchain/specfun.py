@@ -8,6 +8,7 @@ scipy's initial value solver.
 
 from __future__ import annotations
 
+import cmath
 import math
 
 import numpy as np
@@ -110,8 +111,6 @@ class WhittakerError(ArithmeticError):
 WHITTAKER_MU_MAX = 100.0
 _WHITTAKER_RTOL = 1e-10
 _WHITTAKER_ATOL = 1e-12
-# Below this argument the closed small-argument form carries the mass.
-_WHITTAKER_HEAD_MU = 1e-4
 # Terms of the anchor series; at c mu <= 1 they fall like 1/k!.
 _WHITTAKER_TERMS = 30
 
@@ -151,10 +150,15 @@ def _whittaker_lip(c: float, mus: np.ndarray, dc: bool = False) -> np.ndarray:
     two real solutions from the anchor at min(mus[0], 1/max(c, 1)).
     Upward in s the wanted solution grows like e^{mu/2} and every other
     one decays relative to it, so errors do not grow.  The states are
-    Re V, Im V, their s-derivatives and G = int ds / |V|^2, which is c
-    times the mass of D.  With dc five more carry their kappa-derivatives:
-    U = dV/dkappa obeys U_ss = mu (mu/4 + kappa) U + mu V, and dG/dkappa
-    grows at the rate -2 V.U / |V|^4.
+    Re V, Im V, their s-derivatives and G = c F_c, c times the mass of D
+    below mu.  Re V and Im V have Wronskian -pi, so G = -arg V / pi: at
+    the anchor, where G < 1, that is the principal arg, and upward G
+    grows at the rate 1/|V|^2.  With dc five more carry their
+    kappa-derivatives: U = dV/dkappa obeys U_ss = mu (mu/4 + kappa) U + mu V,
+    and dG/dkappa starts at -Im(U/V) / pi and grows at the rate
+    -2 V.U / |V|^4.  The anchor values of G and dG/dkappa are added after
+    the solve, so the solver sees the same states, and takes the same
+    steps, as when they start at zero.
     """
     # Most commands never need scipy.integrate, and importing it costs about 0.36 s.
     from scipy.integrate import solve_ivp
@@ -165,8 +169,6 @@ def _whittaker_lip(c: float, mus: np.ndarray, dc: bool = False) -> np.ndarray:
     y0 = []
     for v, dv in zip(start[0::2], start[1::2]):
         y0 += [v.real, v.imag, dv.real, dv.imag, 0.0]
-    if s_eval[-1] == s_anchor:  # one point, at the anchor
-        return np.array(y0)[:, None]
 
     def rhs(s, y):
         mu = math.exp(s)
@@ -178,18 +180,25 @@ def _whittaker_lip(c: float, mus: np.ndarray, dc: bool = False) -> np.ndarray:
             out += [y[7], y[8], q * y[5] + mu * y[0], q * y[6] + mu * y[1], -2.0 * vu / (r2 * r2)]
         return out
 
-    sol = solve_ivp(
-        rhs,
-        (s_anchor, float(s_eval[-1])),
-        y0,
-        method="DOP853",
-        t_eval=s_eval,
-        rtol=_WHITTAKER_RTOL,
-        atol=_WHITTAKER_ATOL,
-    )
-    if not sol.success:
-        raise WhittakerError(f"Whittaker sweep failed: {sol.message}")
-    return sol.y
+    if s_eval[-1] == s_anchor:  # one point, at the anchor
+        y = np.array(y0)[:, None]
+    else:
+        sol = solve_ivp(
+            rhs,
+            (s_anchor, float(s_eval[-1])),
+            y0,
+            method="DOP853",
+            t_eval=s_eval,
+            rtol=_WHITTAKER_RTOL,
+            atol=_WHITTAKER_ATOL,
+        )
+        if not sol.success:
+            raise WhittakerError(f"Whittaker sweep failed: {sol.message}")
+        y = sol.y
+    y[4] -= cmath.phase(start[0]) / math.pi
+    if dc:
+        y[9] -= (start[2] / start[0]).imag / math.pi
+    return y
 
 
 def _scaled_msq(c: float, mu) -> np.ndarray:
@@ -225,17 +234,6 @@ def whittaker_msq(c: float, mu):
     return _as_result(msq)
 
 
-def _whittaker_head_mass(c: float, mu: float) -> float:
-    """Mass of D below a small mu from D ~ (1/c) / (mu ((log mu + C)^2 + pi^2)).
-
-    C = psi(c) + 2 gamma.  The logarithmic divergence at mu -> 0 makes
-    quadrature from zero hopeless (the mass below mu decays only like
-    1/|log mu|), so this closed form carries it.
-    """
-    const = psi(c) + 2.0 * np.euler_gamma
-    return (1.0 / (c * math.pi)) * (math.atan((math.log(mu) + const) / math.pi) + math.pi / 2.0)
-
-
 def _ascending_grid(c: float, mus) -> np.ndarray:
     if not (c > 0):
         raise ValueError("c must be positive")
@@ -250,47 +248,42 @@ def _ascending_grid(c: float, mus) -> np.ndarray:
 def whittaker_cdf(c: float, mus) -> np.ndarray:
     """Distribution function of D(mu) = 1/(Gamma(c) Gamma(c+1) |W_{-c+1/2,0}(-mu)|^2).
 
-    mus is an ascending grid in (0, 100].  The mass below
-    min(mus[0], 1e-4) comes from the small-argument closed form, which is
-    no longer accurate above 1e-4; one lip sweep carries the rest.
+    mus is an ascending grid in (0, 100].  One lip sweep carries c times
+    the mass, from its exact value -arg V / pi at the anchor: no closed
+    form of the singular head below the grid is spliced in.
     """
-    mus = _ascending_grid(c, mus)
-    mu_head = min(float(mus[0]), _WHITTAKER_HEAD_MU)
-    y = _whittaker_lip(c, np.concatenate([[mu_head], mus]) if mus[0] > mu_head else mus)
-    mass = (y[4] - y[4][0]) / c
-    return _whittaker_head_mass(c, mu_head) + mass[-mus.size :]
+    return _whittaker_lip(c, _ascending_grid(c, mus))[4] / c
 
 
 def whittaker_dc(c: float, mus) -> tuple[np.ndarray, np.ndarray]:
-    """c-derivatives of c D_c(mu) and of c times the mass of D_c from mus[0] to mu.
+    """c-derivatives of c D_c(mu) and of c F_c(mu), c times the mass of D_c below mu.
 
     D_c(mu) = 1/(Gamma(c) Gamma(c+1) |W_{-c+1/2,0}(-mu)|^2) on an ascending
     grid in (0, 100], as for whittaker_cdf.  One lip sweep carries the
     five states of whittaker_cdf and their kappa-derivatives
     (kappa = 1/2 - c), so no step in c is taken.  With c D_c = 1/(mu |V|^2)
-    and c times the mass = G, d/dc = -d/dkappa gives
-    d/dc (c D_c) = 2 V.U / (mu |V|^4), V.U = Re(conj(V) U).
+    and c F_c = G, d/dc = -d/dkappa gives
+    d/dc (c D_c) = 2 V.U / (mu |V|^4), V.U = Re(conj(V) U), and
+    d/dc (c F_c) = -dG/dkappa, which starts at Im(U/V) / pi at the anchor.
     """
     mus = _ascending_grid(c, mus)
     y = _whittaker_lip(c, mus, dc=True)
     re, im, ure, uim = y[0], y[1], y[5], y[6]
     r2 = re * re + im * im
     dens = 2.0 * (re * ure + im * uim) / (mus * r2 * r2)
-    mass = -(y[9] - y[9][0])
-    return dens, mass
+    return dens, -y[9]
 
 
 def whittaker_density_mass(c: float, cut: float = 60.0) -> float:
     """Total mass of D(mu) = 1/(Gamma(c) Gamma(c+1) |W_{-c+1/2,0}(-mu)|^2).
 
-    The head below 1e-5 is summed with the closed form of the
-    small-argument law, the body up to cut by one lip sweep, and the tail
-    from the exponential asymptotics, which hold only well past the
-    turning point mu = 4c - 2: a cut below 8c is refused.
+    The mass below cut is whittaker_cdf at cut, from one lip sweep, and
+    the tail comes from the exponential asymptotics, which hold only well
+    past the turning point mu = 4c - 2: a cut below 8c is refused.
     """
     if not cut >= 8.0 * c:
         raise ValueError(f"cut must be at least 8c = {8.0 * c:g}")
-    below_cut = whittaker_cdf(c, np.array([1e-5, cut]))[-1]
+    below_cut = whittaker_cdf(c, np.array([cut]))[-1]
     # Tail: |W|^2 ~ e^{mu} mu^{1-2c}, so D ~ mu^{2c-1} e^{-mu} / (Gamma(c) Gamma(c+1)).
     norm = math.exp(math.lgamma(2.0 * c) - math.lgamma(c) - math.lgamma(c + 1.0))
     return float(below_cut) + norm * float(gammaincc(2.0 * c, cut))

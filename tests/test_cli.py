@@ -95,6 +95,18 @@ def test_schmidt_nodefrac_negative_omega_sq_is_usage_error(tmp_path, capsys, whe
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("argv", [
+    *(["exact", "--alpha", "1", "--kappa", "1", "--what", what, "--grid=-1:1:3"] for what in ("idos", "dos", "omega")),
+    ["exact", "--alpha", "1", "--kappa", "1", "--grid", "0:1:3"],
+    ["pure", "--what", "idos", "--grid=-1:1:3"],
+    ["pure", "--x", "-1"],
+])
+def test_out_of_domain_grid_is_usage_error(tmp_path, capsys, argv):
+    assert run([*argv, "--out", str(tmp_path)]) == EXIT_USAGE
+    assert "usage error" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
 def test_nodefrac_grid_matches_pointwise_node_fractions(tmp_path):
     # One chain counted at every grid point writes what one call per
     # point writes: each call redraws the same chain from the seed.

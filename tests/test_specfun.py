@@ -216,6 +216,27 @@ def test_whittaker_cdf_increments_match_quadrature():
     np.testing.assert_allclose(np.diff(sf.whittaker_cdf(c, grid)), steps, rtol=1e-8, atol=1e-12)
 
 
+@pytest.mark.parametrize("c", [0.5, 1.0, 2.0, 10.0])
+def test_whittaker_cdf_matches_mpmath_phase(c):
+    # Oracle: c F_c(mu) = -arg(Gamma(c) U(c, 1, -mu + i0)) / pi, since Re V
+    # and Im V have Wronskian -pi.  The principal arg wraps once c F_c
+    # passes 1, so the phase is unwrapped along a path on which no step
+    # turns it by as much as pi/2.  Unlike the increments above, this sees
+    # the mass below the grid's first point.
+    mus = np.geomspace(1e-4, 20.0, 9)
+    path = np.union1d(mus, np.linspace(0.25, 20.0, 80))
+    with mpmath.workdps(30):
+        args = [float(mpmath.arg(mpmath.gamma(c) * mpmath.hyperu(c, 1, mpmath.mpc(-m, 1e-25)))) for m in path]
+    phase = np.unwrap(args)
+    assert np.all(np.abs(np.diff(phase)) < 0.5 * math.pi)
+    ref = -phase[np.searchsorted(path, mus)] / (c * math.pi)
+    np.testing.assert_allclose(sf.whittaker_cdf(c, mus), ref, rtol=0, atol=1e-9)
+
+
+def test_whittaker_density_mass_is_one_to_nine_digits():
+    assert abs(sf.whittaker_density_mass(1.0, cut=30.0) - 1.0) <= 1e-9
+
+
 # ----------------------------------------------------------------------
 # samplers
 # ----------------------------------------------------------------------
@@ -267,8 +288,7 @@ def test_whittaker_dc_matches_central_difference(c):
         return cc / (math.gamma(cc) * math.gamma(cc + 1.0) * sf.whittaker_msq(cc, mus))
 
     def c_mass(cc):
-        f = sf.whittaker_cdf(cc, mus)
-        return cc * (f - f[0])
+        return cc * sf.whittaker_cdf(cc, mus)
 
     dens, mass = sf.whittaker_dc(c, mus)
     np.testing.assert_allclose(dens, (c_dens(c + h) - c_dens(c - h)) / (2 * h), rtol=1e-6, atol=0)
