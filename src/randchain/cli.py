@@ -401,7 +401,10 @@ def _selftest_checks():
         xs = np.array([0.01, 1.0, 3.5])
         contour = np.array([exact._idos_contour(p, float(x)) for x in xs])
         gap = float(np.max(np.abs(exact.idos_exact(p, xs) - contour)))
-        return gap < 1e-6, f"max |M_whittaker - M_contour| {gap:.1e}"
+        contour_g = np.array([exact._lyapunov_contour(p, float(x)) for x in xs])
+        gap_g = float(np.max(np.abs(exact.lyapunov_exact(p, xs) - contour_g)))
+        ok = max(gap, gap_g) < 1e-6
+        return ok, f"max |M_whittaker - M_contour| {gap:.1e}, |gamma_whittaker - gamma_contour| {gap_g:.1e}"
 
     def lyapunov_pure():
         est = lyapunov.transfer_lyapunov(chain.TYPE_II, chain.Constant(1.0), 6.0, 100000, seed=2)

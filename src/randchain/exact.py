@@ -18,14 +18,18 @@ For kappa x up to 100 a second route takes a whole grid at once and
 any alpha: an ensemble matrix at beta = 2c/N is a Dyson chain whose
 gamma shape falls linearly from c to 0, so Dyson's M and D are
 c-derivatives of the ensemble's Whittaker law, carried through one
-sweep along its cut (docs/DECISIONS.md, D4).  The sweep starts from the
-law's exact mass at its anchor, so Dyson's singular head at small x
-needs no closed form on this route; dyson_head gives it separately.
+sweep along its cut (docs/DECISIONS.md, D4).  With Lambda = U/V, the
+sweep's log-derivative at mu = kappa x, M = Im Lambda / pi and the
+Lyapunov exponent at omega^2 = x is Re Lambda / 2 (D7).  M follows from
+the phase of V, which the anchor knows exactly, so Dyson's singular head
+needs no closed form; dyson_head gives it separately.  idos_exact,
+dos_exact and lyapunov_exact all take this route up to kappa x = 100
+and the contour (integer alpha) beyond.
 
 The module also carries the closed forms of the chain without disorder,
-the large-alpha corrections to its integrated density of states, the
-Lyapunov exponent from the real part of the continued Omega, and the
-band-interior coefficient of its 1/alpha expansion.
+the large-alpha corrections to its integrated density of states, and
+the band-interior coefficient of the 1/alpha expansion of the Lyapunov
+exponent.
 """
 
 from __future__ import annotations
@@ -38,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import polygamma, psi
 
-from .specfun import WHITTAKER_MU_MAX, _as_result, whittaker_dc
+from .specfun import WHITTAKER_MU_MAX, _as_result, _whittaker_lambda, whittaker_dc
 
 __all__ = [
     "GammaChainParams",
@@ -186,7 +190,7 @@ def _contour_nodes(alpha: int, kx: float, stretch: float = 1.0) -> list[complex]
     disc = 4.0 * alpha / kx  # saddle discriminant: complex saddle iff disc > 1
     drop = 45.0 + 5.0 * math.log1p(alpha)
     if disc > 1.04:
-        eta = 0.5 * complex(-1.0, math.sqrt(disc - 1.0))
+        eta = saddle_point(kx / alpha)
         phi2 = abs(-alpha / eta**2 + alpha / (1.0 + eta) ** 2)
         leg = stretch * min(math.sqrt(2.0 * drop / max(phi2, 1e-12)), 60.0 / kx + 6.0)
         mid = eta + leg * cmath.exp(3j * math.pi / 4.0)
@@ -284,6 +288,11 @@ def _idos_contour(p: GammaChainParams, x: float) -> float:
     return 1.0 - _continued_omega(p, x).imag / math.pi
 
 
+def _lyapunov_contour(p: GammaChainParams, omega_sq: float) -> float:
+    """gamma = (Re Omega(-1/omega^2 + i0) + log omega^2 - psi(alpha) + log rate) / 2 on the contour route."""
+    return 0.5 * (_continued_omega(p, omega_sq).real + math.log(omega_sq) - float(psi(p.alpha)) + math.log(p.rate))
+
+
 def dyson_head(p: GammaChainParams, x: float) -> float:
     """Dyson's singular head M(x) ~ psi'(alpha) / ((log kappa x + psi(alpha) + 2 gamma_E)^2 + pi^2).
 
@@ -309,17 +318,19 @@ def _whittaker_route(p: GammaChainParams, xs: np.ndarray) -> bool:
     return p.rate * float(np.max(xs)) <= WHITTAKER_MU_MAX
 
 
-def _dyson_whittaker(p: GammaChainParams, xs: np.ndarray, idos: bool) -> np.ndarray:
-    """M or D at xs from one c-derivative sweep of the Whittaker law (ledger D4).
+def _dyson_whittaker(p: GammaChainParams, xs: np.ndarray, readout: str) -> np.ndarray:
+    """M, D or gamma at xs from one c-derivative sweep of the Whittaker law (ledgers D4, D7).
 
-    M_{alpha,kappa}(x) = d/dc [c F_c(kappa x)] and
-    D_{alpha,kappa}(x) = kappa d/dc [c D_c(kappa x)] at c = alpha.  The
-    sweep starts M from its exact value at its anchor, however small
-    kappa x is, so no closed form of the head is spliced in.
+    Each is read at its own point from Lambda = U/V at mu = kappa x and
+    c = alpha: M(x) = Im Lambda / pi, D(x) = kappa d/dc [c D_c(kappa x)]
+    and gamma(x) = Re Lambda / 2.
     """
     points, where = np.unique(xs, return_inverse=True)
-    dens, mass = whittaker_dc(p.alpha, p.rate * points)
-    vals = mass if idos else p.rate * dens
+    if readout == "gamma":
+        vals = 0.5 * _whittaker_lambda(p.alpha, p.rate * points)[0].real
+    else:
+        dens, mass = whittaker_dc(p.alpha, p.rate * points)
+        vals = mass if readout == "idos" else p.rate * dens
     return vals[where].reshape(xs.shape)
 
 
@@ -337,7 +348,7 @@ def idos_exact(p: GammaChainParams, x):
     """
     xs = _points(x, "x")
     if _whittaker_route(p, xs):
-        m = _dyson_whittaker(p, xs, idos=True)
+        m = _dyson_whittaker(p, xs, "idos")
     else:
         m = np.array([_idos_contour(p, float(v)) for v in xs.ravel()]).reshape(xs.shape)
     clamped = np.clip(m, 0.0, 1.0)
@@ -356,7 +367,7 @@ def dos_exact(p: GammaChainParams, mu):
     """
     mus = _points(mu, "mu")
     if _whittaker_route(p, mus):
-        return _as_result(_dyson_whittaker(p, mus, idos=False))
+        return _as_result(_dyson_whittaker(p, mus, "dos"))
     flat = [float(m) for m in mus.ravel()]
     d = np.array([_contour_dos(p, m) for m in flat])
     if np.any(d < 0):
@@ -388,7 +399,7 @@ def pure_chain(x: float) -> PureChainValues:
     xi(x) and Omega(x) require x >= 0; the DOS value is for the squared
     frequency mu = x (zero outside the band 0 < mu < 4).
     """
-    if x < 0:
+    if not x >= 0:
         raise ValueError("x must be nonnegative")
     xi = 0.5 * (math.sqrt(1.0 + 4.0 * x) - 1.0)
     omega = 2.0 * math.log(0.5 * (math.sqrt(1.0 + 4.0 * x) + 1.0))
@@ -406,8 +417,8 @@ def weak_disorder_idos(n: int, x: float) -> float:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    if x <= 0:
-        raise ValueError("x must be positive")
+    if not 0 < x < math.inf:
+        raise ValueError("x must be positive and finite")
     if x < 4.0:
         return math.acos(1.0 - 0.5 * x) / math.pi + 1.0 / (2.0 * math.pi * n) / math.sqrt(4.0 / x - 1.0)
     if x == 4.0:
@@ -416,21 +427,28 @@ def weak_disorder_idos(n: int, x: float) -> float:
     return 1.0 - (g / math.pi) * math.exp(-g - 2.0 * n * (math.sinh(g) - g))
 
 
-def lyapunov_exact(p: GammaChainParams, omega_sq: float) -> float:
-    """Lyapunov exponent per transfer step of the type I chain, integer alpha.
+def lyapunov_exact(p: GammaChainParams, omega_sq):
+    """Lyapunov exponent per transfer step of the type I chain.
 
-    With t_n = sqrt(lambda_n) the step is t_n u_{n+1} = omega u_n - t_{n-1} u_{n-1}.
-    The variable xi_n = t_n u_{n+1} / (omega u_n) - 1 obeys Dyson's continued
-    fraction xi_n = x lambda_{n-1} / (1 + xi_{n-1}) at x = -1/omega^2, and
+    omega_sq is a scalar (a float is returned) or an array (an array of
+    the same shape is returned), with the routes of idos_exact at
+    x = omega^2.  With t_n = sqrt(lambda_n) the step is
+    t_n u_{n+1} = omega u_n - t_{n-1} u_{n-1}.  The variable
+    xi_n = t_n u_{n+1} / (omega u_n) - 1 obeys Dyson's continued fraction
+    xi_n = x lambda_{n-1} / (1 + xi_{n-1}) at x = -1/omega^2, and
     log|u_{n+1}/u_n| = log|1 + xi_n| + (log omega^2 - log lambda_n) / 2.
     The real part of the continued Omega is 2 E log|1 + xi|, so
 
-        gamma = (Re Omega(-1/omega^2 + i0) + log omega^2 - psi(alpha) + log rate) / 2.
+        gamma = (Re Omega(-1/omega^2 + i0) + log omega^2 - psi(alpha) + log rate) / 2,
+
+    which the contour route computes.  The Whittaker route gives it as
+    Re Lambda / 2 = -d/dc log|Gamma(c) U(c, 1, -kappa omega^2 + i0)| / 2 at c = alpha (D7).
     """
-    if omega_sq <= 0:
-        raise ValueError("omega_sq must be positive")
-    omega = _continued_omega(p, omega_sq)
-    return 0.5 * (omega.real + math.log(omega_sq) - psi(p.alpha) + math.log(p.rate))
+    w2 = _points(omega_sq, "omega_sq")
+    if _whittaker_route(p, w2):
+        return _as_result(_dyson_whittaker(p, w2, "gamma"))
+    g = np.array([_lyapunov_contour(p, float(w)) for w in w2.ravel()])
+    return _as_result(g.reshape(w2.shape))
 
 
 def gamma1_coefficient(omega_sq: float) -> float:

@@ -153,12 +153,13 @@ def _whittaker_lip(c: float, mus: np.ndarray, dc: bool = False) -> np.ndarray:
     Re V, Im V, their s-derivatives and G = c F_c, c times the mass of D
     below mu.  Re V and Im V have Wronskian -pi, so G = -arg V / pi: at
     the anchor, where G < 1, that is the principal arg, and upward G
-    grows at the rate 1/|V|^2.  With dc five more carry their
-    kappa-derivatives: U = dV/dkappa obeys U_ss = mu (mu/4 + kappa) U + mu V,
-    and dG/dkappa starts at -Im(U/V) / pi and grows at the rate
-    -2 V.U / |V|^4.  The anchor values of G and dG/dkappa are added after
-    the solve, so the solver sees the same states, and takes the same
-    steps, as when they start at zero.
+    grows at the rate 1/|V|^2.  The anchor value of G is added after the
+    solve, so the solver sees the same states, and takes the same steps,
+    as when G starts at zero.
+
+    With dc the states are the eight real ones of V, V_s, U and U_s, where
+    U = dV/dkappa obeys U_ss = mu (mu/4 + kappa) U + mu V.  No mass row is
+    carried: dG/dkappa = -Im(U/V) / pi at every point (ledger D7).
     """
     # Most commands never need scipy.integrate, and importing it costs about 0.36 s.
     from scipy.integrate import solve_ivp
@@ -166,19 +167,16 @@ def _whittaker_lip(c: float, mus: np.ndarray, dc: bool = False) -> np.ndarray:
     s_eval = np.log(mus)
     s_anchor = min(float(s_eval[0]), -math.log(max(c, 1.0)))
     start = _whittaker_anchor(c, math.exp(s_anchor), dc)
-    y0 = []
-    for v, dv in zip(start[0::2], start[1::2]):
-        y0 += [v.real, v.imag, dv.real, dv.imag, 0.0]
+    y0 = [part for v in start for part in (v.real, v.imag)]
+    if not dc:
+        y0.append(0.0)  # G
 
     def rhs(s, y):
         mu = math.exp(s)
         q = mu * (0.25 * mu + kappa)
-        r2 = y[0] * y[0] + y[1] * y[1]
-        out = [y[2], y[3], q * y[0], q * y[1], 1.0 / r2]
         if dc:
-            vu = y[0] * y[5] + y[1] * y[6]
-            out += [y[7], y[8], q * y[5] + mu * y[0], q * y[6] + mu * y[1], -2.0 * vu / (r2 * r2)]
-        return out
+            return [y[2], y[3], q * y[0], q * y[1], y[6], y[7], q * y[4] + mu * y[0], q * y[5] + mu * y[1]]
+        return [y[2], y[3], q * y[0], q * y[1], 1.0 / (y[0] * y[0] + y[1] * y[1])]
 
     if s_eval[-1] == s_anchor:  # one point, at the anchor
         y = np.array(y0)[:, None]
@@ -195,9 +193,8 @@ def _whittaker_lip(c: float, mus: np.ndarray, dc: bool = False) -> np.ndarray:
         if not sol.success:
             raise WhittakerError(f"Whittaker sweep failed: {sol.message}")
         y = sol.y
-    y[4] -= cmath.phase(start[0]) / math.pi
-    if dc:
-        y[9] -= (start[2] / start[0]).imag / math.pi
+    if not dc:
+        y[4] -= cmath.phase(start[0]) / math.pi
     return y
 
 
@@ -255,23 +252,31 @@ def whittaker_cdf(c: float, mus) -> np.ndarray:
     return _whittaker_lip(c, _ascending_grid(c, mus))[4] / c
 
 
+def _whittaker_lambda(c: float, mus) -> tuple[np.ndarray, np.ndarray]:
+    """Lambda = U/V = conj(V) U / |V|^2 and mu |V|^2 on an ascending grid in (0, 100].
+
+    One dc lip sweep gives both at every point.  V is e^{-z/2} Gamma(c) U(c, 1, z),
+    so Lambda = -d/dc log(Gamma(c) U(c, 1, -mu + i0)).
+    """
+    mus = _ascending_grid(c, mus)
+    y = _whittaker_lip(c, mus, dc=True)
+    r2 = y[0] * y[0] + y[1] * y[1]
+    return (y[0] - 1j * y[1]) * (y[4] + 1j * y[5]) / r2, mus * r2
+
+
 def whittaker_dc(c: float, mus) -> tuple[np.ndarray, np.ndarray]:
     """c-derivatives of c D_c(mu) and of c F_c(mu), c times the mass of D_c below mu.
 
     D_c(mu) = 1/(Gamma(c) Gamma(c+1) |W_{-c+1/2,0}(-mu)|^2) on an ascending
-    grid in (0, 100], as for whittaker_cdf.  One lip sweep carries the
-    five states of whittaker_cdf and their kappa-derivatives
-    (kappa = 1/2 - c), so no step in c is taken.  With c D_c = 1/(mu |V|^2)
-    and c F_c = G, d/dc = -d/dkappa gives
-    d/dc (c D_c) = 2 V.U / (mu |V|^4), V.U = Re(conj(V) U), and
-    d/dc (c F_c) = -dG/dkappa, which starts at Im(U/V) / pi at the anchor.
+    grid in (0, 100], as for whittaker_cdf.  One lip sweep carries V and
+    its kappa-derivative U (kappa = 1/2 - c), so no step in c is taken,
+    and both readouts are taken at each point from Lambda = U/V.  With
+    c D_c = 1/(mu |V|^2) and c F_c = -arg V / pi, d/dc = -d/dkappa gives
+    d/dc (c D_c) = 2 V.U / (mu |V|^4) = 2 Re Lambda / (mu |V|^2), V.U = Re(conj(V) U),
+    and d/dc (c F_c) = Im(conj(V) U) / (pi |V|^2) = Im Lambda / pi.
     """
-    mus = _ascending_grid(c, mus)
-    y = _whittaker_lip(c, mus, dc=True)
-    re, im, ure, uim = y[0], y[1], y[5], y[6]
-    r2 = re * re + im * im
-    dens = 2.0 * (re * ure + im * uim) / (mus * r2 * r2)
-    return dens, -y[9]
+    lam, msq = _whittaker_lambda(c, mus)
+    return 2.0 * lam.real / msq, lam.imag / math.pi
 
 
 def whittaker_density_mass(c: float, cut: float = 60.0) -> float:

@@ -159,8 +159,11 @@ def test_whittaker_route_matches_contour_route(alpha, kappa):
     xs = np.array([1e-6, 1e-3, 0.05, 0.5, 1.5, 3.0, 4.5, 6.0])
     m_contour = np.array([exact._idos_contour(p, float(x)) for x in xs])
     d_contour = np.array([exact._contour_dos(p, float(x)) for x in xs])
+    omega = np.array([exact._continued_omega(p, float(x)) for x in xs])
+    g_contour = 0.5 * (omega.real + np.log(xs) - sp.psi(alpha) + math.log(kappa))
     assert np.max(np.abs(idos_exact(p, xs) - m_contour)) <= 1e-6
     assert np.max(np.abs(dos_exact(p, xs) / d_contour - 1.0)) <= 1e-5
+    assert np.max(np.abs(lyapunov_exact(p, xs) - g_contour)) <= 1e-6
 
 
 def test_routes_by_shape_and_range():
@@ -177,6 +180,51 @@ def test_routes_by_shape_and_range():
     for bad in (0.0, -1.0, np.array([1.0, float("nan")])):
         with pytest.raises(ValueError):
             idos_exact(p, bad)
+    # lyapunov_exact takes the same routes at x = omega^2.
+    assert isinstance(lyapunov_exact(p, 0.5), float)
+    assert lyapunov_exact(p, xs).shape == xs.shape
+    with pytest.raises(ValueError):
+        lyapunov_exact(GammaChainParams(4.5, 30.0), 4.0)
+    for bad in (0.0, -1.0, float("nan"), float("inf"), np.array([1.0, float("nan")])):
+        with pytest.raises(ValueError):
+            lyapunov_exact(p, bad)
+
+
+def _gamma_mpmath_dc(alpha: float, kappa: float, omega_sq: float) -> float:
+    # Oracle: gamma = -(1/2) d/dc log|Gamma(c) U(c, 1, z)| at c = alpha,
+    # z = -kappa omega^2 + i0 (ledger D7), the real part beside
+    # _idos_mpmath_dc's imaginary part.
+    with mpmath.workdps(30):
+        z = mpmath.mpc(-kappa * omega_sq, mpmath.mpf(10) ** -25)
+
+        def scaled_u(c):
+            return mpmath.gamma(c) * mpmath.hyperu(c, 1, z)
+
+        return float(-mpmath.re(mpmath.diff(scaled_u, alpha) / scaled_u(alpha)) / 2)
+
+
+@pytest.mark.parametrize("alpha,kappa", [(0.5, 1.0), (2.5, 2.0), (7.5, 7.5)])
+def test_lyapunov_matches_mpmath_c_derivative(alpha, kappa):
+    # In the band and beyond its edge at omega^2 = 4, at non-integer alpha,
+    # which the contour route does not take.
+    w2 = np.array([0.3, 2.0, 3.9, 6.0, 9.0])
+    ref = np.array([_gamma_mpmath_dc(alpha, kappa, float(w)) for w in w2])
+    np.testing.assert_allclose(lyapunov_exact(GammaChainParams(alpha, kappa), w2), ref, rtol=0, atol=1e-9)
+
+
+def test_lyapunov_near_band_centre():
+    # The contour route gives -0.0069 and -0.0209 at these two points, and
+    # raises ContourError at omega^2 = 1e-12 for alpha = kappa = 1.
+    assert np.all(lyapunov_exact(GammaChainParams(3.0, 3.0), np.array([1e-300, 1e-100])) > 0)
+    got = lyapunov_exact(GammaChainParams(1.0, 1.0), 1e-12)
+    assert abs(got - _gamma_mpmath_dc(1.0, 1.0, 1e-12)) <= 1e-9
+
+
+def test_idos_beyond_band_edge_at_alpha_twenty():
+    # kappa x = 100, the last point of the Whittaker route, where the
+    # contour route fails.
+    got = idos_exact(GammaChainParams(20.0, 20.0), 5.0)
+    assert abs(got - _idos_mpmath_dc(20.0, 20.0, 5.0)) <= 1e-10
 
 
 @pytest.mark.parametrize("alpha,rate", [(0.0, 1.0), (1.0, -1.0), (math.nan, 1.0), (1.0, math.nan),
@@ -347,6 +395,14 @@ def test_pure_chain_band_edges():
     assert pure_chain(4.0).idos == 1.0
     assert pure_chain(0.0).idos == 0.0
     assert pure_chain(5.0).dos == 0.0
+
+
+def test_closed_forms_refuse_nan():
+    with pytest.raises(ValueError):
+        pure_chain(float("nan"))
+    for bad in (float("nan"), float("inf"), 0.0):
+        with pytest.raises(ValueError):
+            weak_disorder_idos(10, bad)
 
 
 def test_weak_disorder_first_branch_value():
