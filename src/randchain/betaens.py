@@ -140,7 +140,7 @@ def con_density(c: float, mu):
 
 
 def con_cdf_grid(c: float, mus: np.ndarray) -> np.ndarray:
-    """Distribution function of con_density on an ascending grid.
+    """Distribution function of con_density at points of any shape and order.
 
     The density diverges like 1/(mu log^2 mu) at zero, so quadrature from
     zero would converge only logarithmically; instead one sweep along the

@@ -6,8 +6,9 @@ interleaved ratios lambda_j = K_j/m_j, K_j/m_{j+1}, and the N x N
 dynamical matrix governing the squared frequencies.  Both disorder
 conventions are supported: i.i.d. lambdas (type I) and i.i.d. masses
 with a common spring constant (type II), which forces the lambdas to be
-equal in pairs.  The same machinery covers the tight-binding lattice
-with potential disorder used by the band-edge scaling checks.
+equal in pairs.  The tight-binding lattice with potential disorder,
+used by the band-edge scaling checks, is named here (ANDERSON,
+GaussianPotential) and built by lyapunov.transfer_lyapunov alone.
 """
 
 from __future__ import annotations
@@ -44,7 +45,6 @@ __all__ = [
 TYPE_I = "typeI"
 TYPE_II = "typeII"
 ANDERSON = "anderson"
-_KINDS = (TYPE_I, TYPE_II, ANDERSON)
 
 
 class DisorderLaw:
@@ -150,7 +150,7 @@ class GaussianPotential(DisorderLaw):
 
 @dataclass(frozen=True)
 class ChainSpec:
-    """Full description of a chain or lattice model."""
+    """Full description of a type I or type II chain."""
 
     kind: str
     n_masses: int
@@ -159,8 +159,8 @@ class ChainSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.kind not in _KINDS:
-            raise ValueError(f"kind must be one of {_KINDS}")
+        if self.kind not in (TYPE_I, TYPE_II):
+            raise ValueError(f"kind must be {TYPE_I!r} or {TYPE_II!r}")
         if self.n_masses < 1:
             raise ValueError("n_masses must be >= 1")
         if self.spring_k <= 0:
@@ -185,21 +185,18 @@ def realize(spec: ChainSpec) -> ChainRealization:
 
     Type I draws 2N-1 i.i.d. lambdas.  Type II draws N masses and sets
     lambda_{2j} = lambda_{2j+1} = K/m_{j+1} (paired), with lambda_1 =
-    K/m_1 standing alone.  For the lattice kind the array holds N site
-    potentials instead.
+    K/m_1 standing alone.
     """
     rng = rng_from_seed(spec.seed)
     n = spec.n_masses
     if spec.kind == TYPE_I:
         lam = spec.law.sample(rng, 2 * n - 1)
         return ChainRealization(lam, None, spec)
-    if spec.kind == TYPE_II:
-        masses = spec.law.sample(rng, n)
-        lam = np.empty(2 * n - 1)
-        lam[0::2] = spec.spring_k / masses
-        lam[1::2] = spec.spring_k / masses[1:]
-        return ChainRealization(lam, masses, spec)
-    return ChainRealization(spec.law.sample(rng, n), None, spec)
+    masses = spec.law.sample(rng, n)
+    lam = np.empty(2 * n - 1)
+    lam[0::2] = spec.spring_k / masses
+    lam[1::2] = spec.spring_k / masses[1:]
+    return ChainRealization(lam, masses, spec)
 
 
 def lambda_matrix(r: ChainRealization) -> AntisymTridiag:

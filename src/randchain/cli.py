@@ -161,8 +161,7 @@ def cmd_pure(args) -> int:
         print(f"{getattr(exact.pure_chain(args.x), what):.12g}")
         return EXIT_OK
     if args.grid is None:
-        print("pure needs --x or --grid", file=sys.stderr)
-        return EXIT_USAGE
+        raise UsageError("pure needs --x or --grid")
     xs = parse_grid(args.grid)
     if not np.all(xs >= 0):
         raise UsageError("pure takes x >= 0")

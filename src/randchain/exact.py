@@ -42,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import polygamma, psi
 
-from .specfun import WHITTAKER_MU_MAX, _as_result, _whittaker_lambda, whittaker_dc
+from .specfun import WHITTAKER_MU_MAX, _as_result, _whittaker_lambda
 
 __all__ = [
     "GammaChainParams",
@@ -319,19 +319,18 @@ def _whittaker_route(p: GammaChainParams, xs: np.ndarray) -> bool:
 
 
 def _dyson_whittaker(p: GammaChainParams, xs: np.ndarray, readout: str) -> np.ndarray:
-    """M, D or gamma at xs from one c-derivative sweep of the Whittaker law (ledgers D4, D7).
+    """M, D or gamma at xs, in xs's shape, from one c-derivative sweep of the Whittaker law (ledgers D4, D7).
 
     Each is read at its own point from Lambda = U/V at mu = kappa x and
-    c = alpha: M(x) = Im Lambda / pi, D(x) = kappa d/dc [c D_c(kappa x)]
-    and gamma(x) = Re Lambda / 2.
+    c = alpha: M(x) = Im Lambda / pi, D(x) = 2 kappa Re Lambda / (mu |V|^2)
+    = kappa d/dc [c D_c(kappa x)] and gamma(x) = Re Lambda / 2.
     """
-    points, where = np.unique(xs, return_inverse=True)
-    if readout == "gamma":
-        vals = 0.5 * _whittaker_lambda(p.alpha, p.rate * points)[0].real
-    else:
-        dens, mass = whittaker_dc(p.alpha, p.rate * points)
-        vals = mass if readout == "idos" else p.rate * dens
-    return vals[where].reshape(xs.shape)
+    lam, msq = _whittaker_lambda(p.alpha, p.rate * xs)
+    if readout == "idos":
+        return lam.imag / math.pi
+    if readout == "dos":
+        return p.rate * (2.0 * lam.real / msq)
+    return 0.5 * lam.real
 
 
 def idos_exact(p: GammaChainParams, x):

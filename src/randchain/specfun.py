@@ -142,12 +142,17 @@ def _whittaker_anchor(c: float, mu: float, dc: bool = False) -> list[complex]:
     return [complex(v) for v in out]
 
 
-def _whittaker_lip(c: float, mus: np.ndarray, dc: bool = False) -> np.ndarray:
-    """The sweep's states at the ascending points mus, one column each.
+def _whittaker_lip(c: float, mu, dc: bool = False) -> np.ndarray:
+    """The sweep's states at the points mu, as an array of shape (states,) + mu.shape.
+
+    mu is a scalar or an array of any shape and order in (0, 100]; c must
+    be positive.  This is the one place that checks Whittaker points: the
+    sweep runs once over the distinct values of s = log mu, in ascending
+    order, so points that share a log share their states.
 
     On the lip t = s + i pi of the cut (z = -mu, mu = e^s) the equation for
     V is real, V_ss = mu (mu/4 + kappa) V, so Re V and Im V are swept as
-    two real solutions from the anchor at min(mus[0], 1/max(c, 1)).
+    two real solutions from the anchor at min(mu, 1/max(c, 1)).
     Upward in s the wanted solution grows like e^{mu/2} and every other
     one decays relative to it, so errors do not grow.  The states are
     Re V, Im V, their s-derivatives and G = c F_c, c times the mass of D
@@ -163,8 +168,13 @@ def _whittaker_lip(c: float, mus: np.ndarray, dc: bool = False) -> np.ndarray:
     """
     # Most commands never need scipy.integrate, and importing it costs about 0.36 s.
     from scipy.integrate import solve_ivp
+    if not (c > 0):
+        raise ValueError("c must be positive")
+    mus = np.asarray(mu, dtype=float)
+    if mus.size == 0 or not np.all((mus > 0) & (mus <= WHITTAKER_MU_MAX)):
+        raise ValueError(f"mu must be one or more points in (0, {WHITTAKER_MU_MAX:g}]")
+    s_eval, where = np.unique(np.log(mus), return_inverse=True)
     kappa = 0.5 - c
-    s_eval = np.log(mus)
     s_anchor = min(float(s_eval[0]), -math.log(max(c, 1.0)))
     start = _whittaker_anchor(c, math.exp(s_anchor), dc)
     y0 = [part for v in start for part in (v.real, v.imag)]
@@ -195,22 +205,16 @@ def _whittaker_lip(c: float, mus: np.ndarray, dc: bool = False) -> np.ndarray:
         y = sol.y
     if not dc:
         y[4] -= cmath.phase(start[0]) / math.pi
-    return y
+    return y[:, where].reshape(y.shape[:1] + mus.shape)
 
 
 def _scaled_msq(c: float, mu) -> np.ndarray:
-    """Gamma(c)^2 |W_{-c+1/2,0}(-mu)|^2 = mu |V|^2, at a scalar or an array of mu in (0, 100]."""
-    if not (c > 0):
-        raise ValueError("c must be positive")
-    mus = np.asarray(mu, dtype=float)
-    if not np.all((mus > 0) & (mus <= WHITTAKER_MU_MAX)):
-        raise ValueError(f"mu must lie in (0, {WHITTAKER_MU_MAX:g}]")
-    points, where = np.unique(mus, return_inverse=True)
-    y = _whittaker_lip(c, points)
-    msq = points * (y[0] * y[0] + y[1] * y[1])
+    """Gamma(c)^2 |W_{-c+1/2,0}(-mu)|^2 = mu |V|^2, at the points of _whittaker_lip."""
+    y = _whittaker_lip(c, mu)
+    msq = mu * (y[0] * y[0] + y[1] * y[1])
     if not np.all(np.isfinite(msq)):
         raise WhittakerError("non-finite Whittaker value")
-    return msq[where].reshape(mus.shape)
+    return msq
 
 
 def whittaker_msq(c: float, mu):
@@ -231,51 +235,41 @@ def whittaker_msq(c: float, mu):
     return _as_result(msq)
 
 
-def _ascending_grid(c: float, mus) -> np.ndarray:
-    if not (c > 0):
-        raise ValueError("c must be positive")
-    mus = np.asarray(mus, dtype=float)
-    if mus.ndim != 1 or mus.size == 0 or np.any(mus <= 0) or np.any(np.diff(mus) <= 0):
-        raise ValueError("grid must be positive and increasing")
-    if mus[-1] > WHITTAKER_MU_MAX:
-        raise ValueError(f"grid must end at or below {WHITTAKER_MU_MAX:g}")
-    return mus
-
-
-def whittaker_cdf(c: float, mus) -> np.ndarray:
+def whittaker_cdf(c: float, mu) -> np.ndarray:
     """Distribution function of D(mu) = 1/(Gamma(c) Gamma(c+1) |W_{-c+1/2,0}(-mu)|^2).
 
-    mus is an ascending grid in (0, 100].  One lip sweep carries c times
-    the mass, from its exact value -arg V / pi at the anchor: no closed
-    form of the singular head below the grid is spliced in.
+    mu is a scalar or an array of any shape and order in (0, 100]; the
+    result has mu's shape.  One lip sweep carries c times the mass, from
+    its exact value -arg V / pi at the anchor: no closed form of the
+    singular head below the grid is spliced in.
     """
-    return _whittaker_lip(c, _ascending_grid(c, mus))[4] / c
+    return _whittaker_lip(c, mu)[4] / c
 
 
-def _whittaker_lambda(c: float, mus) -> tuple[np.ndarray, np.ndarray]:
-    """Lambda = U/V = conj(V) U / |V|^2 and mu |V|^2 on an ascending grid in (0, 100].
+def _whittaker_lambda(c: float, mu) -> tuple[np.ndarray, np.ndarray]:
+    """Lambda = U/V = conj(V) U / |V|^2 and mu |V|^2, at the points of _whittaker_lip.
 
     One dc lip sweep gives both at every point.  V is e^{-z/2} Gamma(c) U(c, 1, z),
     so Lambda = -d/dc log(Gamma(c) U(c, 1, -mu + i0)).
     """
-    mus = _ascending_grid(c, mus)
-    y = _whittaker_lip(c, mus, dc=True)
+    y = _whittaker_lip(c, mu, dc=True)
     r2 = y[0] * y[0] + y[1] * y[1]
-    return (y[0] - 1j * y[1]) * (y[4] + 1j * y[5]) / r2, mus * r2
+    return (y[0] - 1j * y[1]) * (y[4] + 1j * y[5]) / r2, mu * r2
 
 
-def whittaker_dc(c: float, mus) -> tuple[np.ndarray, np.ndarray]:
+def whittaker_dc(c: float, mu) -> tuple[np.ndarray, np.ndarray]:
     """c-derivatives of c D_c(mu) and of c F_c(mu), c times the mass of D_c below mu.
 
-    D_c(mu) = 1/(Gamma(c) Gamma(c+1) |W_{-c+1/2,0}(-mu)|^2) on an ascending
-    grid in (0, 100], as for whittaker_cdf.  One lip sweep carries V and
+    D_c(mu) = 1/(Gamma(c) Gamma(c+1) |W_{-c+1/2,0}(-mu)|^2), at a scalar
+    or an array of any shape and order in (0, 100], as for whittaker_cdf;
+    both results have mu's shape.  One lip sweep carries V and
     its kappa-derivative U (kappa = 1/2 - c), so no step in c is taken,
     and both readouts are taken at each point from Lambda = U/V.  With
     c D_c = 1/(mu |V|^2) and c F_c = -arg V / pi, d/dc = -d/dkappa gives
     d/dc (c D_c) = 2 V.U / (mu |V|^4) = 2 Re Lambda / (mu |V|^2), V.U = Re(conj(V) U),
     and d/dc (c F_c) = Im(conj(V) U) / (pi |V|^2) = Im Lambda / pi.
     """
-    lam, msq = _whittaker_lambda(c, mus)
+    lam, msq = _whittaker_lambda(c, mu)
     return 2.0 * lam.real / msq, lam.imag / math.pi
 
 
@@ -288,7 +282,7 @@ def whittaker_density_mass(c: float, cut: float = 60.0) -> float:
     """
     if not cut >= 8.0 * c:
         raise ValueError(f"cut must be at least 8c = {8.0 * c:g}")
-    below_cut = whittaker_cdf(c, np.array([cut]))[-1]
+    below_cut = whittaker_cdf(c, cut)
     # Tail: |W|^2 ~ e^{mu} mu^{1-2c}, so D ~ mu^{2c-1} e^{-mu} / (Gamma(c) Gamma(c+1)).
     norm = math.exp(math.lgamma(2.0 * c) - math.lgamma(c) - math.lgamma(c + 1.0))
     return float(below_cut) + norm * float(gammaincc(2.0 * c, cut))

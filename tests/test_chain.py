@@ -215,6 +215,14 @@ def test_law_validation():
         ChainSpec("typeIII", 5, Constant(1.0))
 
 
+def test_chain_spec_refuses_the_lattice_kind():
+    # realize would store the lattice's site potentials as lambdas, which
+    # lambda_matrix and frequency_matrix read as couplings; the lattice is
+    # built by lyapunov.transfer_lyapunov alone.
+    with pytest.raises(ValueError):
+        ChainSpec(ANDERSON, 5, GaussianPotential(0.1))
+
+
 _NONFINITE = (math.nan, math.inf, -math.inf)
 
 

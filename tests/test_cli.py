@@ -42,6 +42,34 @@ def test_pure_prints_half(capsys):
     assert capsys.readouterr().out.strip() == "0.5"
 
 
+def test_pure_without_x_or_grid_is_usage_error(tmp_path, capsys):
+    assert run(["pure", "--out", str(tmp_path)]) == EXIT_USAGE
+    assert "usage error: pure needs --x or --grid" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("argv, csv, header, n_rows", [
+    (["pure", "--what", "dos", "--grid", "0.5:3.5:4"], "pure_dos.csv", "x,D", 4),
+    (["exact", "--what", "omega", "--alpha", "2", "--kappa", "1", "--grid", "0.5:2:4"], "exact_omega.csv", "x,Omega", 4),
+    (["schmidt", "--op", "density", "--kind", "xi", "--law", "gamma:1:1", "--x", "1",
+      "--grid", "0.005:8:80", "--iters", "20"], "schmidt_density.csv", "point,weight", 80),
+    (["schmidt", "--op", "density", "--kind", "ratio2", "--law", "twopoint:1:2:0.5", "--x", "1",
+      "--grid=-40:40:401", "--iters", "30"], "schmidt_density.csv", "point,weight", 401),
+], ids=["pure-grid", "exact-omega", "density-xi", "density-ratio2"])
+def test_grid_commands_write_finite_csv(tmp_path, argv, csv, header, n_rows):
+    # Paths no other test runs: each writes its CSV of finite values.
+    assert run([*argv, "--out", str(tmp_path)]) == EXIT_OK
+    lines = (tmp_path / csv).read_text().splitlines()
+    assert lines[0] == header and len(lines) == n_rows + 1
+    assert np.all(np.isfinite([[float(v) for v in line.split(",")] for line in lines[1:]]))
+
+
+def test_schmidt_omega2_prints_a_finite_value(capsys):
+    argv = ["schmidt", "--op", "omega2", "--law", "twopoint:1:2:0.5", "--x", "5", "--samples", "2000"]
+    assert run(argv) == EXIT_OK
+    assert np.isfinite(float(capsys.readouterr().out.strip()))
+
+
 def test_unknown_flag_usage_exit():
     assert run(["pure", "--bogus", "1"]) == EXIT_USAGE
     assert run(["nonsense"]) == EXIT_USAGE

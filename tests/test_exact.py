@@ -74,6 +74,12 @@ def test_k_alpha_small_shape_substitution():
     assert k_alpha(GammaChainParams(alpha, kappa), x) == pytest.approx(oracle, rel=1e-8)
 
 
+@pytest.mark.parametrize("alpha, x", [(0.5, 0.3), (1.0, 1.0), (3.0, 2.5), (20.0, 0.1)])
+def test_omega_exact_is_twice_l_over_k(alpha, x):
+    p = GammaChainParams(alpha, 1.0)
+    assert omega_exact(p, x) == pytest.approx(2.0 * l_alpha(p, x) / k_alpha(p, x), rel=1e-13)
+
+
 def test_omega_exact_vanishes_at_zero():
     assert omega_exact(GammaChainParams(1.0, 1.0), 1e-12) == pytest.approx(0.0, abs=1e-10)
 

@@ -311,6 +311,15 @@ def test_ratio_map_single_branch_stationary():
     assert abs(mean - z_star) < 0.05
 
 
+def test_ratio_map_constant_law_equals_sure_two_point_law_bitwise():
+    # TwoPoint(1, 2, 1) skips its p = 0 branch, so both laws do the same
+    # arithmetic on the one branch of mass 1.
+    gz = DensityGrid.uniform(-40.0, 40.0, 401)
+    got, res = density_iteration(RatioTypeII(5.0, 1.0), Constant(1.0), gz, 30)
+    ref, ref_res = density_iteration(RatioTypeII(5.0, 1.0), TwoPoint(1.0, 2.0, 1.0), gz, 30)
+    assert np.array_equal(got.weights, ref.weights) and res == ref_res
+
+
 def test_ratio_map_two_point_negative_mass_matches_node_fraction():
     gz = DensityGrid.uniform(-40.0, 40.0, 1601)
     out, residuals = density_iteration(RatioTypeII(1.0, 1.0), TwoPoint(1.0, 2.0, 0.5), gz, 300)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 import scipy.special as sp
 
+from randchain import betaens, exact
 from randchain import specfun as sf
 
 
@@ -147,10 +148,6 @@ def test_whittaker_domain_errors():
     with pytest.raises(ValueError):
         sf.whittaker_msq(1.0, np.array([1.0, 101.0]))
     with pytest.raises(ValueError):
-        sf.whittaker_cdf(1.0, np.array([1.0, 0.5]))
-    with pytest.raises(ValueError):
-        sf.whittaker_dc(1.0, np.array([1.0, 0.5]))
-    with pytest.raises(ValueError):
         sf.whittaker_dc(1.0, np.array([1.0, 101.0]))
 
 
@@ -199,6 +196,48 @@ def test_whittaker_msq_array_matches_scalar_calls():
     assert got.shape == mus.shape
     expected = np.array([[sf.whittaker_msq(1.0, float(m)) for m in row] for row in mus])
     np.testing.assert_allclose(got, expected, rtol=1e-8)
+
+
+# Neighbouring doubles whose logs, the variable the sweep steps in, are
+# equal: 0.1 and _ULP_01, and at rate 0.1 the points 0.1 * 1 and
+# 0.1 * _ULP_1.  At rate 3 the products 3 * 0.1 and 3 * _ULP_01 are equal.
+_ULP_01 = float(np.nextafter(0.1, 1.0))
+_ULP_1 = float(np.nextafter(1.0, 2.0))
+
+
+@pytest.mark.parametrize(
+    "call, points",
+    [
+        (lambda m: sf.whittaker_cdf(1.0, m), [0.1, _ULP_01]),
+        (lambda m: np.stack(sf.whittaker_dc(1.0, m)), [0.1, _ULP_01]),
+        (lambda m: sf.whittaker_msq(1.0, m), [0.1, _ULP_01, 0.5]),
+        (lambda m: betaens.con_density(1.0, m), [0.1, _ULP_01, 0.5]),
+        (lambda m: exact.dos_exact(exact.GammaChainParams(1.0, 0.1), m), [1.0, _ULP_1, 3.0]),
+        (lambda m: exact.idos_exact(exact.GammaChainParams(1.0, 0.1), m), [1.0, _ULP_1]),
+        (lambda m: exact.lyapunov_exact(exact.GammaChainParams(1.0, 0.1), m), [1.0, _ULP_1]),
+        (lambda m: exact.idos_exact(exact.GammaChainParams(1.0, 3.0), m), [0.1, _ULP_01]),
+    ],
+    ids=["cdf", "dc", "msq", "con_density", "dos_exact", "idos_exact", "lyapunov_exact", "idos_exact_rate3"],
+)
+def test_points_that_share_a_log_each_get_a_value(call, points):
+    # One value per point, in the input's shape.  The first two points
+    # share their sweep states; where a value carries its own factor mu
+    # (|W|^2 and the densities) the two differ in the last bit only.
+    got = call(points)
+    assert got.shape[-1] == len(points)
+    assert np.all(np.isfinite(got))
+    np.testing.assert_allclose(got[..., 0], got[..., 1], rtol=1e-15, atol=0)
+
+
+def test_whittaker_cdf_and_dc_take_any_shape_and_order():
+    # Unsorted, repeated and two-dimensional: the values of the sorted
+    # one-dimensional call, bitwise, in the input's positions.
+    grid = np.array([[30.0, 1e-3, 2.5], [0.7, 30.0, 1e-3]])
+    flat = np.unique(grid)
+    at = np.searchsorted(flat, grid)
+    np.testing.assert_array_equal(sf.whittaker_cdf(1.5, grid), sf.whittaker_cdf(1.5, flat)[at])
+    for got, ref in zip(sf.whittaker_dc(1.5, grid), sf.whittaker_dc(1.5, flat)):
+        np.testing.assert_array_equal(got, ref[at])
 
 
 def test_whittaker_cdf_increments_match_quadrature():
