@@ -131,10 +131,11 @@ def con_density(c: float, mu):
 
     D(mu) = 1 / (Gamma(c) Gamma(c+1) |W_{-c+1/2, 0}(-mu)|^2), with the
     Whittaker modulus squared taken as the boundary value from the upper
-    half plane; an array of mu takes one sweep along the cut.  The sweep
-    carries Gamma(c)^2 |W|^2, so D = 1/(c Gamma(c)^2 |W|^2) holds wherever
-    the sweep does, past the c at which Gamma(c)^2 or |W|^2 alone leave the
-    double range.
+    half plane.  Points past the turning point where the large-mu series
+    of U(c, 1, z) converges take that series, in logs; the others take one
+    sweep along the cut (specfun.whittaker_msq says where each serves).
+    Both routes give Gamma(c)^2 |W|^2, so D = 1/(c Gamma(c)^2 |W|^2) holds
+    past the c at which Gamma(c)^2 or |W|^2 alone leave the double range.
     """
     return _as_result(1.0 / (c * _scaled_msq(c, mu)))
 

@@ -325,10 +325,11 @@ def cmd_dos(args) -> int:
     out = _Outputs(args, "dos")
     cols = [centers, dens]
     header = ["mu", "D_empirical"]
-    if isinstance(law, chain.Gamma) and abs(law.alpha - round(law.alpha)) < 1e-12:
+    if isinstance(law, chain.Gamma):
         p = exact.GammaChainParams(law.alpha, law.rate)
-        header.append("D_exact")
-        cols.append(exact.dos_exact(p, centers))
+        if exact.serves(p, centers):
+            header.append("D_exact")
+            cols.append(exact.dos_exact(p, centers))
     out.csv("dos", header, cols)
     out.finish()
     return EXIT_OK

@@ -54,6 +54,7 @@ __all__ = [
     "gamma_chain_density",
     "idos_exact",
     "dos_exact",
+    "serves",
     "dyson_head",
     "pure_chain",
     "weak_disorder_idos",
@@ -80,14 +81,17 @@ class GammaChainParams:
         if not (0 < self.alpha < math.inf and 0 < self.rate < math.inf):
             raise ValueError("alpha and rate must be positive and finite")
 
-    def integer_alpha(self) -> int:
+    def alpha_is_integer(self) -> bool:
         n = round(self.alpha)
-        if abs(self.alpha - n) > 1e-12 or n < 1:
+        return abs(self.alpha - n) <= 1e-12 and n >= 1
+
+    def integer_alpha(self) -> int:
+        if not self.alpha_is_integer():
             raise ValueError(
                 "the contour continuation is restricted to positive integer alpha; "
                 f"got alpha={self.alpha}"
             )
-        return int(n)
+        return int(round(self.alpha))
 
 
 # ----------------------------------------------------------------------
@@ -316,6 +320,15 @@ def _points(x, name: str) -> np.ndarray:
 
 def _whittaker_route(p: GammaChainParams, xs: np.ndarray) -> bool:
     return p.rate * float(np.max(xs)) <= WHITTAKER_MU_MAX
+
+
+def serves(p: GammaChainParams, x) -> bool:
+    """Whether idos_exact, dos_exact and lyapunov_exact have a route for p at every point of x.
+
+    The Whittaker route serves any alpha where kappa max(x) <= WHITTAKER_MU_MAX,
+    and the contour beyond it integer alpha only.
+    """
+    return _whittaker_route(p, np.asarray(x, dtype=float)) or p.alpha_is_integer()
 
 
 def _dyson_whittaker(p: GammaChainParams, xs: np.ndarray, readout: str) -> np.ndarray:

@@ -2,8 +2,11 @@
 
 The band-edge scaling functions on scipy's Airy functions, the squared
 modulus of the Whittaker function on the upper side of its cut, and a
-reproducible gamma sampler.  The Whittaker equation is integrated with
-scipy's initial value solver.
+reproducible gamma sampler.  Past the turning point, where the large-mu
+series of U(c, 1, z) converges to double precision, |W|^2 is that
+series; elsewhere, and for the mass and the c-derivatives everywhere, the
+Whittaker equation is integrated along the cut with scipy's initial
+value solver.
 """
 
 from __future__ import annotations
@@ -113,6 +116,40 @@ _WHITTAKER_RTOL = 1e-10
 _WHITTAKER_ATOL = 1e-12
 # Terms of the anchor series; at c mu <= 1 they fall like 1/k!.
 _WHITTAKER_TERMS = 30
+# The large-mu series is accepted where its smallest term is below this
+# fraction of its sum.  Its error is 0.35 to 2.1 times that term, so it
+# then stays at the rounding of e^mu, about 2e-15 from mu = 20 (ledger D8).
+_SERIES_EPS = 1e-15
+# At mu <= WHITTAKER_MU_MAX the large-mu terms have stopped falling by s = mu + 1.
+_SERIES_TERMS = int(WHITTAKER_MU_MAX) + 3
+
+
+def _whittaker_points(c: float, mu) -> np.ndarray:
+    """mu as an array, once c and mu pass the checks of every Whittaker value.
+
+    This is the one place that checks them: c must be positive and mu one
+    or more points in (0, WHITTAKER_MU_MAX], a scalar or of any shape.
+    """
+    if not (c > 0):
+        raise ValueError("c must be positive")
+    mus = np.asarray(mu, dtype=float)
+    if mus.size == 0 or not np.all((mus > 0) & (mus <= WHITTAKER_MU_MAX)):
+        raise ValueError(f"mu must be one or more points in (0, {WHITTAKER_MU_MAX:g}]")
+    return mus
+
+
+def _large_mu_sum(c: float, mu: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """S = sum_s (c)_s^2 / (s! mu^s) over its falling terms, and its smallest term over S, at 1-D mu.
+
+    The terms are those of the large-|z| series of U(c, 1, z) at z = -mu + i0
+    (DLMF 13.7.3); they fall while (c+s)^2 < (s+1) mu.
+    """
+    s = np.arange(_SERIES_TERMS, dtype=float)
+    ratio = (c + s) ** 2 / ((s + 1.0) * mu[:, None])
+    falling = np.logical_and.accumulate(ratio < 1.0, axis=1)
+    terms = np.cumprod(np.where(falling, ratio, 0.0), axis=1)
+    total = 1.0 + terms.sum(axis=1)
+    return total, terms.min(axis=1, where=falling, initial=1.0) / total
 
 
 def _whittaker_anchor(c: float, mu: float, dc: bool = False) -> list[complex]:
@@ -146,9 +183,9 @@ def _whittaker_lip(c: float, mu, dc: bool = False) -> np.ndarray:
     """The sweep's states at the points mu, as an array of shape (states,) + mu.shape.
 
     mu is a scalar or an array of any shape and order in (0, 100]; c must
-    be positive.  This is the one place that checks Whittaker points: the
-    sweep runs once over the distinct values of s = log mu, in ascending
-    order, so points that share a log share their states.
+    be positive (_whittaker_points checks both).  The sweep runs once over
+    the distinct values of s = log mu, in ascending order, so points that
+    share a log share their states.
 
     On the lip t = s + i pi of the cut (z = -mu, mu = e^s) the equation for
     V is real, V_ss = mu (mu/4 + kappa) V, so Re V and Im V are swept as
@@ -168,11 +205,7 @@ def _whittaker_lip(c: float, mu, dc: bool = False) -> np.ndarray:
     """
     # Most commands never need scipy.integrate, and importing it costs about 0.36 s.
     from scipy.integrate import solve_ivp
-    if not (c > 0):
-        raise ValueError("c must be positive")
-    mus = np.asarray(mu, dtype=float)
-    if mus.size == 0 or not np.all((mus > 0) & (mus <= WHITTAKER_MU_MAX)):
-        raise ValueError(f"mu must be one or more points in (0, {WHITTAKER_MU_MAX:g}]")
+    mus = _whittaker_points(c, mu)
     s_eval, where = np.unique(np.log(mus), return_inverse=True)
     kappa = 0.5 - c
     s_anchor = min(float(s_eval[0]), -math.log(max(c, 1.0)))
@@ -209,25 +242,44 @@ def _whittaker_lip(c: float, mu, dc: bool = False) -> np.ndarray:
 
 
 def _scaled_msq(c: float, mu) -> np.ndarray:
-    """Gamma(c)^2 |W_{-c+1/2,0}(-mu)|^2 = mu |V|^2, at the points of _whittaker_lip."""
-    y = _whittaker_lip(c, mu)
-    msq = mu * (y[0] * y[0] + y[1] * y[1])
+    """Gamma(c)^2 |W_{-c+1/2,0}(-mu)|^2 at mu of any shape, in mu's shape (ledger D8).
+
+    Where the large-mu series converges, its smallest term below
+    _SERIES_EPS of its sum S (_large_mu_sum), it is
+    Gamma(c)^2 e^mu mu^(1-2c) S^2, taken in logs; the other points take
+    mu |V|^2 from one sweep over just them.
+    """
+    mus = _whittaker_points(c, mu)
+    flat = mus.ravel()
+    total, smallest = _large_mu_sum(c, flat)
+    served = smallest < _SERIES_EPS
+    m = flat[served]
+    msq = np.empty_like(flat)
+    msq[served] = np.exp(2.0 * math.lgamma(c) + m + (1.0 - 2.0 * c) * np.log(m) + 2.0 * np.log(total[served]))
+    if not np.all(served):
+        m = flat[~served]
+        y = _whittaker_lip(c, m)
+        msq[~served] = m * (y[0] * y[0] + y[1] * y[1])
     if not np.all(np.isfinite(msq)):
         raise WhittakerError("non-finite Whittaker value")
-    return msq
+    return msq.reshape(mus.shape)
 
 
 def whittaker_msq(c: float, mu):
     """|W_{-c+1/2, 0}(-mu)|^2 as the limit from the upper half plane.
 
     mu is a scalar (a float is returned) or an array of points in
-    (0, 100] (an array of the same shape is returned).  The convergent
-    series of U(c, 1, z) anchors the Gamma(c)-scaled solution on the upper
-    lip of the cut at mu_a = min(mu, 1/max(c, 1)); from there one real ODE
-    sweep upward in log mu along the lip gives every requested point.
-    Against mpmath the relative error is below 1e-9 over mu in
-    [1e-6, 100] for c from 0.5 to 100.  |W|^2 falls below the normal
-    doubles from about c = 100, where WhittakerError is raised.
+    (0, 100] (an array of the same shape is returned).  Where the
+    large-mu series of U(c, 1, z) converges to double precision (from
+    about mu = 33 at c = 0.5, 38 at c = 1, 45 at c = 2 and 64 at c = 5;
+    not at all from about c = 10.1) |W|^2 is
+    e^mu mu^(1-2c) (sum_s (c)_s^2 / (s! mu^s))^2, within 3e-14 of mpmath.
+    Every other point comes from one sweep: the convergent series of
+    U(c, 1, z) anchors the Gamma(c)-scaled solution on the upper lip of
+    the cut at mu_a = min(mu, 1/max(c, 1)), and one real ODE sweep upward
+    in log mu along the lip gives those points, within 1e-9 of mpmath
+    over mu in [1e-6, 100] for c from 0.5 to 100.  |W|^2 falls below the
+    normal doubles from about c = 100, where WhittakerError is raised.
     """
     msq = np.exp(np.log(_scaled_msq(c, mu)) - 2.0 * math.lgamma(c))
     if not np.all(msq >= np.finfo(float).tiny):

@@ -325,6 +325,33 @@ def test_dos_csv_with_exact_overlay(tmp_path):
     assert lines[0] == "mu,D_empirical,D_exact"
 
 
+def test_dos_overlays_exact_at_non_integer_alpha_on_the_whittaker_route(tmp_path):
+    # kappa max(mu) <= 100: dos_exact serves alpha = 1.5 through the sweep.
+    argv = ["dos", "--law", "gamma:1.5:1", "--grid", "0.1:3:5", "--realizations", "1", "--size", "101",
+            "--out", str(tmp_path)]
+    assert run(argv) == EXIT_OK
+    lines = (tmp_path / "dos_dos.csv").read_text().splitlines()
+    assert lines[0] == "mu,D_empirical,D_exact"
+    edges = parse_grid("0.1:3:5")
+    centers = 0.5 * (edges[1:] + edges[:-1])
+    expected = exact.dos_exact(exact.GammaChainParams(1.5, 1.0), centers)
+    rows = [r.split(",") for r in lines[1:]]
+    assert [r[0] for r in rows] == [f"{v:.12g}" for v in centers]
+    assert [r[2] for r in rows] == [f"{v:.12g}" for v in expected]
+
+
+def test_dos_without_a_route_for_exact_writes_no_overlay(tmp_path):
+    # alpha = 1.5 is not an integer, and kappa max(mu) = 50 * 2.6375 > 100
+    # lies past the Whittaker route: dos_exact has no route, so no column.
+    argv = ["dos", "--law", "gamma:1.5:50", "--grid", "0.1:3:5", "--realizations", "1", "--size", "101",
+            "--out", str(tmp_path)]
+    assert run(argv) == EXIT_OK
+    lines = (tmp_path / "dos_dos.csv").read_text().splitlines()
+    assert lines[0] == "mu,D_empirical"
+    with pytest.raises(ValueError):
+        exact.dos_exact(exact.GammaChainParams(1.5, 50.0), [1.0, 2.6375])
+
+
 @pytest.mark.parametrize("flag,value", [("--realizations", "0"), ("--realizations", "-1"),
                                         ("--size", "1"), ("--size", "2"), ("--grid", "0.5:3.5:1")])
 def test_dos_rejects_degenerate_runs(tmp_path, capsys, flag, value):
@@ -681,6 +708,7 @@ def test_selftest_passes(capsys):
 _MODULE_PROBE = """
 import json, sys, tempfile
 import randchain, randchain.cli
+from randchain import betaens, specfun
 from randchain.cli import run
 
 def heavy():
@@ -695,6 +723,9 @@ with tempfile.TemporaryDirectory() as out:
         ["pure", "--what", "idos", "--x", "2"],
     ]
     res["light_codes"] = [run([*argv, "--out", out]) for argv in light]
+    # Past the turning point the large-mu series alone serves |W|^2.
+    specfun.whittaker_msq(1.0, 60.0)
+    betaens.con_density(1.0, [50.0, 80.0])
     res["light"] = heavy()
     res["integrate_codes"] = [
         run(["exact", "--alpha", "1", "--kappa", "1", "--grid", "g1e-3:1:3", "--out", out]),

@@ -149,6 +149,15 @@ def test_whittaker_domain_errors():
         sf.whittaker_msq(1.0, np.array([1.0, 101.0]))
     with pytest.raises(ValueError):
         sf.whittaker_dc(1.0, np.array([1.0, 101.0]))
+    # Points the large-mu series would serve alone are checked all the same.
+    with pytest.raises(ValueError):
+        sf.whittaker_msq(-1.0, 60.0)
+    with pytest.raises(ValueError):
+        sf.whittaker_msq(float("nan"), 60.0)
+    with pytest.raises(ValueError):
+        sf.whittaker_msq(1.0, [60.0, 101.0])
+    with pytest.raises(ValueError):
+        betaens.con_density(1.0, [60.0, math.inf])
 
 
 @pytest.mark.parametrize("mu", [1e-6, 1e-2, 1.0, 20.0, 40.0, 60.0, 80.0, 100.0])
@@ -171,6 +180,43 @@ def test_whittaker_msq_large_c_against_mpmath(c, mu):
     with mpmath.workdps(30):
         ref = float(abs(mpmath.whitw(0.5 - c, 0, mpmath.mpc(-mu, 1e-25 * max(mu, 1.0)))) ** 2)
     assert sf.whittaker_msq(c, mu) == pytest.approx(ref, rel=1e-8, abs=0)
+
+
+def _whittaker_msq_mpmath(c, mu):
+    # Oracle: |W_{1/2-c,0}(-mu + i0)|^2 from mpmath at 40 digits.
+    with mpmath.workdps(40):
+        return float(abs(mpmath.whitw(0.5 - c, 0, mpmath.mpc(-mu, 1e-25 * mu))) ** 2)
+
+
+def _series_serves(c, mu):
+    return bool(sf._large_mu_sum(c, np.array([mu]))[1][0] < sf._SERIES_EPS)
+
+
+def _sweep_msq(c, mu):
+    y = sf._whittaker_lip(c, mu)
+    return mu * (y[0] * y[0] + y[1] * y[1]) * math.exp(-2.0 * math.lgamma(c))
+
+
+@pytest.mark.parametrize(
+    "c,mu",
+    [(0.01, 25.0), (0.01, 50.0), (0.01, 100.0), (0.5, 35.0), (0.5, 60.0), (0.5, 100.0),
+     (2.0, 50.0), (2.0, 75.0), (2.0, 100.0), (5.0, 65.0), (5.0, 80.0), (5.0, 100.0)],
+)
+def test_whittaker_msq_series_side_against_mpmath(c, mu):
+    # Past the turning point the large-mu series serves, to double precision.
+    assert _series_serves(c, mu)
+    assert sf.whittaker_msq(c, mu) == pytest.approx(_whittaker_msq_mpmath(c, mu), rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("c", [0.01, 0.5, 1.0, 2.0, 5.0, 9.0])
+def test_whittaker_msq_routes_meet_where_the_series_takes_over(c):
+    # Below the first series point the sweep serves; from it on, the series,
+    # and both routes agree there within the sweep's own error.
+    grid = np.arange(20.0, 100.0, 0.25)
+    first = next(i for i, mu in enumerate(grid) if _series_serves(c, mu))
+    assert not _series_serves(c, grid[first - 1])
+    for mu in grid[first - 1 : first + 4]:
+        assert sf.whittaker_msq(c, mu) == pytest.approx(_sweep_msq(c, mu), rel=1e-9, abs=0)
 
 
 def test_whittaker_msq_refuses_values_below_the_normal_doubles():
