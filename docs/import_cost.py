@@ -1,4 +1,4 @@
-"""Table behind docs/DECISIONS.md (ledger D5): what importing randchain costs.
+"""Table behind docs/DECISIONS.md (ledgers D5 and D9): what importing randchain costs.
 
 Run from the repository root:
 
@@ -31,6 +31,7 @@ REPEATS = 9
 STAGES = (
     ("numpy", "import numpy"),
     ("+ scipy.special", "import numpy, scipy.special"),
+    ("+ scipy.linalg", "import numpy, scipy.special, scipy.linalg"),
     ("+ scipy.integrate", "import numpy, scipy.special, scipy.integrate"),
     ("+ scipy.stats", "import numpy, scipy.special, scipy.integrate, scipy.stats"),
 )

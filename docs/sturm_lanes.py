@@ -1,8 +1,8 @@
-"""Tables behind docs/DECISIONS.md (ledgers D3 and D6): cost of the Sturm loop shapes and of bisection.
+"""Tables behind docs/DECISIONS.md (ledgers D3 and D9): cost of the Sturm loop shapes and of bisection.
 
 Run from the repository root:
 
-    PYTHONPATH=src python docs/sturm_lanes.py [--sites N] [--against OTHER/src/randchain/tridiag.py] [--bisect]
+    PYTHONPATH=src python docs/sturm_lanes.py [--sites N] [--against OTHER/src/randchain/tridiag.py] [--bisect] [--hint]
 
 It prints one markdown table of microseconds per site of
 tridiag._sturm_counts on matrices of 400 sites (or --sites), from 16 to
@@ -20,10 +20,15 @@ timed call also checks that both copies give the same counts.
 
 With --bisect, a second table times tridiag.eigenvalues_many on the
 bisections of the beta-ensembles benchmark (the two betaens commands'
-batches, the rank-restricted call and squared_spectrum) and on a full
-spectrum of 2000 sites: Sturm sweeps and milliseconds per call, and with
---against the other copy's sweeps, milliseconds and the median ratio,
-asserting on every call that both copies give bitwise the same values.
+batches, the rank-restricted call and squared_spectrum), on a full
+spectrum of 2000 sites and on few ranks of small and long matrices:
+Sturm sweeps and milliseconds per call, and with --against the other
+copy's sweeps, milliseconds and the median ratio, asserting on every
+call that both copies give bitwise the same values.
+
+With --hint, a third table times eigenvalues_many on one matrix with
+and without the guards around LAPACK estimates, over sizes and sites
+per wanted rank, the break-even behind tridiag._HINT_SITES_PER_RANK.
 """
 
 from __future__ import annotations
@@ -42,6 +47,8 @@ BATCH = 8
 LANES = (16, 24, 32, 40, 48, 64, 96, 150, 300, 600, 1200, 2000, 4000, 8000, 16000, 30000)
 FLOAT_LANES_MAX = 2000
 REPEATS = 9
+HINT_SIZES = (101, 401, 1001, 2001, 4001)
+HINT_SITES_PER_RANK = (4, 16, 32, 64, 128, 512)
 
 
 def load(path: str):
@@ -124,6 +131,10 @@ def bisections() -> dict:
     n = 2000
     cases["eigenvalues, n = 2000, all ranks"] = (
         [tridiag.SymTridiag(rng.normal(size=n), rng.uniform(0.1, 2.0, n - 1))], None, None)
+    for n, k in ((10, 1), (4001, 1), (20001, 100)):
+        sym = tridiag.SymTridiag(rng.normal(size=n), rng.uniform(0.2, 1.5, n - 1))
+        ranks = np.sort(rng.choice(np.arange(1, n + 1), k, replace=False))
+        cases[f"eigenvalues, n = {n}, {k} rank{'s' * (k > 1)}"] = ([sym], ranks, None)
     return cases
 
 
@@ -171,11 +182,56 @@ def bisect_row(name: str, ts, ranks, bounds, other) -> str:
     return "| " + " | ".join(cells) + " |"
 
 
+def hint_row(n: int) -> str:
+    """ms of one eigenvalues_many call on n sites with guards / without, per sites per wanted rank."""
+    rng = np.random.default_rng(n)
+    sym = tridiag.SymTridiag(rng.normal(size=n), rng.uniform(0.2, 1.5, n - 1))
+    keep = tridiag._HINT_SITES_PER_RANK
+    cells = [str(n)]
+    try:
+        for per_rank in HINT_SITES_PER_RANK:
+            ranks = np.sort(rng.choice(np.arange(1, n + 1), max(1, n // per_rank), replace=False))
+            times = {True: [], False: []}
+            for _ in range(REPEATS):
+                for guided in times:
+                    tridiag._HINT_SITES_PER_RANK = n if guided else 0
+                    start = time.perf_counter()
+                    tridiag.eigenvalues_many([sym], ranks=ranks)
+                    times[guided].append(1e3 * (time.perf_counter() - start))
+            cells.append(f"{statistics.median(times[True]):.1f} / {statistics.median(times[False]):.1f}")
+    finally:
+        tridiag._HINT_SITES_PER_RANK = keep
+    return "| " + " | ".join(cells) + " |"
+
+
+def bisect_table(other) -> None:
+    print(f"ms per tridiag.eigenvalues_many call, median of {REPEATS} interleaved repeats")
+    print()
+    head = ["bisection", "matrices x ranks", "sweeps", "ms"]
+    if other is not None:
+        head += ["other sweeps", "other ms", "ms / other"]
+    print("| " + " | ".join(head) + " |")
+    print("|---" * len(head) + "|")
+    for name, case in bisections().items():
+        print(bisect_row(name, *case, other), flush=True)
+
+
+def hint_table() -> None:
+    print(f"ms per eigenvalues_many call with guards / without, one matrix, median of {REPEATS} interleaved repeats")
+    print()
+    head = ["sites"] + [f"{k} sites per rank" for k in HINT_SITES_PER_RANK]
+    print("| " + " | ".join(head) + " |")
+    print("|---" * len(head) + "|")
+    for n in HINT_SIZES:
+        print(hint_row(n), flush=True)
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--sites", type=int, default=400, help="matrix size (default 400)")
     parser.add_argument("--against", help="path of another tridiag.py whose array loop to time alongside")
     parser.add_argument("--bisect", action="store_true", help="also time eigenvalues_many on the benchmark's bisections")
+    parser.add_argument("--hint", action="store_true", help="also time eigenvalues_many with and without its guards")
     args = parser.parse_args()
     other = None if args.against is None else load(args.against)
     print(f"us per site of tridiag._sturm_counts, {args.sites} sites, median of {REPEATS} interleaved repeats")
@@ -188,18 +244,12 @@ def main() -> None:
     for lanes in LANES:
         for rows in (1, BATCH):
             print(row(args.sites, lanes, rows, other), flush=True)
-    if not args.bisect:
-        return
-    print()
-    print(f"ms per tridiag.eigenvalues_many call, median of {REPEATS} interleaved repeats")
-    print()
-    head = ["bisection", "matrices x ranks", "sweeps", "ms"]
-    if other is not None:
-        head += ["other sweeps", "other ms", "ms / other"]
-    print("| " + " | ".join(head) + " |")
-    print("|---" * len(head) + "|")
-    for name, case in bisections().items():
-        print(bisect_row(name, *case, other), flush=True)
+    if args.bisect:
+        print()
+        bisect_table(other)
+    if args.hint:
+        print()
+        hint_table()
 
 
 if __name__ == "__main__":

@@ -36,10 +36,11 @@ EXIT_IO = 4
 _DOS_BLOCK_ELEMENTS = 1 << 16
 
 # Lanes times sites (per sample: wanted eigenvalues times matrix size) that
-# `betaens` bisects in one batch; it bounds the batch's arrays.  Each
-# bisection step is one Sturm sweep, whose numpy dispatch per site the
-# batch shares: at N = 100 pairs a sample costs 14 ms alone, 4.3 ms in a
-# batch of 16 and 2.9 ms in one of 128 (2.6e6 elements).
+# `betaens` bisects in one batch; it bounds the batch's arrays.  The batch
+# shares each Sturm sweep's numpy dispatch per site, and each sample pays
+# for its own LAPACK estimates (ledger D9): at N = 100 pairs a sample costs
+# 4.3 ms alone, 1.9 ms in a batch of 16 and 1.7 ms in one of 128 (2.6e6
+# elements).
 _BETAENS_BLOCK_ELEMENTS = 1 << 22
 
 

@@ -40,10 +40,14 @@ _FLOAT_LOOP_LANES = 20
 _FLOAT_LOOP_CHUNK = 1024
 _ARRAY_BLOCK_ELEMENTS = 2**15
 
-# Lanes whose work in the array loop costs as much per site as the loop's
-# numpy dispatch (about 2-3 us against 2.5-3 ns per lane, docs/sturm_lanes.py),
-# which sets how many bisection steps one sweep looks ahead (_lookahead_levels).
-_LOOKAHEAD_LANES = 1000
+# Guards around LAPACK estimates (_guards) steer a bisection whose matrix has
+# at most this many sites per wanted rank: the estimates cost O(n^2) per
+# matrix, and the break-even with the sweeps they save runs from about 300
+# sites per rank at n = 401 to 30 at n = 4001 (docs/sturm_lanes.py --hint,
+# 2-core box).  A guard sits _GUARD_ULPS sqrt(n) rounding units of the
+# spectral radius from its estimate, twice the widest miss seen (ledger D9).
+_HINT_SITES_PER_RANK = 64
+_GUARD_ULPS = 16
 
 
 @dataclass(frozen=True)
@@ -330,16 +334,18 @@ def eigenvalues_many(
     `tol` and `ranks` are shared by every matrix; `bounds`, if given, is
     one (lo, hi) bracket per matrix.  Each matrix gets the bracket, the
     default tol (1e-12 of its bracket width, at least 1e-12) and the
-    iteration count that a call on it alone would get.  Each Sturm sweep
-    probes every distinct bracket of the unfinished matrices (ranks still
-    sharing one probe it once) at the dyadic midpoints of the next k
-    bisection steps, k from _lookahead_levels, and the steps are then
-    replayed rank by rank from those counts; a matrix leaves once its
-    widest bracket is within its tol or it has run its iterations,
-    checked after every replayed step.  A replayed midpoint is the probe
-    the plain one-step loop would make, and the kernel's row counts equal
-    one-matrix counts, so every value is bitwise that of one step per
-    sweep and of the one-matrix call.
+    iteration count that a call on it alone would get.  Every value is
+    bitwise that of the plain loop, which takes mid = (lo + hi) / 2 as hi
+    when count_below(mid) >= rank and as lo otherwise, until the widest
+    bracket is within tol or the iterations run out (ledger D9).  The count
+    is monotone in the probe, so a midpoint at or above a probe counted
+    >= rank is a take and one at or below a probe counted < rank is not;
+    a step sweeps only the other midpoints, all in one sweep.  Where a
+    matrix has at most _HINT_SITES_PER_RANK sites per wanted rank, the
+    first sweep also counts two guards around a LAPACK estimate of each
+    wanted eigenvalue (_guards), which leave few midpoints to sweep.  A
+    row whose estimates fail, or whose guards are not finite or not counted
+    in order, runs without them and sweeps every midpoint.
 
     Ranks outside 1..n or not strictly ascending, and a bracket that does
     not hold the wanted ranks (checked by one Sturm count at its ends),
@@ -381,89 +387,83 @@ def eigenvalues_many(
         n_iters.append(max(int(math.ceil(math.log2((hi - lo) / row_tol))) + 2, 8))
     diag = np.stack([t.diag for t in ts])
     off = np.stack([t.off for t in ts])
+    # One sweep counts the bracket ends, to check them, and the guards.
+    no_probes = np.empty((len(ts), 0))
+    ends = no_probes if bounds is None else np.column_stack([los, his])
+    guards = _guards(diag, off, want) if n <= _HINT_SITES_PER_RANK * want.size else no_probes
+    if ends.size or guards.size:
+        counts = _sturm_counts(diag, off, np.nan_to_num(np.hstack([ends, guards])))
     if bounds is not None:
         # The k-th eigenvalue lies in [lo, hi) exactly when
         # count_below(lo) < k <= count_below(hi).
-        ends = _sturm_counts(diag, off, np.column_stack([los, his]))
-        bad = np.flatnonzero((ends[:, 0] >= want[0]) | (ends[:, 1] < want[-1]))
+        bad = np.flatnonzero((counts[:, 0] >= want[0]) | (counts[:, 1] < want[-1]))
         if bad.size:
             i = bad[0]
             raise ValueError(
                 f"bracket {brackets[i]} of matrix {i} does not hold ranks {want[0]}..{want[-1]}: "
-                f"{ends[i, 0]} eigenvalues lie below it and {n - ends[i, 1]} at or above it")
+                f"{counts[i, 0]} eigenvalues lie below it and {n - counts[i, 1]} at or above it")
+    lo, hi = (np.repeat(np.array(v)[:, None], want.size, axis=1) for v in (los, his))
+    # The largest probe counted below each rank and the smallest counted at
+    # or above it: a midpoint beyond either is decided without a count.
+    below, above = np.full(lo.shape, -np.inf), np.full(lo.shape, np.inf)
+    if guards.size:
+        counts = counts[:, ends.shape[1]:]
+        for i in np.flatnonzero(np.isfinite(guards).all(axis=1) & (np.diff(counts, axis=1) >= 0).all(axis=1)):
+            k = np.searchsorted(counts[i], want)
+            padded = np.r_[-np.inf, guards[i], np.inf]
+            below[i], above[i] = padded[k], padded[k + 1]
     # Working state of the unfinished rows, in their original order.
     rows = np.arange(len(ts))
-    lo = np.repeat(np.array(los)[:, None], want.size, axis=1)
-    hi = np.repeat(np.array(his)[:, None], want.size, axis=1)
     row_tol, n_iter = np.array(tols), np.array(n_iters)
     out: list[Spectrum | None] = [None] * len(ts)
     step = 0
     while rows.size:
-        # Ranks of a row that share a bracket sit next to each other (the
-        # counting function is monotone); number its distinct brackets.
-        # Short rows repeat their last bracket up to the longest.
-        group = np.zeros(lo.shape, dtype=np.intp)
-        np.cumsum((lo[:, 1:] != lo[:, :-1]) | (hi[:, 1:] != hi[:, :-1]), axis=1, out=group[:, 1:])
-        r = np.arange(rows.size)[:, None]
-        width = int(group[:, -1].max()) + 1
-        node_lo = np.repeat(lo[:, -1:], width, axis=1)
-        node_hi = np.repeat(hi[:, -1:], width, axis=1)
-        node_lo[r, group] = lo
-        node_hi[r, group] = hi
-        levels = _lookahead_levels(node_lo.size, int(n_iter.max()) - step)
-        # Probe the dyadic midpoints of the next `levels` steps of every
-        # distinct bracket in one sweep: a heap per bracket, node h of
-        # which splits into nodes 2h + 1 and 2h + 2, built level by level.
-        node_lo, node_hi = node_lo[:, :, None], node_hi[:, :, None]
-        probes = [0.5 * (node_lo + node_hi)]
-        for _ in range(levels - 1):
-            mid = probes[-1]
-            node_lo = np.stack([node_lo, mid], axis=-1).reshape(rows.size, width, -1)
-            node_hi = np.stack([mid, node_hi], axis=-1).reshape(rows.size, width, -1)
-            probes.append(0.5 * (node_lo + node_hi))
-        counts = _sturm_counts(diag, off, np.concatenate(probes, axis=2).reshape(rows.size, -1))
-        counts = counts.reshape(rows.size, width, -1)
-        # Replay plain bisection on those counts: a rank's bracket is the
-        # heap node it has reached, so its midpoint is that node's probe,
-        # bit for bit.  The k-th smallest eigenvalue is below mid exactly
-        # when count_below(mid) >= k.
-        node = np.zeros(lo.shape, dtype=np.intp)
-        for _ in range(levels):
-            step += 1
-            mid = 0.5 * (lo + hi)
-            take = counts[r, group, node] >= want
-            hi = np.where(take, mid, hi)
-            lo = np.where(take, lo, mid)
-            node = 2 * node + 2 - take
-            stop = (np.max(hi - lo, axis=1) <= row_tol) | (step >= n_iter)
-            if stop.any():
-                for i in np.flatnonzero(stop):
-                    out[rows[i]] = Spectrum(0.5 * (lo[i] + hi[i]), tol=tols[rows[i]])
-                keep = ~stop
-                rows, diag, off, lo, hi, row_tol, n_iter, group, node, counts = (
-                    a[keep] for a in (rows, diag, off, lo, hi, row_tol, n_iter, group, node, counts))
-                r = r[:rows.size]
-                if not rows.size:
-                    break
+        step += 1
+        mid = 0.5 * (lo + hi)
+        take = mid >= above
+        ask = ~take & (mid > below)
+        if ask.any():
+            r, j = np.nonzero(ask)
+            lane = np.cumsum(ask, axis=1)[r, j] - 1
+            probes = np.zeros((rows.size, lane.max() + 1))  # rows with fewer pad with 0, whose count is not read
+            probes[r, lane] = mid[r, j]
+            take[r, j] = _sturm_counts(diag, off, probes)[r, lane] >= want[j]
+            above = np.where(ask & take, mid, above)
+            below = np.where(ask & ~take, mid, below)
+        hi = np.where(take, mid, hi)
+        lo = np.where(take, lo, mid)
+        stop = (np.max(hi - lo, axis=1) <= row_tol) | (step >= n_iter)
+        if stop.any():
+            for i in np.flatnonzero(stop):
+                out[rows[i]] = Spectrum(0.5 * (lo[i] + hi[i]), tol=tols[rows[i]])
+            keep = ~stop
+            rows, diag, off, lo, hi, below, above, row_tol, n_iter = (
+                a[keep] for a in (rows, diag, off, lo, hi, below, above, row_tol, n_iter))
     return out
 
 
-def _lookahead_levels(lanes: int, left: int) -> int:
-    """Bisection steps per Sturm sweep for `lanes` distinct brackets, at most `left`.
+def _estimates(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
+    """All n eigenvalues of one matrix, ascending, from LAPACK dsterf (root-free QL/QR)."""
+    # Only bisection needs scipy.linalg, and importing it costs about 40 ms.
+    from scipy.linalg import lapack
 
-    k steps probe lanes * (2^k - 1) midpoints in one sweep.  A sweep of m
-    lanes costs, per site and in units of the array loop's cost per
-    lane, _LOOKAHEAD_LANES + m in the array loop and m * _LOOKAHEAD_LANES
-    / _FLOAT_LOOP_LANES in the float loop; the kernel takes the cheaper.
-    The k returned makes the most steps per unit of that cost.  It is at
-    most log2(_LOOKAHEAD_LANES) + 1: past that, one more level's probes
-    cost more than the dispatch of the sweep they save.
-    """
-    def steps_per_cost(k: int) -> float:
-        m = lanes * (2**k - 1)
-        return k / min(_LOOKAHEAD_LANES + m, m * _LOOKAHEAD_LANES / _FLOAT_LOOP_LANES)
+    values, info = lapack.dsterf(diag, off if off.size else [0.0])  # its wrapper wants one coupling at n = 1
+    if info:
+        raise np.linalg.LinAlgError(f"dsterf failed to converge ({info} off-diagonals left)")
+    return values
 
-    return max(range(1, min(left, _LOOKAHEAD_LANES.bit_length()) + 1), key=steps_per_cost)
+
+def _guards(diag: np.ndarray, off: np.ndarray, want: np.ndarray) -> np.ndarray:
+    """Two probes per wanted rank around its _estimates value, sorted along each row; NaN where those fail."""
+    guards = np.full((diag.shape[0], 2 * want.size), np.nan)
+    for i in range(diag.shape[0]):
+        try:
+            est = _estimates(diag[i], off[i])
+        except np.linalg.LinAlgError:
+            continue
+        delta = _GUARD_ULPS * math.sqrt(diag.shape[1]) * np.finfo(float).eps * max(abs(est[0]), abs(est[-1]))
+        guards[i] = np.r_[est[want - 1] - delta, est[want - 1] + delta]
+    return np.sort(guards, axis=1)
 
 
 def tracelog_check(lam: AntisymTridiag, x: float, m_terms: int) -> tuple[float, float]:

@@ -712,7 +712,7 @@ from randchain import betaens, specfun
 from randchain.cli import run
 
 def heavy():
-    return [m for m in ("scipy.integrate", "scipy.stats") if m in sys.modules]
+    return [m for m in ("scipy.linalg", "scipy.integrate", "scipy.stats") if m in sys.modules]
 
 res = {"import": heavy()}
 with tempfile.TemporaryDirectory() as out:
@@ -727,6 +727,9 @@ with tempfile.TemporaryDirectory() as out:
     specfun.whittaker_msq(1.0, 60.0)
     betaens.con_density(1.0, [50.0, 80.0])
     res["light"] = heavy()
+    # Bisection takes its estimates from scipy.linalg's LAPACK.
+    res["fixed_code"] = run(["betaens", "--beta", "2", "--pairs", "8", "--samples", "1", "--out", out])
+    res["fixed"] = heavy()
     res["integrate_codes"] = [
         run(["exact", "--alpha", "1", "--kappa", "1", "--grid", "g1e-3:1:3", "--out", out]),
         run(["betaens", "--c-over-n", "1", "--pairs", "8", "--samples", "1", "--out", out]),
@@ -736,9 +739,10 @@ print(json.dumps(res))
 
 
 def test_light_commands_do_not_load_scipy_integrate_or_stats():
-    # Most commands need only scipy.special; scipy.integrate and
-    # scipy.stats (about 1 s of import together) load only in the
-    # functions that use them.  A fresh interpreter shows what loads.
+    # Most commands need only scipy.special; scipy.linalg (about 40 ms of
+    # import), scipy.integrate and scipy.stats (about 1 s together) load
+    # only in the functions that use them.  A fresh interpreter shows what
+    # loads.
     src = Path(__file__).resolve().parents[1] / "src"
     env = {**os.environ, "PYTHONPATH": str(src)}
     proc = subprocess.run([sys.executable, "-c", _MODULE_PROBE], env=env, capture_output=True, text=True, timeout=120)
@@ -747,4 +751,6 @@ def test_light_commands_do_not_load_scipy_integrate_or_stats():
     assert res["import"] == []
     assert res["light_codes"] == [EXIT_OK] * 4
     assert res["light"] == []
+    assert res["fixed_code"] == EXIT_OK
+    assert res["fixed"] == ["scipy.linalg"]
     assert res["integrate_codes"] == [EXIT_OK] * 2

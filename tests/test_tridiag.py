@@ -239,6 +239,50 @@ def test_diagonal_matrix_ties_count_strictly_below(diag):
     assert np.array_equal(batched[0], want)
 
 
+@st.composite
+def _probe_ladders(draw):
+    """A matrix and sorted probes crowded about some of its eigenvalues.
+
+    Each picked eigenvalue gets a ladder of nextafter steps on both sides
+    and a few points within 1e-9 of the scale, which runs over twelve
+    decades; diagonals may be zero and couplings exactly zero.
+    """
+    n = draw(st.integers(1, 30))
+    scale = 10.0 ** draw(st.floats(-6, 6))
+    if draw(st.booleans()):
+        diag = np.zeros(n)
+    else:
+        diag = scale * draw(hnp.arrays(float, n, elements=st.floats(-4, 4)))
+    sign = draw(hnp.arrays(float, n - 1, elements=st.sampled_from([0.0, 1.0, 1.0, -1.0])))
+    off = scale * sign * draw(hnp.arrays(float, n - 1, elements=st.floats(0.1, 2.0)))
+    ev = np.linalg.eigvalsh(SymTridiag(diag, off).to_dense())
+    steps = draw(st.integers(1, 100))
+    probes = []
+    for x in ev[draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=3))]:
+        for toward in (-np.inf, np.inf):
+            rung = x
+            for _ in range(steps):
+                rung = np.nextafter(rung, toward)
+                probes.append(rung)
+        probes += [x, *(x + 1e-9 * scale * draw(hnp.arrays(float, 5, elements=st.floats(-1, 1))))]
+    return diag, off, np.unique(probes)
+
+
+@settings(max_examples=100, deadline=None)
+@given(ladder=_probe_ladders())
+# Wilkinson's W21+, whose top two eigenvalues lie 7e-14 apart, probed
+# across that pair.
+@example(ladder=(np.abs(np.arange(21.0) - 10), np.ones(20),
+                 np.unique(np.r_[np.linspace(10.74, 10.75, 50), np.linspace(10.746194182903, 10.746194182904, 80)])))
+def test_counts_are_monotone_in_the_probe(ladder):
+    # The guided bisection (ledger D9) decides a step from counts at other
+    # probes, which is sound only if the floating-point count never falls
+    # as the probe rises; both loop shapes give these counts (_both_shapes).
+    diag, off, probes = ladder
+    counts = _both_shapes(diag, off, probes)
+    assert np.all(np.diff(counts) >= 0)
+
+
 def test_array_loop_zero_pivots_at_block_boundaries():
     # Blocks of 4 sites (1-4, 5-8, 9): probes at 0.5 meet exact zero pivots
     # at sites 4, 5 and 9, the last site of a block, the first of the next
@@ -457,30 +501,22 @@ def _degenerate_batches(draw):
 
 
 @settings(max_examples=150, deadline=None)
-@given(batch=_bisection_batches() | _degenerate_batches(), lookahead=st.sampled_from([None, 30, 5000]))
-@example(batch=_wide_batch(3, 12, 1e-17), lookahead=None)
-@example(batch=_wide_batch(3, 40, None), lookahead=None)
-@example(batch=([SymTridiag(np.r_[np.zeros(20), np.ones(20)], np.zeros(39))] * 2, None, None, None), lookahead=None)
+@given(batch=_bisection_batches() | _degenerate_batches())
+@example(batch=_wide_batch(3, 12, 1e-17))
+@example(batch=_wide_batch(3, 40, None))
+@example(batch=([SymTridiag(np.r_[np.zeros(20), np.ones(20)], np.zeros(39))] * 2, None, None, None))
 # An eigenvalue at exactly 2.0, where probes computed as lo + (hi - lo) / 2
 # instead of the plain loop's (lo + hi) / 2 change a count and a value.
-@example(batch=([SymTridiag(np.array([2.0, 2.0, 2.0, 0.0]), np.array([1.0, 1.0, 0.0]))], None, None, None),
-         lookahead=None)
-def test_lookahead_bisection_equals_one_level_loop_bitwise(batch, lookahead):
-    # Each sweep probes the dyadic midpoints of several steps ahead and
-    # replays the steps from their counts; every value, and the step at
-    # which each row stops, must be those of the plain loop.  The batch
-    # and its matrices one at a time look ahead by different numbers of
-    # steps, and so do other values of _LOOKAHEAD_LANES.
+@example(batch=([SymTridiag(np.array([2.0, 2.0, 2.0, 0.0]), np.array([1.0, 1.0, 0.0]))], None, None, None))
+def test_guided_bisection_equals_one_level_loop_bitwise(batch):
+    # Steps decided from guard counts around LAPACK estimates, and the
+    # midpoints swept between them, must give every value, and the step at
+    # which each row stops, of the plain loop; batched and one at a time.
     ts, tol, ranks, bounds = batch
     want = [_one_level_bisection(t, tol, ranks, None if bounds is None else bounds[i]) for i, t in enumerate(ts)]
-    lanes = tridiag._LOOKAHEAD_LANES
-    try:
-        tridiag._LOOKAHEAD_LANES = lanes if lookahead is None else lookahead
-        got = eigenvalues_many(ts, tol, ranks, bounds)
-        alone = [eigenvalues_many([t], tol, ranks, None if bounds is None else [bounds[i]])[0]
-                 for i, t in enumerate(ts)]
-    finally:
-        tridiag._LOOKAHEAD_LANES = lanes
+    got = eigenvalues_many(ts, tol, ranks, bounds)
+    alone = [eigenvalues_many([t], tol, ranks, None if bounds is None else [bounds[i]])[0]
+             for i, t in enumerate(ts)]
     for (values, row_tol), batched, single in zip(want, got, alone):
         for spectrum in (batched, single):
             assert np.array_equal(spectrum.values.view(np.int64), values.view(np.int64))
@@ -508,6 +544,57 @@ def test_rank_restricted_bisection_takes_few_sweeps(monkeypatch):
     got = eigenvalues(t, ranks=ranks)
     assert np.array_equal(got.values.view(np.int64), values.view(np.int64))
     assert len(sweeps) <= steps // 2
+
+
+@pytest.mark.parametrize("fault", ["nan", "raise", "off"])
+def test_guided_bisection_without_a_good_hint_keeps_the_bits(monkeypatch, fault):
+    # The second matrix's estimates are NaN, fail to converge or sit 1e3
+    # tol above its eigenvalues; it then sweeps every midpoint, or the
+    # midpoints between guards on the wrong side, and its batch mixes rows
+    # with and without guards.  Every value stays the one-step loop's.
+    rng = np.random.default_rng(41)
+    ts = [SymTridiag(rng.normal(size=60), rng.uniform(0.2, 1.5, 59)) for _ in range(3)]
+    tol, ranks = 1e-10, np.arange(20, 50)
+    estimates, calls = tridiag._estimates, []
+
+    def hint(diag, off):
+        calls.append(1)
+        est = estimates(diag, off)
+        if len(calls) % 3 != 2:
+            return est
+        if fault == "raise":
+            raise np.linalg.LinAlgError("dsterf failed to converge")
+        return np.full_like(est, np.nan) if fault == "nan" else est + 1e3 * tol
+
+    monkeypatch.setattr(tridiag, "_estimates", hint)
+    got = eigenvalues_many(ts, tol, ranks)
+    assert len(calls) == 3
+    for t, spectrum in zip(ts, got):
+        values, _ = _one_level_bisection(t, tol, ranks)
+        assert np.array_equal(spectrum.values.view(np.int64), values.view(np.int64))
+
+
+def test_positive_half_takes_a_third_of_the_one_step_sweeps(monkeypatch):
+    # betaens.squared_spectrum's bisection of a 200-pair matrix: the guards
+    # decide most steps, so it sweeps at most a third as often as the
+    # one-step loop, with the same bits.
+    from randchain import betaens
+
+    h = betaens.sample_matrix(betaens.BetaEnsembleSpec(200, c=1.0), seed=7).hermitian_image()
+    ranks, bounds = np.arange(h.n - 199, h.n + 1), (0.0, h.gershgorin()[1])
+    kernel, sweeps = tridiag._sturm_counts, []
+
+    def counted(*args):
+        sweeps.append(args)
+        return kernel(*args)
+
+    monkeypatch.setattr(tridiag, "_sturm_counts", counted)
+    values, _ = _one_level_bisection(h, ranks=ranks, bounds=bounds)
+    steps = len(sweeps)
+    sweeps.clear()
+    got = eigenvalues(h, ranks=ranks, bounds=bounds)
+    assert np.array_equal(got.values.view(np.int64), values.view(np.int64))
+    assert len(sweeps) <= steps // 3
 
 
 def test_batched_bisection_validation():
