@@ -1,15 +1,15 @@
-"""Table behind docs/DECISIONS.md (ledger D8): which route serves |W|^2, how well and how fast.
+"""Table behind docs/DECISIONS.md (ledgers D8, D10): which route serves |W|^2, how well and how fast.
 
 Run from the repository root:
 
     python docs/whittaker_routes.py [--c 0.5 1 ...] [--mu 20 40 ...] [--repeats N]
 
 For every (c, mu) of the grid it prints the route whittaker_msq takes
-(the large-mu series of U(c, 1, z) or the sweep along the cut), the
+(the large-mu series of U(c, 1, z) or the lip solve along the cut), the
 smallest series term over the series sum, the relative error of
-whittaker_msq and of the sweep alone against mpmath.whitw at 40 digits,
-and the microseconds per call of whittaker_msq and of the sweep alone
-(the best of --repeats calls).  A second table gives, for each c, the
+whittaker_msq and of the lip solve alone against mpmath.whitw at 40
+digits, and the microseconds per call of whittaker_msq and of the lip
+solve alone (the best of --repeats calls).  A second table gives, for each c, the
 first mu on a step-0.25 grid from 1 to 100 at which the series takes
 over.  The randchain imported is the one in the src directory beside
 this script.
@@ -41,10 +41,10 @@ def reference(c: float, mu: float) -> float:
         return float(abs(mpmath.whitw(0.5 - c, 0, mpmath.mpc(-mu, 1e-25 * mu))) ** 2)
 
 
-def sweep_msq(c: float, mu: float) -> float:
-    """|W|^2 from the sweep alone, whatever route whittaker_msq takes."""
-    y = specfun._whittaker_lip(c, mu)
-    return float(mu * (y[0] * y[0] + y[1] * y[1])) * math.exp(-2.0 * math.lgamma(c))
+def solve_msq(c: float, mu: float) -> float:
+    """|W|^2 from the lip solve alone, whatever route whittaker_msq takes."""
+    log_v, _ = specfun._lip_solve(c, mu)
+    return mu * math.exp(2.0 * float(log_v.real) - 2.0 * math.lgamma(c))
 
 
 def best_us(fn, repeats: int) -> float:
@@ -62,25 +62,25 @@ def main() -> None:
     parser.add_argument("--mu", type=float, nargs="+", default=MUS, help="values of mu (default %(default)s)")
     parser.add_argument("--repeats", type=int, default=REPEATS, help=f"timed calls per point (default {REPEATS})")
     args = parser.parse_args()
-    specfun.whittaker_msq(1.0, 1.0)  # imports scipy.integrate before any timing
+    specfun.whittaker_msq(1.0, 1.0)  # warms numpy's linear algebra before any timing
     print(f"Routes of whittaker_msq, eps = {specfun._SERIES_EPS:g}; errors against mpmath at 40 digits")
     print()
-    print("| c | mu | route | smallest term / sum | rel. error | sweep rel. error | us per call | sweep us per call |")
+    print("| c | mu | route | smallest term / sum | rel. error | solve rel. error | us per call | solve us per call |")
     print("|---|---|---|---|---|---|---|---|")
-    worst = {"series": 0.0, "sweep": 0.0}
+    worst = {"series": 0.0, "solve": 0.0}
     for c in args.c:
         for mu in args.mu:
             smallest = float(specfun._large_mu_sum(c, np.array([mu]))[1][0])
-            route = "series" if smallest < specfun._SERIES_EPS else "sweep"
+            route = "series" if smallest < specfun._SERIES_EPS else "solve"
             ref = reference(c, mu)
             err = abs(specfun.whittaker_msq(c, mu) / ref - 1.0)
-            sweep_err = abs(sweep_msq(c, mu) / ref - 1.0)
+            solve_err = abs(solve_msq(c, mu) / ref - 1.0)
             worst[route] = max(worst[route], err)
             us = best_us(lambda: specfun.whittaker_msq(c, mu), args.repeats)
-            sweep_us = best_us(lambda: specfun._whittaker_lip(c, mu), args.repeats)
-            print(f"| {c:g} | {mu:g} | {route} | {smallest:.1e} | {err:.1e} | {sweep_err:.1e} | {us:.0f} | {sweep_us:.0f} |")
+            solve_us = best_us(lambda: specfun._lip_solve(c, mu), args.repeats)
+            print(f"| {c:g} | {mu:g} | {route} | {smallest:.1e} | {err:.1e} | {solve_err:.1e} | {us:.0f} | {solve_us:.0f} |")
     print()
-    print(f"worst rel. error: series {worst['series']:.1e}, sweep {worst['sweep']:.1e}")
+    print(f"worst rel. error: series {worst['series']:.1e}, solve {worst['solve']:.1e}")
     print()
     print("| c | series from mu |")
     print("|---|---|")

@@ -133,7 +133,7 @@ def con_density(c: float, mu):
     Whittaker modulus squared taken as the boundary value from the upper
     half plane.  Points past the turning point where the large-mu series
     of U(c, 1, z) converges take that series, in logs; the others take one
-    sweep along the cut (specfun.whittaker_msq says where each serves).
+    lip solve along the cut (specfun.whittaker_msq says which points take which).
     Both routes give Gamma(c)^2 |W|^2, so D = 1/(c Gamma(c)^2 |W|^2) holds
     past the c at which Gamma(c)^2 or |W|^2 alone leave the double range.
     """
@@ -144,8 +144,8 @@ def con_cdf_grid(c: float, mus: np.ndarray) -> np.ndarray:
     """Distribution function of con_density at points of any shape and order.
 
     The density diverges like 1/(mu log^2 mu) at zero, so quadrature from
-    zero would converge only logarithmically; instead one sweep along the
-    cut carries the mass from its exact value at the sweep's anchor
+    zero would converge only logarithmically; instead one lip solve along
+    the cut carries the mass from its exact value at the solve's anchor
     (specfun.whittaker_cdf).
     """
     return whittaker_cdf(c, mus)

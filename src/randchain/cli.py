@@ -20,8 +20,8 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, betaens, chain, exact, lyapunov, schmidt, tridiag
-from .specfun import ROTATED_DOS_MAX, SCALING_RANGE, WHITTAKER_MU_MAX, scaling_dos, scaling_dos_rotated, scaling_f, scaling_f_rotated
+from . import __version__, betaens, chain, exact, lyapunov, schmidt, specfun, tridiag
+from .specfun import ROTATED_DOS_MAX, SCALING_RANGE, scaling_dos, scaling_dos_rotated, scaling_f, scaling_f_rotated
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -289,9 +289,7 @@ def cmd_betaens(args) -> int:
         inside = scaled[(scaled > 0) & (scaled < 1)]
         target = ("mp_target", [inside, betaens.mp_density(inside)])
     else:
-        # The target stops at the end of the Whittaker range.
-        top = min(float(ys.max()), WHITTAKER_MU_MAX)
-        mus = np.geomspace(max(1e-6, float(ys[ys > 0].min())), top, 40)
+        mus = np.geomspace(max(1e-6, float(ys[ys > 0].min())), float(ys.max()), 40)
         target = ("whittaker_target", [mus, betaens.con_density(args.c_over_n, mus)])
     out = _Outputs(args, "betaens")
     out.csv("spectrum", ["y", "cdf"], [ys, np.arange(1, ys.size + 1) / ys.size])
@@ -327,10 +325,8 @@ def cmd_dos(args) -> int:
     cols = [centers, dens]
     header = ["mu", "D_empirical"]
     if isinstance(law, chain.Gamma):
-        p = exact.GammaChainParams(law.alpha, law.rate)
-        if exact.serves(p, centers):
-            header.append("D_exact")
-            cols.append(exact.dos_exact(p, centers))
+        header.append("D_exact")
+        cols.append(exact.dos_exact(exact.GammaChainParams(law.alpha, law.rate), centers))
     out.csv("dos", header, cols)
     out.finish()
     return EXIT_OK
@@ -397,15 +393,14 @@ def _selftest_checks():
         ks = float(np.max(np.abs(np.arange(1, mus.size + 1) / mus.size - betaens.mp_cdf(mus))))
         return ks < 0.06, f"KS {ks:.4f}"
 
-    def exact_routes():
-        p = exact.GammaChainParams(2.0, 1.0)
-        xs = np.array([0.01, 1.0, 3.5])
-        contour = np.array([exact._idos_contour(p, float(x)) for x in xs])
-        gap = float(np.max(np.abs(exact.idos_exact(p, xs) - contour)))
-        contour_g = np.array([exact._lyapunov_contour(p, float(x)) for x in xs])
-        gap_g = float(np.max(np.abs(exact.lyapunov_exact(p, xs) - contour_g)))
-        ok = max(gap, gap_g) < 1e-6
-        return ok, f"max |M_whittaker - M_contour| {gap:.1e}, |gamma_whittaker - gamma_contour| {gap_g:.1e}"
+    def lip_solve_meets_series():
+        # Past the turning point the large-mu series of U gives these points:
+        # an independent route to Gamma(c)^2 |W|^2.
+        gaps = []
+        for c, mu in ((0.5, 60.0), (1.0, 80.0), (2.0, 100.0)):
+            log_v, _ = specfun._lip_solve(c, mu)
+            gaps.append(abs(math.log(mu) + 2.0 * log_v.real - math.log(specfun._scaled_msq(c, mu))))
+        return max(gaps) < 1e-12, f"max relative gap of |W|^2, lip solve to large-mu series {max(gaps):.1e}"
 
     def lyapunov_pure():
         est = lyapunov.transfer_lyapunov(chain.TYPE_II, chain.Constant(1.0), 6.0, 100000, seed=2)
@@ -422,7 +417,7 @@ def _selftest_checks():
         ("gamma-sampler-mean", gamma_sampler),
         ("marchenko-pastur", mp_quick),
         ("pure-chain-lyapunov", lyapunov_pure),
-        ("exact-routes-agree", exact_routes),
+        ("whittaker-solve-meets-series", lip_solve_meets_series),
     ]
 
 

@@ -3,28 +3,21 @@
 For couplings with density ~ t^{alpha-1} e^{-kappa t}, the stationary
 continued-fraction law is known in closed form, which reduces the
 characteristic function Omega to the ratio of two one-dimensional
-integrals K_alpha and L_alpha.  The integrated density of states then
-follows by analytic continuation of those integrals to negative
-argument, performed here as numerical contour integration on a path
-that hugs the steepest-descent geometry through the saddle of
+integrals K_alpha and L_alpha, taken here by quadrature at positive
+argument.
 
-    phi(xi) = alpha (log xi - log(1 + xi)) + kappa x xi,
-
-staying on the upper side of the negative real axis (the pole of order
-alpha at xi = -1 is passed above).  Integer alpha keeps the integrand
-single valued, which is what makes the continuation well defined.
-
-For kappa x up to 100 a second route takes a whole grid at once and
-any alpha: an ensemble matrix at beta = 2c/N is a Dyson chain whose
-gamma shape falls linearly from c to 0, so Dyson's M and D are
-c-derivatives of the ensemble's Whittaker law, carried through one
-sweep along its cut (docs/DECISIONS.md, D4).  With Lambda = U/V, the
-sweep's log-derivative at mu = kappa x, M = Im Lambda / pi and the
+The integrated density of states, the density of states and the
+Lyapunov exponent need Omega continued to negative argument.  An
+ensemble matrix at beta = 2c/N is a Dyson chain whose gamma shape falls
+linearly from c to 0, so Dyson's M and D are c-derivatives of the
+ensemble's Whittaker law, carried through one lip solve along its cut
+(docs/DECISIONS.md, D4 and D10).  With Lambda = U/V, the solve's
+log-derivative of V in kappa at mu = kappa x, M = Im Lambda / pi and the
 Lyapunov exponent at omega^2 = x is Re Lambda / 2 (D7).  M follows from
 the phase of V, which the anchor knows exactly, so Dyson's singular head
 needs no closed form; dyson_head gives it separately.  idos_exact,
-dos_exact and lyapunov_exact all take this route up to kappa x = 100
-and the contour (integer alpha) beyond.
+dos_exact and lyapunov_exact take this one route for every alpha > 0
+and x > 0, a whole grid at once.
 
 The module also carries the closed forms of the chain without disorder,
 the large-alpha corrections to its integrated density of states, and
@@ -34,7 +27,6 @@ exponent.
 
 from __future__ import annotations
 
-import cmath
 import logging
 import math
 from dataclasses import dataclass
@@ -42,11 +34,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import polygamma, psi
 
-from .specfun import WHITTAKER_MU_MAX, _as_result, _whittaker_lambda
+from .specfun import _as_result, _whittaker_lambda
 
 __all__ = [
     "GammaChainParams",
-    "ContourError",
     "PureChainValues",
     "k_alpha",
     "l_alpha",
@@ -54,20 +45,14 @@ __all__ = [
     "gamma_chain_density",
     "idos_exact",
     "dos_exact",
-    "serves",
     "dyson_head",
     "pure_chain",
     "weak_disorder_idos",
     "gamma1_coefficient",
     "lyapunov_exact",
-    "saddle_point",
 ]
 
 logger = logging.getLogger(__name__)
-
-
-class ContourError(ArithmeticError):
-    """Contour integration did not stabilise under path refinement."""
 
 
 @dataclass(frozen=True)
@@ -80,18 +65,6 @@ class GammaChainParams:
     def __post_init__(self):
         if not (0 < self.alpha < math.inf and 0 < self.rate < math.inf):
             raise ValueError("alpha and rate must be positive and finite")
-
-    def alpha_is_integer(self) -> bool:
-        n = round(self.alpha)
-        return abs(self.alpha - n) <= 1e-12 and n >= 1
-
-    def integer_alpha(self) -> int:
-        if not self.alpha_is_integer():
-            raise ValueError(
-                "the contour continuation is restricted to positive integer alpha; "
-                f"got alpha={self.alpha}"
-            )
-        return int(round(self.alpha))
 
 
 # ----------------------------------------------------------------------
@@ -174,127 +147,8 @@ def gamma_chain_density(p: GammaChainParams, x: float, t) -> np.ndarray:
 
 
 # ----------------------------------------------------------------------
-# analytic continuation by contour integration
+# continuation to negative argument through the Whittaker law
 # ----------------------------------------------------------------------
-
-
-def saddle_point(omega_sq: float) -> complex:
-    """Upper-half-plane saddle of log xi - log(1+xi) + xi omega^2, 0 < omega^2 < 4."""
-    if not 0.0 < omega_sq < 4.0:
-        raise ValueError("saddle exists for 0 < omega_sq < 4")
-    return 0.5 * complex(-1.0, math.sqrt(4.0 / omega_sq - 1.0))
-
-
-def _phi(alpha: float, kx: float, xi: complex) -> complex:
-    return alpha * (cmath.log(xi) - cmath.log(1.0 + xi)) + kx * xi
-
-
-def _contour_nodes(alpha: int, kx: float, stretch: float = 1.0) -> list[complex]:
-    """Corner points of the integration path from 0 to the damped far tail."""
-    disc = 4.0 * alpha / kx  # saddle discriminant: complex saddle iff disc > 1
-    drop = 45.0 + 5.0 * math.log1p(alpha)
-    if disc > 1.04:
-        eta = saddle_point(kx / alpha)
-        phi2 = abs(-alpha / eta**2 + alpha / (1.0 + eta) ** 2)
-        leg = stretch * min(math.sqrt(2.0 * drop / max(phi2, 1e-12)), 60.0 / kx + 6.0)
-        mid = eta + leg * cmath.exp(3j * math.pi / 4.0)
-    elif disc > 0.96:
-        eta = complex(-0.5, 0.0)
-        phi3 = abs(2.0 * alpha / eta**3 - 2.0 * alpha / (1.0 + eta) ** 3)
-        leg = stretch * (6.0 * drop / max(phi3, 1e-12)) ** (1.0 / 3.0)
-        mid = eta + leg * cmath.exp(2j * math.pi / 3.0)
-    else:
-        h = 0.5 * stretch  # height above the negative real axis
-        eta = complex(0.0, h)
-        mid = complex(-1.5, h)
-    # Far tail: horizontal until the exponent has dropped well below the
-    # path maximum; the linear kappa*x*Re(xi) term guarantees decay.
-    ref = max(_phi(alpha, kx, eta).real, _phi(alpha, kx, mid).real)
-    end_re = mid.real - (drop + 2.0 * alpha / max(abs(mid), 1.0)) / kx
-    end = complex(end_re, mid.imag)
-    while _phi(alpha, kx, end).real > ref - drop and end.real > -1e12:
-        end = complex(2.0 * end.real, end.imag)
-    return [0.0 + 0.0j, eta, mid, end]
-
-
-_WEIGHTS = {
-    "k": lambda xi: 1.0 / xi,
-    "l": lambda xi: cmath.log(1.0 + xi) / xi,
-    "xk": lambda xi: 1.0,
-    "xl": lambda xi: cmath.log(1.0 + xi),
-}
-
-
-def _contour_integrals(alpha: int, kappa: float, x: float, names: tuple[str, ...], stretch: float = 1.0) -> dict[str, complex]:
-    """Scaled contour integrals int g(xi) e^{phi(xi) - phi_ref} d xi.
-
-    All requested weights share one path and one reference exponent, so
-    ratios of the returned values are exact ratios of the continued
-    integrals.
-    """
-    # Most commands never need scipy.integrate, and importing it costs about 0.36 s.
-    from scipy.integrate import quad
-    kx = kappa * x
-    nodes = _contour_nodes(alpha, kx, stretch)
-    samples = []
-    for a, b in zip(nodes[:-1], nodes[1:]):
-        ts = np.linspace(0.0, 1.0, 65)
-        samples.extend(_phi(alpha, kx, a + t * (b - a)).real for t in ts if a + t * (b - a) != 0)
-    phi_ref = max(samples)
-
-    out = {name: 0.0 + 0.0j for name in names}
-    for a, b in zip(nodes[:-1], nodes[1:]):
-        seg = b - a
-        for name in names:
-            g = _WEIGHTS[name]
-
-            def f(t: float) -> complex:
-                xi = a + t * seg
-                if xi == 0:
-                    return 0.0
-                return g(xi) * cmath.exp(_phi(alpha, kx, xi) - phi_ref) * seg
-
-            re, _ = quad(lambda t: f(t).real, 0.0, 1.0, limit=800, epsabs=1e-13, epsrel=1e-10)
-            im, _ = quad(lambda t: f(t).imag, 0.0, 1.0, limit=800, epsabs=1e-13, epsrel=1e-10)
-            out[name] += complex(re, im)
-    return out
-
-
-def _check_stretched(got, again) -> None:
-    """Raise ContourError when a value and its stretched-path twin disagree."""
-    if abs(got - again) > 2e-6 * max(1.0, abs(got)):
-        raise ContourError(f"contour value unstable under path perturbation: {got} vs {again}")
-
-
-def _continued_omega(p: GammaChainParams, x: float) -> complex:
-    """Omega continued to argument -1/x, approached from the upper half plane.
-
-    The value is recomputed on a stretched path; a disagreement raises
-    ContourError.
-    """
-    n = p.integer_alpha()
-    vals = _contour_integrals(n, p.rate, x, ("k", "l"))
-    omega = 2.0 * vals["l"] / vals["k"]
-    vals2 = _contour_integrals(n, p.rate, x, ("k", "l"), stretch=1.35)
-    _check_stretched(omega, 2.0 * vals2["l"] / vals2["k"])
-    return omega
-
-
-def _contour_dos(p: GammaChainParams, mu: float, stretch: float = 1.0) -> float:
-    """D(mu) from the derivative of the continued Omega on one path."""
-    vals = _contour_integrals(p.integer_alpha(), p.rate, mu, ("k", "l", "xk", "xl"), stretch)
-    expr = (vals["xl"] * vals["k"] - vals["l"] * vals["xk"]) / vals["k"] ** 2
-    return -(2.0 * p.rate / math.pi) * expr.imag
-
-
-def _idos_contour(p: GammaChainParams, x: float) -> float:
-    """M(x) = 1 - Im Omega(-1/x + i0) / pi on the contour route, unclamped."""
-    return 1.0 - _continued_omega(p, x).imag / math.pi
-
-
-def _lyapunov_contour(p: GammaChainParams, omega_sq: float) -> float:
-    """gamma = (Re Omega(-1/omega^2 + i0) + log omega^2 - psi(alpha) + log rate) / 2 on the contour route."""
-    return 0.5 * (_continued_omega(p, omega_sq).real + math.log(omega_sq) - float(psi(p.alpha)) + math.log(p.rate))
 
 
 def dyson_head(p: GammaChainParams, x: float) -> float:
@@ -318,21 +172,8 @@ def _points(x, name: str) -> np.ndarray:
     return xs
 
 
-def _whittaker_route(p: GammaChainParams, xs: np.ndarray) -> bool:
-    return p.rate * float(np.max(xs)) <= WHITTAKER_MU_MAX
-
-
-def serves(p: GammaChainParams, x) -> bool:
-    """Whether idos_exact, dos_exact and lyapunov_exact have a route for p at every point of x.
-
-    The Whittaker route serves any alpha where kappa max(x) <= WHITTAKER_MU_MAX,
-    and the contour beyond it integer alpha only.
-    """
-    return _whittaker_route(p, np.asarray(x, dtype=float)) or p.alpha_is_integer()
-
-
 def _dyson_whittaker(p: GammaChainParams, xs: np.ndarray, readout: str) -> np.ndarray:
-    """M, D or gamma at xs, in xs's shape, from one c-derivative sweep of the Whittaker law (ledgers D4, D7).
+    """M, D or gamma at xs, in xs's shape, from one lip solve of the Whittaker law (ledgers D4, D7, D10).
 
     Each is read at its own point from Lambda = U/V at mu = kappa x and
     c = alpha: M(x) = Im Lambda / pi, D(x) = 2 kappa Re Lambda / (mu |V|^2)
@@ -349,20 +190,14 @@ def _dyson_whittaker(p: GammaChainParams, xs: np.ndarray, readout: str) -> np.nd
 def idos_exact(p: GammaChainParams, x):
     """Integrated density of states M(x) of the solvable chain.
 
-    x is a scalar (a float is returned) or an array (an array of the same
-    shape is returned).  For kappa max(x) <= WHITTAKER_MU_MAX the whole
-    grid comes from one c-derivative sweep of the Whittaker law, at any
-    alpha > 0 and any x > 0, the singular head included; otherwise each
-    point comes from the imaginary part of the contour-continued Omega,
-    which needs integer alpha (ValueError for any other).  The result is
-    clamped to [0, 1] and the clamp magnitude logged, since either route
-    can stray past the ends by its discretisation error.
+    x is a scalar (a float is returned) or an array of positive points (an
+    array of the same shape is returned).  The whole grid comes from one
+    lip solve of the Whittaker law, at any alpha > 0, the singular head
+    included.  The result is clamped to [0, 1] and the clamp magnitude
+    logged, since the solve can stray past the ends by its rounding.
     """
     xs = _points(x, "x")
-    if _whittaker_route(p, xs):
-        m = _dyson_whittaker(p, xs, "idos")
-    else:
-        m = np.array([_idos_contour(p, float(v)) for v in xs.ravel()]).reshape(xs.shape)
+    m = _dyson_whittaker(p, xs, "idos")
     clamped = np.clip(m, 0.0, 1.0)
     if np.any(clamped != m):
         logger.debug("idos_exact clamp: %.3e", float(np.max(np.abs(m - clamped))))
@@ -370,24 +205,8 @@ def idos_exact(p: GammaChainParams, x):
 
 
 def dos_exact(p: GammaChainParams, mu):
-    """Density of states D(mu), at a scalar or an array of mu as idos_exact.
-
-    The routes are those of idos_exact.  On the contour route D is the
-    derivative of the continued Omega, recomputed on the stretched path of
-    _continued_omega; a negative density anywhere on the grid, and then a
-    disagreement between the paths, raise ContourError.
-    """
-    mus = _points(mu, "mu")
-    if _whittaker_route(p, mus):
-        return _as_result(_dyson_whittaker(p, mus, "dos"))
-    flat = [float(m) for m in mus.ravel()]
-    d = np.array([_contour_dos(p, m) for m in flat])
-    if np.any(d < 0):
-        i = int(np.argmax(d < 0))
-        raise ContourError(f"negative density {d[i]:.3g} at mu={flat[i]:g}: contour path failed")
-    for m, got in zip(flat, d):
-        _check_stretched(got, _contour_dos(p, m, stretch=1.35))
-    return _as_result(d.reshape(mus.shape))
+    """Density of states D(mu), at a scalar or an array of mu as idos_exact, from the same lip solve."""
+    return _as_result(_dyson_whittaker(p, _points(mu, "mu"), "dos"))
 
 
 # ----------------------------------------------------------------------
@@ -443,7 +262,7 @@ def lyapunov_exact(p: GammaChainParams, omega_sq):
     """Lyapunov exponent per transfer step of the type I chain.
 
     omega_sq is a scalar (a float is returned) or an array (an array of
-    the same shape is returned), with the routes of idos_exact at
+    the same shape is returned), on the lip solve of idos_exact at
     x = omega^2.  With t_n = sqrt(lambda_n) the step is
     t_n u_{n+1} = omega u_n - t_{n-1} u_{n-1}.  The variable
     xi_n = t_n u_{n+1} / (omega u_n) - 1 obeys Dyson's continued fraction
@@ -453,14 +272,9 @@ def lyapunov_exact(p: GammaChainParams, omega_sq):
 
         gamma = (Re Omega(-1/omega^2 + i0) + log omega^2 - psi(alpha) + log rate) / 2,
 
-    which the contour route computes.  The Whittaker route gives it as
-    Re Lambda / 2 = -d/dc log|Gamma(c) U(c, 1, -kappa omega^2 + i0)| / 2 at c = alpha (D7).
+    which is Re Lambda / 2 = -d/dc log|Gamma(c) U(c, 1, -kappa omega^2 + i0)| / 2 at c = alpha (D7).
     """
-    w2 = _points(omega_sq, "omega_sq")
-    if _whittaker_route(p, w2):
-        return _as_result(_dyson_whittaker(p, w2, "gamma"))
-    g = np.array([_lyapunov_contour(p, float(w)) for w in w2.ravel()])
-    return _as_result(g.reshape(w2.shape))
+    return _as_result(_dyson_whittaker(p, _points(omega_sq, "omega_sq"), "gamma"))
 
 
 def gamma1_coefficient(omega_sq: float) -> float:

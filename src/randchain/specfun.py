@@ -4,9 +4,11 @@ The band-edge scaling functions on scipy's Airy functions, the squared
 modulus of the Whittaker function on the upper side of its cut, and a
 reproducible gamma sampler.  Past the turning point, where the large-mu
 series of U(c, 1, z) converges to double precision, |W|^2 is that
-series; elsewhere, and for the mass and the c-derivatives everywhere, the
-Whittaker equation is integrated along the cut with scipy's initial
-value solver.
+series.  Elsewhere, and for the mass and the c-derivatives everywhere,
+one numpy-only lip solve takes every c > 0 and mu > 0: Chebyshev
+collocation of the Riccati equation for the log-derivative of the
+solution that does not oscillate along the cut, at a cost that does not
+grow with c (ledger D10).
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ import cmath
 import math
 
 import numpy as np
+from numpy.polynomial import chebyshev
 from scipy.special import airy, gammaincc, polygamma, psi
 
 __all__ = [
@@ -105,36 +108,57 @@ def scaling_dos_rotated(x):
 
 
 class WhittakerError(ArithmeticError):
-    """Non-convergent Whittaker integration, or a value outside the double range."""
+    """A lip solve that does not converge, or a value outside the double range."""
 
 
-# Whittaker values are supported on (0, WHITTAKER_MU_MAX].  The sweep's
-# absolute tolerance is safe because it carries the Gamma(c)-scaled
-# solution V, with |V| of order one or more at the anchor for every c.
-WHITTAKER_MU_MAX = 100.0
-_WHITTAKER_RTOL = 1e-10
-_WHITTAKER_ATOL = 1e-12
 # Terms of the anchor series; at c mu <= 1 they fall like 1/k!.
 _WHITTAKER_TERMS = 30
 # The large-mu series is accepted where its smallest term is below this
 # fraction of its sum.  Its error is 0.35 to 2.1 times that term, so it
 # then stays at the rounding of e^mu, about 2e-15 from mu = 20 (ledger D8).
 _SERIES_EPS = 1e-15
-# At mu <= WHITTAKER_MU_MAX the large-mu terms have stopped falling by s = mu + 1.
-_SERIES_TERMS = int(WHITTAKER_MU_MAX) + 3
+# The large-mu series sums at most this many terms.  They fall while
+# (c+s)^2 < (s+1) mu, so at mu <= 100, where ledger D8 measured the routes,
+# every falling term is among them.  Past mu = 100 the falling terms beyond
+# them do not change the sum of any point the series is accepted at, to
+# the last bit (checked up to mu = 5000); the other points take the solve.
+_SERIES_TERMS = 103
+
+# The lip solve (ledger D10): Chebyshev collocation of the Riccati equation
+# on intervals of s = log mu, with _NODES Lobatto nodes per interval.  The
+# matrices map node values on [-1, 1] to Chebyshev coefficients, to the
+# derivative and to the integral from -1, each at the nodes.
+_NODES = 28
+_X = -np.cos(np.pi * np.arange(_NODES) / (_NODES - 1))
+_TO_COEFFS = np.linalg.inv(chebyshev.chebvander(_X, _NODES - 1))
+_DIFF = chebyshev.chebvander(_X, _NODES - 2) @ chebyshev.chebder(np.eye(_NODES), axis=0) @ _TO_COEFFS
+_INTEG = chebyshev.chebvander(_X, _NODES) @ chebyshev.chebint(np.eye(_NODES), lbnd=-1, axis=0) @ _TO_COEFFS
+# An interval is accepted when Newton's last step is below _NEWTON_TOL of
+# R within _NEWTON_STEPS steps and the last _TAIL_TERMS Chebyshev
+# coefficients of R are below _TAIL_TOL of the largest; otherwise it is
+# halved.  An accepted interval lets the next one grow by _GROWTH.  No
+# solve measured from c = 1e-3 to 1e300 and mu up to 8c + 200 halved more
+# than 19 times, so _MAX_HALVINGS ends a solve that would not finish.
+_NEWTON_TOL = 1e-14
+_NEWTON_STEPS = 12
+_TAIL_TERMS = 4
+_TAIL_TOL = 1e-12
+_FIRST_INTERVAL = 1.0
+_GROWTH = 1.6
+_MAX_HALVINGS = 60
 
 
 def _whittaker_points(c: float, mu) -> np.ndarray:
     """mu as an array, once c and mu pass the checks of every Whittaker value.
 
-    This is the one place that checks them: c must be positive and mu one
-    or more points in (0, WHITTAKER_MU_MAX], a scalar or of any shape.
+    This is the one place that checks them: c must be positive and finite,
+    and mu one or more positive finite points, a scalar or of any shape.
     """
-    if not (c > 0):
-        raise ValueError("c must be positive")
+    if not 0 < c < math.inf:
+        raise ValueError("c must be positive and finite")
     mus = np.asarray(mu, dtype=float)
-    if mus.size == 0 or not np.all((mus > 0) & (mus <= WHITTAKER_MU_MAX)):
-        raise ValueError(f"mu must be one or more points in (0, {WHITTAKER_MU_MAX:g}]")
+    if mus.size == 0 or not np.all((mus > 0) & (mus < math.inf)):
+        raise ValueError("mu must be one or more positive finite points")
     return mus
 
 
@@ -152,8 +176,8 @@ def _large_mu_sum(c: float, mu: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return total, terms.min(axis=1, where=falling, initial=1.0) / total
 
 
-def _whittaker_anchor(c: float, mu: float, dc: bool = False) -> list[complex]:
-    """(V, dV/dt) at t = log mu + i pi, with V = Gamma(c) w / sqrt(z) and t = log z.
+def _whittaker_anchor(c: float, mu: float) -> list[complex]:
+    """(V, dV/dt, U, dU/dt) at t = log mu + i pi, with V = Gamma(c) w / sqrt(z), t = log z and U = dV/dkappa.
 
     W_{1/2-c,0}(z) = e^{-z/2} z^{1/2} U(c, 1, z) (DLMF 13.14.3), and the
     convergent series of DLMF 13.2.9 gives
@@ -161,8 +185,8 @@ def _whittaker_anchor(c: float, mu: float, dc: bool = False) -> list[complex]:
         Gamma(c) U(c, 1, z) = -sum_k (c)_k z^k / (k!)^2 (log z + psi(c+k) - 2 psi(k+1)),
 
     so V = e^{-z/2} Gamma(c) U(c, 1, z).  Taken at c mu <= 1, where the
-    terms do not cancel.  With dc, (U, dU/dt) follow for U = dV/dkappa
-    (kappa = 1/2 - c), term by term with (c)_k' = (c)_k (psi(c+k) - psi(c)).
+    terms do not cancel.  U and dU/dt, the derivatives in kappa = 1/2 - c,
+    follow term by term with (c)_k' = (c)_k (psi(c+k) - psi(c)).
     """
     k = np.arange(_WHITTAKER_TERMS, dtype=float)
     terms = np.cumprod(np.concatenate([[1.0], -mu * (c + k[:-1]) / (k[1:] * k[1:])]))
@@ -170,75 +194,100 @@ def _whittaker_anchor(c: float, mu: float, dc: bool = False) -> list[complex]:
     g = math.log(mu) + 1j * math.pi + psi_ck - 2.0 * psi(k + 1.0)
     lead = math.exp(0.5 * mu)
     s, zs = -np.sum(terms * g), -np.sum(terms * (k * g + 1.0))  # Gamma(c) U and z d/dz of it
-    out = [lead * s, lead * (0.5 * mu * s + zs)]
-    if dc:
-        d = psi_ck - psi(c)
-        p = polygamma(1, c + k)
-        s_c, zs_c = -np.sum(terms * (d * g + p)), -np.sum(terms * (d * (k * g + 1.0) + k * p))
-        out += [-lead * s_c, -lead * (0.5 * mu * s_c + zs_c)]
+    d = psi_ck - psi(c)
+    p = polygamma(1, c + k)
+    s_c, zs_c = -np.sum(terms * (d * g + p)), -np.sum(terms * (d * (k * g + 1.0) + k * p))
+    out = [lead * s, lead * (0.5 * mu * s + zs), -lead * s_c, -lead * (0.5 * mu * s_c + zs_c)]
     return [complex(v) for v in out]
 
 
-def _whittaker_lip(c: float, mu, dc: bool = False) -> np.ndarray:
-    """The sweep's states at the points mu, as an array of shape (states,) + mu.shape.
+def _riccati_interval(q: np.ndarray, mu: np.ndarray, h: float, r0: complex, sigma0: complex):
+    """R = V_s / V and sigma = Lambda_s at the nodes of one interval of length h, or None.
 
-    mu is a scalar or an array of any shape and order in (0, 100]; c must
-    be positive (_whittaker_points checks both).  The sweep runs once over
-    the distinct values of s = log mu, in ascending order, so points that
-    share a log share their states.
-
-    On the lip t = s + i pi of the cut (z = -mu, mu = e^s) the equation for
-    V is real, V_ss = mu (mu/4 + kappa) V, so Re V and Im V are swept as
-    two real solutions from the anchor at min(mu, 1/max(c, 1)).
-    Upward in s the wanted solution grows like e^{mu/2} and every other
-    one decays relative to it, so errors do not grow.  The states are
-    Re V, Im V, their s-derivatives and G = c F_c, c times the mass of D
-    below mu.  Re V and Im V have Wronskian -pi, so G = -arg V / pi: at
-    the anchor, where G < 1, that is the principal arg, and upward G
-    grows at the rate 1/|V|^2.  The anchor value of G is added after the
-    solve, so the solver sees the same states, and takes the same steps,
-    as when G starts at zero.
-
-    With dc the states are the eight real ones of V, V_s, U and U_s, where
-    U = dV/dkappa obeys U_ss = mu (mu/4 + kappa) U + mu V.  No mass row is
-    carried: dG/dkappa = -Im(U/V) / pi at every point (ledger D7).
+    R obeys R_s + R^2 = q and sigma obeys sigma_s + 2 R sigma = mu, each
+    pinned at the left node.  Newton runs on the collocated Riccati
+    equation from the left value plus the change of the WKB branch
+    -i sqrt(-q); its Jacobian D + 2 diag R is also the matrix of the
+    linear equation for sigma.  None when Newton does not converge or R
+    is not resolved, so that the caller halves the interval.
     """
-    # Most commands never need scipy.integrate, and importing it costs about 0.36 s.
-    from scipy.integrate import solve_ivp
+    diff = _DIFF * (2.0 / h)
+    wkb = -1j * np.sqrt(-q + 0j)
+    r = r0 + (wkb - wkb[0])
+    try:
+        for _ in range(_NEWTON_STEPS):
+            jac = diff[1:, 1:] + np.diag(2.0 * r[1:])
+            step = np.linalg.solve(jac, diff[1:] @ r + r[1:] ** 2 - q[1:])
+            r[1:] -= step
+            if not np.all(np.isfinite(r)):
+                return None
+            if np.max(np.abs(step)) <= _NEWTON_TOL * np.max(np.abs(r)):
+                break
+        else:
+            return None
+        coeffs = np.abs(_TO_COEFFS @ r)
+        if np.max(coeffs[-_TAIL_TERMS:]) > _TAIL_TOL * np.max(coeffs):
+            return None
+        sigma = np.empty_like(r)
+        sigma[0] = sigma0
+        sigma[1:] = np.linalg.solve(diff[1:, 1:] + np.diag(2.0 * r[1:]), mu[1:] - diff[1:, 0] * sigma0)
+    except np.linalg.LinAlgError:
+        return None
+    return r, sigma
+
+
+def _lip_solve(c: float, mu) -> tuple[np.ndarray, np.ndarray]:
+    """log V and Lambda = U/V at the points mu, each in mu's shape (ledger D10).
+
+    mu is a scalar or an array of any shape and order of positive points;
+    c must be positive (_whittaker_points checks both).  The solve runs
+    once over the distinct values of s = log mu, in ascending order, so
+    points that share a log share their values.
+
+    On the lip t = s + i pi of the cut (z = -mu, mu = e^s) V obeys the real
+    equation V_ss = q V, q = mu (mu/4 + kappa), and U = dV/dkappa obeys
+    U_ss = q U + mu V.  V is the solution that does not oscillate: Re V and
+    Im V have Wronskian -pi, and |V|^2 = 1/(mu c D_c) is smooth.  So
+    R = V_s / V and Lambda are smooth at any c, and are solved for on
+    Chebyshev intervals from the anchor at min(mu, 1/max(c, 1)), with
+    log V = log V_anchor + int R ds and Lambda = Lambda_anchor + int sigma ds.
+    At the anchor, where c F_c = -Im log V / pi < 1, log V is the principal
+    log.  WhittakerError when an interval is halved _MAX_HALVINGS times.
+    """
     mus = _whittaker_points(c, mu)
     s_eval, where = np.unique(np.log(mus), return_inverse=True)
+    s_end = float(s_eval[-1])
     kappa = 0.5 - c
-    s_anchor = min(float(s_eval[0]), -math.log(max(c, 1.0)))
-    start = _whittaker_anchor(c, math.exp(s_anchor), dc)
-    y0 = [part for v in start for part in (v.real, v.imag)]
-    if not dc:
-        y0.append(0.0)  # G
-
-    def rhs(s, y):
-        mu = math.exp(s)
-        q = mu * (0.25 * mu + kappa)
-        if dc:
-            return [y[2], y[3], q * y[0], q * y[1], y[6], y[7], q * y[4] + mu * y[0], q * y[5] + mu * y[1]]
-        return [y[2], y[3], q * y[0], q * y[1], 1.0 / (y[0] * y[0] + y[1] * y[1])]
-
-    if s_eval[-1] == s_anchor:  # one point, at the anchor
-        y = np.array(y0)[:, None]
-    else:
-        sol = solve_ivp(
-            rhs,
-            (s_anchor, float(s_eval[-1])),
-            y0,
-            method="DOP853",
-            t_eval=s_eval,
-            rtol=_WHITTAKER_RTOL,
-            atol=_WHITTAKER_ATOL,
-        )
-        if not sol.success:
-            raise WhittakerError(f"Whittaker sweep failed: {sol.message}")
-        y = sol.y
-    if not dc:
-        y[4] -= cmath.phase(start[0]) / math.pi
-    return y[:, where].reshape(y.shape[:1] + mus.shape)
+    s = min(float(s_eval[0]), -math.log(max(c, 1.0)))
+    v, v_s, u, u_s = _whittaker_anchor(c, math.exp(s))
+    r0, sigma0, log_v0, lam0 = v_s / v, (u_s * v - u * v_s) / (v * v), cmath.log(v), u / v
+    log_v, lam = np.empty(s_eval.size, complex), np.empty(s_eval.size, complex)
+    done = int(np.searchsorted(s_eval, s, side="right"))
+    log_v[:done], lam[:done] = log_v0, lam0
+    h, halvings = _FIRST_INTERVAL, 0
+    with np.errstate(all="ignore"):
+        while done < s_eval.size:
+            b = min(s + h, s_end)
+            h = b - s
+            mu_n = np.exp(s + 0.5 * h * (_X + 1.0))
+            solved = _riccati_interval(mu_n * (0.25 * mu_n + kappa), mu_n, h, r0, sigma0)
+            if solved is None:
+                halvings += 1
+                if halvings > _MAX_HALVINGS:
+                    raise WhittakerError(f"Whittaker lip solve at c = {c:g} does not converge near mu = {math.exp(s):.6g}")
+                h *= 0.5
+                continue
+            r, sigma = solved
+            log_v_n = log_v0 + 0.5 * h * (_INTEG @ r)
+            lam_n = lam0 + 0.5 * h * (_INTEG @ sigma)
+            stop = int(np.searchsorted(s_eval, b, side="right"))
+            if stop > done:
+                read = chebyshev.chebvander(2.0 * (s_eval[done:stop] - s) / h - 1.0, _NODES - 1) @ _TO_COEFFS
+                log_v[done:stop], lam[done:stop] = read @ log_v_n, read @ lam_n
+                done = stop
+            s, h = b, h * _GROWTH
+            r0, sigma0, log_v0, lam0 = r[-1], sigma[-1], log_v_n[-1], lam_n[-1]
+    return log_v[where].reshape(mus.shape), lam[where].reshape(mus.shape)
 
 
 def _scaled_msq(c: float, mu) -> np.ndarray:
@@ -247,7 +296,7 @@ def _scaled_msq(c: float, mu) -> np.ndarray:
     Where the large-mu series converges, its smallest term below
     _SERIES_EPS of its sum S (_large_mu_sum), it is
     Gamma(c)^2 e^mu mu^(1-2c) S^2, taken in logs; the other points take
-    mu |V|^2 from one sweep over just them.
+    mu |V|^2 = mu e^{2 Re log V} from one lip solve over just them.
     """
     mus = _whittaker_points(c, mu)
     flat = mus.ravel()
@@ -258,8 +307,7 @@ def _scaled_msq(c: float, mu) -> np.ndarray:
     msq[served] = np.exp(2.0 * math.lgamma(c) + m + (1.0 - 2.0 * c) * np.log(m) + 2.0 * np.log(total[served]))
     if not np.all(served):
         m = flat[~served]
-        y = _whittaker_lip(c, m)
-        msq[~served] = m * (y[0] * y[0] + y[1] * y[1])
+        msq[~served] = m * np.exp(2.0 * _lip_solve(c, m)[0].real)
     if not np.all(np.isfinite(msq)):
         raise WhittakerError("non-finite Whittaker value")
     return msq.reshape(mus.shape)
@@ -268,18 +316,18 @@ def _scaled_msq(c: float, mu) -> np.ndarray:
 def whittaker_msq(c: float, mu):
     """|W_{-c+1/2, 0}(-mu)|^2 as the limit from the upper half plane.
 
-    mu is a scalar (a float is returned) or an array of points in
-    (0, 100] (an array of the same shape is returned).  Where the
-    large-mu series of U(c, 1, z) converges to double precision (from
-    about mu = 33 at c = 0.5, 38 at c = 1, 45 at c = 2 and 64 at c = 5;
-    not at all from about c = 10.1) |W|^2 is
+    mu is a scalar (a float is returned) or an array of positive points
+    (an array of the same shape is returned).  Where the large-mu series
+    of U(c, 1, z) converges to double precision (from about mu = 33 at
+    c = 0.5, 38 at c = 1, 45 at c = 2 and 64 at c = 5) |W|^2 is
     e^mu mu^(1-2c) (sum_s (c)_s^2 / (s! mu^s))^2, within 3e-14 of mpmath.
-    Every other point comes from one sweep: the convergent series of
-    U(c, 1, z) anchors the Gamma(c)-scaled solution on the upper lip of
-    the cut at mu_a = min(mu, 1/max(c, 1)), and one real ODE sweep upward
-    in log mu along the lip gives those points, within 1e-9 of mpmath
-    over mu in [1e-6, 100] for c from 0.5 to 100.  |W|^2 falls below the
-    normal doubles from about c = 100, where WhittakerError is raised.
+    Every other point comes from one lip solve: the convergent series of
+    U(c, 1, z) anchors the Gamma(c)-scaled solution V on the upper lip of
+    the cut at mu_a = min(mu, 1/max(c, 1)), and Chebyshev collocation of
+    the Riccati equation for V_s / V upward in log mu gives mu |V|^2 at
+    those points, within 1e-13 of mpmath for c from 0.05 to 50 and mu up
+    to 8c + 200.  WhittakerError is raised where |W|^2 falls below the
+    normal doubles (from about c = 100) or overflows them.
     """
     msq = np.exp(np.log(_scaled_msq(c, mu)) - 2.0 * math.lgamma(c))
     if not np.all(msq >= np.finfo(float).tiny):
@@ -290,36 +338,34 @@ def whittaker_msq(c: float, mu):
 def whittaker_cdf(c: float, mu) -> np.ndarray:
     """Distribution function of D(mu) = 1/(Gamma(c) Gamma(c+1) |W_{-c+1/2,0}(-mu)|^2).
 
-    mu is a scalar or an array of any shape and order in (0, 100]; the
-    result has mu's shape.  One lip sweep carries c times the mass, from
-    its exact value -arg V / pi at the anchor: no closed form of the
-    singular head below the grid is spliced in.
+    mu is a scalar or an array of any shape and order of positive points;
+    the result has mu's shape.  Re V and Im V have Wronskian -pi, so c
+    times the mass below mu is -Im log V / pi, from one lip solve: no
+    closed form of the singular head below the grid is spliced in.
     """
-    return _whittaker_lip(c, mu)[4] / c
+    return -_lip_solve(c, mu)[0].imag / (math.pi * c)
 
 
 def _whittaker_lambda(c: float, mu) -> tuple[np.ndarray, np.ndarray]:
-    """Lambda = U/V = conj(V) U / |V|^2 and mu |V|^2, at the points of _whittaker_lip.
+    """Lambda = U/V and mu |V|^2, at the points of _lip_solve.
 
-    One dc lip sweep gives both at every point.  V is e^{-z/2} Gamma(c) U(c, 1, z),
+    One lip solve gives both at every point.  V is e^{-z/2} Gamma(c) U(c, 1, z),
     so Lambda = -d/dc log(Gamma(c) U(c, 1, -mu + i0)).
     """
-    y = _whittaker_lip(c, mu, dc=True)
-    r2 = y[0] * y[0] + y[1] * y[1]
-    return (y[0] - 1j * y[1]) * (y[4] + 1j * y[5]) / r2, mu * r2
+    log_v, lam = _lip_solve(c, mu)
+    return lam, np.asarray(mu, dtype=float) * np.exp(2.0 * log_v.real)
 
 
 def whittaker_dc(c: float, mu) -> tuple[np.ndarray, np.ndarray]:
     """c-derivatives of c D_c(mu) and of c F_c(mu), c times the mass of D_c below mu.
 
     D_c(mu) = 1/(Gamma(c) Gamma(c+1) |W_{-c+1/2,0}(-mu)|^2), at a scalar
-    or an array of any shape and order in (0, 100], as for whittaker_cdf;
-    both results have mu's shape.  One lip sweep carries V and
-    its kappa-derivative U (kappa = 1/2 - c), so no step in c is taken,
-    and both readouts are taken at each point from Lambda = U/V.  With
-    c D_c = 1/(mu |V|^2) and c F_c = -arg V / pi, d/dc = -d/dkappa gives
-    d/dc (c D_c) = 2 V.U / (mu |V|^4) = 2 Re Lambda / (mu |V|^2), V.U = Re(conj(V) U),
-    and d/dc (c F_c) = Im(conj(V) U) / (pi |V|^2) = Im Lambda / pi.
+    or an array of any shape and order of positive points, as for
+    whittaker_cdf; both results have mu's shape.  The lip solve carries V
+    and its kappa-derivative U (kappa = 1/2 - c) through Lambda = U/V, so
+    no step in c is taken.  With c D_c = 1/(mu |V|^2) and
+    c F_c = -Im log V / pi, d/dc = -d/dkappa gives
+    d/dc (c D_c) = 2 Re Lambda / (mu |V|^2) and d/dc (c F_c) = Im Lambda / pi.
     """
     lam, msq = _whittaker_lambda(c, mu)
     return 2.0 * lam.real / msq, lam.imag / math.pi
@@ -328,7 +374,7 @@ def whittaker_dc(c: float, mu) -> tuple[np.ndarray, np.ndarray]:
 def whittaker_density_mass(c: float, cut: float = 60.0) -> float:
     """Total mass of D(mu) = 1/(Gamma(c) Gamma(c+1) |W_{-c+1/2,0}(-mu)|^2).
 
-    The mass below cut is whittaker_cdf at cut, from one lip sweep, and
+    The mass below cut is whittaker_cdf at cut, from one lip solve, and
     the tail comes from the exponential asymptotics, which hold only well
     past the turning point mu = 4c - 2: a cut below 8c is refused.
     """

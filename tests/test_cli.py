@@ -75,9 +75,26 @@ def test_unknown_flag_usage_exit():
     assert run(["nonsense"]) == EXIT_USAGE
 
 
-def test_numeric_failure_exit():
-    # non-integer alpha beyond the Whittaker route (kappa x > 100) cannot be continued
-    assert run(["exact", "--alpha", "4.5", "--kappa", "30", "--grid", "4:5:2"]) == EXIT_NUMERIC
+def _idos_mpmath_dc(alpha: float, kappa: float, x: float) -> float:
+    # Oracle: M = -Im(d/dc [Gamma(c) U(c, 1, z)] / (Gamma(c) U(c, 1, z))) / pi
+    # at c = alpha, z = -kappa x + i0, as in test_exact.py.
+    with mpmath.workdps(30):
+        z = mpmath.mpc(-kappa * x, mpmath.mpf(10) ** -25)
+
+        def scaled_u(c):
+            return mpmath.gamma(c) * mpmath.hyperu(c, 1, z)
+
+        return float(-mpmath.im(mpmath.diff(scaled_u, alpha) / scaled_u(alpha)) / mpmath.pi)
+
+
+def test_numeric_failure_exit(tmp_path):
+    # Non-integer alpha at kappa x > 100 takes the one route of every alpha:
+    # exit 0 and M of the mpmath c-derivative.  Exit 3 is covered by
+    # test_lyapunov_nonfinite_estimate_exits_numeric.
+    assert run(["exact", "--alpha", "4.5", "--kappa", "30", "--grid", "4:5:2", "--out", str(tmp_path)]) == EXIT_OK
+    table = np.loadtxt(tmp_path / "exact_idos.csv", delimiter=",", skiprows=1)
+    for x, m in table:
+        assert abs(m - _idos_mpmath_dc(4.5, 30.0, x)) <= 1e-10, x
 
 
 def test_exact_takes_non_integer_alpha_up_to_three(tmp_path):
@@ -85,12 +102,16 @@ def test_exact_takes_non_integer_alpha_up_to_three(tmp_path):
     assert (tmp_path / "exact_idos.csv").read_text().splitlines()[0] == "x,M"
 
 
-def test_exact_dos_negative_density_exits_numeric(tmp_path, capsys):
-    # At alpha = 20 the unchecked contour path gives D < 0 from mu = 5.5.
+def test_exact_dos_negative_density_exits_numeric(tmp_path):
+    # Beyond the band edge at alpha = 20 the density falls from 0.25 to
+    # 4e-19 and stays positive; the CSV holds dos_exact's values.
     argv = ["exact", "--alpha", "20", "--kappa", "20", "--what", "dos", "--grid", "4:8:9", "--out", str(tmp_path)]
-    assert run(argv) == EXIT_NUMERIC
-    assert "negative density" in capsys.readouterr().err
-    assert not list(tmp_path.iterdir())
+    assert run(argv) == EXIT_OK
+    lines = (tmp_path / "exact_dos.csv").read_text().splitlines()
+    mus = parse_grid("4:8:9")
+    expected = exact.dos_exact(exact.GammaChainParams(20.0, 20.0), mus)
+    assert np.all(expected > 0) and np.all(np.diff(expected) < 0)
+    assert lines[1:] == [f"{m:.12g},{d:.12g}" for m, d in zip(mus, expected)]
 
 
 def test_io_failure_exit(tmp_path):
@@ -326,7 +347,7 @@ def test_dos_csv_with_exact_overlay(tmp_path):
 
 
 def test_dos_overlays_exact_at_non_integer_alpha_on_the_whittaker_route(tmp_path):
-    # kappa max(mu) <= 100: dos_exact serves alpha = 1.5 through the sweep.
+    # dos_exact serves alpha = 1.5 through the lip solve.
     argv = ["dos", "--law", "gamma:1.5:1", "--grid", "0.1:3:5", "--realizations", "1", "--size", "101",
             "--out", str(tmp_path)]
     assert run(argv) == EXIT_OK
@@ -340,16 +361,17 @@ def test_dos_overlays_exact_at_non_integer_alpha_on_the_whittaker_route(tmp_path
     assert [r[2] for r in rows] == [f"{v:.12g}" for v in expected]
 
 
-def test_dos_without_a_route_for_exact_writes_no_overlay(tmp_path):
-    # alpha = 1.5 is not an integer, and kappa max(mu) = 50 * 2.6375 > 100
-    # lies past the Whittaker route: dos_exact has no route, so no column.
+def test_dos_overlays_exact_at_every_gamma_law(tmp_path):
+    # Non-integer alpha = 1.5 with kappa max(mu) = 50 * 2.6375 > 100: one
+    # route serves every gamma law, so the column is always written.
     argv = ["dos", "--law", "gamma:1.5:50", "--grid", "0.1:3:5", "--realizations", "1", "--size", "101",
             "--out", str(tmp_path)]
     assert run(argv) == EXIT_OK
     lines = (tmp_path / "dos_dos.csv").read_text().splitlines()
-    assert lines[0] == "mu,D_empirical"
-    with pytest.raises(ValueError):
-        exact.dos_exact(exact.GammaChainParams(1.5, 50.0), [1.0, 2.6375])
+    assert lines[0] == "mu,D_empirical,D_exact"
+    edges = parse_grid("0.1:3:5")
+    expected = exact.dos_exact(exact.GammaChainParams(1.5, 50.0), 0.5 * (edges[1:] + edges[:-1]))
+    assert [r.split(",")[2] for r in lines[1:]] == [f"{v:.12g}" for v in expected]
 
 
 @pytest.mark.parametrize("flag,value", [("--realizations", "0"), ("--realizations", "-1"),
@@ -445,8 +467,8 @@ _BETAENS_CSV = {
         "whittaker_target": """mu,D
 1e-06,5401.84764698
 1.47529308481e-06,3873.82329409
-2.61442179895,0.0763726170114
-3.85703840078,0.0376371727476
+2.61442179895,0.076372617012
+3.85703840078,0.0376371727469
 """,
     },
 }
@@ -486,15 +508,15 @@ def test_betaens_without_samples_is_usage_error(tmp_path, capsys, samples):
 
 
 def test_betaens_c_over_n_target_stops_at_whittaker_range(tmp_path):
-    # Large c puts sampled y beyond mu = 100; the target grid ends there
-    # and the run completes with its manifest.
+    # Large c puts sampled y beyond mu = 100; the target grid still ends at
+    # the largest sampled y, and the run completes with its manifest.
     argv = ["betaens", "--pairs", "50", "--c-over-n", "30", "--samples", "2", "--out", str(tmp_path)]
     assert run(argv) == EXIT_OK
     assert (tmp_path / "betaens_manifest.json").exists()
     spectrum = np.loadtxt(tmp_path / "betaens_spectrum.csv", delimiter=",", skiprows=1)
     target = np.loadtxt(tmp_path / "betaens_whittaker_target.csv", delimiter=",", skiprows=1)
     assert spectrum[:, 0].max() > 100.0
-    assert target[-1, 0] == 100.0
+    assert target[-1, 0] == spectrum[:, 0].max()
     assert target.shape == (40, 2)
 
 
@@ -730,10 +752,17 @@ with tempfile.TemporaryDirectory() as out:
     # Bisection takes its estimates from scipy.linalg's LAPACK.
     res["fixed_code"] = run(["betaens", "--beta", "2", "--pairs", "8", "--samples", "1", "--out", out])
     res["fixed"] = heavy()
-    res["integrate_codes"] = [
+    # The lip solve of the Whittaker law is numpy only.
+    res["lip_codes"] = [
         run(["exact", "--alpha", "1", "--kappa", "1", "--grid", "g1e-3:1:3", "--out", out]),
+        run(["exact", "--alpha", "1", "--kappa", "1", "--what", "dos", "--grid", "g1e-3:1:3", "--out", out]),
         run(["betaens", "--c-over-n", "1", "--pairs", "8", "--samples", "1", "--out", out]),
     ]
+    res["lip"] = heavy()
+    # Omega at positive argument is quadrature.
+    res["omega_code"] = run(["exact", "--alpha", "1", "--kappa", "1", "--what", "omega", "--grid", "0.5:1:2",
+                             "--out", out])
+    res["omega"] = heavy()
 print(json.dumps(res))
 """
 
@@ -753,4 +782,7 @@ def test_light_commands_do_not_load_scipy_integrate_or_stats():
     assert res["light"] == []
     assert res["fixed_code"] == EXIT_OK
     assert res["fixed"] == ["scipy.linalg"]
-    assert res["integrate_codes"] == [EXIT_OK] * 2
+    assert res["lip_codes"] == [EXIT_OK] * 3
+    assert res["lip"] == ["scipy.linalg"]
+    assert res["omega_code"] == EXIT_OK
+    assert res["omega"] == ["scipy.linalg", "scipy.integrate"]

@@ -4,12 +4,12 @@ import mpmath
 import numpy as np
 import pytest
 import scipy.special as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
-from scipy.optimize import brentq
 
-from randchain import chain, exact
+from randchain import chain, exact, specfun
 from randchain.exact import (
-    ContourError,
     GammaChainParams,
     dos_exact,
     dyson_head,
@@ -21,7 +21,6 @@ from randchain.exact import (
     lyapunov_exact,
     omega_exact,
     pure_chain,
-    saddle_point,
     weak_disorder_idos,
 )
 
@@ -106,7 +105,7 @@ def test_stationary_density_normalised():
 
 
 # ----------------------------------------------------------------------
-# analytic continuation
+# continuation to negative argument
 # ----------------------------------------------------------------------
 
 
@@ -134,9 +133,22 @@ def _idos_mpmath_dc(alpha: float, kappa: float, x: float) -> float:
         return float(-mpmath.im(mpmath.diff(scaled_u, alpha) / scaled_u(alpha)) / mpmath.pi)
 
 
+def _dos_mpmath_dc(alpha: float, kappa: float, mu: float) -> float:
+    # Oracle: D = kappa d/dc [c D_c(kappa mu)] at c = alpha (ledger D4), with
+    # c D_c = e^{-m} / (m |Gamma(c) U(c, 1, -m + i0)|^2) at m = kappa mu.
+    with mpmath.workdps(30):
+        m = kappa * mu
+        z = mpmath.mpc(-m, mpmath.mpf(10) ** -25)
+
+        def c_dens(c):
+            return mpmath.exp(-m) / (m * abs(mpmath.gamma(c) * mpmath.hyperu(c, 1, z)) ** 2)
+
+        return float(kappa * mpmath.diff(c_dens, alpha))
+
+
 @pytest.mark.parametrize("alpha,kappa", [(1.0, 1.0), (2.0, 1.0), (2.5, 2.0), (0.5, 3.0)])
 def test_idos_matches_mpmath_c_derivative(alpha, kappa):
-    # Down to x = 1e-12, where the sweep's anchor carries the singular head.
+    # Down to x = 1e-12, where the lip solve's anchor carries the singular head.
     xs = np.array([1e-12, 1e-8, 1e-6, 0.5, 3.0])
     ref = np.array([_idos_mpmath_dc(alpha, kappa, float(x)) for x in xs])
     np.testing.assert_allclose(idos_exact(GammaChainParams(alpha, kappa), xs), ref, rtol=0, atol=1e-9)
@@ -145,7 +157,7 @@ def test_idos_matches_mpmath_c_derivative(alpha, kappa):
 @pytest.mark.parametrize("alpha,kappa,x", [(1.5, 1.0, 0.01), (2.5, 2.0, 1.3), (0.5, 1.0, 3.0),
                                            (4.5, 1.0, 1.3), (7.5, 2.0, 3.0)])
 def test_idos_non_integer_alpha_matches_mpmath(alpha, kappa, x):
-    # The c-derivative route takes any alpha for kappa x up to WHITTAKER_MU_MAX.
+    # The lip solve takes any alpha.
     assert abs(idos_exact(GammaChainParams(alpha, kappa), x) - _idos_mpmath(alpha, kappa, x)) <= 1e-6
 
 
@@ -161,36 +173,36 @@ def test_idos_non_integer_alpha_matches_empirical():
 @pytest.mark.parametrize("alpha", [1.0, 2.0, 3.0, 5.0, 10.0, 20.0])
 @pytest.mark.parametrize("kappa", [1.0, 3.0])
 def test_whittaker_route_matches_contour_route(alpha, kappa):
+    # M, D and gamma against the mpmath c-derivatives, at the points where
+    # the lip solve agreed with the former contour route within 9.7e-8
+    # (ledger D10).
     p = GammaChainParams(alpha, kappa)
     xs = np.array([1e-6, 1e-3, 0.05, 0.5, 1.5, 3.0, 4.5, 6.0])
-    m_contour = np.array([exact._idos_contour(p, float(x)) for x in xs])
-    d_contour = np.array([exact._contour_dos(p, float(x)) for x in xs])
-    omega = np.array([exact._continued_omega(p, float(x)) for x in xs])
-    g_contour = 0.5 * (omega.real + np.log(xs) - sp.psi(alpha) + math.log(kappa))
-    assert np.max(np.abs(idos_exact(p, xs) - m_contour)) <= 1e-6
-    assert np.max(np.abs(dos_exact(p, xs) / d_contour - 1.0)) <= 1e-5
-    assert np.max(np.abs(lyapunov_exact(p, xs) - g_contour)) <= 1e-6
+    m_ref = np.array([_idos_mpmath_dc(alpha, kappa, float(x)) for x in xs])
+    d_ref = np.array([_dos_mpmath_dc(alpha, kappa, float(x)) for x in xs])
+    g_ref = np.array([_gamma_mpmath_dc(alpha, kappa, float(x)) for x in xs])
+    assert np.max(np.abs(idos_exact(p, xs) - m_ref)) <= 1e-6
+    assert np.max(np.abs(dos_exact(p, xs) / d_ref - 1.0)) <= 1e-5
+    assert np.max(np.abs(lyapunov_exact(p, xs) - g_ref)) <= 1e-6
 
 
 def test_routes_by_shape_and_range():
     # A scalar gives a float and an array an array of its shape.  Beyond
-    # kappa x = WHITTAKER_MU_MAX the contour route takes only integer alpha.
+    # kappa x = 100 the one route takes non-integer alpha as well.
     p = GammaChainParams(1.5, 1.0)
     assert isinstance(idos_exact(p, 0.5), float) and isinstance(dos_exact(p, 0.5), float)
     xs = np.array([[0.5, 2.0], [1.0, 0.5]])
     assert idos_exact(p, xs).shape == dos_exact(p, xs).shape == xs.shape
-    with pytest.raises(ValueError):
-        idos_exact(GammaChainParams(4.5, 30.0), 4.0)
-    with pytest.raises(ValueError):
-        dos_exact(GammaChainParams(1.5, 1.0), np.array([1.0, 101.0]))
+    assert abs(idos_exact(GammaChainParams(4.5, 30.0), 4.0) - _idos_mpmath_dc(4.5, 30.0, 4.0)) <= 1e-10
+    d_ref = [_dos_mpmath_dc(1.5, 1.0, 1.0), _dos_mpmath_dc(1.5, 1.0, 101.0)]
+    np.testing.assert_allclose(dos_exact(p, np.array([1.0, 101.0])), d_ref, rtol=1e-10, atol=0)
     for bad in (0.0, -1.0, np.array([1.0, float("nan")])):
         with pytest.raises(ValueError):
             idos_exact(p, bad)
-    # lyapunov_exact takes the same routes at x = omega^2.
+    # lyapunov_exact takes the same route at x = omega^2.
     assert isinstance(lyapunov_exact(p, 0.5), float)
     assert lyapunov_exact(p, xs).shape == xs.shape
-    with pytest.raises(ValueError):
-        lyapunov_exact(GammaChainParams(4.5, 30.0), 4.0)
+    assert abs(lyapunov_exact(GammaChainParams(4.5, 30.0), 4.0) - _gamma_mpmath_dc(4.5, 30.0, 4.0)) <= 1e-10
     for bad in (0.0, -1.0, float("nan"), float("inf"), np.array([1.0, float("nan")])):
         with pytest.raises(ValueError):
             lyapunov_exact(p, bad)
@@ -209,28 +221,55 @@ def _gamma_mpmath_dc(alpha: float, kappa: float, omega_sq: float) -> float:
         return float(-mpmath.re(mpmath.diff(scaled_u, alpha) / scaled_u(alpha)) / 2)
 
 
+@settings(max_examples=15, deadline=None)
+@given(st.floats(math.log(0.05), math.log(50.0)), st.floats(0.0, 1.0))
+def test_lip_solve_matches_mpmath(log_c, where):
+    # Gamma(c)^2 |W|^2, M = Im Lambda / pi and gamma = Re Lambda / 2 from the
+    # lip solve, at mu from 1e-6 to 8c + 200, log-uniform in both.
+    c = math.exp(log_c)
+    mu = math.exp(math.log(1e-6) + where * (math.log(8.0 * c + 200.0) - math.log(1e-6)))
+    log_v, lam = specfun._lip_solve(c, mu)
+    with mpmath.workdps(40):
+        w = mpmath.whitw(0.5 - c, 0, mpmath.mpc(-mu, 1e-25 * mu))
+        msq = float(abs(mpmath.gamma(c) * w) ** 2)
+    assert mu * math.exp(2.0 * log_v.real) == pytest.approx(msq, rel=1e-12, abs=0)
+    assert abs(lam.imag / math.pi - _idos_mpmath_dc(c, 1.0, mu)) <= 1e-12
+    assert abs(0.5 * lam.real - _gamma_mpmath_dc(c, 1.0, mu)) <= 1e-12
+
+
 @pytest.mark.parametrize("alpha,kappa", [(0.5, 1.0), (2.5, 2.0), (7.5, 7.5)])
 def test_lyapunov_matches_mpmath_c_derivative(alpha, kappa):
-    # In the band and beyond its edge at omega^2 = 4, at non-integer alpha,
-    # which the contour route does not take.
+    # In the band and beyond its edge at omega^2 = 4, at non-integer alpha.
     w2 = np.array([0.3, 2.0, 3.9, 6.0, 9.0])
     ref = np.array([_gamma_mpmath_dc(alpha, kappa, float(w)) for w in w2])
     np.testing.assert_allclose(lyapunov_exact(GammaChainParams(alpha, kappa), w2), ref, rtol=0, atol=1e-9)
 
 
 def test_lyapunov_near_band_centre():
-    # The contour route gives -0.0069 and -0.0209 at these two points, and
-    # raises ContourError at omega^2 = 1e-12 for alpha = kappa = 1.
+    # The exponent vanishes at the band centre and stays positive next to it.
     assert np.all(lyapunov_exact(GammaChainParams(3.0, 3.0), np.array([1e-300, 1e-100])) > 0)
     got = lyapunov_exact(GammaChainParams(1.0, 1.0), 1e-12)
     assert abs(got - _gamma_mpmath_dc(1.0, 1.0, 1e-12)) <= 1e-9
 
 
 def test_idos_beyond_band_edge_at_alpha_twenty():
-    # kappa x = 100, the last point of the Whittaker route, where the
-    # contour route fails.
+    # kappa x = 100, beyond the band edge.
     got = idos_exact(GammaChainParams(20.0, 20.0), 5.0)
     assert abs(got - _idos_mpmath_dc(20.0, 20.0, 5.0)) <= 1e-10
+
+
+@pytest.mark.parametrize("alpha,x", [(50.0, 4.5), (100.0, 5.0)])
+def test_idos_beyond_band_edge_at_large_alpha(alpha, x):
+    # kappa x = 225 and 500, at a cost that does not grow with alpha.  At
+    # (200, 6) mpmath takes 15 s and gives M = 1 to double precision.
+    got = idos_exact(GammaChainParams(alpha, alpha), x)
+    assert abs(got - _idos_mpmath_dc(alpha, alpha, x)) <= 1e-10
+
+
+def test_dos_beyond_band_edge_at_alpha_twenty():
+    # kappa mu = 140, where D is 3.6e-13.
+    got = dos_exact(GammaChainParams(20.0, 20.0), 7.0)
+    assert got == pytest.approx(_dos_mpmath_dc(20.0, 20.0, 7.0), rel=1e-10, abs=0)
 
 
 @pytest.mark.parametrize("alpha,rate", [(0.0, 1.0), (1.0, -1.0), (math.nan, 1.0), (1.0, math.nan),
@@ -242,11 +281,10 @@ def test_gamma_params_reject_nonpositive_and_nonfinite(alpha, rate):
 
 @pytest.mark.parametrize("alpha,kappa", [(1.0, 1.0), (2.0, 2.0), (3.0, 1.5), (1.0, 3.0)])
 def test_dyson_head_matches_contour_route(alpha, kappa):
-    # Against the contour route, which shares nothing with the closed form.
+    # Against the mpmath c-derivative, which shares nothing with the closed form.
     p = GammaChainParams(alpha, kappa)
     for x, bound in ((1e-4, 1e-3), (1e-6, 1e-5), (1e-8, 1e-7)):
-        contour = exact._idos_contour(p, x)
-        assert abs(dyson_head(p, x) / contour - 1.0) <= bound, x
+        assert abs(dyson_head(p, x) / _idos_mpmath_dc(alpha, kappa, x) - 1.0) <= bound, x
 
 
 def test_idos_large_alpha_half_at_band_centre():
@@ -272,14 +310,10 @@ def test_idos_monotone_and_bounded():
 
 
 def test_idos_clamp_magnitude_is_tiny():
-    # Where M is essentially saturated the raw imaginary part may stray
-    # past 1 by quadrature error only.
-    from randchain.exact import _continued_omega
-
-    p = GammaChainParams(1.0, 1.0)
-    for x in (30.0, 60.0):
-        raw = 1.0 - _continued_omega(p, float(x)).imag / math.pi
-        assert abs(raw - min(max(raw, 0.0), 1.0)) < 1e-6
+    # Where M is essentially saturated the raw readout Im Lambda / pi may
+    # stray past 1 by rounding only.
+    raw = exact._dyson_whittaker(GammaChainParams(1.0, 1.0), np.array([30.0, 60.0]), "idos")
+    assert np.max(np.abs(raw - np.clip(raw, 0.0, 1.0))) < 1e-6
 
 
 def test_idos_matches_empirical_spot_check():
@@ -321,58 +355,6 @@ def test_dos_carries_unit_mass_up_to_singular_head():
     mus = cut * np.exp(half * (nodes + 1.0))
     body = half * float(np.sum(weights * mus * dos_exact(p, mus)))
     assert body + idos_exact(p, cut) == pytest.approx(1.0, abs=5e-3)
-
-
-def test_contour_stability_control(monkeypatch):
-    # An unreasonable forced truncation of the tail must be caught by the
-    # stability check rather than silently accepted.
-    p = GammaChainParams(1.0, 1.0)
-    from randchain import exact
-
-    nodes = exact._contour_nodes
-
-    def truncated(alpha, kx, stretch=1.0):
-        path = nodes(alpha, kx, stretch)
-        return path[:-1] + [complex(-1.5, path[-2].imag)]
-
-    monkeypatch.setattr(exact, "_contour_nodes", truncated)
-    with pytest.raises(ArithmeticError):
-        exact._continued_omega(p, 0.05)
-
-
-def test_contour_dos_checks_its_path():
-    # Beyond the band edge at alpha = 20 the contour path fails: stretched by
-    # 1.35 it gives 0.162 where it gives 0.199 at mu = 7.  In the band, at
-    # kappa mu > 100 where the contour route serves, the check passes and
-    # the values are those of the one path.
-    with pytest.raises(ContourError):
-        dos_exact(GammaChainParams(20.0, 20.0), 7.0)
-    p = GammaChainParams(30.0, 30.0)
-    mus = np.array([3.5, 3.7, 3.9])
-    one_path = []
-    for mu in mus:
-        v = exact._contour_integrals(30, 30.0, float(mu), ("k", "l", "xk", "xl"))
-        expr = (v["xl"] * v["k"] - v["l"] * v["xk"]) / v["k"] ** 2
-        one_path.append(-(2.0 * 30.0 / math.pi) * expr.imag)
-    assert dos_exact(p, mus).tolist() == one_path
-
-
-def test_saddle_point_location():
-    # The stationary point of log(xi) - log(1+xi) + xi w2 found numerically
-    # agrees with the closed form.  Along Re(xi) = -1/2 the derivative is
-    # purely real, so a one-dimensional root search locates the saddle.
-    for w2 in (1.0, 2.0, 3.0):
-        eta = saddle_point(w2)
-
-        def dre(yim: float) -> float:
-            xi = complex(-0.5, yim)
-            return (1.0 / xi - 1.0 / (1.0 + xi) + w2).real
-
-        yim = brentq(dre, 0.01, 20.0, xtol=1e-14)
-        xi = complex(-0.5, yim)
-        deriv = 1.0 / xi - 1.0 / (1.0 + xi) + w2
-        assert abs(deriv) < 1e-10
-        assert abs(xi - eta) < 1e-10
 
 
 def test_dos_matches_idos_finite_difference():

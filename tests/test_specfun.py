@@ -1,4 +1,5 @@
 import math
+import time
 
 import mpmath
 import numpy as np
@@ -142,20 +143,29 @@ def test_whittaker_domain_errors():
     with pytest.raises(ValueError):
         sf.whittaker_msq(1.0, 0.0)
     with pytest.raises(ValueError):
-        sf.whittaker_msq(1.0, 101.0)
+        sf.whittaker_msq(1.0, math.inf)
     with pytest.raises(ValueError):
         sf.whittaker_msq(-1.0, 1.0)
     with pytest.raises(ValueError):
-        sf.whittaker_msq(1.0, np.array([1.0, 101.0]))
+        sf.whittaker_msq(1.0, np.array([1.0, math.nan]))
     with pytest.raises(ValueError):
-        sf.whittaker_dc(1.0, np.array([1.0, 101.0]))
+        sf.whittaker_dc(1.0, np.array([1.0, math.inf]))
+    # A non-finite c is refused by the checks, not by a math domain error
+    # in the anchor.
+    for c in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="c must be positive"):
+            sf.whittaker_msq(c, 1.0)
+        with pytest.raises(ValueError, match="c must be positive"):
+            betaens.con_density(c, 1.0)
+        with pytest.raises(ValueError, match="c must be positive"):
+            sf.whittaker_cdf(c, 1.0)
     # Points the large-mu series would serve alone are checked all the same.
     with pytest.raises(ValueError):
         sf.whittaker_msq(-1.0, 60.0)
     with pytest.raises(ValueError):
         sf.whittaker_msq(float("nan"), 60.0)
     with pytest.raises(ValueError):
-        sf.whittaker_msq(1.0, [60.0, 101.0])
+        sf.whittaker_msq(1.0, [60.0, math.inf])
     with pytest.raises(ValueError):
         betaens.con_density(1.0, [60.0, math.inf])
 
@@ -192,9 +202,9 @@ def _series_serves(c, mu):
     return bool(sf._large_mu_sum(c, np.array([mu]))[1][0] < sf._SERIES_EPS)
 
 
-def _sweep_msq(c, mu):
-    y = sf._whittaker_lip(c, mu)
-    return mu * (y[0] * y[0] + y[1] * y[1]) * math.exp(-2.0 * math.lgamma(c))
+def _solve_msq(c, mu):
+    log_v, _ = sf._lip_solve(c, mu)
+    return mu * math.exp(2.0 * log_v.real - 2.0 * math.lgamma(c))
 
 
 @pytest.mark.parametrize(
@@ -210,13 +220,13 @@ def test_whittaker_msq_series_side_against_mpmath(c, mu):
 
 @pytest.mark.parametrize("c", [0.01, 0.5, 1.0, 2.0, 5.0, 9.0])
 def test_whittaker_msq_routes_meet_where_the_series_takes_over(c):
-    # Below the first series point the sweep serves; from it on, the series,
-    # and both routes agree there within the sweep's own error.
+    # Below the first series point the lip solve serves; from it on, the
+    # series, and both routes agree there.
     grid = np.arange(20.0, 100.0, 0.25)
     first = next(i for i, mu in enumerate(grid) if _series_serves(c, mu))
     assert not _series_serves(c, grid[first - 1])
     for mu in grid[first - 1 : first + 4]:
-        assert sf.whittaker_msq(c, mu) == pytest.approx(_sweep_msq(c, mu), rel=1e-9, abs=0)
+        assert sf.whittaker_msq(c, mu) == pytest.approx(_solve_msq(c, mu), rel=1e-9, abs=0)
 
 
 def test_whittaker_msq_refuses_values_below_the_normal_doubles():
@@ -236,7 +246,7 @@ def test_whittaker_density_mass_needs_a_cut_past_the_turning_point():
 
 
 def test_whittaker_msq_array_matches_scalar_calls():
-    # Unsorted, with a repeat, and two-dimensional: one sweep serves all.
+    # Unsorted, with a repeat, and two-dimensional: one lip solve serves all.
     mus = np.array([[60.0, 1e-3, 2.5], [0.7, 60.0, 95.0]])
     got = sf.whittaker_msq(1.0, mus)
     assert got.shape == mus.shape
@@ -244,7 +254,7 @@ def test_whittaker_msq_array_matches_scalar_calls():
     np.testing.assert_allclose(got, expected, rtol=1e-8)
 
 
-# Neighbouring doubles whose logs, the variable the sweep steps in, are
+# Neighbouring doubles whose logs, the variable the lip solve steps in, are
 # equal: 0.1 and _ULP_01, and at rate 0.1 the points 0.1 * 1 and
 # 0.1 * _ULP_1.  At rate 3 the products 3 * 0.1 and 3 * _ULP_01 are equal.
 _ULP_01 = float(np.nextafter(0.1, 1.0))
@@ -267,7 +277,7 @@ _ULP_1 = float(np.nextafter(1.0, 2.0))
 )
 def test_points_that_share_a_log_each_get_a_value(call, points):
     # One value per point, in the input's shape.  The first two points
-    # share their sweep states; where a value carries its own factor mu
+    # share their solved values; where a value carries its own factor mu
     # (|W|^2 and the densities) the two differ in the last bit only.
     got = call(points)
     assert got.shape[-1] == len(points)
@@ -287,8 +297,8 @@ def test_whittaker_cdf_and_dc_take_any_shape_and_order():
 
 
 def test_whittaker_cdf_increments_match_quadrature():
-    # The mass the sweep carries as a fifth state against adaptive
-    # quadrature of the density the same code returns.
+    # The mass read off the lip solve's log V against adaptive quadrature
+    # of the density the same code returns.
     from scipy.integrate import quad
 
     c = 2.0
@@ -320,6 +330,24 @@ def test_whittaker_cdf_matches_mpmath_phase(c):
 
 def test_whittaker_density_mass_is_one_to_nine_digits():
     assert abs(sf.whittaker_density_mass(1.0, cut=30.0) - 1.0) <= 1e-9
+
+
+def test_con_density_at_huge_c_is_finite():
+    # The lip solve's cost does not grow with c: at c = 1e8 it takes a few
+    # intervals.
+    dens = betaens.con_density(1e8, 50.0)
+    assert math.isfinite(dens) and dens > 0
+
+
+def test_lip_solve_at_c_1e300_ends_within_a_second():
+    # It returns, or raises WhittakerError after its fixed number of halvings.
+    start = time.perf_counter()
+    try:
+        log_v, lam = sf._lip_solve(1e300, 50.0)
+        assert np.isfinite(log_v) and np.isfinite(lam)
+    except sf.WhittakerError:
+        pass
+    assert time.perf_counter() - start < 1.0
 
 
 # ----------------------------------------------------------------------
@@ -363,8 +391,8 @@ def test_sample_gamma_validation():
 
 @pytest.mark.parametrize("c", [0.5, 1.5, 3.0])
 def test_whittaker_dc_matches_central_difference(c):
-    # The carried c-derivatives against a central difference in c of the
-    # five-state sweep.  Its own error is of order h^2: at h = 1e-4 it is
+    # The c-derivatives read off Lambda against a central difference in c
+    # of the density and the mass.  Its own error is of order h^2: at h = 1e-4 it is
     # 1.5e-7 relative in the density and 1.8e-9 in the mass, at c = 0.5.
     mus = np.geomspace(1e-4, 30.0, 12)
     h = 1e-4
