@@ -2,7 +2,7 @@
 
 Run from the repository root:
 
-    PYTHONPATH=src python docs/sturm_lanes.py [--sites N] [--against OTHER/src/randchain/tridiag.py] [--bisect] [--hint]
+    PYTHONPATH=src python docs/sturm_lanes.py [--sites N] [--against OTHER/src/randchain/tridiag.py] [--bisect] [--hint] [--blocks]
 
 It prints one markdown table of microseconds per site of
 tridiag._sturm_counts on matrices of 400 sites (or --sites), from 16 to
@@ -29,6 +29,15 @@ call that both copies give bitwise the same values.
 With --hint, a third table times eigenvalues_many on one matrix with
 and without the guards around LAPACK estimates, over sizes and sites
 per wanted rank, the break-even behind tridiag._HINT_SITES_PER_RANK.
+
+With --blocks, the script prints only a table of few lanes on long
+chains (ledger D11): the float loop against verified blocks of 1024,
+2048 and 4096 sites (tridiag._block_counts), on the fixed-boundary
+frequency matrix of a two-point chain (schmidt --op nodefrac's matrix)
+probed at the midpoints of lanes equal cells of (0.1, 4.4), asserting on
+every call that both give bitwise the same counts.  Each cell gives
+milliseconds and, for blocks, the blocks re-run: the break-even behind
+tridiag._BLOCK_SITES and _BLOCK_MIN.
 """
 
 from __future__ import annotations
@@ -41,7 +50,8 @@ import time
 
 import numpy as np
 
-from randchain import betaens, tridiag
+from randchain import betaens, schmidt, tridiag
+from randchain.chain import TwoPoint
 
 BATCH = 8
 LANES = (16, 24, 32, 40, 48, 64, 96, 150, 300, 600, 1200, 2000, 4000, 8000, 16000, 30000)
@@ -49,6 +59,9 @@ FLOAT_LANES_MAX = 2000
 REPEATS = 9
 HINT_SIZES = (101, 401, 1001, 2001, 4001)
 HINT_SITES_PER_RANK = (4, 16, 32, 64, 128, 512)
+BLOCK_SITES = (1024, 2048, 4096)
+BLOCK_CHAINS = (20001, 35001, 50001, 100001, 200001)
+BLOCK_LANES = (1, 2, 4, 12, 20)
 
 
 def load(path: str):
@@ -226,13 +239,66 @@ def hint_table() -> None:
         print(hint_row(n), flush=True)
 
 
+def blocks_ms(sym, xs, sites: int | None) -> tuple[float, int, np.ndarray]:
+    """ms, blocks re-run and counts of one count_below_many call: blocks of the given sites, or the float loop (None)."""
+    keep = tridiag._BLOCK_SITES, tridiag._BLOCK_MIN, tridiag.walk_blocks
+    reruns = 0
+
+    def walk(*args):
+        nonlocal reruns
+        end, n = keep[2](*args)
+        reruns += n
+        return end, n
+
+    tridiag._BLOCK_SITES, tridiag._BLOCK_MIN, tridiag.walk_blocks = sites or 1, 1 if sites else sym.n, walk
+    try:
+        start = time.perf_counter()
+        counts = tridiag.count_below_many(sym, xs)
+        return 1e3 * (time.perf_counter() - start), reruns, counts
+    finally:
+        tridiag._BLOCK_SITES, tridiag._BLOCK_MIN, tridiag.walk_blocks = keep
+
+
+def blocks_row(n: int, lanes: int) -> str:
+    masses = TwoPoint(1.0, 2.0, 0.3).sample(np.random.default_rng(n), n)
+    sym = schmidt._fixed_frequency_matrix(masses, 1.0)
+    xs = 0.1 + 4.3 * (np.arange(lanes) + 0.5) / lanes
+    times = {sites: [] for sites in (None,) + BLOCK_SITES}
+    reruns = {}
+    for _ in range(REPEATS):
+        for sites in times:
+            ms, reruns[sites], counts = blocks_ms(sym, xs, sites)
+            times[sites].append(ms)
+            if sites is None:
+                want = counts
+            assert np.array_equal(counts, want)
+    cells = [str(n), str(lanes), f"{statistics.median(times[None]):.1f}"]
+    cells += [f"{statistics.median(times[s]):.1f} ({reruns[s]})" for s in BLOCK_SITES]
+    return "| " + " | ".join(cells) + " |"
+
+
+def blocks_table() -> None:
+    print(f"ms per count_below_many call, float loop and verified blocks (blocks re-run), median of {REPEATS} interleaved repeats")
+    print()
+    head = ["sites", "lanes", "float loop"] + [f"blocks of {s}" for s in BLOCK_SITES]
+    print("| " + " | ".join(head) + " |")
+    print("|---" * len(head) + "|")
+    for n in BLOCK_CHAINS:
+        for lanes in BLOCK_LANES:
+            print(blocks_row(n, lanes), flush=True)
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--sites", type=int, default=400, help="matrix size (default 400)")
     parser.add_argument("--against", help="path of another tridiag.py whose array loop to time alongside")
     parser.add_argument("--bisect", action="store_true", help="also time eigenvalues_many on the benchmark's bisections")
     parser.add_argument("--hint", action="store_true", help="also time eigenvalues_many with and without its guards")
+    parser.add_argument("--blocks", action="store_true", help="only time few lanes on long chains, float loop against blocks")
     args = parser.parse_args()
+    if args.blocks:
+        blocks_table()
+        return
     other = None if args.against is None else load(args.against)
     print(f"us per site of tridiag._sturm_counts, {args.sites} sites, median of {REPEATS} interleaved repeats")
     print()

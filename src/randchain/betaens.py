@@ -135,9 +135,14 @@ def con_density(c: float, mu):
     of U(c, 1, z) converges take that series, in logs; the others take one
     lip solve along the cut (specfun.whittaker_msq says which points take which).
     Both routes give Gamma(c)^2 |W|^2, so D = 1/(c Gamma(c)^2 |W|^2) holds
-    past the c at which Gamma(c)^2 or |W|^2 alone leave the double range.
+    past the c at which Gamma(c)^2 or |W|^2 alone leave the double range,
+    and where c Gamma(c)^2 |W|^2 itself overflows, D is taken in logs.
     """
-    return _as_result(1.0 / (c * _scaled_msq(c, mu)))
+    msq, log_msq = _scaled_msq(c, mu)
+    with np.errstate(over="ignore"):
+        scaled = c * msq
+        logs = np.exp(-math.log(c) - log_msq)
+    return _as_result(np.where(np.isinf(scaled), logs, 1.0 / scaled))
 
 
 def con_cdf_grid(c: float, mus: np.ndarray) -> np.ndarray:

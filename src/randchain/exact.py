@@ -179,11 +179,11 @@ def _dyson_whittaker(p: GammaChainParams, xs: np.ndarray, readout: str) -> np.nd
     c = alpha: M(x) = Im Lambda / pi, D(x) = 2 kappa Re Lambda / (mu |V|^2)
     = kappa d/dc [c D_c(kappa x)] and gamma(x) = Re Lambda / 2.
     """
-    lam, msq = _whittaker_lambda(p.alpha, p.rate * xs)
+    lam, d_dc = _whittaker_lambda(p.alpha, p.rate * xs)
     if readout == "idos":
         return lam.imag / math.pi
     if readout == "dos":
-        return p.rate * (2.0 * lam.real / msq)
+        return p.rate * d_dc
     return 0.5 * lam.real
 
 

@@ -14,12 +14,12 @@ from __future__ import annotations
 
 import logging
 import math
-from array import array
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
+from .blocks import block_view, walk_blocks
 from .chain import Constant, DisorderLaw, Gamma, TwoPoint
 from .specfun import rng_from_seed
 from .tridiag import SymTridiag, count_below, count_below_many
@@ -147,63 +147,168 @@ def mc_stationary(kind, law: DisorderLaw, n_samples: int, burn_in: int = DEFAULT
     discarded.  Exact division-by-zero steps (measure zero under the
     continuous laws) propagate through infinity, which every map folds
     back to a finite value at the next step; occurrences are counted and
-    logged.
+    logged.  Long runs go as verified blocks, with every value that of
+    the step-by-step loop (_stationary_path).
     """
     if n_samples < 1 or burn_in < 0:
         raise ValueError("need n_samples >= 1 and burn_in >= 0")
     rng = rng_from_seed(seed)
-    total = n_samples + burn_in
-    # Python floats, read through a memoryview into an array.array: numpy
-    # scalars' arithmetic at under half the cost, 8 bytes a sample (a list
-    # holds 32).  Python raises on x/0 where numpy gives inf, so every
-    # divisor is checked first: the kind's parameters when built, the state
-    # at each step.
-    draws = memoryview(law.sample(rng, total))
-    out = array("d")
-    redraws = 0
-
+    # Each map reads one coefficient per step, computed here in place of
+    # its draw with the loop's own operations, so its bits are the loop's.
+    c = np.asarray(law.sample(rng, n_samples + burn_in), dtype=float)
     if isinstance(kind, XiTypeI):
         # xi stays nonnegative for positive laws, so the singular point
-        # -1 is unreachable in practice; an exact hit propagates through
-        # infinity and folds back to 0 at the next step.
+        # -1 is unreachable in practice.
         x = float(kind.x)
-        xi = x
-        for d in draws:
-            denom = 1.0 + xi
-            if denom == 0.0:
-                xi = math.inf
-                redraws += 1
-            else:
-                xi = x * d / denom  # denom = inf maps xi to 0
-            out.append(xi)
+        np.multiply(x, c, out=c)  # x lambda
+        path = _stationary_path(_fraction_loop, _fraction_step, (c,), x, "xi")
     elif isinstance(kind, RatioTypeII):
-        w2 = float(kind.omega_sq)
-        k_spring = float(kind.spring_k)
-        z = 1.0
-        for d in draws:
-            a = 2.0 - w2 * d / k_spring
-            if z == 0.0:
-                z = math.inf  # signed-infinity propagation of 1/0
-                redraws += 1
-            z = a - 1.0 / z if not math.isinf(z) else a
-            out.append(z)
+        np.multiply(float(kind.omega_sq), c, out=c)
+        np.divide(c, float(kind.spring_k), out=c)
+        np.subtract(2.0, c, out=c)  # a = 2 - omega^2 m / K
+        path = _stationary_path(_ratio_loop, _ratio_step, (c,), 1.0, "z")
     elif isinstance(kind, AntisymRatio):
-        y2 = float(kind.y) * float(kind.y)
-        s = 0.0
-        for d in draws:
-            denom = 1.0 + s
-            if denom == 0.0:
-                s = math.inf
-                redraws += 1
-            else:
-                s = -(d / y2) / denom
-            out.append(s)
+        np.divide(c, float(kind.y) * float(kind.y), out=c)
+        np.negative(c, out=c)  # -lambda / y^2
+        path = _stationary_path(_fraction_loop, _fraction_step, (c,), 0.0, "s")
     else:
         raise TypeError(f"unsupported recursion kind: {kind!r}")
+    return path[burn_in:]
 
-    if redraws:
-        logger.debug("mc_stationary handled %d singular steps", redraws)
-    return np.frombuffer(out)[burn_in:]
+
+# Stationary paths of at least _BLOCK_MIN blocks of _BLOCK_STEPS steps run as
+# verified blocks (blocks.py).  A block is twice the longest coalescence of the
+# xi and eta paths over the laws and x of ledger D11 (the z and s paths meet
+# later near their band edges, and re-run there), and the break-even with the
+# loop lies between 30 (xi) and 45 (eta) blocks on a 2-core box.  Sweep 2
+# writes _BLOCK_ROWS steps of every block at a time to a contiguous buffer,
+# then into the path.
+_BLOCK_STEPS = 1024
+_BLOCK_MIN = 48
+_BLOCK_ROWS = 32
+
+
+def _fraction_loop(c, v, out):
+    """v' = c / (1 + v) over the coefficients c from v, into out: the xi and s maps."""
+    singular = 0
+    for i, ci in enumerate(c):
+        denom = 1.0 + v
+        if denom == 0.0:
+            v = math.inf
+            singular += 1
+        else:
+            v = ci / denom  # denom = inf maps v to 0
+        out[i] = v
+    return v, singular
+
+
+def _fraction_step(v, out, t, u, c):
+    np.add(1.0, v, out=t)
+    np.divide(c, t, out=out)
+
+
+def _ratio_loop(a, v, out):
+    """z' = a - 1/z over the coefficients a from z, into out."""
+    singular = 0
+    for i, ai in enumerate(a):
+        if v == 0.0:
+            v = math.inf  # signed-infinity propagation of 1/0
+            singular += 1
+        v = ai - 1.0 / v if not math.isinf(v) else ai
+        out[i] = v
+    return v, singular
+
+
+def _ratio_step(v, out, t, u, a):
+    np.divide(1.0, v, out=t)
+    np.subtract(a, t, out=out)
+
+
+def _eta_loop(xl, opl, v, out):
+    """eta' = (eta opl + 1) / (xl (1 + eta)) over xl = x K/m and opl = 1 + xl from eta, into out."""
+    singular = 0
+    for i, (xli, opli) in enumerate(zip(xl, opl)):
+        denom = xli * (1.0 + v)
+        if denom == 0.0:
+            v = math.inf
+            singular += 1
+        elif not math.isinf(v):
+            v = (v * opli + 1.0) / denom
+        else:
+            v = opli / xli if xli else math.inf  # numpy's 1/0
+        out[i] = v
+    return v, singular
+
+
+def _eta_step(v, out, t, u, xl, opl):
+    np.add(1.0, v, out=t)
+    np.multiply(xl, t, out=t)
+    np.multiply(v, opl, out=u)
+    np.add(u, 1.0, out=u)
+    np.divide(u, t, out=out)
+
+
+def _stationary_path(loop, step, coeffs, start: float, name: str) -> np.ndarray:
+    """The recursion's values from start, one per coefficient step, exactly as loop gives them.
+
+    loop(*coeffs, v, out) runs the scalar recursion over (slices of) the
+    coefficient arrays from v, writes its values to out and returns the
+    last value and the count of singular steps.  step(v, out, t, u, *rows)
+    is the same map on arrays, one element per block, with scratch t and
+    u.  A path of at least _BLOCK_MIN blocks runs as verified blocks
+    (blocks.py): the sweeps raise on any floating-point exception but
+    underflow, and then the whole path goes to the loop, which alone
+    handles singular steps.  What ran is logged at debug level.
+    """
+    total = coeffs[0].size
+    out = np.empty(total)
+    path, data = memoryview(out), [memoryview(c) for c in coeffs]
+    length = _BLOCK_STEPS
+    n_blocks = total // length
+    done, v, singular, reruns, fallback = 0, start, 0, 0, False
+    lanes = n_blocks if n_blocks >= _BLOCK_MIN else 0
+    if lanes:
+        rows = [block_view(c, length, n_blocks) for c in coeffs]
+        try:
+            with np.errstate(all="raise", under="ignore"):
+                ends1 = _sweep(step, rows, np.full(n_blocks, start), None)
+                ends2 = _sweep(step, rows, np.r_[start, ends1[:-1]], block_view(out, length, n_blocks, writeable=True))
+        except FloatingPointError:
+            fallback = True
+        else:
+            def rerun(b, redo, w):
+                nonlocal singular
+                span = slice(b * length, (b + 1) * length)
+                w, hits = loop(*(d[span] for d in data), float(w[0]), path[span])
+                singular += hits
+                return w
+
+            end, reruns = walk_blocks(ends1, ends2, rerun)
+            v, done = float(end), n_blocks * length
+    v, hits = loop(*(d[done:] for d in data), v, path[done:])
+    singular += hits
+    logger.debug("%s path: %d steps, %d lanes of %d-step blocks, %d re-run, loop fallback %s",
+                 name, total, lanes, length, reruns, fallback)
+    if singular:
+        logger.debug("%s path handled %d singular steps", name, singular)
+    return out
+
+
+def _sweep(step, rows, v: np.ndarray, out) -> np.ndarray:
+    """Carries the blocks' values v over the block_view rows; writes them to out (a writeable block_view) if given."""
+    t, u = np.empty_like(v), np.empty_like(v)
+    if out is None:
+        for row in zip(*rows):
+            step(v, v, t, u, *row)
+        return v
+    buf = np.empty((_BLOCK_ROWS, v.size))
+    for j0 in range(0, out.shape[0], _BLOCK_ROWS):
+        chunk = buf[:out.shape[0] - j0]
+        for dest, row in zip(chunk, zip(*(r[j0:j0 + _BLOCK_ROWS] for r in rows))):
+            step(v, dest, t, u, *row)
+            v = dest
+        out[j0:j0 + chunk.shape[0]] = chunk
+    return v.copy()
 
 
 def omega_mc(kind: XiTypeI, law: DisorderLaw, n_samples: int, seed=0, burn_in: int = DEFAULT_BURN_IN) -> float:
@@ -217,23 +322,12 @@ def _eta_samples(law: DisorderLaw, spring_k: float, x: float, n: int, burn_in: i
 
     Folding the two equal-lambda continued-fraction steps of one mass into
     a single update gives eta' = (eta (1 + x lam) + 1) / (x lam (1 + eta))
-    with lam = K/m.
+    with lam = K/m, run from eta = 1 by _stationary_path.
     """
-    masses = law.sample(rng, n + burn_in)
-    x = float(x)
-    out = array("d")
-    eta = 1.0
-    for lam in memoryview(spring_k / masses):
-        xl = x * lam
-        denom = xl * (1.0 + eta)
-        if denom == 0.0:
-            eta = math.inf
-        elif not math.isinf(eta):
-            eta = (eta * (1.0 + xl) + 1.0) / denom
-        else:
-            eta = (1.0 + xl) / xl if xl else math.inf  # numpy's 1/0
-        out.append(eta)
-    return np.frombuffer(out)[burn_in:]
+    xl = np.asarray(law.sample(rng, n + burn_in), dtype=float)
+    np.divide(spring_k, xl, out=xl)
+    np.multiply(float(x), xl, out=xl)  # x lam
+    return _stationary_path(_eta_loop, _eta_step, (xl, 1.0 + xl), 1.0, "eta")[burn_in:]
 
 
 def omega_type2_mc(law: DisorderLaw, spring_k: float, x: float, n: int, seed=0, burn_in: int = DEFAULT_BURN_IN) -> float:

@@ -290,27 +290,34 @@ def _lip_solve(c: float, mu) -> tuple[np.ndarray, np.ndarray]:
     return log_v[where].reshape(mus.shape), lam[where].reshape(mus.shape)
 
 
-def _scaled_msq(c: float, mu) -> np.ndarray:
-    """Gamma(c)^2 |W_{-c+1/2,0}(-mu)|^2 at mu of any shape, in mu's shape (ledger D8).
+def _scaled_msq(c: float, mu) -> tuple[np.ndarray, np.ndarray]:
+    """Gamma(c)^2 |W_{-c+1/2,0}(-mu)|^2 and its log at mu of any shape, in mu's shape (ledger D8).
 
     Where the large-mu series converges, its smallest term below
-    _SERIES_EPS of its sum S (_large_mu_sum), it is
-    Gamma(c)^2 e^mu mu^(1-2c) S^2, taken in logs; the other points take
-    mu |V|^2 = mu e^{2 Re log V} from one lip solve over just them.
+    _SERIES_EPS of its sum S (_large_mu_sum), the log is
+    2 log Gamma(c) + mu + (1 - 2c) log mu + 2 log S; the other points take
+    mu |V|^2 = mu e^{2 Re log V} from one lip solve over just them.  The
+    value overflows to inf past the doubles (from about mu = 709 at
+    c = 1), where callers read the log instead.
     """
     mus = _whittaker_points(c, mu)
     flat = mus.ravel()
     total, smallest = _large_mu_sum(c, flat)
     served = smallest < _SERIES_EPS
+    msq, log_msq = np.empty_like(flat), np.empty_like(flat)
     m = flat[served]
-    msq = np.empty_like(flat)
-    msq[served] = np.exp(2.0 * math.lgamma(c) + m + (1.0 - 2.0 * c) * np.log(m) + 2.0 * np.log(total[served]))
+    log_msq[served] = 2.0 * math.lgamma(c) + m + (1.0 - 2.0 * c) * np.log(m) + 2.0 * np.log(total[served])
+    with np.errstate(over="ignore"):
+        msq[served] = np.exp(log_msq[served])
     if not np.all(served):
         m = flat[~served]
-        msq[~served] = m * np.exp(2.0 * _lip_solve(c, m)[0].real)
-    if not np.all(np.isfinite(msq)):
+        two_re = 2.0 * _lip_solve(c, m)[0].real
+        with np.errstate(over="ignore"):
+            msq[~served] = m * np.exp(two_re)
+        log_msq[~served] = np.log(m) + two_re
+    if not np.all(np.isfinite(log_msq)):
         raise WhittakerError("non-finite Whittaker value")
-    return msq.reshape(mus.shape)
+    return msq.reshape(mus.shape), log_msq.reshape(mus.shape)
 
 
 def whittaker_msq(c: float, mu):
@@ -329,8 +336,10 @@ def whittaker_msq(c: float, mu):
     to 8c + 200.  WhittakerError is raised where |W|^2 falls below the
     normal doubles (from about c = 100) or overflows them.
     """
-    msq = np.exp(np.log(_scaled_msq(c, mu)) - 2.0 * math.lgamma(c))
-    if not np.all(msq >= np.finfo(float).tiny):
+    scaled, log_scaled = _scaled_msq(c, mu)
+    with np.errstate(over="ignore"):
+        msq = np.exp(np.where(np.isinf(scaled), log_scaled, np.log(scaled)) - 2.0 * math.lgamma(c))
+    if not np.all((msq >= np.finfo(float).tiny) & (msq < np.inf)):
         raise WhittakerError(f"|W|^2 at c = {c:g} lies outside the normal doubles")
     return _as_result(msq)
 
@@ -347,13 +356,19 @@ def whittaker_cdf(c: float, mu) -> np.ndarray:
 
 
 def _whittaker_lambda(c: float, mu) -> tuple[np.ndarray, np.ndarray]:
-    """Lambda = U/V and mu |V|^2, at the points of _lip_solve.
+    """Lambda = U/V and d/dc (c D_c) = 2 Re Lambda / (mu |V|^2), at the points of _lip_solve.
 
     One lip solve gives both at every point.  V is e^{-z/2} Gamma(c) U(c, 1, z),
-    so Lambda = -d/dc log(Gamma(c) U(c, 1, -mu + i0)).
+    so Lambda = -d/dc log(Gamma(c) U(c, 1, -mu + i0)).  Where mu |V|^2
+    overflows (from about mu = 709 at c = 1) the quotient is taken in logs.
     """
     log_v, lam = _lip_solve(c, mu)
-    return lam, np.asarray(mu, dtype=float) * np.exp(2.0 * log_v.real)
+    mu = np.asarray(mu, dtype=float)
+    num = 2.0 * lam.real
+    with np.errstate(over="ignore", divide="ignore"):  # log 0 = -inf gives 0
+        msq = mu * np.exp(2.0 * log_v.real)
+        logs = np.sign(num) * np.exp(np.log(np.abs(num)) - np.log(mu) - 2.0 * log_v.real)
+    return lam, np.where(np.isinf(msq), logs, num / msq)
 
 
 def whittaker_dc(c: float, mu) -> tuple[np.ndarray, np.ndarray]:
@@ -367,8 +382,8 @@ def whittaker_dc(c: float, mu) -> tuple[np.ndarray, np.ndarray]:
     c F_c = -Im log V / pi, d/dc = -d/dkappa gives
     d/dc (c D_c) = 2 Re Lambda / (mu |V|^2) and d/dc (c F_c) = Im Lambda / pi.
     """
-    lam, msq = _whittaker_lambda(c, mu)
-    return 2.0 * lam.real / msq, lam.imag / math.pi
+    lam, d_dc = _whittaker_lambda(c, mu)
+    return d_dc, lam.imag / math.pi
 
 
 def whittaker_density_mass(c: float, cut: float = 60.0) -> float:

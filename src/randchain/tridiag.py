@@ -10,11 +10,14 @@ one sweep, and every row equals its one-matrix result.
 
 from __future__ import annotations
 
+import logging
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
+
+from .blocks import block_view, walk_blocks
 
 __all__ = [
     "SymTridiag",
@@ -28,6 +31,8 @@ __all__ = [
     "tracelog_check",
 ]
 
+logger = logging.getLogger(__name__)
+
 # Stand-in for a zero Sturm pivot.
 _TINY = 1e-300
 
@@ -39,6 +44,14 @@ _TINY = 1e-300
 _FLOAT_LOOP_LANES = 20
 _FLOAT_LOOP_CHUNK = 1024
 _ARRAY_BLOCK_ELEMENTS = 2**15
+
+# Those few lanes run as verified blocks of _BLOCK_SITES sites (_block_counts)
+# on a matrix of at least _BLOCK_MIN blocks: from 32769 sites, where the
+# blocks beat the float loop at 1 to 20 lanes probed across the band, and
+# cost up to a fifth more where every block re-runs (ledger D11,
+# docs/sturm_lanes.py --blocks).
+_BLOCK_SITES = 2048
+_BLOCK_MIN = 16
 
 # Guards around LAPACK estimates (_guards) steer a bisection whose matrix has
 # at most this many sites per wanted rank: the estimates cost O(n^2) per
@@ -176,24 +189,120 @@ class Spectrum:
 
 
 def _float_loop(diag: np.ndarray, off: np.ndarray, xs: np.ndarray) -> np.ndarray:
-    """Counts lane by lane over Python floats, site chunk by chunk: diag (R, n), off (R, n-1), xs (R, m)."""
+    """Counts lane by lane over Python floats: diag (R, n), off (R, n-1), xs (R, m)."""
+    q = [[(a0 - x) or _TINY for x in row_xs] for a0, row_xs in zip(diag[:, 0].tolist(), xs.tolist())]
+    return (np.array(q) < 0.0) + _float_run(q, diag[:, 1:], off, xs)
+
+
+def _float_run(q: list, a: np.ndarray, off: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    """Negative pivots (R, m) as the pivots q (R lists of m floats) run over sites, site chunk by chunk.
+
+    a (R, s) holds the sites' diagonals and off (R, s) their couplings to
+    the site before; q ends as the last sites' pivots.
+    """
     tiny = _TINY  # a local reads faster than a global in the loop
-    q = [[(a0 - x) or tiny for x in row_xs] for a0, row_xs in zip(diag[:, 0].tolist(), xs.tolist())]
-    counts = (np.array(q) < 0.0).astype(np.int64)
-    for k in range(0, diag.shape[1] - 1, _FLOAT_LOOP_CHUNK):
+    counts = np.zeros(xs.shape, dtype=np.int64)
+    for k in range(0, a.shape[1], _FLOAT_LOOP_CHUNK):
         chunk = slice(k, k + _FLOAT_LOOP_CHUNK)
-        rows = zip(diag[:, 1:][:, chunk].tolist(), np.square(off[:, chunk]).tolist(), xs.tolist())
-        for r, (a, b2, row_xs) in enumerate(rows):
-            pairs = list(zip(a, b2))
+        rows = zip(a[:, chunk].tolist(), np.square(off[:, chunk]).tolist(), xs.tolist())
+        for r, (a_row, b2_row, row_xs) in enumerate(rows):
             for i, x in enumerate(row_xs):
                 qi, c = q[r][i], 0
-                for ak, bk in pairs:
+                for ak, bk in zip(a_row, b2_row):
                     qi = ((ak - x) - bk / qi) or tiny
                     if qi < 0.0:
                         c += 1
                 q[r][i] = qi
                 counts[r, i] += c
     return counts
+
+
+def _block_counts(diag: np.ndarray, off: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    """_float_loop's counts, its sites run as verified blocks of _BLOCK_SITES (blocks.py).
+
+    Each lane's sites 1 .. n - 1 form blocks, all of which run side by side
+    in one array loop over the sites of a block.  Sweep 1 starts block b as
+    if the matrix began at the site before it; sweep 2 starts it from
+    sweep 1's end of block b - 1 and counts each block's negative pivots.
+    Blocks that do not verify, and the sites past the last block, run
+    through _float_run.  Zero pivots follow the array loop's rule of
+    _sturm_counts, and any other floating-point exception raises.
+    """
+    length = _BLOCK_SITES
+    n_blocks = (diag.shape[1] - 1) // length
+    with np.errstate(over="ignore", divide="raise", invalid="raise"):
+        first = diag[:, :1] - xs
+        first[first == 0.0] = _TINY
+        a, b = block_view(diag, length, n_blocks, start=1), block_view(off, length, n_blocks)
+        ends1 = diag[:, None, :n_blocks * length:length] - xs[:, :, None]
+        ends1[ends1 == 0.0] = _TINY
+        _block_sweep(ends1, a, b, xs, None)
+        ends2 = np.concatenate([first[:, :, None], ends1[:, :, :-1]], axis=2)
+        negs = np.zeros(ends2.shape, dtype=np.int64)
+        _block_sweep(ends2, a, b, xs, negs)
+    counts = (first < 0.0) + negs.sum(axis=2)
+
+    def rerun(k, redo, v):
+        # The lanes of one row run together, sharing its lists of the block's sites.
+        span, ends, done = slice(k * length, (k + 1) * length), np.empty(v.size), 0
+        for r in np.flatnonzero(redo.any(axis=1)):
+            lanes = np.flatnonzero(redo[r])
+            q = [v[done:done + lanes.size].tolist()]
+            counts[r, lanes] += _float_run(q, diag[r:r + 1, 1:][:, span], off[r:r + 1, span], xs[r:r + 1, lanes])[0]
+            counts[r, lanes] -= negs[r, lanes, k]
+            ends[done:done + lanes.size] = q[0]
+            done += lanes.size
+        return ends
+
+    last, reruns = walk_blocks(ends1, ends2, rerun)
+    q = last.tolist()
+    counts += _float_run(q, diag[:, 1 + n_blocks * length:], off[:, n_blocks * length:], xs)
+    logger.debug("Sturm counts: %d lanes of %d sites, %d blocks of %d sites each, %d re-run",
+                 xs.size, diag.shape[1], n_blocks, length, reruns)
+    return counts
+
+
+def _block_sweep(q: np.ndarray, a: np.ndarray, b: np.ndarray, xs: np.ndarray, negs: np.ndarray | None) -> None:
+    """Carries the blocks' pivots q (R, m, nb) over the block_view rows a and b (L, R, nb) of diag and off.
+
+    q ends as the blocks' last pivots, zeros replaced by _TINY; negs, if
+    given, gains each block's negative pivots.
+    """
+    t = np.empty_like(q)
+    sites = max(1, min(_ARRAY_BLOCK_ELEMENTS // q.size, a.shape[0]))
+    # b^2 is spread over the probes too: a divide of equal shapes costs half
+    # as much as one that broadcasts.
+    pivots, b2 = np.empty((sites,) + q.shape), np.empty((sites,) + q.shape)
+    xs = xs[:, :, None]
+    for k0 in range(0, a.shape[0], sites):
+        s = min(sites, a.shape[0] - k0)
+        np.subtract(a[k0:k0 + s, :, None], xs, out=pivots[:s])
+        np.square(b[k0:k0 + s, :, None], out=b2[:s])
+        _pivot_rows(q, pivots[:s], b2, t)
+        if negs is not None:
+            negs += np.count_nonzero(pivots[:s] < 0.0, axis=0)
+    q[q == 0.0] = _TINY
+
+
+def _pivot_rows(q: np.ndarray, rows: np.ndarray, b2, t: np.ndarray) -> None:
+    """Turns rows of a - x, one per site, into the sites' pivots in place, from the pivots q of the site before.
+
+    b2 holds each site's squared coupling to the site before, as a float
+    or a row that broadcasts against q; t is scratch of q's shape.  With
+    division by zero and invalid operations raising, a zero pivot makes
+    the next divide raise, and only then are the zeros replaced by _TINY
+    and the divide redone (_sturm_counts).  q ends as the last row.
+    """
+    prev = q
+    for row, b2k in zip(rows, b2):
+        try:
+            np.divide(b2k, prev, out=t)
+        except FloatingPointError:
+            prev[prev == 0.0] = _TINY
+            np.divide(b2k, prev, out=t)
+        np.subtract(row, t, out=row)
+        prev = row
+    q[...] = prev
 
 
 def _sturm_counts(diag: np.ndarray, off: np.ndarray, xs: np.ndarray) -> np.ndarray:
@@ -218,7 +327,9 @@ def _sturm_counts(diag: np.ndarray, off: np.ndarray, xs: np.ndarray) -> np.ndarr
 
     Two loop shapes share this arithmetic and zero rule, so their counts
     agree.  Up to _FLOAT_LOOP_LANES lanes (matrix-probe pairs) each runs
-    its own loop over Python floats, about 0.12 us per lane and site.
+    its own loop over Python floats, about 0.1 us per lane and site; on a
+    matrix of at least _BLOCK_MIN * _BLOCK_SITES sites they run as
+    verified blocks instead (_block_counts), with the same counts.
     More lanes share one loop over the sites on arrays.  It takes a - x
     for a block of sites in one subtraction (at most _ARRAY_BLOCK_ELEMENTS
     elements, so that the block stays in cache), turns each row of the
@@ -240,8 +351,18 @@ def _sturm_counts(diag: np.ndarray, off: np.ndarray, xs: np.ndarray) -> np.ndarr
     lanes = xs.size if diag.ndim == 1 else diag.shape[0] * xs.shape[-1]
     if lanes <= _FLOAT_LOOP_LANES:
         if diag.ndim == 1:
-            return _float_loop(diag[None], off[None], xs.reshape(1, -1)).reshape(xs.shape)
-        return _float_loop(diag, off, np.broadcast_to(xs, (diag.shape[0], xs.shape[-1])))
+            rows = diag[None], off[None], xs.reshape(1, -1)
+        else:
+            rows = diag, off, np.broadcast_to(xs, (diag.shape[0], xs.shape[-1]))
+        counts = None
+        if (n - 1) // _BLOCK_SITES >= _BLOCK_MIN:
+            try:
+                counts = _block_counts(*rows)
+            except FloatingPointError:
+                logger.debug("Sturm counts: %d lanes of %d sites fell back to the float loop", lanes, n)
+        if counts is None:
+            counts = _float_loop(*rows)
+        return counts.reshape(xs.shape) if diag.ndim == 1 else counts
     # Per-site coefficients, as rows of contiguous arrays that broadcast
     # against the probes: a (n, 1, ...) for one matrix and (n, R, 1) for a
     # batch, each row a column of coefficients across matrices.  For one
@@ -270,18 +391,8 @@ def _sturm_counts(diag: np.ndarray, off: np.ndarray, xs: np.ndarray) -> np.ndarr
     with np.errstate(over="ignore", divide="raise", invalid="raise"):
         for k0 in range(1, n, sites):
             s = min(sites, n - k0)
-            # Each row of the block's a - x becomes that site's pivot in place.
             np.subtract(a[k0:k0 + s], xs, out=pivots[:s])
-            prev = q
-            for k, row in zip(range(k0, k0 + s), pivots):
-                try:
-                    np.divide(b2[k - 1], prev, out=t)
-                except FloatingPointError:
-                    prev[prev == 0.0] = _TINY
-                    np.divide(b2[k - 1], prev, out=t)
-                np.subtract(row, t, out=row)
-                prev = row
-            q[...] = prev
+            _pivot_rows(q, pivots[:s], b2[k0 - 1:k0 - 1 + s], t)
             np.less(pivots[:s], 0.0, out=negs[:s])
             if held + s > 255:
                 count += tally

@@ -1,4 +1,5 @@
 import json
+import logging
 import os
 import subprocess
 import sys
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from randchain import chain, cli, exact, schmidt
+from randchain import chain, cli, exact, schmidt, tridiag
 from randchain.cli import EXIT_IO, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, UsageError, parse_grid, parse_law, run
 
 
@@ -561,6 +562,66 @@ def test_config_file_defaults_and_override(tmp_path, capsys):
     # explicit flag wins over the config value
     assert run(["pure", "--config", str(cfg), "--x", "4"]) == EXIT_OK
     assert capsys.readouterr().out.strip() == "1"
+
+
+def _run_outcome(argv, where: Path, capsys) -> tuple:
+    """Exit code, printed text and written files (manifest timestamps aside) of one run in where."""
+    where.mkdir()
+    cwd = os.getcwd()
+    os.chdir(where)
+    try:
+        code = run(argv)
+    finally:
+        os.chdir(cwd)
+    printed = capsys.readouterr()
+    files = {}
+    for path in sorted(where.iterdir()):
+        if path.suffix == ".json":
+            files[path.name] = {k: v for k, v in json.loads(path.read_text()).items() if k != "timestamp"}
+        else:
+            files[path.name] = path.read_bytes()
+    return code, printed.out, printed.err, files
+
+
+def test_reused_parser_runs_as_a_fresh_one(tmp_path, monkeypatch, capsys):
+    # run() parses every command with one parser built at import.  Back to
+    # back, commands of different subcommands, with a config file and with
+    # usage errors give the exit codes, text and files that each gives as
+    # the single call of a freshly built parser.
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("what = idos\nx = 2\n")
+    calls = [
+        ["schmidt", "--op", "nodefrac", "--law", "twopoint:1:2:0.3", "--grid", "0.5:3:4", "--samples", "3000", "--seed", "5"],
+        ["pure", "--config", str(cfg)],
+        ["schmidt", "--op", "nodefrac", "--law", "twopoint:1:2:0.3", "--grid=-1:3:4"],
+        ["exact", "--alpha", "1", "--kappa", "1", "--grid", "0.5:3:4"],
+        ["pure", "--what", "dos", "--grid", "0.5:3:4", "--prefix", "p"],
+        ["pure", "--config", str(cfg), "--x", "4"],
+        ["schmidt", "--op", "omega", "--law", "gamma:1:1", "--samples", "2000"],
+        ["bogus"],
+        ["dos", "--law", "gamma:1:1", "--size", "41", "--realizations", "2", "--grid", "0.1:4:5", "--seed", "3"],
+    ]
+    back_to_back = [_run_outcome(argv, tmp_path / f"shared{i}", capsys) for i, argv in enumerate(calls * 2)]
+    for i, argv in enumerate(calls):
+        monkeypatch.setattr(cli, "_PARSER", cli.build_parser())
+        single = _run_outcome(argv, tmp_path / f"single{i}", capsys)
+        assert back_to_back[i] == single == back_to_back[i + len(calls)]
+    assert [o[0] for o in back_to_back[:len(calls)]] == [EXIT_OK, EXIT_OK, EXIT_USAGE, EXIT_OK, EXIT_OK, EXIT_OK,
+                                                         EXIT_OK, EXIT_USAGE, EXIT_OK]
+
+
+def test_debug_logs_of_verified_blocks_leave_csv_bytes(tmp_path, monkeypatch, caplog):
+    # nodefrac counted in verified blocks, with their debug log on, writes
+    # the bytes of the float loop with logging off.
+    argv = ["schmidt", "--op", "nodefrac", "--law", "twopoint:1:2:0.3", "--grid", "0.1:4.4:12",
+            "--samples", "3001", "--seed", "11"]
+    assert run(argv + ["--out", str(tmp_path / "loop")]) == EXIT_OK
+    monkeypatch.setattr(tridiag, "_BLOCK_SITES", 128)
+    monkeypatch.setattr(tridiag, "_BLOCK_MIN", 1)
+    caplog.set_level(logging.DEBUG)
+    assert run(argv + ["--out", str(tmp_path / "blocks")]) == EXIT_OK
+    assert any(m.startswith("Sturm counts: 12 lanes of 3001 sites, 23 blocks of 128") for m in caplog.messages)
+    assert (tmp_path / "blocks" / "schmidt_idos.csv").read_bytes() == (tmp_path / "loop" / "schmidt_idos.csv").read_bytes()
 
 
 def test_config_without_value_is_usage_error(capsys):

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -184,6 +185,19 @@ def test_whittaker_route_matches_contour_route(alpha, kappa):
     assert np.max(np.abs(idos_exact(p, xs) - m_ref)) <= 1e-6
     assert np.max(np.abs(dos_exact(p, xs) / d_ref - 1.0)) <= 1e-5
     assert np.max(np.abs(lyapunov_exact(p, xs) - g_ref)) <= 1e-6
+
+
+@pytest.mark.parametrize("mu", [700.0, 720.0, 800.0, 1000.0])
+def test_dos_where_v_leaves_the_doubles(mu):
+    # mu |V|^2 overflows from about mu = 709 at alpha = kappa = 1, where D
+    # is taken in logs: it meets mpmath while it is a double (subnormal at
+    # 720, 0 from about 746), and no overflow warning is raised.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = dos_exact(GammaChainParams(1.0, 1.0), mu)
+        assert idos_exact(GammaChainParams(1.0, 1.0), mu) == pytest.approx(1.0, abs=1e-14)
+        assert specfun.whittaker_dc(1.0, mu)[0] == got
+    assert got == pytest.approx(_dos_mpmath_dc(1.0, 1.0, mu), rel=1e-10, abs=1e-323)
 
 
 def test_routes_by_shape_and_range():

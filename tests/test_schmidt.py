@@ -1,7 +1,12 @@
+import contextlib
+import logging
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from randchain import chain, schmidt, tridiag
@@ -147,6 +152,119 @@ def test_omega_type2_equals_numpy_scalar_loop_bitwise(law, spring_k, x):
     assert np.array_equal(got, want, equal_nan=True)
     got_omega = omega_type2_mc(law, spring_k, x, 5000, seed=23, burn_in=100)
     assert got_omega == want_omega or (math.isnan(got_omega) and math.isnan(want_omega))
+
+
+# ----------------------------------------------------------------------
+# verified blocks of the stationary paths (ledger D11)
+# ----------------------------------------------------------------------
+
+
+@contextlib.contextmanager
+def _blocks(steps: int, rows: int, least: int = 1):
+    """Short verified blocks: steps per block, rows per buffer of sweep 2, from least blocks on."""
+    keep = schmidt._BLOCK_STEPS, schmidt._BLOCK_ROWS, schmidt._BLOCK_MIN
+    schmidt._BLOCK_STEPS, schmidt._BLOCK_ROWS, schmidt._BLOCK_MIN = steps, rows, least
+    try:
+        yield
+    finally:
+        schmidt._BLOCK_STEPS, schmidt._BLOCK_ROWS, schmidt._BLOCK_MIN = keep
+
+
+_BLOCK_LAWS = [Gamma(1.0, 1.0), Gamma(0.2, 1.0), Gamma(5.0, 5.0), TwoPoint(1.0, 2.0, 0.3)]
+
+
+@st.composite
+def _block_runs(draw):
+    """A block length, buffer rows, path length from 1 step to several blocks plus a remainder, and burn-in."""
+    steps = draw(st.integers(1, 48))
+    rows = draw(st.sampled_from([1, 3, 32]))
+    total = draw(st.integers(1, 6 * steps + steps - 1))
+    burn_in = draw(st.integers(0, total - 1))
+    return steps, rows, total - burn_in, burn_in
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    kind=st.sampled_from(["xi", "z", "s"]),
+    law=st.sampled_from(_BLOCK_LAWS),
+    x=st.floats(0.01, 100.0),
+    run=_block_runs(),
+    seed=st.integers(0, 2**16),
+)
+@example(kind="xi", law=Gamma(5.0, 5.0), x=100.0, run=(40, 3, 300, 7), seed=1)  # blocks shorter than coalescence
+@example(kind="xi", law=Gamma(1.0, 1.0), x=1.0, run=(48, 32, 330, 0), seed=2)  # every block verifies
+def test_blocked_paths_equal_the_loop_bitwise(kind, law, x, run, seed):
+    steps, rows, n_samples, burn_in = run
+    k = {"xi": XiTypeI(x), "z": RatioTypeII(x, 1.7), "s": AntisymRatio(math.sqrt(x))}[kind]
+    with _blocks(steps, rows), np.errstate(all="ignore"):
+        got = mc_stationary(k, law, n_samples, burn_in=burn_in, seed=seed)
+        want = _mc_reference(k, law, n_samples, burn_in, seed)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+@settings(max_examples=100, deadline=None)
+@given(law=st.sampled_from(_BLOCK_LAWS), x=st.floats(0.01, 100.0), run=_block_runs(), seed=st.integers(0, 2**16))
+def test_blocked_eta_paths_equal_the_loop_bitwise(law, x, run, seed):
+    steps, rows, n, burn_in = run
+    with _blocks(steps, rows):
+        got = schmidt._eta_samples(law, 1.3, x, n, burn_in, rng_from_seed(seed))
+    want = _eta_reference(law, 1.3, x, n, burn_in, rng_from_seed(seed))
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def _path_log(caplog, name):
+    """The last path summary logged for the named variable."""
+    return [m for m in caplog.messages if m.startswith(f"{name} path:")][-1]
+
+
+def test_blocks_verify_and_log_what_ran(caplog):
+    # x = 1 coalesces within about 40 steps (ledger D11): every block of 64
+    # holds the loop's values from sweep 2.
+    caplog.set_level(logging.DEBUG, logger="randchain.schmidt")
+    with _blocks(64, 32):
+        got = mc_stationary(XiTypeI(1.0), Gamma(1.0, 1.0), 640, burn_in=5, seed=3)
+    assert np.array_equal(got, _mc_reference(XiTypeI(1.0), Gamma(1.0, 1.0), 640, 5, 3))
+    assert _path_log(caplog, "xi") == "xi path: 645 steps, 10 lanes of 64-step blocks, 0 re-run, loop fallback False"
+
+
+def test_blocks_that_never_coalesce_re_run_bitwise(caplog):
+    # The pure chain in band: z' = a - 1/z with |a| < 2 is a rotation, so
+    # two starts do not meet, and blocks re-run (all but those where the
+    # float orbit happens to repeat the guess's).
+    caplog.set_level(logging.DEBUG, logger="randchain.schmidt")
+    kind = RatioTypeII(0.5, 1.0)
+    with _blocks(50, 3):
+        got = mc_stationary(kind, Constant(1.0), 480, burn_in=20, seed=0)
+    assert np.array_equal(got.view(np.int64), _mc_reference(kind, Constant(1.0), 480, 20, 0).view(np.int64))
+    logged = re.fullmatch(r"z path: 500 steps, 10 lanes of 50-step blocks, (\d+) re-run, loop fallback False",
+                          _path_log(caplog, "z"))
+    assert logged and int(logged.group(1)) >= 5
+    # At omega^2 = 1 the path hits z = 0 every other step: the sweeps raise
+    # on 1/0 and the whole path goes to the loop.
+    kind = RatioTypeII(1.0, 1.0)
+    with _blocks(50, 3), np.errstate(divide="ignore"):
+        got = mc_stationary(kind, Constant(1.0), 480, burn_in=20, seed=0)
+        want = _mc_reference(kind, Constant(1.0), 480, 20, 0)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    assert _path_log(caplog, "z").endswith("loop fallback True")
+
+
+def test_singular_eta_steps_go_through_the_loop(caplog):
+    # x K/m underflows to 0, so the first step divides by zero: the loop
+    # alone handles it, and counts it.
+    caplog.set_level(logging.DEBUG, logger="randchain.schmidt")
+    with _blocks(16, 3):
+        got = schmidt._eta_samples(Constant(1.0), 1e-320, 1e-10, 500, 100, rng_from_seed(23))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        want = _eta_reference(Constant(1.0), 1e-320, 1e-10, 500, 100, rng_from_seed(23))
+    assert np.array_equal(got, want, equal_nan=True)
+    assert _path_log(caplog, "eta").endswith("loop fallback True")
+    assert "eta path handled 1 singular steps" in caplog.messages
+
+
+def test_block_constants_keep_the_loop_below_the_break_even():
+    # Paths shorter than _BLOCK_MIN blocks run the loop (ledger D11).
+    assert schmidt._BLOCK_STEPS * schmidt._BLOCK_MIN > 5000 + 200
 
 
 def test_recursion_parameter_validation():

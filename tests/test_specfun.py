@@ -1,5 +1,6 @@
 import math
 import time
+import warnings
 
 import mpmath
 import numpy as np
@@ -216,6 +217,35 @@ def test_whittaker_msq_series_side_against_mpmath(c, mu):
     # Past the turning point the large-mu series serves, to double precision.
     assert _series_serves(c, mu)
     assert sf.whittaker_msq(c, mu) == pytest.approx(_whittaker_msq_mpmath(c, mu), rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("mu", [700.0, 720.0, 745.0, 800.0, 1000.0])
+def test_con_density_past_the_double_range_of_w(mu):
+    # Gamma(c)^2 |W|^2 overflows from about mu = 709 at c = 1, where the
+    # density e^{-mu}-small is taken in logs: it meets mpmath while it is
+    # a double (subnormal at 720 and 745, 0 from about 746), and no
+    # overflow warning is raised.  |W|^2 itself leaves the doubles there.
+    with mpmath.workdps(40):
+        ref = float(1 / abs(mpmath.whitw(-0.5, 0, mpmath.mpc(-mu, 1e-25 * mu))) ** 2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = betaens.con_density(1.0, mu)
+        assert np.array_equal(betaens.con_density(1.0, [60.0, mu]), [betaens.con_density(1.0, 60.0), got])
+        if mu > 710.0:
+            with pytest.raises(sf.WhittakerError, match="outside the normal doubles"):
+                sf.whittaker_msq(1.0, mu)
+    assert got == pytest.approx(ref, rel=1e-12, abs=1e-323)
+
+
+def test_whittaker_msq_scaled_past_the_doubles_keeps_its_range():
+    # At c = 100, Gamma(c)^2 |W|^2 overflows at mu = 1500 but |W|^2 (about
+    # e^45) is a normal double: it comes from the log.
+    with mpmath.workdps(40):
+        ref = float(abs(mpmath.whitw(0.5 - 100.0, 0, mpmath.mpc(-1500.0, 1e-25 * 1500.0))) ** 2)
+    assert np.isinf(sf._scaled_msq(100.0, 1500.0)[0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert sf.whittaker_msq(100.0, 1500.0) == pytest.approx(ref, rel=1e-12)
 
 
 @pytest.mark.parametrize("c", [0.01, 0.5, 1.0, 2.0, 5.0, 9.0])

@@ -1,4 +1,7 @@
+import contextlib
+import logging
 import math
+import re
 
 import numpy as np
 import pytest
@@ -122,7 +125,9 @@ def _both_shapes(diag, off, probes):
     the same tiles, also when its blocks of sites are 1, 2 or 3 sites
     long, so that pivots (zero ones included) cross block boundaries.  The
     float loop must also give the same counts when its site chunks are
-    short, so that pivots cross chunk boundaries.
+    short, so that pivots cross chunk boundaries, and so must the verified
+    blocks of 1, 2, 3 and 5 sites (ledger D11), whose blocks verify or
+    re-run.
     """
     float_lanes = tridiag._FLOAT_LOOP_LANES
     try:
@@ -148,7 +153,23 @@ def _both_shapes(diag, off, probes):
     finally:
         tridiag._FLOAT_LOOP_CHUNK = chunk
         tridiag._FLOAT_LOOP_LANES = float_lanes
+    with _verified_blocks():
+        tridiag._FLOAT_LOOP_LANES = max(float_lanes, _lanes(diag, probes))
+        for sites in (1, 2, 3, 5):
+            tridiag._BLOCK_SITES = sites
+            assert np.array_equal(tridiag._sturm_counts(diag, off, probes), counts)
     return counts
+
+
+@contextlib.contextmanager
+def _verified_blocks(sites: int = 2):
+    """Few-lane counts run as verified blocks of the given sites on any matrix of two sites or more."""
+    keep = tridiag._BLOCK_SITES, tridiag._BLOCK_MIN, tridiag._FLOAT_LOOP_LANES
+    tridiag._BLOCK_SITES, tridiag._BLOCK_MIN = sites, 1
+    try:
+        yield
+    finally:
+        tridiag._BLOCK_SITES, tridiag._BLOCK_MIN, tridiag._FLOAT_LOOP_LANES = keep
 
 
 @st.composite
@@ -309,6 +330,65 @@ def test_array_loop_zero_pivots_at_block_boundaries():
             assert np.array_equal(tridiag._sturm_counts(*rows, tiled), per_row)
     finally:
         tridiag._ARRAY_BLOCK_ELEMENTS = block
+
+
+def test_verified_blocks_zero_pivots_at_block_boundaries(caplog):
+    # Blocks of 4 sites (1-4, 5-8) and the rest (9): probes at 0.5 meet
+    # exact zero pivots at sites 4, 5 and 9, the last site of a block, the
+    # first of the next and the last of the matrix, after zero couplings
+    # (row 0) and a coupled pair (row 1), as in the array loop's test.
+    diag = np.array([[1.0, -0.3, 2.0, 0.7, 0.5, 0.5, -1.0, 0.2, 1.4, 0.5]] * 2)
+    off = np.array([
+        [0.8, 1.1, 0.6, 0.0, 0.0, 0.0, 0.9, 0.4, 0.0],
+        [0.8, 1.1, 0.6, 0.0, 1.3, 0.7, 0.9, 0.4, 0.0],
+    ])
+    probes = np.array([0.5, -1.0, 2.0, 0.0])
+    want = np.array([tridiag._sturm_counts(diag[i], off[i], probes) for i in range(2)])
+    caplog.set_level(logging.DEBUG, logger="randchain.tridiag")
+    with _verified_blocks(4):
+        assert np.array_equal(tridiag._sturm_counts(diag, off, probes), want)
+        for i in range(2):
+            assert np.array_equal(tridiag._sturm_counts(diag[i], off[i], probes), want[i])
+    assert "Sturm counts: 8 lanes of 10 sites, 2 blocks of 4 sites each" in caplog.messages[0]
+
+
+def test_verified_blocks_on_a_long_chain_verify_and_re_run(caplog):
+    # A two-point chain of 6001 masses probed across its band, in blocks
+    # of 256 sites: probes high in the band meet within a block, the
+    # lowest re-run, and the counts are the float loop's.
+    masses = np.where(np.random.default_rng(4).random(6001) < 0.3, 1.0, 2.0)
+    t = SymTridiag(2.0 / masses, -1.0 / np.sqrt(masses[:-1] * masses[1:]))
+    probes = np.linspace(0.02, 4.4, 12)
+    want = tridiag._sturm_counts(t.diag, t.off, probes)
+    caplog.set_level(logging.DEBUG, logger="randchain.tridiag")
+    with _verified_blocks(256):
+        assert np.array_equal(count_below_many(t, probes), want)
+    logged = re.fullmatch(r"Sturm counts: 12 lanes of 6001 sites, 23 blocks of 256 sites each, (\d+) re-run",
+                          caplog.messages[-1])
+    assert logged and 0 < int(logged.group(1)) < 12 * 22
+
+
+def test_verified_blocks_fall_back_to_the_float_loop(monkeypatch, caplog):
+    # A floating-point exception in a sweep other than the zero pivots'
+    # divide sends the whole call to the float loop.
+    def raising(*args):
+        raise FloatingPointError("invalid value")
+
+    rng = np.random.default_rng(9)
+    t = SymTridiag(rng.normal(size=40), rng.uniform(0.2, 1.5, 39))
+    probes = np.linspace(-3.0, 3.0, 5)
+    want = tridiag._sturm_counts(t.diag, t.off, probes)
+    monkeypatch.setattr(tridiag, "_block_sweep", raising)
+    caplog.set_level(logging.DEBUG, logger="randchain.tridiag")
+    with _verified_blocks(4):
+        assert np.array_equal(count_below_many(t, probes), want)
+    assert caplog.messages == ["Sturm counts: 5 lanes of 40 sites fell back to the float loop"]
+
+
+def test_verified_blocks_keep_dos_tail_in_the_float_loop():
+    # Probes in the Dyson tail re-run every block, so chains of 20001
+    # sites, the benchmark's tail shape, stay in the float loop (ledger D11).
+    assert 20000 < tridiag._BLOCK_SITES * tridiag._BLOCK_MIN <= 100000
 
 
 @pytest.mark.parametrize("sites", [1, 7, 300])
