@@ -1,8 +1,8 @@
-"""Tables behind docs/DECISIONS.md (ledgers D3 and D9): cost of the Sturm loop shapes and of bisection.
+"""Tables behind docs/DECISIONS.md (ledgers D3, D9, D11 and D12): cost of the Sturm loop shapes and of bisection.
 
 Run from the repository root:
 
-    PYTHONPATH=src python docs/sturm_lanes.py [--sites N] [--against OTHER/src/randchain/tridiag.py] [--bisect] [--hint] [--blocks]
+    PYTHONPATH=src python docs/sturm_lanes.py [--sites N] [--against OTHER/src/randchain/tridiag.py] [--bisect] [--hint] [--blocks] [--mirror]
 
 It prints one markdown table of microseconds per site of
 tridiag._sturm_counts on matrices of 400 sites (or --sites), from 16 to
@@ -38,6 +38,15 @@ probed at the midpoints of lanes equal cells of (0.1, 4.4), asserting on
 every call that both give bitwise the same counts.  Each cell gives
 milliseconds and, for blocks, the blocks re-run: the break-even behind
 tridiag._BLOCK_SITES and _BLOCK_MIN.
+
+With --mirror, the script prints only a table at the shapes of the
+`dos` command (ledger D12): milliseconds per realization of
+chain.empirical_idos, which sweeps each hopping matrix at +sqrt(x) only
+and reads the count at -sqrt(x) off the mirror identity, against one
+sweep with probes at both signs (the form it replaced), for several
+realizations per sweep, asserting on every call that both give bitwise
+the same IDOS.  Its rows at 4001 sites are the measurement behind
+cli._DOS_BLOCK_ELEMENTS.
 """
 
 from __future__ import annotations
@@ -50,7 +59,7 @@ import time
 
 import numpy as np
 
-from randchain import betaens, schmidt, tridiag
+from randchain import betaens, chain, schmidt, tridiag
 from randchain.chain import TwoPoint
 
 BATCH = 8
@@ -62,10 +71,19 @@ HINT_SITES_PER_RANK = (4, 16, 32, 64, 128, 512)
 BLOCK_SITES = (1024, 2048, 4096)
 BLOCK_CHAINS = (20001, 35001, 50001, 100001, 200001)
 BLOCK_LANES = (1, 2, 4, 12, 20)
+# (law, sites, edges of the grid, realizations per sweep) of the dos
+# operations of the chain-spectra benchmark (perfbench/workloads.py):
+# dos_gamma25, dos_gamma1 at several sweep sizes, and dos_tail.
+MIRROR_SHAPES = tuple(
+    [(chain.Gamma(2.5, 1.0), 2001, np.linspace(0.05, 6.0, 60), 8)]
+    + [(chain.Gamma(1.0, 1.0), 4001, np.linspace(0.05, 6.0, 30), r) for r in (1, 4, 8, 16, 20, 32, 64)]
+    + [(chain.Gamma(2.5, 1.0), 20001, np.geomspace(1e-6, 1e-4, 3), 2)])
 
 
 def load(path: str):
-    spec = importlib.util.spec_from_file_location("tridiag_other", path)
+    # Named inside the randchain package, so that its relative imports
+    # (randchain.blocks) resolve.
+    spec = importlib.util.spec_from_file_location("randchain.tridiag_other", path)
     module = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = module  # dataclasses look their module up there
     spec.loader.exec_module(module)
@@ -288,6 +306,42 @@ def blocks_table() -> None:
             print(blocks_row(n, lanes), flush=True)
 
 
+def both_signs(hs, xs) -> np.ndarray:
+    """empirical_idos as one sweep with probes at +sqrt(x) and -sqrt(x), the form the mirror identity replaced."""
+    roots = np.sqrt(xs)
+    diag, off = np.stack([h.diag for h in hs]), np.stack([h.off for h in hs])
+    counts = tridiag._sturm_counts(diag, off, np.concatenate([roots, -roots]))
+    upper, lower = counts[:, :roots.size], counts[:, roots.size:]
+    return np.maximum((upper - lower - 1) / (2.0 * ((hs[0].n - 1) // 2)), 0.0)
+
+
+def mirror_row(law, sites: int, edges: np.ndarray, realizations: int) -> str:
+    hs = [chain.anderson_hopping(chain.ChainSpec(chain.TYPE_I, (sites + 1) // 2, law, seed=(701, s)))
+          for s in range(realizations)]
+    times = {both_signs: [], chain.empirical_idos: []}
+    for _ in range(REPEATS):
+        for fn in times:
+            start = time.perf_counter()
+            idos = fn(hs, edges)
+            times[fn].append(1e3 * (time.perf_counter() - start) / realizations)
+            if fn is both_signs:
+                want = idos
+        assert np.array_equal(idos.view(np.int64), want.view(np.int64))
+    both, mirror = (statistics.median(v) for v in times.values())
+    lanes = realizations * edges.size
+    return f"| {sites} | {edges.size} | {realizations} | {2 * lanes} / {lanes} | {both:.2f} | {mirror:.2f} | {mirror / both:.2f} |"
+
+
+def mirror_table() -> None:
+    print(f"ms per realization of the dos IDOS counts, both signs swept and mirror, median of {REPEATS} interleaved repeats")
+    print()
+    head = ["sites", "edges", "realizations per sweep", "lanes (both / mirror)", "both signs", "mirror", "mirror / both"]
+    print("| " + " | ".join(head) + " |")
+    print("|---" * len(head) + "|")
+    for shape in MIRROR_SHAPES:
+        print(mirror_row(*shape), flush=True)
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--sites", type=int, default=400, help="matrix size (default 400)")
@@ -295,9 +349,13 @@ def main() -> None:
     parser.add_argument("--bisect", action="store_true", help="also time eigenvalues_many on the benchmark's bisections")
     parser.add_argument("--hint", action="store_true", help="also time eigenvalues_many with and without its guards")
     parser.add_argument("--blocks", action="store_true", help="only time few lanes on long chains, float loop against blocks")
+    parser.add_argument("--mirror", action="store_true", help="only time the dos IDOS counts, both signs against mirror")
     args = parser.parse_args()
     if args.blocks:
         blocks_table()
+        return
+    if args.mirror:
+        mirror_table()
         return
     other = None if args.against is None else load(args.against)
     print(f"us per site of tridiag._sturm_counts, {args.sites} sites, median of {REPEATS} interleaved repeats")

@@ -13,6 +13,7 @@ GaussianPotential) and built by lyapunov.transfer_lyapunov alone.
 
 from __future__ import annotations
 
+import logging
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -41,6 +42,8 @@ __all__ = [
     "anderson_hopping",
     "empirical_idos",
 ]
+
+logger = logging.getLogger(__name__)
 
 TYPE_I = "typeI"
 TYPE_II = "typeII"
@@ -116,7 +119,7 @@ class TwoPoint(DisorderLaw):
 
     def sample(self, rng, n):
         pick = rng.random(int(n)) < self.p
-        return np.where(pick, self.m, self.big_m)
+        return np.array([self.big_m, self.m])[pick.view(np.uint8)]  # np.where(pick, m, big_m), by a faster take
 
     def mean_log(self):
         return self.p * math.log(self.m) + (1.0 - self.p) * math.log(self.big_m)
@@ -260,10 +263,14 @@ def empirical_idos(t: SymTridiag | Sequence[SymTridiag], xs) -> np.ndarray:
 
     `t` is one zero-diagonal SymTridiag, giving shape (m,) for m probes,
     or a sequence of R of equal size, giving (R, m) with one row per
-    matrix in sequence order; one matrix is the batch of one.  Each
-    matrix is swept once, with Sturm probes at +sqrt(x) and -sqrt(x)
-    that bracket the symmetric spectrum; the zero mode is excluded, so the
-    result is normalised by the pair count.
+    matrix in sequence order; one matrix is the batch of one.  The
+    counts below +sqrt(x) and -sqrt(x) bracket the symmetric spectrum;
+    the zero mode is excluded, so the result is normalised by the pair
+    count.  Each matrix is swept once, at +sqrt(x) only: for a zero
+    diagonal the Sturm pivots at -sqrt(x) are the exact negatives of
+    those at +sqrt(x), so the count at -sqrt(x) is n minus the count at
+    +sqrt(x), in every lane where no pivot was zero.  The few lanes where
+    one was are counted again at -sqrt(x) (ledger D12).
     """
     ts = [t] if isinstance(t, SymTridiag) else list(t)
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
@@ -276,10 +283,14 @@ def empirical_idos(t: SymTridiag | Sequence[SymTridiag], xs) -> np.ndarray:
         raise ValueError("hopping matrices must have a zero diagonal")
     roots = np.sqrt(xs)
     # Stacked site-major, so the kernel's per-site rows need no copy.
-    diag = np.stack([h.diag for h in ts], axis=1)
-    off = np.stack([h.off for h in ts], axis=1)
-    counts = _sturm_counts(diag.T, off.T, np.concatenate([roots, -roots]))
-    upper, lower = counts[:, : roots.size], counts[:, roots.size :]
+    diag = np.stack([h.diag for h in ts], axis=1).T
+    off = np.stack([h.off for h in ts], axis=1).T
+    upper, zeros = _sturm_counts(diag, off, roots, with_zeros=True)
+    lower = n - upper
+    rows, cols = np.flatnonzero(zeros.any(axis=1)), np.flatnonzero(zeros.any(axis=0))
+    if rows.size:
+        lower[np.ix_(rows, cols)] = _sturm_counts(diag[rows], off[rows], -roots[cols])
+    logger.debug("IDOS counts: %d lanes counted once, %d counted again at -sqrt(x)", upper.size, rows.size * cols.size)
     n_pairs = (n - 1) // 2
     m = np.maximum((upper - lower - 1) / (2.0 * n_pairs), 0.0)
     return m[0] if isinstance(t, SymTridiag) else m

@@ -28,12 +28,15 @@ EXIT_USAGE = 2
 EXIT_NUMERIC = 3
 EXIT_IO = 4
 
-# Sites plus probe lanes per realization that `dos` counts in one batched
-# Sturm sweep.  It bounds a sweep's memory (about five float arrays of this
-# many elements).  A sweep's time per site is nearly flat up to about a
-# thousand lanes and grows with the lane count beyond, so larger blocks
-# would save little.
-_DOS_BLOCK_ELEMENTS = 1 << 16
+# Sites plus probe lanes per realization (one lane per grid edge, ledger
+# D12) that `dos` counts in one batched Sturm sweep.  It bounds a sweep's
+# memory (about five float arrays of this many elements).  The sweep is
+# bound by numpy dispatch per site, so a realization's share keeps falling
+# as more share it: at 4001 sites and 30 edges, 5.9 ms alone, 1.5 ms in a
+# sweep of 4, 0.77 in one of 16, 0.65 in one of 32 and 0.60 in one of 64
+# (docs/sturm_lanes.py --mirror, 2-core box).  This budget sweeps 32 such
+# realizations at once, in about 5 MB.
+_DOS_BLOCK_ELEMENTS = 1 << 17
 
 # Lanes times sites (per sample: wanted eigenvalues times matrix size) that
 # `betaens` bisects in one batch; it bounds the batch's arrays.  The batch
@@ -312,7 +315,7 @@ def cmd_dos(args) -> int:
     acc = np.zeros(centers.size)
     # One Sturm sweep per block of realizations.  Rows come back in
     # realization order, so the sums are those of a plain loop.
-    block = max(1, _DOS_BLOCK_ELEMENTS // (args.size + 2 * edges.size))
+    block = max(1, _DOS_BLOCK_ELEMENTS // (args.size + edges.size))
     for first in range(0, args.realizations, block):
         hs = [
             chain.anderson_hopping(chain.ChainSpec(chain.TYPE_I, n_masses, law, seed=(args.seed, s)))

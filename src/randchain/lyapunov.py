@@ -57,20 +57,19 @@ class LyapunovEstimate:
             raise ValueError("invalid estimate")
 
 
-def _block_gammas(chunk_coefficients, step, lanes, block_len, burn_in):
+def _block_gammas(chunk_coefficients, step, lanes, chunk, block_len, burn_in):
     """Mean log growth per step of trajectories u' = step(coefficient, u, v).
 
     lanes is the (values, blocks) shape of the state, and
-    chunk_coefficients(c) gives the coefficients of the next c steps, one
-    per step.  Each step is followed by v' = u and a renormalisation of
-    (u', v'), so no overflow is possible; the logs of the norms after the
-    burn-in are accumulated.
+    chunk_coefficients(c) gives the coefficients of the next c <= chunk
+    steps, one per step, valid until its next call.  Each step is
+    followed by v' = u and a renormalisation of (u', v'), so no overflow
+    is possible; the logs of the norms after the burn-in are accumulated.
     """
     u = np.ones(lanes)
     v = np.full(lanes, 0.5)
     acc = np.zeros(lanes)
     total = block_len + burn_in
-    chunk = max(1, _CHUNK_ELEMENTS // (lanes[0] * lanes[1]))
     for start in range(0, total, chunk):
         for i, coefficient in enumerate(chunk_coefficients(min(chunk, total - start)), start):
             u, v = step(coefficient, u, v), u
@@ -113,7 +112,9 @@ def transfer_lyapunov(
     seed.  All values step together as lanes of one sweep.  Each value's
     disorder is drawn in chunks of c steps, as one draw of c * n_blocks
     reshaped to (c, n_blocks), which the generator fills in the order of
-    c draws of n_blocks.
+    c draws of n_blocks.  Every chunk is drawn into one buffer, and its
+    step coefficients are formed there in place, with the operations of
+    the one-value formulas.
 
     Raises ValueError for invalid arguments and ArithmeticError when an
     estimate comes out non-finite.
@@ -141,21 +142,29 @@ def transfer_lyapunov(
     values = values.reshape(-1, 1)  # one row of block lanes per value
     rngs = [rng_from_seed(seed)] if scalar else [rng_from_seed((seed, i)) for i in range(values.size)]
     block_len = n_steps // n_blocks
+    chunk = min(max(1, _CHUNK_ELEMENTS // (values.size * n_blocks)), block_len + burn_in)
+    buf = np.empty((chunk, values.size, n_blocks))
 
     def draw(c):
-        """Disorder of the next c steps, shape (c, values, n_blocks)."""
-        return np.stack([law.sample(rng, c * n_blocks).reshape(c, n_blocks) for rng in rngs], axis=1)
+        """Disorder of the next c steps, shape (c, values, n_blocks), in buf."""
+        out = buf[:c]
+        for i, rng in enumerate(rngs):
+            out[:, i] = law.sample(rng, c * n_blocks).reshape(c, n_blocks)
+        return out
 
     step = _linear_step
     if kind == TYPE_II:
 
         def coefficients(c):
-            return 2.0 - values * draw(c) / spring_k
+            a = draw(c)
+            np.multiply(values, a, out=a)
+            np.divide(a, spring_k, out=a)
+            return np.subtract(2.0, a, out=a)  # 2 - omega^2 m / K
 
     elif kind == ANDERSON:
 
         def coefficients(c):
-            return values - draw(c)
+            return np.subtract(values, draw(c), out=buf[:c])  # E - V
 
     else:
         omega = np.sqrt(values)
@@ -163,16 +172,16 @@ def transfer_lyapunov(
 
         def coefficients(c):
             nonlocal t_prev
-            t = np.sqrt(draw(c))
+            t = np.sqrt(draw(c), out=buf[:c])
             pairs = zip([t_prev, *t[:-1]], t)
-            t_prev = t[-1]
+            t_prev = t[-1].copy()  # the next draw overwrites the buffer
             return pairs
 
         def step(pair, u, v):
             t_last, t_cur = pair
             return (omega * u - t_last * v) / t_cur
 
-    blocks = _block_gammas(coefficients, step, (values.size, n_blocks), block_len, burn_in)
+    blocks = _block_gammas(coefficients, step, (values.size, n_blocks), chunk, block_len, burn_in)
     estimates = []
     for value, row in zip(values[:, 0], blocks):
         gamma = float(np.mean(row))

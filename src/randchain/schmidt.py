@@ -186,6 +186,12 @@ def mc_stationary(kind, law: DisorderLaw, n_samples: int, burn_in: int = DEFAULT
 _BLOCK_STEPS = 1024
 _BLOCK_MIN = 48
 _BLOCK_ROWS = 32
+# Sweep 1 starts every block from this guess.  The paths' own starts are
+# poor guesses: a coefficient a = 1 maps z = 1 to the pole 0, and c = -1
+# maps s = 0 to the pole -1, both exact for common laws (twopoint masses
+# at omega^2 m / K = 1, say).  No coefficient a law draws is likely to be
+# 1/_GUESS or -(1 + _GUESS) exactly.
+_GUESS = 0.6180339887498949  # the golden ratio less one
 
 
 def _fraction_loop(c, v, out):
@@ -271,7 +277,7 @@ def _stationary_path(loop, step, coeffs, start: float, name: str) -> np.ndarray:
         rows = [block_view(c, length, n_blocks) for c in coeffs]
         try:
             with np.errstate(all="raise", under="ignore"):
-                ends1 = _sweep(step, rows, np.full(n_blocks, start), None)
+                ends1 = _sweep(step, rows, np.full(n_blocks, _GUESS), None)
                 ends2 = _sweep(step, rows, np.r_[start, ends1[:-1]], block_view(out, length, n_blocks, writeable=True))
         except FloatingPointError:
             fallback = True

@@ -188,37 +188,47 @@ class Spectrum:
         object.__setattr__(self, "values", v)
 
 
-def _float_loop(diag: np.ndarray, off: np.ndarray, xs: np.ndarray) -> np.ndarray:
-    """Counts lane by lane over Python floats: diag (R, n), off (R, n-1), xs (R, m)."""
-    q = [[(a0 - x) or _TINY for x in row_xs] for a0, row_xs in zip(diag[:, 0].tolist(), xs.tolist())]
-    return (np.array(q) < 0.0) + _float_run(q, diag[:, 1:], off, xs)
+def _float_loop(diag: np.ndarray, off: np.ndarray, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Counts and zero-pivot flags lane by lane over Python floats: diag (R, n), off (R, n-1), xs (R, m)."""
+    first = diag[:, :1] - xs
+    zeros = first == 0.0
+    first[zeros] = _TINY
+    counts, later = _float_run(first.tolist(), diag[:, 1:], off, xs)
+    return (first < 0.0) + counts, zeros | later
 
 
-def _float_run(q: list, a: np.ndarray, off: np.ndarray, xs: np.ndarray) -> np.ndarray:
-    """Negative pivots (R, m) as the pivots q (R lists of m floats) run over sites, site chunk by chunk.
+def _float_run(q: list, a: np.ndarray, off: np.ndarray, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Negative pivots (R, m) as the pivots q (R lists of m floats) run over sites, site chunk by chunk, and zero flags.
 
     a (R, s) holds the sites' diagonals and off (R, s) their couplings to
-    the site before; q ends as the last sites' pivots.
+    the site before; q ends as the last sites' pivots.  A zero pivot is
+    replaced by _TINY, and its lane is flagged in the boolean (R, m).
+    Only a pivot that is not negative is tested for zero, so the flag
+    costs nothing on the other branch.
     """
     tiny = _TINY  # a local reads faster than a global in the loop
     counts = np.zeros(xs.shape, dtype=np.int64)
+    zeros = np.zeros(xs.shape, dtype=bool)
     for k in range(0, a.shape[1], _FLOAT_LOOP_CHUNK):
         chunk = slice(k, k + _FLOAT_LOOP_CHUNK)
         rows = zip(a[:, chunk].tolist(), np.square(off[:, chunk]).tolist(), xs.tolist())
         for r, (a_row, b2_row, row_xs) in enumerate(rows):
             for i, x in enumerate(row_xs):
-                qi, c = q[r][i], 0
+                qi, c, z = q[r][i], 0, False
                 for ak, bk in zip(a_row, b2_row):
-                    qi = ((ak - x) - bk / qi) or tiny
+                    qi = (ak - x) - bk / qi
                     if qi < 0.0:
                         c += 1
+                    elif not qi:
+                        qi, z = tiny, True
                 q[r][i] = qi
                 counts[r, i] += c
-    return counts
+                zeros[r, i] |= z
+    return counts, zeros
 
 
-def _block_counts(diag: np.ndarray, off: np.ndarray, xs: np.ndarray) -> np.ndarray:
-    """_float_loop's counts, its sites run as verified blocks of _BLOCK_SITES (blocks.py).
+def _block_counts(diag: np.ndarray, off: np.ndarray, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """_float_loop's counts, its sites run as verified blocks of _BLOCK_SITES (blocks.py), and zero flags.
 
     Each lane's sites 1 .. n - 1 form blocks, all of which run side by side
     in one array loop over the sites of a block.  Sweep 1 starts block b as
@@ -226,21 +236,27 @@ def _block_counts(diag: np.ndarray, off: np.ndarray, xs: np.ndarray) -> np.ndarr
     sweep 1's end of block b - 1 and counts each block's negative pivots.
     Blocks that do not verify, and the sites past the last block, run
     through _float_run.  Zero pivots follow the array loop's rule of
-    _sturm_counts, and any other floating-point exception raises.
+    _sturm_counts, and any other floating-point exception raises.  A lane
+    is flagged for a zero pivot in its first site, in any block of sweep
+    2 or in a re-run: a superset of the loop's zeros, since an accepted
+    block of sweep 2 holds the loop's pivots.
     """
     length = _BLOCK_SITES
     n_blocks = (diag.shape[1] - 1) // length
     with np.errstate(over="ignore", divide="raise", invalid="raise"):
         first = diag[:, :1] - xs
-        first[first == 0.0] = _TINY
+        zeros = first == 0.0
+        first[zeros] = _TINY
         a, b = block_view(diag, length, n_blocks, start=1), block_view(off, length, n_blocks)
         ends1 = diag[:, None, :n_blocks * length:length] - xs[:, :, None]
         ends1[ends1 == 0.0] = _TINY
-        _block_sweep(ends1, a, b, xs, None)
+        _block_sweep(ends1, a, b, xs)
         ends2 = np.concatenate([first[:, :, None], ends1[:, :, :-1]], axis=2)
         negs = np.zeros(ends2.shape, dtype=np.int64)
-        _block_sweep(ends2, a, b, xs, negs)
+        block_zeros = np.zeros(ends2.shape, dtype=bool)
+        _block_sweep(ends2, a, b, xs, negs, block_zeros)
     counts = (first < 0.0) + negs.sum(axis=2)
+    zeros |= block_zeros.any(axis=2)
 
     def rerun(k, redo, v):
         # The lanes of one row run together, sharing its lists of the block's sites.
@@ -248,25 +264,27 @@ def _block_counts(diag: np.ndarray, off: np.ndarray, xs: np.ndarray) -> np.ndarr
         for r in np.flatnonzero(redo.any(axis=1)):
             lanes = np.flatnonzero(redo[r])
             q = [v[done:done + lanes.size].tolist()]
-            counts[r, lanes] += _float_run(q, diag[r:r + 1, 1:][:, span], off[r:r + 1, span], xs[r:r + 1, lanes])[0]
-            counts[r, lanes] -= negs[r, lanes, k]
+            run, hit = _float_run(q, diag[r:r + 1, 1:][:, span], off[r:r + 1, span], xs[r:r + 1, lanes])
+            counts[r, lanes] += run[0] - negs[r, lanes, k]
+            zeros[r, lanes] |= hit[0]
             ends[done:done + lanes.size] = q[0]
             done += lanes.size
         return ends
 
     last, reruns = walk_blocks(ends1, ends2, rerun)
-    q = last.tolist()
-    counts += _float_run(q, diag[:, 1 + n_blocks * length:], off[:, n_blocks * length:], xs)
+    run, hit = _float_run(last.tolist(), diag[:, 1 + n_blocks * length:], off[:, n_blocks * length:], xs)
     logger.debug("Sturm counts: %d lanes of %d sites, %d blocks of %d sites each, %d re-run",
                  xs.size, diag.shape[1], n_blocks, length, reruns)
-    return counts
+    return counts + run, zeros | hit
 
 
-def _block_sweep(q: np.ndarray, a: np.ndarray, b: np.ndarray, xs: np.ndarray, negs: np.ndarray | None) -> None:
+def _block_sweep(q: np.ndarray, a: np.ndarray, b: np.ndarray, xs: np.ndarray,
+                 negs: np.ndarray | None = None, zeros: np.ndarray | None = None) -> None:
     """Carries the blocks' pivots q (R, m, nb) over the block_view rows a and b (L, R, nb) of diag and off.
 
     q ends as the blocks' last pivots, zeros replaced by _TINY; negs, if
-    given, gains each block's negative pivots.
+    given, gains each block's negative pivots, and zeros, if given, flags
+    each block that met a zero pivot.
     """
     t = np.empty_like(q)
     sites = max(1, min(_ARRAY_BLOCK_ELEMENTS // q.size, a.shape[0]))
@@ -278,34 +296,41 @@ def _block_sweep(q: np.ndarray, a: np.ndarray, b: np.ndarray, xs: np.ndarray, ne
         s = min(sites, a.shape[0] - k0)
         np.subtract(a[k0:k0 + s, :, None], xs, out=pivots[:s])
         np.square(b[k0:k0 + s, :, None], out=b2[:s])
-        _pivot_rows(q, pivots[:s], b2, t)
+        _pivot_rows(q, pivots[:s], b2, t, zeros)
         if negs is not None:
             negs += np.count_nonzero(pivots[:s] < 0.0, axis=0)
-    q[q == 0.0] = _TINY
+    last = q == 0.0
+    q[last] = _TINY
+    if zeros is not None:
+        zeros |= last
 
 
-def _pivot_rows(q: np.ndarray, rows: np.ndarray, b2, t: np.ndarray) -> None:
+def _pivot_rows(q: np.ndarray, rows: np.ndarray, b2, t: np.ndarray, zeros: np.ndarray | None = None) -> None:
     """Turns rows of a - x, one per site, into the sites' pivots in place, from the pivots q of the site before.
 
     b2 holds each site's squared coupling to the site before, as a float
     or a row that broadcasts against q; t is scratch of q's shape.  With
     division by zero and invalid operations raising, a zero pivot makes
-    the next divide raise, and only then are the zeros replaced by _TINY
-    and the divide redone (_sturm_counts).  q ends as the last row.
+    the next divide raise, and only then are the zeros replaced by _TINY,
+    flagged in zeros (of q's shape) if given, and the divide redone
+    (_sturm_counts).  q ends as the last row, which is not tested.
     """
     prev = q
     for row, b2k in zip(rows, b2):
         try:
             np.divide(b2k, prev, out=t)
         except FloatingPointError:
-            prev[prev == 0.0] = _TINY
+            zero = prev == 0.0
+            prev[zero] = _TINY
+            if zeros is not None:
+                zeros |= zero
             np.divide(b2k, prev, out=t)
         np.subtract(row, t, out=row)
         prev = row
     q[...] = prev
 
 
-def _sturm_counts(diag: np.ndarray, off: np.ndarray, xs: np.ndarray) -> np.ndarray:
+def _sturm_counts(diag: np.ndarray, off: np.ndarray, xs: np.ndarray, with_zeros: bool = False):
     """Number of eigenvalues strictly below each probe in xs.
 
     One matrix: diag (n,), off (n-1,) and probes xs (m,) give counts (m,).
@@ -334,7 +359,11 @@ def _sturm_counts(diag: np.ndarray, off: np.ndarray, xs: np.ndarray) -> np.ndarr
     for a block of sites in one subtraction (at most _ARRAY_BLOCK_ELEMENTS
     elements, so that the block stays in cache), turns each row of the
     block into its site's pivots in place with two ufunc calls (divide,
-    subtract), then compares the whole block with zero once and sums its
+    subtract; a batch's b^2 is spread over the probes once per block, so
+    that the divide takes equal shapes, which made sweeps of 8 matrices
+    take 0.64-0.71 of the broadcasting form's time up to 600 lanes,
+    docs/sturm_lanes.py --against), then compares the whole block with
+    zero once and sums its
     negative pivots: about 2-3 us per site up to ~300 lanes, bound by
     numpy dispatch, and about 2.5 ns per lane and site at 3e4 lanes.  The
     array loop makes no zero test per site.  It runs with division by
@@ -343,6 +372,15 @@ def _sturm_counts(diag: np.ndarray, off: np.ndarray, xs: np.ndarray) -> np.ndarr
     then are the zero pivots replaced and that divide redone, so every
     lane sees the operands the float loop's test gives it.  A zero left
     at the last site is not negative, as its replacement would not be.
+
+    With with_zeros, a boolean array of the counts' shape comes back as
+    well, set in every lane where a pivot was exactly zero before _TINY
+    replaced it (the verified blocks may also set it where only a block
+    of their second sweep that did not verify met a zero).  Where it is
+    clear, the pivots are those of IEEE arithmetic with no replacement,
+    which is what chain.empirical_idos needs to read the count at -x off
+    the one at x (ledger D12).  The flags cost a test on the float loop's
+    non-negative branch, and nothing per site on the array loop.
     """
     diag = np.asarray(diag, dtype=float)
     off = np.asarray(off, dtype=float)
@@ -354,15 +392,16 @@ def _sturm_counts(diag: np.ndarray, off: np.ndarray, xs: np.ndarray) -> np.ndarr
             rows = diag[None], off[None], xs.reshape(1, -1)
         else:
             rows = diag, off, np.broadcast_to(xs, (diag.shape[0], xs.shape[-1]))
-        counts = None
+        found = None
         if (n - 1) // _BLOCK_SITES >= _BLOCK_MIN:
             try:
-                counts = _block_counts(*rows)
+                found = _block_counts(*rows)
             except FloatingPointError:
                 logger.debug("Sturm counts: %d lanes of %d sites fell back to the float loop", lanes, n)
-        if counts is None:
-            counts = _float_loop(*rows)
-        return counts.reshape(xs.shape) if diag.ndim == 1 else counts
+        counts, zeros = _float_loop(*rows) if found is None else found
+        if diag.ndim == 1:
+            counts, zeros = counts.reshape(xs.shape), zeros.reshape(xs.shape)
+        return (counts, zeros) if with_zeros else counts
     # Per-site coefficients, as rows of contiguous arrays that broadcast
     # against the probes: a (n, 1, ...) for one matrix and (n, R, 1) for a
     # batch, each row a column of coefficients across matrices.  For one
@@ -377,12 +416,16 @@ def _sturm_counts(diag: np.ndarray, off: np.ndarray, xs: np.ndarray) -> np.ndarr
         a = np.ascontiguousarray(diag.T)[:, :, None]
         b2 = np.multiply(off.T, off.T, order="C")[:, :, None]
     q = a[0] - xs
-    q[q == 0.0] = _TINY
+    zeros = q == 0.0
+    q[zeros] = _TINY
     count = (q < 0.0).astype(np.int64)
     t = np.empty_like(q)
     sites = max(1, min(_ARRAY_BLOCK_ELEMENTS // q.size, n - 1, 255))
     pivots = np.empty((sites,) + q.shape)
     negs = np.empty((sites,) + q.shape, dtype=bool)
+    # A batch's b^2 rows are spread over the probes a block at a time: a
+    # divide of equal shapes costs less than one that broadcasts.
+    spread = None if isinstance(b2, list) else np.empty((sites,) + q.shape)
     # Negative pivots are tallied in bytes, which hold the count of up to
     # 255 sites, and added to count before they could overflow.
     block_tally = np.empty(q.shape, dtype=np.uint8)
@@ -392,7 +435,11 @@ def _sturm_counts(diag: np.ndarray, off: np.ndarray, xs: np.ndarray) -> np.ndarr
         for k0 in range(1, n, sites):
             s = min(sites, n - k0)
             np.subtract(a[k0:k0 + s], xs, out=pivots[:s])
-            _pivot_rows(q, pivots[:s], b2[k0 - 1:k0 - 1 + s], t)
+            b2k = b2[k0 - 1:k0 - 1 + s]
+            if spread is not None:
+                spread[:s] = b2k
+                b2k = spread[:s]
+            _pivot_rows(q, pivots[:s], b2k, t, zeros)
             np.less(pivots[:s], 0.0, out=negs[:s])
             if held + s > 255:
                 count += tally
@@ -402,7 +449,10 @@ def _sturm_counts(diag: np.ndarray, off: np.ndarray, xs: np.ndarray) -> np.ndarr
             tally += block_tally
             held += s
     count += tally
-    return count
+    if not with_zeros:
+        return count
+    zeros |= q == 0.0
+    return count, zeros
 
 
 def count_below(t: SymTridiag, x: float) -> int:

@@ -1,3 +1,4 @@
+import logging
 import math
 
 import numpy as np
@@ -173,6 +174,67 @@ def test_empirical_idos_batch_rows_match_single_calls():
         assert np.array_equal(row, empirical_idos(h, xs))
 
 
+def _idos_both_signs(hs, xs):
+    # The form the mirror identity replaced: one sweep with probes at both signs.
+    roots = np.sqrt(np.asarray(xs, dtype=float))
+    diag, off = np.stack([h.diag for h in hs]), np.stack([h.off for h in hs])
+    counts = tridiag._sturm_counts(diag, off, np.concatenate([roots, -roots]))
+    upper, lower = counts[:, :roots.size], counts[:, roots.size:]
+    return np.maximum((upper - lower - 1) / (2.0 * ((hs[0].n - 1) // 2)), 0.0)
+
+
+@pytest.mark.parametrize("off, xs, want", [
+    # Probes at eigenvalues meet exact zero pivots there, and those lanes
+    # are counted again at -sqrt(x): the mirror alone would give 0 at
+    # x = 1 for couplings (1, 1, 1, 1), and 0.5 at x = 0 for (1, 1).
+    ((1.0, 1.0), [0.0, 1.0, 2.0], [0.0, 0.0, 1.0]),
+    ((1.0,) * 4, [0.0, 1.0, 2.0], [0.0, 0.25, 0.5]),
+])
+def test_empirical_idos_counts_zero_pivot_lanes_again(off, xs, want, caplog):
+    h = tridiag.SymTridiag(np.zeros(len(off) + 1), np.array(off))
+    caplog.set_level(logging.DEBUG, logger="randchain.chain")
+    got = empirical_idos(h, xs)
+    assert got.tolist() == want
+    assert np.array_equal(got, _idos_both_signs([h], xs)[0])
+    assert caplog.messages == ["IDOS counts: 3 lanes counted once, 2 counted again at -sqrt(x)"]
+
+
+def test_empirical_idos_of_a_pure_chain_at_its_eigenvalues():
+    # Couplings 1 on 11 sites: eigenvalues 2 cos(k pi / 12), so the
+    # squared frequencies 0, 1, 2 and 3 are probed at (or next to) exact
+    # eigenvalues, where pivots vanish; batch rows with random couplings
+    # beside it still equal their single calls.
+    pure = anderson_hopping(ChainSpec(TYPE_I, 6, Constant(1.0)))
+    xs = np.r_[0.0, 1.0, 2.0, 3.0, np.square(2.0 * np.cos(np.arange(1, 6) * np.pi / 12))]
+    _, zeros = tridiag._sturm_counts(pure.diag, pure.off, np.sqrt(xs), with_zeros=True)
+    assert zeros[:2].all()
+    hs = [pure] + [anderson_hopping(ChainSpec(TYPE_I, 6, Gamma(1.0, 1.0), seed=s)) for s in range(3)] + [pure]
+    batch = empirical_idos(hs, xs)
+    assert np.array_equal(batch, _idos_both_signs(hs, xs))
+    for h, row in zip(hs, batch):
+        assert np.array_equal(row, empirical_idos(h, xs))
+    # A probe at an eigenvalue counts it below +sqrt(x) and not below
+    # -sqrt(x), half a pair; sqrt(2) rounds above its eigenvalue and
+    # sqrt(3) below.
+    assert np.array_equal(batch[0, :4], [0.0, 0.3, 0.6, 0.6])
+
+
+def test_empirical_idos_equals_both_signs_across_loop_shapes():
+    # Few lanes (float loop), many (array loop) and a long chain (verified
+    # blocks, forced small) give the IDOS of one sweep at both signs.
+    hs = [anderson_hopping(ChainSpec(TYPE_I, 301, Gamma(0.5, 1.0), seed=(9, s))) for s in range(4)]
+    for xs in (np.array([0.0, 1e-8, 0.5]), np.linspace(0.0, 6.0, 25)):
+        assert np.array_equal(empirical_idos(hs, xs), _idos_both_signs(hs, xs))
+        assert np.array_equal(empirical_idos(hs[0], xs), _idos_both_signs(hs[:1], xs)[0])
+    keep = tridiag._BLOCK_SITES, tridiag._BLOCK_MIN
+    try:
+        tridiag._BLOCK_SITES, tridiag._BLOCK_MIN = 64, 1
+        xs = np.array([0.0, 1e-4, 1.0, 4.0])
+        assert np.array_equal(empirical_idos(hs[1], xs), _idos_both_signs(hs[1:2], xs)[0])
+    finally:
+        tridiag._BLOCK_SITES, tridiag._BLOCK_MIN = keep
+
+
 def test_empirical_idos_needs_zero_diagonal():
     h = anderson_hopping(ChainSpec(TYPE_I, 11, Constant(1.0)))
     with pytest.raises(ValueError):
@@ -243,6 +305,18 @@ _NONFINITE = (math.nan, math.inf, -math.inf)
 def test_law_rejects_nonfinite_parameters(make, bad):
     with pytest.raises(ValueError):
         make(bad)
+
+
+@pytest.mark.parametrize("m, big_m, p", [(1.0, 2.0, 0.3), (3.0, 0.5, 0.0), (3.0, 0.5, 1.0), (1.5, 1.5, 0.4)])
+def test_two_point_sample_is_the_where_form(m, big_m, p):
+    # Indexing [big_m, m] by the picks gives np.where(pick, m, big_m)
+    # bit for bit, from the same draws.
+    law = TwoPoint(m, big_m, p)
+    got = law.sample(np.random.default_rng(5), 1000)
+    pick = np.random.default_rng(5).random(1000) < p
+    want = np.where(pick, m, big_m)
+    assert got.dtype == want.dtype and np.array_equal(got.view(np.int64), want.view(np.int64))
+    assert law.sample(np.random.default_rng(5), 0).shape == (0,)
 
 
 def test_law_mean_log_and_cdf():

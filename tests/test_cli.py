@@ -624,6 +624,18 @@ def test_debug_logs_of_verified_blocks_leave_csv_bytes(tmp_path, monkeypatch, ca
     assert (tmp_path / "blocks" / "schmidt_idos.csv").read_bytes() == (tmp_path / "loop" / "schmidt_idos.csv").read_bytes()
 
 
+def test_debug_logs_of_idos_counts_leave_csv_bytes(tmp_path, caplog):
+    # dos on a pure chain probes x = 0 and 1, where pivots vanish and
+    # their lanes are counted again; with the debug log on, the CSV has
+    # the bytes of a run with logging off.
+    argv = ["dos", "--law", "const:1", "--size", "11", "--realizations", "2", "--grid", "0:4:5", "--seed", "3"]
+    assert run(argv + ["--out", str(tmp_path / "quiet")]) == EXIT_OK
+    caplog.set_level(logging.DEBUG)
+    assert run(argv + ["--out", str(tmp_path / "logged")]) == EXIT_OK
+    assert "IDOS counts: 10 lanes counted once, 4 counted again at -sqrt(x)" in caplog.messages
+    assert (tmp_path / "logged" / "dos_dos.csv").read_bytes() == (tmp_path / "quiet" / "dos_dos.csv").read_bytes()
+
+
 def test_config_without_value_is_usage_error(capsys):
     assert run(["pure", "--config"]) == EXIT_USAGE
     assert "--config" in capsys.readouterr().err

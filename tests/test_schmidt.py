@@ -249,6 +249,21 @@ def test_blocks_that_never_coalesce_re_run_bitwise(caplog):
     assert _path_log(caplog, "z").endswith("loop fallback True")
 
 
+def test_z_path_through_a_coefficient_of_one_runs_as_blocks(caplog):
+    # twopoint:1:2:0.3 masses at omega^2 = 0.5 give a = 1 exactly on 70 %
+    # of the steps, which maps z = 1 to the pole 0.  Sweep 1 starts its
+    # blocks from schmidt._GUESS, which no such step sends there, so the
+    # path runs as blocks (most re-run: z meets late near the band edge,
+    # ledger D11) instead of falling back to the loop whole.
+    caplog.set_level(logging.DEBUG, logger="randchain.schmidt")
+    kind, law = RatioTypeII(0.5, 1.0), TwoPoint(1.0, 2.0, 0.3)
+    got = mc_stationary(kind, law, 100000, seed=3)
+    assert np.array_equal(got.view(np.int64), _mc_reference(kind, law, 100000, 1000, 3).view(np.int64))
+    assert re.fullmatch(r"z path: 101000 steps, 98 lanes of 1024-step blocks, \d+ re-run, loop fallback False",
+                        _path_log(caplog, "z"))
+    assert not any("singular" in m for m in caplog.messages)
+
+
 def test_singular_eta_steps_go_through_the_loop(caplog):
     # x K/m underflows to 0, so the first step divides by zero: the loop
     # alone handles it, and counts it.

@@ -391,6 +391,100 @@ def test_verified_blocks_keep_dos_tail_in_the_float_loop():
     assert 20000 < tridiag._BLOCK_SITES * tridiag._BLOCK_MIN <= 100000
 
 
+def _zero_flags(diag, off, probes):
+    """Counts and zero-pivot flags of the float loop, checked against the other loop shapes.
+
+    The array loop (tiled past _FLOAT_LOOP_LANES, in blocks of 1, 2 and 3
+    sites and of the default size) and the float loop in chunks of 3
+    sites flag exactly the same lanes; verified blocks of 1, 2, 3 and 5
+    sites flag at least those (ledger D12).  All give the same counts.
+    """
+    float_lanes, chunk, block = tridiag._FLOAT_LOOP_LANES, tridiag._FLOAT_LOOP_CHUNK, tridiag._ARRAY_BLOCK_ELEMENTS
+    try:
+        tridiag._FLOAT_LOOP_LANES = max(float_lanes, _lanes(diag, probes))
+        counts, zeros = tridiag._sturm_counts(diag, off, probes, with_zeros=True)
+        assert counts.shape == zeros.shape == np.broadcast_shapes(probes.shape, np.shape(diag)[:-1] + (1,))
+        tridiag._FLOAT_LOOP_CHUNK = 3
+        got = tridiag._sturm_counts(diag, off, probes, with_zeros=True)
+        assert np.array_equal(got[0], counts) and np.array_equal(got[1], zeros)
+        tridiag._FLOAT_LOOP_LANES, tridiag._FLOAT_LOOP_CHUNK = float_lanes, chunk
+        reps = float_lanes // probes.shape[-1] + 1
+        tiled = np.tile(probes, reps)
+        for sites in (1, 2, 3, None):
+            tridiag._ARRAY_BLOCK_ELEMENTS = block if sites is None else sites * _lanes(diag, tiled)
+            got = tridiag._sturm_counts(diag, off, tiled, with_zeros=True)
+            assert np.array_equal(got[0], np.tile(counts, reps)) and np.array_equal(got[1], np.tile(zeros, reps))
+    finally:
+        tridiag._FLOAT_LOOP_LANES, tridiag._FLOAT_LOOP_CHUNK, tridiag._ARRAY_BLOCK_ELEMENTS = float_lanes, chunk, block
+    with _verified_blocks():
+        tridiag._FLOAT_LOOP_LANES = max(float_lanes, _lanes(diag, probes))
+        for sites in (1, 2, 3, 5):
+            tridiag._BLOCK_SITES = sites
+            got = tridiag._sturm_counts(diag, off, probes, with_zeros=True)
+            assert np.array_equal(got[0], counts) and np.all(got[1] >= zeros)
+    return counts, zeros
+
+
+@st.composite
+def _zero_diagonal_batches(draw):
+    """R zero-diagonal tridiagonals and probes >= 0: 0, some |eigenvalues| of row 0 and arbitrary points.
+
+    Couplings are often exactly 1, so that runs of a pure chain meet
+    exact zero pivots; the rest span twelve decades with either sign,
+    and some are zero (decoupled blocks).  The probes are shared by the
+    rows or given per row.
+    """
+    r = draw(st.integers(1, 3))
+    n = draw(st.integers(1, 40))
+    decades = draw(hnp.arrays(float, (r, n - 1), elements=st.just(0.0) | st.floats(-6, 6)))
+    sign = draw(hnp.arrays(float, (r, n - 1), elements=st.sampled_from([-1.0, 0.0, 1.0, 1.0, 1.0])))
+    off = sign * 10.0**decades
+    ev = np.abs(np.linalg.eigvalsh(SymTridiag(np.zeros(n), off[0]).to_dense()))
+    picks = draw(st.lists(st.integers(0, n - 1), max_size=4))
+    free = draw(st.lists(st.floats(0.0, 1e3) | st.sampled_from([1.0, 2.0, math.sqrt(2.0)]), min_size=1, max_size=3))
+    probes = np.concatenate([[0.0], ev[picks], free])
+    if draw(st.booleans()):
+        probes = np.tile(probes, (r, 1))
+    return np.zeros((r, n)), off, probes
+
+
+@settings(max_examples=150, deadline=None)
+@given(batch=_zero_diagonal_batches())
+@example(batch=(np.zeros((1, 5)), np.ones((1, 4)), np.array([0.0, 1.0, math.sqrt(2.0)])))
+def test_zero_diagonal_counts_mirror_where_no_pivot_is_zero(batch):
+    # For a zero diagonal the pivots at -x are the exact negatives of those
+    # at x until one is zero, so count(-x) = n - count(x) in every lane not
+    # flagged; a zero at x is a zero at -x, so the flags mirror too.
+    diag, off, probes = batch
+    up, zeros = _zero_flags(diag, off, probes)
+    down, zeros_down = _zero_flags(diag, off, -probes)
+    assert np.array_equal(zeros_down, zeros)
+    assert np.array_equal(down[~zeros], diag.shape[1] - up[~zeros])
+    assert np.array_equal(up, _both_shapes(diag, off, probes))
+    assert np.array_equal(down, _both_shapes(diag, off, -probes))
+
+
+@pytest.mark.parametrize("off, x, counts, flagged", [
+    # Couplings (1, 1): eigenvalues 0 and +-sqrt 2.
+    ((1.0, 1.0), 0.0, (1, 1), True),
+    ((1.0, 1.0), 1.0, (2, 1), True),
+    ((1.0, 1.0), 2.0, (3, 0), False),
+    # Couplings (1, 1, 1, 1): eigenvalues 0, +-1 and +-sqrt 3.  At x = 1
+    # the mirror would read 5 - 3 = 2 below -1, where one lies.
+    ((1.0,) * 4, 0.0, (2, 2), True),
+    ((1.0,) * 4, 1.0, (3, 1), True),
+    ((1.0,) * 4, 2.0, (4, 1), False),
+])
+def test_zero_pivots_are_flagged_at_eigenvalue_probes(off, x, counts, flagged):
+    # Probes +-sqrt(x) as chain.empirical_idos gives them.
+    off = np.array(off)
+    diag = np.zeros(off.size + 1)
+    probes = np.array([math.sqrt(x), -math.sqrt(x)])
+    got, zeros = _zero_flags(diag, off, probes)
+    assert tuple(got) == counts
+    assert zeros.tolist() == [flagged, flagged]
+
+
 @pytest.mark.parametrize("sites", [1, 7, 300])
 def test_array_loop_long_matrix_counts_past_a_byte(sites):
     # The array loop tallies negative pivots in bytes and adds them to the
