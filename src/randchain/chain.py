@@ -270,13 +270,21 @@ def empirical_idos(t: SymTridiag | Sequence[SymTridiag], xs) -> np.ndarray:
     diagonal the Sturm pivots at -sqrt(x) are the exact negatives of
     those at +sqrt(x), so the count at -sqrt(x) is n minus the count at
     +sqrt(x), in every lane where no pivot was zero.  The few lanes where
-    one was are counted again at -sqrt(x) (ledger D12).
+    one was are counted again at -sqrt(x) (ledger D12).  An empty batch,
+    NaN or negative probes and matrices of fewer than 3 sites (no
+    frequency pair) raise ValueError.
     """
     ts = [t] if isinstance(t, SymTridiag) else list(t)
+    if not ts:
+        raise ValueError("need at least one matrix")
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
+    if np.isnan(xs).any():
+        raise ValueError("probe points must not be NaN")
     if np.any(xs < 0):
         raise ValueError("probe points must be nonnegative")
     n = ts[0].n
+    if n < 3:
+        raise ValueError("matrices need at least 3 sites: a smaller chain has no frequency pair")
     if any(h.n != n for h in ts):
         raise ValueError("matrices of a batch must have equal size")
     if any(np.any(h.diag != 0.0) for h in ts):

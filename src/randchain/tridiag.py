@@ -188,11 +188,17 @@ class Spectrum:
         object.__setattr__(self, "values", v)
 
 
+def _first_pivots(a0: np.ndarray, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Pivots a0 - x of a first site, each zero replaced by _TINY, and the boolean flags of those zeros."""
+    q = a0 - xs
+    zeros = q == 0.0
+    q[zeros] = _TINY
+    return q, zeros
+
+
 def _float_loop(diag: np.ndarray, off: np.ndarray, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Counts and zero-pivot flags lane by lane over Python floats: diag (R, n), off (R, n-1), xs (R, m)."""
-    first = diag[:, :1] - xs
-    zeros = first == 0.0
-    first[zeros] = _TINY
+    first, zeros = _first_pivots(diag[:, :1], xs)
     counts, later = _float_run(first.tolist(), diag[:, 1:], off, xs)
     return (first < 0.0) + counts, zeros | later
 
@@ -231,30 +237,28 @@ def _block_counts(diag: np.ndarray, off: np.ndarray, xs: np.ndarray) -> tuple[np
     """_float_loop's counts, its sites run as verified blocks of _BLOCK_SITES (blocks.py), and zero flags.
 
     Each lane's sites 1 .. n - 1 form blocks, all of which run side by side
-    in one array loop over the sites of a block.  Sweep 1 starts block b as
-    if the matrix began at the site before it; sweep 2 starts it from
-    sweep 1's end of block b - 1 and counts each block's negative pivots.
-    Blocks that do not verify, and the sites past the last block, run
-    through _float_run.  Zero pivots follow the array loop's rule of
-    _sturm_counts, and any other floating-point exception raises.  A lane
-    is flagged for a zero pivot in its first site, in any block of sweep
-    2 or in a re-run: a superset of the loop's zeros, since an accepted
-    block of sweep 2 holds the loop's pivots.
+    as the lanes of _array_sweep.  Sweep 1 starts block b as if the matrix
+    began at the site before it; sweep 2 starts it from sweep 1's end of
+    block b - 1 and counts each block's negative pivots.  Blocks that do
+    not verify, and the sites past the last block, run through _float_run.
+    A floating-point exception other than _array_sweep's zero divide
+    raises.  A lane is flagged for a zero pivot in its first site, in any
+    block of sweep 2 or in a re-run: a superset of the loop's zeros, since
+    an accepted block of sweep 2 holds the loop's pivots.
     """
     length = _BLOCK_SITES
     n_blocks = (diag.shape[1] - 1) // length
-    with np.errstate(over="ignore", divide="raise", invalid="raise"):
-        first = diag[:, :1] - xs
-        zeros = first == 0.0
-        first[zeros] = _TINY
-        a, b = block_view(diag, length, n_blocks, start=1), block_view(off, length, n_blocks)
-        ends1 = diag[:, None, :n_blocks * length:length] - xs[:, :, None]
-        ends1[ends1 == 0.0] = _TINY
-        _block_sweep(ends1, a, b, xs)
-        ends2 = np.concatenate([first[:, :, None], ends1[:, :, :-1]], axis=2)
-        negs = np.zeros(ends2.shape, dtype=np.int64)
-        block_zeros = np.zeros(ends2.shape, dtype=bool)
-        _block_sweep(ends2, a, b, xs, negs, block_zeros)
+    first, zeros = _first_pivots(diag[:, :1], xs)
+    # Pivots are (R, m, nb): lane (r, i) in block b.  Row j of a and b2
+    # holds site j of every block, one value per matrix and block.
+    block_xs = xs[:, :, None]
+    ends1, _ = _first_pivots(diag[:, None, :n_blocks * length:length], block_xs)
+    a = block_view(diag, length, n_blocks, start=1)[:, :, None, :]
+    b2 = block_view(np.square(off), length, n_blocks)[:, :, None, :]
+    _array_sweep(ends1, a, b2, block_xs)
+    ends2 = np.concatenate([first[:, :, None], ends1[:, :, :-1]], axis=2)
+    block_zeros = np.zeros(ends2.shape, dtype=bool)
+    negs = _array_sweep(ends2, a, b2, block_xs, block_zeros)
     counts = (first < 0.0) + negs.sum(axis=2)
     zeros |= block_zeros.any(axis=2)
 
@@ -278,56 +282,75 @@ def _block_counts(diag: np.ndarray, off: np.ndarray, xs: np.ndarray) -> tuple[np
     return counts + run, zeros | hit
 
 
-def _block_sweep(q: np.ndarray, a: np.ndarray, b: np.ndarray, xs: np.ndarray,
-                 negs: np.ndarray | None = None, zeros: np.ndarray | None = None) -> None:
-    """Carries the blocks' pivots q (R, m, nb) over the block_view rows a and b (L, R, nb) of diag and off.
+def _array_sweep(q: np.ndarray, a, b2, xs: np.ndarray, zeros: np.ndarray | None = None) -> np.ndarray:
+    """Negative pivots, of q's shape, as the pivots q run over sites on arrays; q ends as the last sites' pivots.
 
-    q ends as the blocks' last pivots, zeros replaced by _TINY; negs, if
-    given, gains each block's negative pivots, and zeros, if given, flags
-    each block that met a zero pivot.
+    a holds one row per site, with a[k] - xs of q's shape, and b2 the
+    sites' squared couplings to the site before, as a list of floats or as
+    rows that broadcast to q's shape.  The sites go a block at a time, of
+    at most _ARRAY_BLOCK_ELEMENTS elements (so that it stays in cache) and
+    255 sites: a - x for the block in one subtraction, b2's rows spread over
+    q's shape (a divide of equal shapes costs less than one that broadcasts),
+    two ufunc calls per site that turn the site's row of a - x into its
+    pivots in place (divide, subtract), and one compare of the block with
+    zero, whose negative pivots are tallied in bytes and added to the
+    counts before they could overflow.  About 2-3 us per site up to ~300
+    lanes, bound by numpy dispatch, and 2.5 ns per lane and site at 3e4.
+
+    There is no zero test per site.  With division by zero and invalid
+    operations raising, a zero pivot at site k makes the divide at site
+    k + 1 raise (b^2/0, or 0/0 on a zero coupling), and only then are the
+    zero pivots replaced by _TINY, flagged in zeros (boolean, of q's
+    shape) if given, and the divide redone, so every lane sees the
+    operands the float loop's test gives it (ledger D3).  A zero among the
+    last pivots is not negative, as its replacement would not be; it is
+    replaced and flagged on the way out.
     """
     t = np.empty_like(q)
-    sites = max(1, min(_ARRAY_BLOCK_ELEMENTS // q.size, a.shape[0]))
-    # b^2 is spread over the probes too: a divide of equal shapes costs half
-    # as much as one that broadcasts.
-    pivots, b2 = np.empty((sites,) + q.shape), np.empty((sites,) + q.shape)
-    xs = xs[:, :, None]
-    for k0 in range(0, a.shape[0], sites):
-        s = min(sites, a.shape[0] - k0)
-        np.subtract(a[k0:k0 + s, :, None], xs, out=pivots[:s])
-        np.square(b[k0:k0 + s, :, None], out=b2[:s])
-        _pivot_rows(q, pivots[:s], b2, t, zeros)
-        if negs is not None:
-            negs += np.count_nonzero(pivots[:s] < 0.0, axis=0)
+    sites = max(1, min(_ARRAY_BLOCK_ELEMENTS // q.size, len(a), 255))
+    pivots = np.empty((sites,) + q.shape)
+    negs = np.empty(pivots.shape, dtype=bool)
+    spread = None if isinstance(b2, list) else np.empty(pivots.shape)
+    count = np.zeros(q.shape, dtype=np.int64)
+    block_tally = np.empty(q.shape, dtype=np.uint8)
+    tally = np.zeros_like(block_tally)
+    held = 0
+    with np.errstate(over="ignore", divide="raise", invalid="raise"):
+        for k0 in range(0, len(a), sites):
+            s = min(sites, len(a) - k0)
+            rows = pivots[:s]
+            np.subtract(a[k0:k0 + s], xs, out=rows)
+            b2k = b2[k0:k0 + s]
+            if spread is not None:
+                spread[:s] = b2k
+                b2k = spread[:s]
+            prev = q
+            for row, b2_row in zip(rows, b2k):
+                try:
+                    np.divide(b2_row, prev, out=t)
+                except FloatingPointError:
+                    zero = prev == 0.0
+                    prev[zero] = _TINY
+                    if zeros is not None:
+                        zeros |= zero
+                    np.divide(b2_row, prev, out=t)
+                np.subtract(row, t, out=row)
+                prev = row
+            q[...] = prev
+            np.less(rows, 0.0, out=negs[:s])
+            if held + s > 255:
+                count += tally
+                tally.fill(0)
+                held = 0
+            np.add.reduce(negs[:s].view(np.uint8), axis=0, out=block_tally)
+            tally += block_tally
+            held += s
+    count += tally
     last = q == 0.0
     q[last] = _TINY
     if zeros is not None:
         zeros |= last
-
-
-def _pivot_rows(q: np.ndarray, rows: np.ndarray, b2, t: np.ndarray, zeros: np.ndarray | None = None) -> None:
-    """Turns rows of a - x, one per site, into the sites' pivots in place, from the pivots q of the site before.
-
-    b2 holds each site's squared coupling to the site before, as a float
-    or a row that broadcasts against q; t is scratch of q's shape.  With
-    division by zero and invalid operations raising, a zero pivot makes
-    the next divide raise, and only then are the zeros replaced by _TINY,
-    flagged in zeros (of q's shape) if given, and the divide redone
-    (_sturm_counts).  q ends as the last row, which is not tested.
-    """
-    prev = q
-    for row, b2k in zip(rows, b2):
-        try:
-            np.divide(b2k, prev, out=t)
-        except FloatingPointError:
-            zero = prev == 0.0
-            prev[zero] = _TINY
-            if zeros is not None:
-                zeros |= zero
-            np.divide(b2k, prev, out=t)
-        np.subtract(row, t, out=row)
-        prev = row
-    q[...] = prev
+    return count
 
 
 def _sturm_counts(diag: np.ndarray, off: np.ndarray, xs: np.ndarray, with_zeros: bool = False):
@@ -350,28 +373,17 @@ def _sturm_counts(diag: np.ndarray, off: np.ndarray, xs: np.ndarray, with_zeros:
     rescaling, so a probe far below the entries' scale (1e-224 against a
     zero block) still counts exactly.
 
-    Two loop shapes share this arithmetic and zero rule, so their counts
-    agree.  Up to _FLOAT_LOOP_LANES lanes (matrix-probe pairs) each runs
-    its own loop over Python floats, about 0.1 us per lane and site; on a
-    matrix of at least _BLOCK_MIN * _BLOCK_SITES sites they run as
-    verified blocks instead (_block_counts), with the same counts.
-    More lanes share one loop over the sites on arrays.  It takes a - x
-    for a block of sites in one subtraction (at most _ARRAY_BLOCK_ELEMENTS
-    elements, so that the block stays in cache), turns each row of the
-    block into its site's pivots in place with two ufunc calls (divide,
-    subtract; a batch's b^2 is spread over the probes once per block, so
-    that the divide takes equal shapes, which made sweeps of 8 matrices
-    take 0.64-0.71 of the broadcasting form's time up to 600 lanes,
-    docs/sturm_lanes.py --against), then compares the whole block with
-    zero once and sums its
-    negative pivots: about 2-3 us per site up to ~300 lanes, bound by
-    numpy dispatch, and about 2.5 ns per lane and site at 3e4 lanes.  The
-    array loop makes no zero test per site.  It runs with division by
-    zero and invalid operations raising: a zero pivot at site k makes the
-    divide at site k+1 raise (b^2/0, or 0/0 on a zero coupling), and only
-    then are the zero pivots replaced and that divide redone, so every
-    lane sees the operands the float loop's test gives it.  A zero left
-    at the last site is not negative, as its replacement would not be.
+    Every loop shape starts from _first_pivots and does the same
+    arithmetic with the same zero rule, so the counts do not depend on
+    which one runs.  Up to _FLOAT_LOOP_LANES lanes (matrix-probe pairs)
+    run one loop over Python floats each (_float_run), about 0.1 us per
+    lane and site; on a matrix of at least _BLOCK_MIN * _BLOCK_SITES
+    sites they run as verified blocks (_block_counts) instead, and fall
+    back to the float loop on any floating-point exception that is not a
+    zero pivot's.  More lanes share one loop over the sites on arrays
+    (_array_sweep), laid out here: for one matrix (or a batch of one) b^2
+    as Python floats, which the divide reads fastest, and for a batch
+    the coefficients transposed to site-major rows.
 
     With with_zeros, a boolean array of the counts' shape comes back as
     well, set in every lane where a pivot was exactly zero before _TINY
@@ -379,8 +391,7 @@ def _sturm_counts(diag: np.ndarray, off: np.ndarray, xs: np.ndarray, with_zeros:
     of their second sweep that did not verify met a zero).  Where it is
     clear, the pivots are those of IEEE arithmetic with no replacement,
     which is what chain.empirical_idos needs to read the count at -x off
-    the one at x (ledger D12).  The flags cost a test on the float loop's
-    non-negative branch, and nothing per site on the array loop.
+    the one at x (ledger D12).
     """
     diag = np.asarray(diag, dtype=float)
     off = np.asarray(off, dtype=float)
@@ -402,11 +413,9 @@ def _sturm_counts(diag: np.ndarray, off: np.ndarray, xs: np.ndarray, with_zeros:
         if diag.ndim == 1:
             counts, zeros = counts.reshape(xs.shape), zeros.reshape(xs.shape)
         return (counts, zeros) if with_zeros else counts
-    # Per-site coefficients, as rows of contiguous arrays that broadcast
-    # against the probes: a (n, 1, ...) for one matrix and (n, R, 1) for a
-    # batch, each row a column of coefficients across matrices.  For one
-    # matrix (or a batch of one) b2 holds Python floats, which the divide
-    # reads fastest.
+    # Per-site rows that broadcast against the probes: a (n, 1, ...) for
+    # one matrix and (n, R, 1) for a batch, each row a column of
+    # coefficients across matrices.
     if diag.ndim == 1 or diag.shape[0] == 1:
         b2 = (off * off).reshape(-1).tolist()
         if diag.ndim == 2:
@@ -415,44 +424,10 @@ def _sturm_counts(diag: np.ndarray, off: np.ndarray, xs: np.ndarray, with_zeros:
     else:
         a = np.ascontiguousarray(diag.T)[:, :, None]
         b2 = np.multiply(off.T, off.T, order="C")[:, :, None]
-    q = a[0] - xs
-    zeros = q == 0.0
-    q[zeros] = _TINY
+    q, zeros = _first_pivots(a[0], xs)
     count = (q < 0.0).astype(np.int64)
-    t = np.empty_like(q)
-    sites = max(1, min(_ARRAY_BLOCK_ELEMENTS // q.size, n - 1, 255))
-    pivots = np.empty((sites,) + q.shape)
-    negs = np.empty((sites,) + q.shape, dtype=bool)
-    # A batch's b^2 rows are spread over the probes a block at a time: a
-    # divide of equal shapes costs less than one that broadcasts.
-    spread = None if isinstance(b2, list) else np.empty((sites,) + q.shape)
-    # Negative pivots are tallied in bytes, which hold the count of up to
-    # 255 sites, and added to count before they could overflow.
-    block_tally = np.empty(q.shape, dtype=np.uint8)
-    tally = np.zeros_like(block_tally)
-    held = 0
-    with np.errstate(over="ignore", divide="raise", invalid="raise"):
-        for k0 in range(1, n, sites):
-            s = min(sites, n - k0)
-            np.subtract(a[k0:k0 + s], xs, out=pivots[:s])
-            b2k = b2[k0 - 1:k0 - 1 + s]
-            if spread is not None:
-                spread[:s] = b2k
-                b2k = spread[:s]
-            _pivot_rows(q, pivots[:s], b2k, t, zeros)
-            np.less(pivots[:s], 0.0, out=negs[:s])
-            if held + s > 255:
-                count += tally
-                tally.fill(0)
-                held = 0
-            np.add.reduce(negs[:s].view(np.uint8), axis=0, out=block_tally)
-            tally += block_tally
-            held += s
-    count += tally
-    if not with_zeros:
-        return count
-    zeros |= q == 0.0
-    return count, zeros
+    count += _array_sweep(q, a[1:], b2, xs, zeros)
+    return (count, zeros) if with_zeros else count
 
 
 def count_below(t: SymTridiag, x: float) -> int:

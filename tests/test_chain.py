@@ -247,6 +247,25 @@ def test_empirical_idos_batch_validation():
         empirical_idos(hs, [1.0])
     with pytest.raises(ValueError):
         empirical_idos(hs[:1], [-1.0])
+    with pytest.raises(ValueError, match="at least one matrix"):
+        empirical_idos([], [1.0])
+
+
+def test_empirical_idos_refuses_nan_probes():
+    # NaN compares false with 0, so it passed the sign check and counted 0.
+    h = anderson_hopping(ChainSpec(TYPE_I, 11, Constant(1.0)))
+    with pytest.raises(ValueError, match="NaN"):
+        empirical_idos(h, [1.0, np.nan])
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_empirical_idos_refuses_chains_without_a_frequency_pair(n):
+    # Fewer than 3 sites hold no pair, whose count normalises the IDOS.
+    h = tridiag.SymTridiag(np.zeros(n), np.ones(n - 1))
+    with pytest.raises(ValueError, match="at least 3 sites"):
+        empirical_idos(h, [1.0])
+    with pytest.raises(ValueError, match="at least 3 sites"):
+        empirical_idos([h, h], [1.0])
 
 
 def test_frequency_matrix_fixed_boundary_type2():

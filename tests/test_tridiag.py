@@ -127,7 +127,8 @@ def _both_shapes(diag, off, probes):
     float loop must also give the same counts when its site chunks are
     short, so that pivots cross chunk boundaries, and so must the verified
     blocks of 1, 2, 3 and 5 sites (ledger D11), whose blocks verify or
-    re-run.
+    re-run, also when their sweeps go 1, 2 or 3 sites at a time within a
+    block.
     """
     float_lanes = tridiag._FLOAT_LOOP_LANES
     try:
@@ -155,8 +156,8 @@ def _both_shapes(diag, off, probes):
         tridiag._FLOAT_LOOP_LANES = float_lanes
     with _verified_blocks():
         tridiag._FLOAT_LOOP_LANES = max(float_lanes, _lanes(diag, probes))
-        for sites in (1, 2, 3, 5):
-            tridiag._BLOCK_SITES = sites
+        for sites, chunk in _block_chunks(diag, probes):
+            tridiag._BLOCK_SITES, tridiag._ARRAY_BLOCK_ELEMENTS = sites, chunk
             assert np.array_equal(tridiag._sturm_counts(diag, off, probes), counts)
     return counts
 
@@ -164,12 +165,23 @@ def _both_shapes(diag, off, probes):
 @contextlib.contextmanager
 def _verified_blocks(sites: int = 2):
     """Few-lane counts run as verified blocks of the given sites on any matrix of two sites or more."""
-    keep = tridiag._BLOCK_SITES, tridiag._BLOCK_MIN, tridiag._FLOAT_LOOP_LANES
+    keep = tridiag._BLOCK_SITES, tridiag._BLOCK_MIN, tridiag._FLOAT_LOOP_LANES, tridiag._ARRAY_BLOCK_ELEMENTS
     tridiag._BLOCK_SITES, tridiag._BLOCK_MIN = sites, 1
     try:
         yield
     finally:
-        tridiag._BLOCK_SITES, tridiag._BLOCK_MIN, tridiag._FLOAT_LOOP_LANES = keep
+        tridiag._BLOCK_SITES, tridiag._BLOCK_MIN, tridiag._FLOAT_LOOP_LANES, tridiag._ARRAY_BLOCK_ELEMENTS = keep
+
+
+def _block_chunks(diag, probes):
+    """(block sites, _ARRAY_BLOCK_ELEMENTS) pairs: blocks of 1, 2, 3 and 5 sites swept whole and 1, 2 or 3 sites at a time."""
+    whole = tridiag._ARRAY_BLOCK_ELEMENTS
+    for sites in (1, 2, 3, 5):
+        yield sites, whole
+        # The sweeps' pivots hold every lane of every block.
+        blocks = max((np.shape(diag)[-1] - 1) // sites, 1)
+        for chunk in range(1, min(sites, 4)):
+            yield sites, chunk * _lanes(diag, probes) * blocks
 
 
 @st.composite
@@ -378,7 +390,7 @@ def test_verified_blocks_fall_back_to_the_float_loop(monkeypatch, caplog):
     t = SymTridiag(rng.normal(size=40), rng.uniform(0.2, 1.5, 39))
     probes = np.linspace(-3.0, 3.0, 5)
     want = tridiag._sturm_counts(t.diag, t.off, probes)
-    monkeypatch.setattr(tridiag, "_block_sweep", raising)
+    monkeypatch.setattr(tridiag, "_array_sweep", raising)
     caplog.set_level(logging.DEBUG, logger="randchain.tridiag")
     with _verified_blocks(4):
         assert np.array_equal(count_below_many(t, probes), want)
@@ -397,7 +409,8 @@ def _zero_flags(diag, off, probes):
     The array loop (tiled past _FLOAT_LOOP_LANES, in blocks of 1, 2 and 3
     sites and of the default size) and the float loop in chunks of 3
     sites flag exactly the same lanes; verified blocks of 1, 2, 3 and 5
-    sites flag at least those (ledger D12).  All give the same counts.
+    sites, swept whole and 1, 2 or 3 sites at a time, flag at least those
+    (ledger D12).  All give the same counts.
     """
     float_lanes, chunk, block = tridiag._FLOAT_LOOP_LANES, tridiag._FLOAT_LOOP_CHUNK, tridiag._ARRAY_BLOCK_ELEMENTS
     try:
@@ -418,8 +431,8 @@ def _zero_flags(diag, off, probes):
         tridiag._FLOAT_LOOP_LANES, tridiag._FLOAT_LOOP_CHUNK, tridiag._ARRAY_BLOCK_ELEMENTS = float_lanes, chunk, block
     with _verified_blocks():
         tridiag._FLOAT_LOOP_LANES = max(float_lanes, _lanes(diag, probes))
-        for sites in (1, 2, 3, 5):
-            tridiag._BLOCK_SITES = sites
+        for sites, chunk in _block_chunks(diag, probes):
+            tridiag._BLOCK_SITES, tridiag._ARRAY_BLOCK_ELEMENTS = sites, chunk
             got = tridiag._sturm_counts(diag, off, probes, with_zeros=True)
             assert np.array_equal(got[0], counts) and np.all(got[1] >= zeros)
     return counts, zeros
@@ -489,7 +502,8 @@ def test_zero_pivots_are_flagged_at_eigenvalue_probes(off, x, counts, flagged):
 def test_array_loop_long_matrix_counts_past_a_byte(sites):
     # The array loop tallies negative pivots in bytes and adds them to the
     # counts before 256 sites; a matrix of 700 sites with counts near 700
-    # crosses that flush, with blocks of 1, 7 and 255 sites.
+    # crosses that flush, with blocks of 1, 7 and 255 sites.  So does sweep
+    # 2 of verified blocks of 300 sites, whose block 0 always counts there.
     rng = np.random.default_rng(21)
     t = SymTridiag(rng.normal(size=700), rng.uniform(0.1, 1.0, 699))
     probes = np.linspace(-3.5, 3.5, 8)
@@ -500,6 +514,9 @@ def test_array_loop_long_matrix_counts_past_a_byte(sites):
     try:
         tridiag._ARRAY_BLOCK_ELEMENTS = sites * 128
         assert np.array_equal(tridiag._sturm_counts(t.diag, t.off, np.tile(probes, 16)), want)
+        with _verified_blocks(300):
+            tridiag._ARRAY_BLOCK_ELEMENTS = sites * 8 * 2  # 8 lanes of 2 blocks
+            assert np.array_equal(count_below_many(t, probes), want[:8])
     finally:
         tridiag._ARRAY_BLOCK_ELEMENTS = block
 
