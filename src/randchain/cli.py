@@ -187,7 +187,7 @@ def cmd_exact(args) -> int:
         raise UsageError("exact takes x > 0")
     out = _Outputs(args, "exact")
     if args.what == "omega":
-        out.csv("omega", ["x", "Omega"], [xs, np.array([exact.omega_exact(p, float(x)) for x in xs])])
+        out.csv("omega", ["x", "Omega"], [xs, exact.omega_exact(p, xs)])
     elif args.what == "dos":
         out.csv("dos", ["mu", "D"], [xs, exact.dos_exact(p, xs)])
     else:

@@ -3,8 +3,8 @@
 For couplings with density ~ t^{alpha-1} e^{-kappa t}, the stationary
 continued-fraction law is known in closed form, which reduces the
 characteristic function Omega to the ratio of two one-dimensional
-integrals K_alpha and L_alpha, taken here by quadrature at positive
-argument.
+integrals K_alpha and L_alpha, at positive argument one double-exponential
+trapezoid sum for a whole grid (docs/DECISIONS.md, D13).
 
 The integrated density of states, the density of states and the
 Lyapunov exponent need Omega continued to negative argument.  An
@@ -71,79 +71,85 @@ class GammaChainParams:
 # positive-argument integrals
 # ----------------------------------------------------------------------
 
+# Double-exponential rule for K and L (ledger D13): the step, the e-folds each end of the
+# nodes reaches, and the length of the integrand's plateau in log u past which the step shrinks.
+_DE_STEP = 1.0 / 32
+_DE_REACH = 40.0
+_DE_PLATEAU = 8.0
 
-def _weighted_integral_scaled(p: GammaChainParams, x: float, weight) -> tuple[float, float]:
-    """Scaled integral int weight(t) t^{a-1} (1+t)^{-a} e^{-kt/x} dt.
 
-    Returns (value / e^{log_ref}, log_ref).  The substitution t = s u with
-    s = x/kappa puts the exponential decay on unit scale for every x, and
-    the u^{alpha-1} e^{-u} peak is divided out in log space so large alpha
-    cannot overflow.  Ratios of scaled values at the same (p, x) are exact.
+def _points(x, name: str) -> np.ndarray:
+    xs = np.asarray(x, dtype=float)
+    if xs.size == 0 or not np.all(np.isfinite(xs) & (xs > 0)):
+        raise ValueError(f"{name} must be positive and finite")
+    return xs
+
+
+def _kl_scaled(p: GammaChainParams, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(K, L) / e^{log_ref} and log_ref at the points xs, each in xs's shape (ledger D13).
+
+    With t = s u, s = x/kappa and v = log u, K = s^alpha int e^{g(v)} dv, g = alpha v -
+    alpha log1p(s e^v) - e^v, and L weights it by log1p(s e^v).  Both are one trapezoid sum
+    over v = v_c + c sinh(k h) (Takahasi & Mori 1974), v_c = log max(u*, 1) at the peak
+    s u*^2 + u* = alpha, c = (pi/2) / sqrt(max(alpha, 1)), h shortened as log1p(s) stretches
+    the flat middle of g, reaching e^-40 each end.  The points share one run of k, each
+    summing its own nodes in order, so each keeps the bits of a call at that point alone.
     """
-    # Most commands never need scipy.integrate, and importing it costs about 0.36 s.
-    from scipy.integrate import quad
-    if x <= 0:
-        raise ValueError("x must be positive")
-    alpha, kappa = p.alpha, p.rate
-    s = x / kappa
-
-    def g_log(u: float) -> float:
-        return (alpha - 1.0) * math.log(u) - alpha * math.log1p(s * u) - u
-
-    if alpha > 1.0:
-        # Stationary point of g_log: s u^2 + (1 + s) u - (alpha - 1) = 0.
-        u_star = (-(1.0 + s) + math.sqrt((1.0 + s) ** 2 + 4.0 * s * (alpha - 1.0))) / (2.0 * s)
-        peak = g_log(max(u_star, 1e-300))
-    else:
-        peak = 0.0
-    log_ref = alpha * math.log(s) + peak
-
-    def f(u: float) -> float:
-        return weight(s * u) * math.exp(g_log(u) - peak)
-
-    split = max(1.0, alpha)
-    if alpha >= 1.0:
-        head, _ = quad(f, 0.0, split, limit=400, epsabs=1e-14, epsrel=1e-12)
-    else:
-        # Endpoint singularity u^{alpha-1}: substitute u = v^{1/alpha},
-        # which turns u^{alpha-1} du into dv/alpha.
-        inv = 1.0 / alpha
-
-        def g(v: float) -> float:
-            u = v**inv
-            return weight(s * u) * (1.0 + s * u) ** (-alpha) * math.exp(-u) * inv
-
-        head, _ = quad(g, 0.0, split, limit=400, epsabs=1e-14, epsrel=1e-12)
-    tail, _ = quad(f, split, math.inf, limit=400, epsabs=1e-14, epsrel=1e-12)
-    return head + tail, log_ref
+    alpha = p.alpha
+    s = xs / p.rate
+    log1p_s = np.log1p(s)
+    v_c = np.log(np.maximum(2.0 * alpha / (1.0 + np.sqrt(1.0 + 4.0 * alpha * s)), 1.0))
+    c = 0.5 * math.pi / math.sqrt(max(alpha, 1.0))
+    h = _DE_STEP / np.maximum(1.0, log1p_s / _DE_PLATEAU)
+    k_lo = np.ceil(np.arcsinh((_DE_REACH / alpha + log1p_s + v_c) / c) / h)[..., None]
+    k_hi = np.ceil(math.asinh(max(math.log(_DE_REACH + alpha), 1.0) / c) / h)[..., None]
+    k = np.arange(-k_lo.max(), k_hi.max() + 1.0)
+    tau = np.clip(k, -k_lo, k_hi) * h[..., None]
+    v = v_c[..., None] + c * np.sinh(tau)
+    u = np.exp(v)
+    weight = np.log1p(s[..., None] * u)
+    g = np.where((k >= -k_lo) & (k <= k_hi), alpha * (v - weight) - u, -np.inf)
+    peak = g.max(axis=-1, keepdims=True)
+    terms = np.exp(g - peak) * np.cosh(tau)
+    kv = np.cumsum(terms, axis=-1)[..., -1]
+    lv = np.cumsum(terms * weight, axis=-1)[..., -1]
+    if not np.all(np.isfinite(lv)):
+        raise ValueError("K and L overflow at these x")
+    if logger.isEnabledFor(logging.DEBUG):
+        even = k % 2 == 0
+        k2, l2 = 2.0 * terms[..., even].sum(axis=-1), 2.0 * (terms * weight)[..., even].sum(axis=-1)
+        logger.debug("K, L rule against its even nodes: K %.3e relative, Omega %.3e",
+                     np.max(np.abs(k2 / kv - 1.0)), np.max(np.abs(2.0 * l2 / k2 - 2.0 * lv / kv)))
+    return kv, lv, alpha * np.log(s) + peak[..., 0] + np.log(c * h)
 
 
-def k_alpha(p: GammaChainParams, x: float) -> float:
-    """Normalisation integral of the stationary law at argument x > 0."""
-    val, log_ref = _weighted_integral_scaled(p, x, lambda t: 1.0)
-    return val * math.exp(log_ref)
+def k_alpha(p: GammaChainParams, x):
+    """Normalisation integral of the stationary law, at a scalar or an array of x as omega_exact."""
+    kv, _, log_ref = _kl_scaled(p, _points(x, "x"))
+    return _as_result(kv * np.exp(log_ref))
 
 
-def l_alpha(p: GammaChainParams, x: float) -> float:
-    """Companion integral with the log(1 + t) weight."""
-    val, log_ref = _weighted_integral_scaled(p, x, lambda t: math.log1p(t))
-    return val * math.exp(log_ref)
+def l_alpha(p: GammaChainParams, x):
+    """Companion integral with the log(1 + t) weight, at a scalar or an array of x as omega_exact."""
+    _, lv, log_ref = _kl_scaled(p, _points(x, "x"))
+    return _as_result(lv * np.exp(log_ref))
 
 
-def omega_exact(p: GammaChainParams, x: float) -> float:
-    """Characteristic function Omega(x) = 2 L_alpha(x) / K_alpha(x)."""
-    lval, _ = _weighted_integral_scaled(p, x, lambda t: math.log1p(t))
-    kval, _ = _weighted_integral_scaled(p, x, lambda t: 1.0)
-    return 2.0 * lval / kval
+def omega_exact(p: GammaChainParams, x):
+    """Characteristic function Omega(x) = 2 L_alpha(x) / K_alpha(x).
+
+    x is a scalar (a float is returned) or an array of positive points (an array of its shape is).
+    """
+    kv, lv, _ = _kl_scaled(p, _points(x, "x"))
+    return _as_result(2.0 * lv / kv)
 
 
-def gamma_chain_density(p: GammaChainParams, x: float, t) -> np.ndarray:
-    """Stationary continued-fraction density t^{a-1} (1+t)^{-a} e^{-kt/x} / K."""
-    t = np.asarray(t, dtype=float)
-    norm = k_alpha(p, x)
+def gamma_chain_density(p: GammaChainParams, x, t):
+    """Stationary continued-fraction density t^{a-1} (1+t)^{-a} e^{-kt/x} / K; x and t broadcast."""
+    xs, t = _points(x, "x"), np.asarray(t, dtype=float)
     with np.errstate(divide="ignore", invalid="ignore"):
-        val = t ** (p.alpha - 1.0) * (1.0 + t) ** (-p.alpha) * np.exp(-p.rate * t / x)
-    return np.where(t > 0, val, 0.0) / norm
+        val = t ** (p.alpha - 1.0) * (1.0 + t) ** (-p.alpha) * np.exp(-p.rate * t / xs)
+    return _as_result(np.where(t > 0, val, 0.0) / k_alpha(p, xs))
 
 
 # ----------------------------------------------------------------------
@@ -163,13 +169,6 @@ def dyson_head(p: GammaChainParams, x: float) -> float:
         raise ValueError("x must be positive")
     big_l = math.log(p.rate * x) + float(psi(p.alpha)) + 2.0 * float(np.euler_gamma)
     return float(polygamma(1, p.alpha)) / (big_l * big_l + math.pi**2)
-
-
-def _points(x, name: str) -> np.ndarray:
-    xs = np.asarray(x, dtype=float)
-    if xs.size == 0 or not np.all(np.isfinite(xs) & (xs > 0)):
-        raise ValueError(f"{name} must be positive and finite")
-    return xs
 
 
 def _dyson_whittaker(p: GammaChainParams, xs: np.ndarray, readout: str) -> np.ndarray:

@@ -1,6 +1,7 @@
 import json
 import logging
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -636,6 +637,19 @@ def test_debug_logs_of_idos_counts_leave_csv_bytes(tmp_path, caplog):
     assert (tmp_path / "logged" / "dos_dos.csv").read_bytes() == (tmp_path / "quiet" / "dos_dos.csv").read_bytes()
 
 
+def test_debug_log_of_omega_rule_leaves_csv_bytes(tmp_path, caplog):
+    # The rule's gap to its even nodes is logged, and the CSV keeps the
+    # bytes of a run with logging off.
+    argv = ["exact", "--alpha", "2", "--kappa", "1", "--what", "omega", "--grid", "0.1:10:10"]
+    assert run(argv + ["--out", str(tmp_path / "quiet")]) == EXIT_OK
+    caplog.set_level(logging.DEBUG, logger="randchain.exact")
+    assert run(argv + ["--out", str(tmp_path / "logged")]) == EXIT_OK
+    (msg,) = caplog.messages
+    gaps = re.fullmatch(r"K, L rule against its even nodes: K (\S+) relative, Omega (\S+)", msg).groups()
+    assert max(float(g) for g in gaps) < 1e-12
+    assert (tmp_path / "logged" / "exact_omega.csv").read_bytes() == (tmp_path / "quiet" / "exact_omega.csv").read_bytes()
+
+
 def test_config_without_value_is_usage_error(capsys):
     assert run(["pure", "--config"]) == EXIT_USAGE
     assert "--config" in capsys.readouterr().err
@@ -832,7 +846,7 @@ with tempfile.TemporaryDirectory() as out:
         run(["betaens", "--c-over-n", "1", "--pairs", "8", "--samples", "1", "--out", out]),
     ]
     res["lip"] = heavy()
-    # Omega at positive argument is quadrature.
+    # Omega at positive argument is a numpy trapezoid sum.
     res["omega_code"] = run(["exact", "--alpha", "1", "--kappa", "1", "--what", "omega", "--grid", "0.5:1:2",
                              "--out", out])
     res["omega"] = heavy()
@@ -858,4 +872,4 @@ def test_light_commands_do_not_load_scipy_integrate_or_stats():
     assert res["lip_codes"] == [EXIT_OK] * 3
     assert res["lip"] == ["scipy.linalg"]
     assert res["omega_code"] == EXIT_OK
-    assert res["omega"] == ["scipy.linalg", "scipy.integrate"]
+    assert res["omega"] == ["scipy.linalg"]

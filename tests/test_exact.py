@@ -5,7 +5,7 @@ import mpmath
 import numpy as np
 import pytest
 import scipy.special as sp
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
@@ -62,8 +62,9 @@ def test_k_alpha_monte_carlo_oracle():
 
 
 def test_k_alpha_small_shape_substitution():
-    # alpha < 1 exercises the endpoint substitution; compare against a
-    # quadrature of the integrand in the substituted variable.
+    # alpha < 1: the integrand's t^{alpha-1} endpoint singularity, which the
+    # rule takes in log t; compare against a quadrature in u = sqrt(t),
+    # where it is gone.
     alpha, kappa, x = 0.5, 1.0, 1.0
     oracle = quad(
         lambda u: (1.0 + u**2) ** (-alpha) * math.exp(-kappa * u**2 / x) * 2.0 * u ** (2 * alpha - 1),
@@ -103,6 +104,68 @@ def test_stationary_density_normalised():
     p = GammaChainParams(1.5, 1.0)
     val = quad(lambda t: gamma_chain_density(p, 1.3, t), 0.0, np.inf, limit=300)[0]
     assert val == pytest.approx(1.0, abs=1e-8)
+
+
+def _omega_mpmath(alpha: float, kappa: float, x: float) -> float:
+    # Oracle: Omega(x) = -d/dc log U(c, 1, kappa/x) - log(kappa/x) at c = alpha.
+    # Under the stationary law, d/dc log[Gamma(c) U(c, 1, kappa/x)] =
+    # E log xi - E log(1 + xi) (DLMF 13.4.4), and xi (1 + xi') = x lambda
+    # gives E log xi + E log(1 + xi) = psi(alpha) - log(kappa/x).
+    with mpmath.workdps(30):
+        z = mpmath.mpf(kappa) / mpmath.mpf(x)
+        d = mpmath.diff(lambda c: mpmath.log(mpmath.hyperu(c, 1, z)), mpmath.mpf(alpha))
+        return float(-d - mpmath.log(z))
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.floats(math.log(0.05), math.log(100.0)), st.floats(math.log(0.1), math.log(1000.0)),
+       st.floats(math.log(1e-8), math.log(1e3)))
+@example(math.log(1000.0), 0.0, math.log(1e-6))
+@example(math.log(1000.0), math.log(1000.0), math.log(1e-8))
+@example(math.log(0.05), 0.0, math.log(1e3))
+def test_omega_exact_matches_mpmath_c_derivative(log_alpha, log_kappa, log_x):
+    # Log-uniform alpha, kappa and x.  mpmath's hyperu can take 45 s or fail
+    # to converge at alpha past about 180, so large alpha is checked at
+    # fixed points where it is fast.
+    alpha, kappa, x = math.exp(log_alpha), math.exp(log_kappa), math.exp(log_x)
+    got = omega_exact(GammaChainParams(alpha, kappa), x)
+    assert got == pytest.approx(_omega_mpmath(alpha, kappa, x), rel=1e-12, abs=0)
+
+
+def test_omega_exact_far_past_the_plateau_scale():
+    # At x / kappa = 1e12 the integrand is flat over 28 units of log u,
+    # where a step of 1/32 alone left Omega 6.8e-11 and 3.6e-9 off.
+    for alpha, kappa in ((1.0, 1.0), (100.0, 0.5)):
+        got = omega_exact(GammaChainParams(alpha, kappa), 1e12 * kappa)
+        assert got == pytest.approx(_omega_mpmath(alpha, kappa, 1e12 * kappa), rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf"), 0.0, -1.0, np.array([]),
+                                 np.array([[1.0, 2.0], [float("nan"), 3.0]])])
+def test_positive_argument_integrals_refuse_bad_x(bad):
+    p = GammaChainParams(1.0, 1.0)
+    for f in (omega_exact, k_alpha, l_alpha, lambda p, x: gamma_chain_density(p, x, 0.5)):
+        with pytest.raises(ValueError, match="x must be positive and finite"):
+            f(p, bad)
+
+
+def test_omega_exact_refuses_x_past_the_doubles():
+    # At x / kappa = 1e307, s u overflows on the nodes; the quadrature
+    # route returned NaN there.
+    with pytest.raises(ValueError, match="overflow"):
+        omega_exact(GammaChainParams(1.0, 1.0), 1e307)
+
+
+def test_positive_argument_integrals_take_arrays_bitwise():
+    # The points of one call reach to different depths and, at x = 1e6,
+    # take a shorter step; each keeps the bits of its own scalar call.
+    p = GammaChainParams(0.7, 1.3)
+    xs = np.array([[1e-8, 0.05, 3.0], [1e3, 2.0, 1e6]])
+    for f in (omega_exact, k_alpha, l_alpha, lambda p, x: gamma_chain_density(p, x, 0.4)):
+        assert isinstance(f(p, 2.0), float)
+        got = f(p, xs)
+        assert got.shape == xs.shape
+        assert np.array_equal(got, [[f(p, float(x)) for x in row] for row in xs])
 
 
 # ----------------------------------------------------------------------
