@@ -3,12 +3,13 @@
 A chain of N masses coupled by springs maps onto two tridiagonal
 matrices: the (2N-1) x (2N-1) anti-symmetric matrix built from the
 interleaved ratios lambda_j = K_j/m_j, K_j/m_{j+1}, and the N x N
-dynamical matrix governing the squared frequencies.  Both disorder
-conventions are supported: i.i.d. lambdas (type I) and i.i.d. masses
-with a common spring constant (type II), which forces the lambdas to be
-equal in pairs.  The tight-binding lattice with potential disorder,
-used by the band-edge scaling checks, is named here (ANDERSON,
-GaussianPotential) and built by lyapunov.transfer_lyapunov alone.
+symmetric matrix of the squared frequencies (frequency_matrix), built
+straight from the same ratios.  Both disorder conventions are
+supported: i.i.d. lambdas (type I) and i.i.d. masses with a common
+spring constant (type II), which forces the lambdas to be equal in
+pairs.  The tight-binding lattice with potential disorder, used by the
+band-edge scaling checks, is named here (ANDERSON, GaussianPotential)
+and built by lyapunov.transfer_lyapunov alone.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import numpy as np
 from scipy.special import gammainc, ndtr, psi
 
 from .specfun import rng_from_seed
-from .tridiag import AntisymTridiag, GeneralTridiag, SymTridiag, _sturm_counts
+from .tridiag import AntisymTridiag, SymTridiag, _sturm_counts
 
 __all__ = [
     "DisorderLaw",
@@ -37,7 +38,6 @@ __all__ = [
     "ANDERSON",
     "realize",
     "lambda_matrix",
-    "dynamical_matrix",
     "frequency_matrix",
     "anderson_hopping",
     "empirical_idos",
@@ -210,8 +210,18 @@ def lambda_matrix(r: ChainRealization) -> AntisymTridiag:
     return AntisymTridiag(np.sqrt(r.lambdas[: 2 * n - 2]))
 
 
-def _lambda_padded(r: ChainRealization, boundary: str) -> np.ndarray:
-    """1-based lambda lookup array with the boundary springs filled in."""
+def frequency_matrix(r: ChainRealization, boundary: str = "free") -> SymTridiag:
+    """The N x N matrix of the squared frequencies: positive semidefinite, eigenvalues omega^2.
+
+    It is the symmetrized negative of the matrix A in u'' = A u.  With the
+    1-based lambdas padded by the wall ratios lambda_0 and lambda_{2N-1},
+    row j = 0, ..., N-1 has diagonal lambda_{2j} + lambda_{2j+1} and
+    off-diagonal sqrt(lambda_{2j+1} lambda_{2j+2}).  Free boundaries (no
+    springs beyond the end masses, wall ratios 0) give the zero mode;
+    'fixed' attaches the end masses to walls with the common spring, which
+    is the convention matched exactly by the node-counting recursion, and
+    needs the masses of type II.
+    """
     n = r.n_masses
     pad = np.zeros(2 * n)
     pad[1 : 2 * n - 1] = r.lambdas[: 2 * n - 2]
@@ -222,29 +232,7 @@ def _lambda_padded(r: ChainRealization, boundary: str) -> np.ndarray:
         pad[2 * n - 1] = r.spec.spring_k / r.masses[-1]
     elif boundary != "free":
         raise ValueError("boundary must be 'free' or 'fixed'")
-    return pad
-
-
-def dynamical_matrix(r: ChainRealization, boundary: str = "free") -> GeneralTridiag:
-    """The N x N matrix A with u'' = A u; eigenvalues are -omega^2.
-
-    Free boundaries (no springs beyond the end masses) give the zero mode;
-    'fixed' attaches the end masses to walls with the common spring, which
-    is the convention matched exactly by the node-counting recursion.
-    """
-    n = r.n_masses
-    pad = _lambda_padded(r, boundary)
-    diag = -(pad[1 : 2 * n : 2] + pad[0 : 2 * n - 1 : 2])
-    sup = pad[1 : 2 * n - 2 : 2] if n > 1 else np.empty(0)
-    sub = pad[2 : 2 * n - 1 : 2] if n > 1 else np.empty(0)
-    return GeneralTridiag(diag, sup, sub)
-
-
-def frequency_matrix(r: ChainRealization, boundary: str = "free") -> SymTridiag:
-    """Symmetrized -A: positive semidefinite, eigenvalues omega^2."""
-    a = dynamical_matrix(r, boundary)
-    sym = a.symmetrized() if a.n > 1 else SymTridiag(a.diag, a.sup)
-    return SymTridiag(-sym.diag, sym.off)
+    return SymTridiag(pad[0::2] + pad[1::2], np.sqrt(pad[1 : 2 * n - 2 : 2] * pad[2 : 2 * n - 1 : 2]))
 
 
 def anderson_hopping(spec: ChainSpec) -> SymTridiag:

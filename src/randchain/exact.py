@@ -145,11 +145,18 @@ def omega_exact(p: GammaChainParams, x):
 
 
 def gamma_chain_density(p: GammaChainParams, x, t):
-    """Stationary continued-fraction density t^{a-1} (1+t)^{-a} e^{-kt/x} / K; x and t broadcast."""
+    """Stationary continued-fraction density t^{a-1} (1+t)^{-a} e^{-kt/x} / K; x and t broadcast.
+
+    The quotient is taken in logs against _kl_scaled's reference, since the
+    numerator and K both underflow at large alpha and small x; it is 0 at
+    t <= 0 and at t = inf.
+    """
     xs, t = _points(x, "x"), np.asarray(t, dtype=float)
+    kv, _, log_ref = _kl_scaled(p, xs)
     with np.errstate(divide="ignore", invalid="ignore"):
-        val = t ** (p.alpha - 1.0) * (1.0 + t) ** (-p.alpha) * np.exp(-p.rate * t / xs)
-    return _as_result(np.where(t > 0, val, 0.0) / k_alpha(p, xs))
+        log_val = (p.alpha - 1.0) * np.log(t) - p.alpha * np.log1p(t) - p.rate * t / xs
+        val = np.exp(log_val - log_ref - np.log(kv))
+    return _as_result(np.where((t > 0) & (t < np.inf), val, 0.0))
 
 
 # ----------------------------------------------------------------------
@@ -171,32 +178,18 @@ def dyson_head(p: GammaChainParams, x: float) -> float:
     return float(polygamma(1, p.alpha)) / (big_l * big_l + math.pi**2)
 
 
-def _dyson_whittaker(p: GammaChainParams, xs: np.ndarray, readout: str) -> np.ndarray:
-    """M, D or gamma at xs, in xs's shape, from one lip solve of the Whittaker law (ledgers D4, D7, D10).
-
-    Each is read at its own point from Lambda = U/V at mu = kappa x and
-    c = alpha: M(x) = Im Lambda / pi, D(x) = 2 kappa Re Lambda / (mu |V|^2)
-    = kappa d/dc [c D_c(kappa x)] and gamma(x) = Re Lambda / 2.
-    """
-    lam, d_dc = _whittaker_lambda(p.alpha, p.rate * xs)
-    if readout == "idos":
-        return lam.imag / math.pi
-    if readout == "dos":
-        return p.rate * d_dc
-    return 0.5 * lam.real
-
-
 def idos_exact(p: GammaChainParams, x):
     """Integrated density of states M(x) of the solvable chain.
 
     x is a scalar (a float is returned) or an array of positive points (an
     array of the same shape is returned).  The whole grid comes from one
     lip solve of the Whittaker law, at any alpha > 0, the singular head
-    included.  The result is clamped to [0, 1] and the clamp magnitude
-    logged, since the solve can stray past the ends by its rounding.
+    included: M = Im Lambda / pi, from Lambda = U/V at mu = kappa x and
+    c = alpha (ledgers D4, D10).  The result is clamped to [0, 1] and the
+    clamp magnitude logged, since the solve can stray past the ends by its
+    rounding.
     """
-    xs = _points(x, "x")
-    m = _dyson_whittaker(p, xs, "idos")
+    m = _whittaker_lambda(p.alpha, p.rate * _points(x, "x"))[0].imag / math.pi
     clamped = np.clip(m, 0.0, 1.0)
     if np.any(clamped != m):
         logger.debug("idos_exact clamp: %.3e", float(np.max(np.abs(m - clamped))))
@@ -204,8 +197,11 @@ def idos_exact(p: GammaChainParams, x):
 
 
 def dos_exact(p: GammaChainParams, mu):
-    """Density of states D(mu), at a scalar or an array of mu as idos_exact, from the same lip solve."""
-    return _as_result(_dyson_whittaker(p, _points(mu, "mu"), "dos"))
+    """Density of states D(mu), at a scalar or an array of mu as idos_exact, from the same lip solve.
+
+    D = 2 kappa Re Lambda / (mu |V|^2) = kappa d/dc [c D_c(kappa mu)] at c = alpha.
+    """
+    return _as_result(p.rate * _whittaker_lambda(p.alpha, p.rate * _points(mu, "mu"))[1])
 
 
 # ----------------------------------------------------------------------
@@ -273,7 +269,7 @@ def lyapunov_exact(p: GammaChainParams, omega_sq):
 
     which is Re Lambda / 2 = -d/dc log|Gamma(c) U(c, 1, -kappa omega^2 + i0)| / 2 at c = alpha (D7).
     """
-    return _as_result(_dyson_whittaker(p, _points(omega_sq, "omega_sq"), "gamma"))
+    return _as_result(0.5 * _whittaker_lambda(p.alpha, p.rate * _points(omega_sq, "omega_sq"))[0].real)
 
 
 def gamma1_coefficient(omega_sq: float) -> float:

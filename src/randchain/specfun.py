@@ -1,8 +1,8 @@
 """Special functions used by the exact formulas.
 
 The band-edge scaling functions on scipy's Airy functions, the squared
-modulus of the Whittaker function on the upper side of its cut, and a
-reproducible gamma sampler.  Past the turning point, where the large-mu
+modulus of the Whittaker function on the upper side of its cut, and the
+package's seeded generator.  Past the turning point, where the large-mu
 series of U(c, 1, z) converges to double precision, |W|^2 is that
 series.  Elsewhere, and for the mass and the c-derivatives everywhere,
 one numpy-only lip solve takes every c > 0 and mu > 0: Chebyshev
@@ -31,7 +31,6 @@ __all__ = [
     "whittaker_cdf",
     "whittaker_dc",
     "whittaker_density_mass",
-    "sample_gamma",
     "rng_from_seed",
 ]
 
@@ -402,25 +401,10 @@ def whittaker_density_mass(c: float, cut: float = 60.0) -> float:
 
 
 # ----------------------------------------------------------------------
-# samplers
+# random generator
 # ----------------------------------------------------------------------
 
 
 def rng_from_seed(seed) -> np.random.Generator:
     """PCG64 generator; the single documented RNG used across the package."""
     return np.random.default_rng(seed)
-
-
-def sample_gamma(alpha: float, rate: float, seed, n: int) -> np.ndarray:
-    """n i.i.d. draws from the gamma law with density ~ x^{alpha-1} e^{-rate x}.
-
-    Deterministic given the seed.  The generator's gamma sampler is the
-    standard squeeze-rejection method with the power boost for alpha < 1.
-    """
-    if alpha <= 0 or rate <= 0:
-        raise ValueError("alpha and rate must be positive")
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    rng = rng_from_seed(seed)
-    return rng.gamma(shape=alpha, scale=1.0 / rate, size=int(n))
-

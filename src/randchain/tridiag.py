@@ -21,7 +21,6 @@ from .blocks import block_view, walk_blocks
 
 __all__ = [
     "SymTridiag",
-    "GeneralTridiag",
     "AntisymTridiag",
     "Spectrum",
     "count_below",
@@ -101,45 +100,6 @@ class SymTridiag:
         m = np.diag(self.diag)
         if self.n > 1:
             m += np.diag(self.off, 1) + np.diag(self.off, -1)
-        return m
-
-
-@dataclass(frozen=True)
-class GeneralTridiag:
-    """Unsymmetric tridiagonal matrix with sup*sub > 0 entrywise.
-
-    Such a matrix is diagonally similar to a symmetric one, which is how
-    its spectrum is computed.
-    """
-
-    diag: np.ndarray
-    sup: np.ndarray
-    sub: np.ndarray
-
-    def __post_init__(self):
-        d = np.asarray(self.diag, dtype=float)
-        u = np.asarray(self.sup, dtype=float)
-        l = np.asarray(self.sub, dtype=float)
-        if u.size != l.size or u.size != max(d.size - 1, 0):
-            raise ValueError("inconsistent band lengths")
-        object.__setattr__(self, "diag", d)
-        object.__setattr__(self, "sup", u)
-        object.__setattr__(self, "sub", l)
-
-    @property
-    def n(self) -> int:
-        return self.diag.size
-
-    def symmetrized(self) -> SymTridiag:
-        prod = self.sup * self.sub
-        if np.any(prod <= 0):
-            raise ValueError("sup*sub must be positive to symmetrize")
-        return SymTridiag(self.diag.copy(), np.sqrt(prod))
-
-    def to_dense(self) -> np.ndarray:
-        m = np.diag(self.diag)
-        if self.n > 1:
-            m += np.diag(self.sup, 1) + np.diag(self.sub, -1)
         return m
 
 

@@ -16,7 +16,6 @@ from randchain.chain import (
     GaussianPotential,
     TwoPoint,
     anderson_hopping,
-    dynamical_matrix,
     empirical_idos,
     frequency_matrix,
     lambda_matrix,
@@ -76,17 +75,17 @@ def test_lambda_matrix_exactly_antisymmetric():
     assert np.array_equal(dense, -dense.T)
 
 
-def test_dynamical_matrix_two_masses():
+def test_frequency_matrix_two_masses():
     r = realize(ChainSpec(TYPE_II, 2, Constant(1.0), spring_k=1.0, seed=0))
-    a = dynamical_matrix(r)
-    assert np.array_equal(a.to_dense(), [[-1.0, 1.0], [1.0, -1.0]])
-    mu = tridiag.eigenvalues(frequency_matrix(r), tol=1e-13).values
+    fm = frequency_matrix(r)
+    assert np.array_equal(fm.to_dense(), [[1.0, 1.0], [1.0, 1.0]])
+    mu = tridiag.eigenvalues(fm, tol=1e-13).values
     assert mu == pytest.approx([0.0, 2.0], abs=1e-12)
 
 
-def test_dynamical_matrix_single_mass():
+def test_frequency_matrix_single_mass():
     r = realize(ChainSpec(TYPE_I, 1, Constant(1.0)))
-    assert np.array_equal(dynamical_matrix(r).to_dense(), [[0.0]])
+    assert np.array_equal(frequency_matrix(r).to_dense(), [[0.0]])
 
 
 def test_spectral_duality_small_chains():
@@ -280,7 +279,9 @@ def test_frequency_matrix_fixed_boundary_type2():
 def test_fixed_boundary_requires_masses():
     r = realize(ChainSpec(TYPE_I, 4, Gamma(1.0, 1.0), seed=2))
     with pytest.raises(ValueError):
-        dynamical_matrix(r, boundary="fixed")
+        frequency_matrix(r, boundary="fixed")
+    with pytest.raises(ValueError, match="boundary must be"):
+        frequency_matrix(r, boundary="periodic")
 
 
 def test_law_validation():

@@ -2,6 +2,7 @@ import json
 import logging
 import os
 import re
+import shlex
 import subprocess
 import sys
 import tempfile
@@ -873,3 +874,30 @@ def test_light_commands_do_not_load_scipy_integrate_or_stats():
     assert res["lip"] == ["scipy.linalg"]
     assert res["omega_code"] == EXIT_OK
     assert res["omega"] == ["scipy.linalg"]
+
+
+def test_readme_commands_run_as_documented(tmp_path, capsys):
+    # Every line of the README's command block, at its own sizes, each
+    # writing into a directory of its own.
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"^## Command line\n.*?^```\n(.*?)^```", text, re.S | re.M).group(1)
+    commands = [shlex.split(line, comments=True) for line in block.splitlines() if line.strip()]
+    assert len(commands) == 10 and all(argv[0] == "randchain" for argv in commands)
+    for i, argv in enumerate(commands):
+        out = tmp_path / str(i)
+        args = argv[1:]
+        if "--out" in args:
+            del args[args.index("--out") : args.index("--out") + 2]
+        assert run([*args, "--out", str(out)]) == EXIT_OK, argv
+        printed = capsys.readouterr().out
+        if args[0] == "pure":
+            assert printed.strip() == "0.5"
+        csvs = sorted(out.glob("*.csv"))
+        manifests = list(out.glob("*_manifest.json"))
+        assert len(manifests) == (1 if csvs else 0), argv
+        if csvs:
+            listed = json.loads(manifests[0].read_text())["output_files"]
+            assert sorted(Path(f) for f in listed) == csvs, argv
+        for path in csvs:
+            table = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+            assert table.size and not np.isnan(table).any(), path

@@ -839,11 +839,3 @@ def test_antisym_matrix_is_antisymmetric():
 def test_spectrum_sorted_validation():
     with pytest.raises(ValueError):
         tridiag.Spectrum(np.array([1.0, 0.0]), tol=1e-12)
-
-
-def test_general_tridiag_symmetrization():
-    g = tridiag.GeneralTridiag(np.array([-1.0, -2.0]), np.array([1.0]), np.array([4.0]))
-    s = g.symmetrized()
-    ref = np.linalg.eigvals(g.to_dense())
-    got = np.linalg.eigvalsh(s.to_dense())
-    assert np.sort(ref.real) == pytest.approx(np.sort(got), abs=1e-12)
