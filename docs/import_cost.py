@@ -1,4 +1,4 @@
-"""Table behind docs/DECISIONS.md (ledgers D5 and D9): what importing randchain costs.
+"""Table behind docs/DECISIONS.md (ledgers D5, D9 and D14): what importing randchain costs.
 
 Run from the repository root:
 
@@ -7,8 +7,10 @@ Run from the repository root:
 It prints one markdown table of import wall times, each the median over
 fresh interpreters (one per import and repeat, the imports interleaved
 within a repeat), with the scipy subpackages that each import leaves in
-sys.modules.  The first rows are the cumulative cost of numpy and of the
-scipy subpackages randchain has used; the last row is
+sys.modules.  The first rows are the cost of numpy, of numpy with
+scipy.linalg alone (all that bisection loads, ledger D9), and of numpy
+with scipy.special and then each heavier subpackage that randchain's
+routes load, cumulatively; the last row is
 `import randchain, randchain.cli` from the src directory beside this
 script.  Only the import is timed, not the interpreter's own start.
 
@@ -30,6 +32,7 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 REPEATS = 9
 STAGES = (
     ("numpy", "import numpy"),
+    ("+ scipy.linalg, no scipy.special", "import numpy, scipy.linalg"),
     ("+ scipy.special", "import numpy, scipy.special"),
     ("+ scipy.linalg", "import numpy, scipy.special, scipy.linalg"),
     ("+ scipy.integrate", "import numpy, scipy.special, scipy.integrate"),

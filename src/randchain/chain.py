@@ -20,7 +20,6 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammainc, ndtr, psi
 
 from .specfun import rng_from_seed
 from .tridiag import AntisymTridiag, SymTridiag, _sturm_counts
@@ -96,9 +95,15 @@ class Gamma(DisorderLaw):
         return rng.gamma(shape=self.alpha, scale=1.0 / self.rate, size=int(n))
 
     def mean_log(self):
+        # Only the Thouless route needs psi here, and scipy.special costs about 0.25 s to import.
+        from scipy.special import psi
+
         return psi(self.alpha) - math.log(self.rate)
 
     def cdf(self, x):
+        # Only the stationary density needs gammainc, and scipy.special costs about 0.25 s to import.
+        from scipy.special import gammainc
+
         x = np.asarray(x, dtype=float)
         return gammainc(self.alpha, self.rate * np.clip(x, 0.0, None))
 
@@ -148,6 +153,9 @@ class GaussianPotential(DisorderLaw):
         raise ValueError("mean_log undefined for a signed potential")
 
     def cdf(self, x):
+        # Only the stationary density needs the normal cdf, and scipy.special costs about 0.25 s to import.
+        from scipy.special import ndtr
+
         return ndtr(np.asarray(x, dtype=float) / math.sqrt(self.variance))
 
 

@@ -32,7 +32,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import polygamma, psi
 
 from .specfun import _as_result, _whittaker_lambda
 
@@ -106,13 +105,15 @@ def _kl_scaled(p: GammaChainParams, xs: np.ndarray) -> tuple[np.ndarray, np.ndar
     k = np.arange(-k_lo.max(), k_hi.max() + 1.0)
     tau = np.clip(k, -k_lo, k_hi) * h[..., None]
     v = v_c[..., None] + c * np.sinh(tau)
-    u = np.exp(v)
-    weight = np.log1p(s[..., None] * u)
-    g = np.where((k >= -k_lo) & (k <= k_hi), alpha * (v - weight) - u, -np.inf)
-    peak = g.max(axis=-1, keepdims=True)
-    terms = np.exp(g - peak) * np.cosh(tau)
-    kv = np.cumsum(terms, axis=-1)[..., -1]
-    lv = np.cumsum(terms * weight, axis=-1)[..., -1]
+    # Where s u leaves the doubles, the finiteness check below refuses the points, with no warning first.
+    with np.errstate(over="ignore", invalid="ignore"):
+        u = np.exp(v)
+        weight = np.log1p(s[..., None] * u)
+        g = np.where((k >= -k_lo) & (k <= k_hi), alpha * (v - weight) - u, -np.inf)
+        peak = g.max(axis=-1, keepdims=True)
+        terms = np.exp(g - peak) * np.cosh(tau)
+        kv = np.cumsum(terms, axis=-1)[..., -1]
+        lv = np.cumsum(terms * weight, axis=-1)[..., -1]
     if not np.all(np.isfinite(lv)):
         raise ValueError("K and L overflow at these x")
     if logger.isEnabledFor(logging.DEBUG):
@@ -172,6 +173,9 @@ def dyson_head(p: GammaChainParams, x: float) -> float:
     (ledger D4).  The relative error is about 1e-3 at x = 1e-4, 1e-5 at
     1e-6 and 1e-7 at 1e-8.  idos_exact does not use it.
     """
+    # Only the head needs psi and psi', and scipy.special costs about 0.25 s to import.
+    from scipy.special import polygamma, psi
+
     if not x > 0:
         raise ValueError("x must be positive")
     big_l = math.log(p.rate * x) + float(psi(p.alpha)) + 2.0 * float(np.euler_gamma)

@@ -18,7 +18,6 @@ import math
 
 import numpy as np
 from numpy.polynomial import chebyshev
-from scipy.special import airy, gammaincc, polygamma, psi
 
 __all__ = [
     "SCALING_RANGE",
@@ -65,6 +64,9 @@ def scaling_f(x):
     x is a scalar (a float is returned) or an array (an array of the same
     shape is returned), with |x| <= SCALING_RANGE.
     """
+    # Only the scaling routes need Airy, and scipy.special costs about 0.25 s to import.
+    from scipy.special import airy
+
     ai, aip, bi, bip = airy(_scaling_points("scaling_f", x))
     return _as_result((ai * aip + bi * bip) / (ai**2 + bi**2))
 
@@ -76,6 +78,9 @@ def scaling_f_rotated(x):
     this equal to scaling_f; the Airy pair is evaluated at the complex
     point itself.  Scalars and arrays as in scaling_f.
     """
+    # Only the scaling routes need Airy, and scipy.special costs about 0.25 s to import.
+    from scipy.special import airy
+
     ai, aip, _, _ = airy(_ROT * _scaling_points("scaling_f_rotated", x))
     return _as_result((_ROT * aip / ai).real)
 
@@ -85,6 +90,9 @@ def scaling_dos(x):
 
     Scalars and arrays as in scaling_f.
     """
+    # Only the scaling routes need Airy, and scipy.special costs about 0.25 s to import.
+    from scipy.special import airy
+
     ai, _, bi, _ = airy(_scaling_points("scaling_dos", x))
     return _as_result(1.0 / (np.pi * (ai**2 + bi**2)))
 
@@ -94,6 +102,9 @@ def scaling_dos_rotated(x):
 
     Scalars and arrays as in scaling_f, for -SCALING_RANGE <= x <= ROTATED_DOS_MAX.
     """
+    # Only the scaling routes need Airy, and scipy.special costs about 0.25 s to import.
+    from scipy.special import airy
+
     xs = _scaling_points("scaling_dos_rotated", x)
     if not np.all(xs <= ROTATED_DOS_MAX):
         raise ValueError(f"scaling_dos_rotated has no relative accuracy beyond x = {ROTATED_DOS_MAX:g}")
@@ -187,6 +198,9 @@ def _whittaker_anchor(c: float, mu: float) -> list[complex]:
     terms do not cancel.  U and dU/dt, the derivatives in kappa = 1/2 - c,
     follow term by term with (c)_k' = (c)_k (psi(c+k) - psi(c)).
     """
+    # Only the lip solve's anchor needs psi and psi', and scipy.special costs about 0.25 s to import.
+    from scipy.special import polygamma, psi
+
     k = np.arange(_WHITTAKER_TERMS, dtype=float)
     terms = np.cumprod(np.concatenate([[1.0], -mu * (c + k[:-1]) / (k[1:] * k[1:])]))
     psi_ck = psi(c + k)
@@ -392,6 +406,9 @@ def whittaker_density_mass(c: float, cut: float = 60.0) -> float:
     the tail comes from the exponential asymptotics, which hold only well
     past the turning point mu = 4c - 2: a cut below 8c is refused.
     """
+    # Only the tail needs the incomplete gamma, and scipy.special costs about 0.25 s to import.
+    from scipy.special import gammaincc
+
     if not cut >= 8.0 * c:
         raise ValueError(f"cut must be at least 8c = {8.0 * c:g}")
     below_cut = whittaker_cdf(c, cut)

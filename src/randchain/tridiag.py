@@ -540,7 +540,7 @@ def eigenvalues_many(
 
 def _estimates(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
     """All n eigenvalues of one matrix, ascending, from LAPACK dsterf (root-free QL/QR)."""
-    # Only bisection needs scipy.linalg, and importing it costs about 40 ms.
+    # Only bisection needs scipy.linalg, and importing it costs about 0.25 s.
     from scipy.linalg import lapack
 
     values, info = lapack.dsterf(diag, off if off.size else [0.0])  # its wrapper wants one coupling at n = 1

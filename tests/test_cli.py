@@ -856,10 +856,10 @@ print(json.dumps(res))
 
 
 def test_light_commands_do_not_load_scipy_integrate_or_stats():
-    # Most commands need only scipy.special; scipy.linalg (about 40 ms of
-    # import), scipy.integrate and scipy.stats (about 1 s together) load
-    # only in the functions that use them.  A fresh interpreter shows what
-    # loads.
+    # Importing randchain loads no scipy subpackage; scipy.special and
+    # scipy.linalg (about 0.25 s of import each), scipy.integrate and
+    # scipy.stats (about 1 s together) load only in the functions that use
+    # them.  A fresh interpreter shows what loads.
     src = Path(__file__).resolve().parents[1] / "src"
     env = {**os.environ, "PYTHONPATH": str(src)}
     proc = subprocess.run([sys.executable, "-c", _MODULE_PROBE], env=env, capture_output=True, text=True, timeout=120)
@@ -874,6 +874,48 @@ def test_light_commands_do_not_load_scipy_integrate_or_stats():
     assert res["lip"] == ["scipy.linalg"]
     assert res["omega_code"] == EXIT_OK
     assert res["omega"] == ["scipy.linalg"]
+
+
+_SPECIAL_PROBE = """
+import json, sys, tempfile
+import randchain, randchain.cli
+from randchain.cli import run
+
+res = {"import": sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))}
+with tempfile.TemporaryDirectory() as out:
+    res["codes"] = [run([*argv, "--out", out]) for argv in json.loads(sys.argv[1])]
+res["special"] = "scipy.special" in sys.modules
+print(json.dumps(res))
+"""
+
+
+def _special_probe(commands):
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run([sys.executable, "-c", _SPECIAL_PROBE, json.dumps(commands)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    res = json.loads(proc.stdout.splitlines()[-1])
+    assert res["import"] == []
+    assert res["codes"] == [EXIT_OK] * len(commands)
+    return res["special"]
+
+
+def test_only_special_function_routes_load_scipy_special():
+    # scipy.special is imported inside the functions that call psi, psi',
+    # Airy, the incomplete gamma or the normal cdf, so importing randchain
+    # loads no scipy module, and a command that calls none of them leaves
+    # scipy.special unloaded.  Each probe is a fresh interpreter.
+    assert not _special_probe([
+        ["pure", "--what", "idos", "--x", "2"],
+        ["lyapunov", "--model", "type2", "--law", "twopoint:1:2:0.5", "--grid", "1:3:2", "--steps", "2000"],
+        ["schmidt", "--op", "omega", "--law", "gamma:1:1", "--x", "1", "--samples", "2000"],
+        ["betaens", "--beta", "2", "--pairs", "8", "--samples", "1"],
+        ["exact", "--alpha", "1", "--kappa", "1", "--what", "omega", "--grid", "0.5:1:2"],
+    ])
+    # Airy serves scaling, and psi and psi' anchor the Whittaker lip solve.
+    assert _special_probe([["scaling", "--grid=-6:6:13"]])
+    assert _special_probe([["exact", "--alpha", "1", "--kappa", "1", "--grid", "g1e-3:1:3"]])
 
 
 def test_readme_commands_run_as_documented(tmp_path, capsys):

@@ -162,9 +162,13 @@ def test_positive_argument_integrals_refuse_bad_x(bad):
 
 def test_omega_exact_refuses_x_past_the_doubles():
     # At x / kappa = 1e307, s u overflows on the nodes; the quadrature
-    # route returned NaN there.
-    with pytest.raises(ValueError, match="overflow"):
-        omega_exact(GammaChainParams(1.0, 1.0), 1e307)
+    # route returned NaN there.  The refusal is the only signal: with
+    # warnings raised as errors the caller still gets the ValueError, not
+    # a RuntimeWarning from the sum.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="overflow"):
+            omega_exact(GammaChainParams(1.0, 1.0), 1e307)
 
 
 def test_positive_argument_integrals_take_arrays_bitwise():
