@@ -1,4 +1,4 @@
-"""Tables behind docs/DECISIONS.md (ledgers D3, D9, D11 and D12): cost of the Sturm loop shapes and of bisection.
+"""Tables behind docs/DECISIONS.md (ledgers D3, D9, D11, D12 and D15): cost of the Sturm loop shapes and of bisection.
 
 Run from the repository root:
 
@@ -8,8 +8,9 @@ It prints one markdown table of microseconds per site of
 tridiag._sturm_counts on matrices of 400 sites (or --sites), from 16 to
 3e4 lanes (matrix-probe pairs), for both loop shapes: the per-lane
 Python-float loop and the array loop over the sites.  Each lane count runs one matrix with all its probes and a
-batch of 8 matrices sharing them, the two layouts that count_below_many
-and eigenvalues_many give the kernel.  Shapes are timed in interleaved
+batch of 8 matrices sharing them, the two shapes that count_below_many
+and eigenvalues_many give the kernel; it lays both out alike, one matrix
+as a batch of one (ledger D15).  Shapes are timed in interleaved
 repeats and the median is printed; the float loop is timed up to 2000
 lanes only, where it is already far behind.
 

@@ -96,7 +96,9 @@ def squared_spectrum(m: AntisymTridiag | Sequence[AntisymTridiag]):
     size, giving R in sequence order from one batched bisection; each
     equals the one-matrix result.  Only the positive half of the symmetric
     spectrum of the Hermitian image is bisected, from the bracket
-    (0, Gershgorin upper bound) of each matrix.
+    (0, Gershgorin upper bound) of each matrix.  A value x bracketed to
+    width tol gives y = x^2 to within (2 max x + tol) tol, the tol of its
+    Spectrum.
     """
     one = isinstance(m, AntisymTridiag)
     hs = [x.hermitian_image() for x in ([m] if one else m)]
@@ -106,7 +108,7 @@ def squared_spectrum(m: AntisymTridiag | Sequence[AntisymTridiag]):
     n_pairs = (n - 1) // 2
     ranks = np.arange(n - n_pairs + 1, n + 1)
     pos = eigenvalues_many(hs, ranks=ranks, bounds=[(0.0, h.gershgorin()[1]) for h in hs])
-    ys = [Spectrum(p.values**2, tol=p.tol) for p in pos]
+    ys = [Spectrum(p.values**2, tol=(2.0 * p.values.max() + p.tol) * p.tol) for p in pos]
     return ys[0] if one else ys
 
 

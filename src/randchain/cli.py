@@ -210,6 +210,8 @@ def cmd_schmidt(args) -> int:
         raise UsageError("--x must be positive")
     if args.op == "density" and args.grid is None:
         raise UsageError("--op density needs --grid")
+    if args.op == "density" and args.kind == "ratio2" and not isinstance(law, (chain.Constant, chain.TwoPoint)):
+        raise UsageError("--kind ratio2 needs a const or twopoint law")
     out = _Outputs(args, "schmidt")
     if args.op == "omega":
         val = schmidt.omega_mc(schmidt.XiTypeI(args.x), law, args.samples, seed=args.seed, burn_in=args.burn_in)
@@ -307,6 +309,8 @@ def cmd_dos(args) -> int:
         raise UsageError("--realizations must be at least 1")
     if args.size < 3:
         raise UsageError("--size must be at least 3: a smaller chain has no frequency pair")
+    if args.size % 2 == 0:
+        raise UsageError("--size must be odd: the lattice has 2N-1 sites")
     n_masses = (args.size + 1) // 2
     edges = parse_grid(args.grid)
     if edges.size < 2:
@@ -505,7 +509,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("dos", help="empirical density of states of a chain")
     p.add_argument("--law", required=True)
-    p.add_argument("--size", type=int, default=2001, help="lattice size 2N-1")
+    p.add_argument("--size", type=int, default=2001, help="lattice size 2N-1 (odd)")
     p.add_argument("--realizations", type=int, default=10)
     p.add_argument("--grid", required=True, help="bin edges lo:hi:n")
     common(p)

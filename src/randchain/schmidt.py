@@ -433,29 +433,23 @@ def _step_ratio2(grid: DensityGrid, law: DisorderLaw, omega_sq: float, spring_k:
     edges = grid.edges()
     # Open-ended end cells: the line is compactified, so mass mapped past
     # the grid is folded into the outermost cells instead of being lost;
-    # the amount so clamped is returned as the leak diagnostic.
-    open_edges = edges.copy()
-    open_edges[0] = -np.inf
-    open_edges[-1] = np.inf
+    # the amount so clamped, read off the preimages of the two closed
+    # ends (the last two of eds), is returned as the leak diagnostic.
+    eds = np.concatenate([[-np.inf], edges[1:-1], [np.inf], edges[[0, -1]]])
     new_w = np.zeros(grid.points.size)
     clamped = 0.0
     for prob, mass in branches:
         if prob == 0.0:
             continue
         a = 2.0 - omega_sq * mass / spring_k
-        for eds, record in ((open_edges, False), (edges, True)):
-            with np.errstate(divide="ignore"):
-                # z' = a - 1/z; preimage of edge e is 1/(a - e) per half line.
-                pre = 1.0 / (a - eds)
-            q = np.where(eds < a, pre, np.inf)
-            cdf_pos = _halfline_cdf(grid, q, positive=True)
-            q = np.where(eds > a, pre, -np.inf)
-            cdf_neg = _halfline_cdf(grid, q, positive=False)
-            inside = float(cdf_pos[-1] - cdf_pos[0] + cdf_neg[-1] - cdf_neg[0])
-            if record:
-                clamped += prob * (grid.total_mass - inside)
-            else:
-                new_w += prob * (np.diff(cdf_pos) + np.diff(cdf_neg))
+        with np.errstate(divide="ignore"):
+            # z' = a - 1/z; preimage of edge e is 1/(a - e) per half line.
+            pre = 1.0 / (a - eds)
+        cdf_pos = _halfline_cdf(grid, np.where(eds < a, pre, np.inf), positive=True)
+        cdf_neg = _halfline_cdf(grid, np.where(eds > a, pre, -np.inf), positive=False)
+        new_w += prob * (np.diff(cdf_pos[:-2]) + np.diff(cdf_neg[:-2]))
+        inside = float(cdf_pos[-1] - cdf_pos[-2] + cdf_neg[-1] - cdf_neg[-2])
+        clamped += prob * (grid.total_mass - inside)
     return new_w, clamped
 
 

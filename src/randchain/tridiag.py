@@ -242,19 +242,19 @@ def _block_counts(diag: np.ndarray, off: np.ndarray, xs: np.ndarray) -> tuple[np
     return counts + run, zeros | hit
 
 
-def _array_sweep(q: np.ndarray, a, b2, xs: np.ndarray, zeros: np.ndarray | None = None) -> np.ndarray:
+def _array_sweep(q: np.ndarray, a: np.ndarray, b2: np.ndarray, xs: np.ndarray, zeros: np.ndarray | None = None) -> np.ndarray:
     """Negative pivots, of q's shape, as the pivots q run over sites on arrays; q ends as the last sites' pivots.
 
     a holds one row per site, with a[k] - xs of q's shape, and b2 the
-    sites' squared couplings to the site before, as a list of floats or as
-    rows that broadcast to q's shape.  The sites go a block at a time, of
-    at most _ARRAY_BLOCK_ELEMENTS elements (so that it stays in cache) and
-    255 sites: a - x for the block in one subtraction, b2's rows spread over
-    q's shape (a divide of equal shapes costs less than one that broadcasts),
-    two ufunc calls per site that turn the site's row of a - x into its
-    pivots in place (divide, subtract), and one compare of the block with
-    zero, whose negative pivots are tallied in bytes and added to the
-    counts before they could overflow.  About 2-3 us per site up to ~300
+    sites' squared couplings to the site before, as rows that broadcast to
+    q's shape.  The sites go a block at a time, of at most
+    _ARRAY_BLOCK_ELEMENTS elements (so that it stays in cache) and 255
+    sites: a - x for the block in one subtraction, b2's rows spread over
+    q's shape (a divide of equal shapes costs less than one that
+    broadcasts), two ufunc calls per site that turn the site's row of
+    a - x into its pivots in place (divide, subtract), and one compare of
+    the block with zero, whose negative pivots are tallied in bytes and
+    added to the counts before they could overflow.  About 2-3 us per site up to ~300
     lanes, bound by numpy dispatch, and 2.5 ns per lane and site at 3e4.
 
     There is no zero test per site.  With division by zero and invalid
@@ -270,7 +270,7 @@ def _array_sweep(q: np.ndarray, a, b2, xs: np.ndarray, zeros: np.ndarray | None 
     sites = max(1, min(_ARRAY_BLOCK_ELEMENTS // q.size, len(a), 255))
     pivots = np.empty((sites,) + q.shape)
     negs = np.empty(pivots.shape, dtype=bool)
-    spread = None if isinstance(b2, list) else np.empty(pivots.shape)
+    spread = np.empty(pivots.shape)
     count = np.zeros(q.shape, dtype=np.int64)
     block_tally = np.empty(q.shape, dtype=np.uint8)
     tally = np.zeros_like(block_tally)
@@ -280,12 +280,9 @@ def _array_sweep(q: np.ndarray, a, b2, xs: np.ndarray, zeros: np.ndarray | None 
             s = min(sites, len(a) - k0)
             rows = pivots[:s]
             np.subtract(a[k0:k0 + s], xs, out=rows)
-            b2k = b2[k0:k0 + s]
-            if spread is not None:
-                spread[:s] = b2k
-                b2k = spread[:s]
+            spread[:s] = b2[k0:k0 + s]
             prev = q
-            for row, b2_row in zip(rows, b2k):
+            for row, b2_row in zip(rows, spread[:s]):
                 try:
                     np.divide(b2_row, prev, out=t)
                 except FloatingPointError:
@@ -341,9 +338,10 @@ def _sturm_counts(diag: np.ndarray, off: np.ndarray, xs: np.ndarray, with_zeros:
     sites they run as verified blocks (_block_counts) instead, and fall
     back to the float loop on any floating-point exception that is not a
     zero pivot's.  More lanes share one loop over the sites on arrays
-    (_array_sweep), laid out here: for one matrix (or a batch of one) b^2
-    as Python floats, which the divide reads fastest, and for a batch
-    the coefficients transposed to site-major rows.
+    (_array_sweep), the coefficients transposed to site-major rows.  One
+    matrix runs every loop shape as a batch of one: diag (1, n), off
+    (1, n-1) and probes (1, m), its results reshaped to the probes'
+    shape.
 
     With with_zeros, a boolean array of the counts' shape comes back as
     well, set in every lane where a pivot was exactly zero before _TINY
@@ -356,38 +354,31 @@ def _sturm_counts(diag: np.ndarray, off: np.ndarray, xs: np.ndarray, with_zeros:
     diag = np.asarray(diag, dtype=float)
     off = np.asarray(off, dtype=float)
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
-    n = diag.shape[-1]
-    lanes = xs.size if diag.ndim == 1 else diag.shape[0] * xs.shape[-1]
-    if lanes <= _FLOAT_LOOP_LANES:
-        if diag.ndim == 1:
-            rows = diag[None], off[None], xs.reshape(1, -1)
-        else:
-            rows = diag, off, np.broadcast_to(xs, (diag.shape[0], xs.shape[-1]))
+    if diag.ndim == 1:
+        shape = xs.shape
+        diag, off, xs = diag[None], off[None], xs.reshape(1, -1)
+    else:
+        xs = np.broadcast_to(xs, (diag.shape[0], xs.shape[-1]))
+        shape = xs.shape
+    n = diag.shape[1]
+    if xs.size <= _FLOAT_LOOP_LANES:
         found = None
         if (n - 1) // _BLOCK_SITES >= _BLOCK_MIN:
             try:
-                found = _block_counts(*rows)
+                found = _block_counts(diag, off, xs)
             except FloatingPointError:
-                logger.debug("Sturm counts: %d lanes of %d sites fell back to the float loop", lanes, n)
-        counts, zeros = _float_loop(*rows) if found is None else found
-        if diag.ndim == 1:
-            counts, zeros = counts.reshape(xs.shape), zeros.reshape(xs.shape)
-        return (counts, zeros) if with_zeros else counts
-    # Per-site rows that broadcast against the probes: a (n, 1, ...) for
-    # one matrix and (n, R, 1) for a batch, each row a column of
-    # coefficients across matrices.
-    if diag.ndim == 1 or diag.shape[0] == 1:
-        b2 = (off * off).reshape(-1).tolist()
-        if diag.ndim == 2:
-            xs = xs.reshape(1, -1)
-        a = diag.reshape((-1,) + (1,) * xs.ndim)
+                logger.debug("Sturm counts: %d lanes of %d sites fell back to the float loop", xs.size, n)
+        counts, zeros = _float_loop(diag, off, xs) if found is None else found
     else:
+        # Site-major rows (n, R, 1), each a column of coefficients across
+        # matrices, that broadcast against the probes (R, m).
         a = np.ascontiguousarray(diag.T)[:, :, None]
         b2 = np.multiply(off.T, off.T, order="C")[:, :, None]
-    q, zeros = _first_pivots(a[0], xs)
-    count = (q < 0.0).astype(np.int64)
-    count += _array_sweep(q, a[1:], b2, xs, zeros)
-    return (count, zeros) if with_zeros else count
+        q, zeros = _first_pivots(a[0], xs)
+        counts = (q < 0.0).astype(np.int64)
+        counts += _array_sweep(q, a[1:], b2, xs, zeros)
+    counts, zeros = counts.reshape(shape), zeros.reshape(shape)
+    return (counts, zeros) if with_zeros else counts
 
 
 def count_below(t: SymTridiag, x: float) -> int:

@@ -83,6 +83,15 @@ def test_squared_spectrum_batch_equals_single_calls():
         squared_spectrum([])
 
 
+def test_squared_spectrum_tol_bounds_the_squares():
+    # A bracket of width tol around x is one of width about 2 x tol around
+    # y = x^2, so the squares' tol grows with the largest x.
+    ms = [sample_matrix(BetaEnsembleSpec(100, beta=2.0), seed=(4, s)) for s in range(8)]
+    for m, y in zip(ms, squared_spectrum(ms)):
+        dense = np.linalg.eigvalsh(m.hermitian_image().to_dense())[-y.values.size:] ** 2
+        assert np.max(np.abs(y.values - dense)) <= y.tol
+
+
 def test_full_spectrum_symmetry():
     m = sample_matrix(BetaEnsembleSpec(20, beta=1.5), seed=3)
     ev = tridiag.eigenvalues(m.hermitian_image()).values

@@ -281,6 +281,7 @@ def test_lyapunov_bad_steps_or_spring_are_usage_errors(tmp_path, capsys, flags):
     ["--op", "omega2", "--law", "const:1", "--spring-k", "0"],
     ["--op", "omega", "--law", "gauss:1"],
     ["--op", "omega2", "--law", "gauss:1"],
+    ["--op", "density", "--kind", "ratio2", "--law", "gamma:1:1", "--x", "1", "--grid", "0.01:20:40", "--iters", "3"],
 ])
 def test_schmidt_degenerate_runs_are_usage_errors(tmp_path, capsys, argv):
     # Refused before any work: no traceback, no NaN printed with exit 0.
@@ -378,10 +379,12 @@ def test_dos_overlays_exact_at_every_gamma_law(tmp_path):
 
 
 @pytest.mark.parametrize("flag,value", [("--realizations", "0"), ("--realizations", "-1"),
-                                        ("--size", "1"), ("--size", "2"), ("--grid", "0.5:3.5:1")])
+                                        ("--size", "1"), ("--size", "2"), ("--size", "4"), ("--size", "400"),
+                                        ("--grid", "0.5:3.5:1")])
 def test_dos_rejects_degenerate_runs(tmp_path, capsys, flag, value):
-    # No realization, a chain without a frequency pair or a grid without a
-    # bin has no density: refused before any CSV is written.
+    # No realization, a chain without a frequency pair, an even size (the
+    # lattice has 2N-1 sites) or a grid without a bin: refused before any
+    # CSV is written.
     argv = ["dos", "--law", "gamma:1:1", "--grid", "0.5:3.5:7", "--out", str(tmp_path), flag, value]
     assert run(argv) == EXIT_USAGE
     assert flag in capsys.readouterr().err
