@@ -1,9 +1,13 @@
 """Command-line front end: reproducible experiments with CSV/JSON output.
 
-Every run writes the requested curves as CSV (comma separated, header
-row naming the physical quantity) plus a JSON manifest recording the
-command, parameters, seed, tool version and output files.  Identical
-arguments and seed produce byte-identical CSV files.
+Each ``cmd_*`` computes its curves and returns them as ``(name, header,
+columns)`` tables; ``run()`` hands them to ``_write_outputs``, the one
+function that writes files.  It writes each table as CSV (comma
+separated, header row naming the physical quantity), in order, and then
+a JSON manifest recording the command, parameters, seed, tool version
+and output files.  No file is written until every table is computed, so
+a failing command leaves no output.  Identical arguments and seed
+produce byte-identical CSV files.
 
 Exit codes: 0 success, 2 usage error, 3 numeric failure, 4 I/O failure.
 """
@@ -11,7 +15,6 @@ Exit codes: 0 success, 2 usage error, 3 numeric failure, 4 I/O failure.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import math
 import sys
@@ -45,17 +48,6 @@ _DOS_BLOCK_ELEMENTS = 1 << 17
 # 4.3 ms alone, 1.9 ms in a batch of 16 and 1.7 ms in one of 128 (2.6e6
 # elements).
 _BETAENS_BLOCK_ELEMENTS = 1 << 22
-
-
-@dataclasses.dataclass
-class RunManifest:
-    command: str
-    parameters: dict
-    seed: int
-    tool_version: str
-    timestamp: str
-    output_files: list
-    parallelism: int = 1  # module work runs sequentially in this front end
 
 
 class UsageError(ValueError):
@@ -115,41 +107,28 @@ def write_csv(path: Path, header: list[str], columns: list[np.ndarray]) -> None:
             fh.write(",".join(f"{col[i]:.12g}" for col in columns) + "\n")
 
 
-class _Outputs:
-    """Collects CSV files for one run and writes the manifest at the end."""
-
-    def __init__(self, args, command: str):
-        self.dir = Path(getattr(args, "out", ".") or ".")
-        self.prefix = getattr(args, "prefix", command) or command
-        self.command = command
-        self.seed = int(getattr(args, "seed", 0) or 0)
-        self.params = {
-            k: (str(v) if not isinstance(v, (int, float, str, bool, type(None))) else v)
-            for k, v in vars(args).items()
-            if k != "func"
-        }
-        self.files: list[str] = []
-
-    def csv(self, name: str, header: list[str], columns: list[np.ndarray]) -> Path:
-        self.dir.mkdir(parents=True, exist_ok=True)
-        path = self.dir / f"{self.prefix}_{name}.csv"
+def _write_outputs(args, tables: list) -> None:
+    """Write each (name, header, columns) table as <prefix>_<name>.csv, then the manifest."""
+    if not tables:
+        return
+    out = Path(args.out)
+    prefix = args.prefix or args.command
+    out.mkdir(parents=True, exist_ok=True)
+    files = []
+    for name, header, columns in tables:
+        path = out / f"{prefix}_{name}.csv"
         write_csv(path, header, columns)
-        self.files.append(str(path))
-        return path
-
-    def finish(self) -> None:
-        if not self.files:
-            return
-        manifest = RunManifest(
-            command=self.command,
-            parameters=self.params,
-            seed=self.seed,
-            tool_version=__version__,
-            timestamp=time.strftime("%Y-%m-%dT%H:%M:%S"),
-            output_files=self.files,
-        )
-        path = self.dir / f"{self.prefix}_manifest.json"
-        path.write_text(json.dumps(dataclasses.asdict(manifest), indent=2) + "\n", encoding="utf-8")
+        files.append(str(path))
+    manifest = {
+        "command": args.command,
+        "parameters": {k: v for k, v in vars(args).items() if k != "func"},
+        "seed": args.seed,
+        "tool_version": __version__,
+        "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
+        "output_files": files,
+        "parallelism": 1,  # module work runs sequentially in this front end
+    }
+    (out / f"{prefix}_manifest.json").write_text(json.dumps(manifest, indent=2) + "\n", encoding="utf-8")
 
 
 # ----------------------------------------------------------------------
@@ -157,13 +136,13 @@ class _Outputs:
 # ----------------------------------------------------------------------
 
 
-def cmd_pure(args) -> int:
+def cmd_pure(args) -> list:
     what = args.what
     if args.x is not None:
         if not args.x >= 0:
             raise UsageError("pure takes x >= 0")
         print(f"{getattr(exact.pure_chain(args.x), what):.12g}")
-        return EXIT_OK
+        return []
     if args.grid is None:
         raise UsageError("pure needs --x or --grid")
     xs = parse_grid(args.grid)
@@ -171,13 +150,10 @@ def cmd_pure(args) -> int:
         raise UsageError("pure takes x >= 0")
     col = np.array([getattr(exact.pure_chain(float(x)), what) for x in xs])
     name = {"xi": "xi", "omega": "Omega", "dos": "D", "idos": "M"}[what]
-    out = _Outputs(args, "pure")
-    out.csv(what, ["x", name], [xs, col])
-    out.finish()
-    return EXIT_OK
+    return [(what, ["x", name], [xs, col])]
 
 
-def cmd_exact(args) -> int:
+def cmd_exact(args) -> list:
     try:
         p = exact.GammaChainParams(args.alpha, args.kappa)
     except ValueError as exc:
@@ -185,18 +161,14 @@ def cmd_exact(args) -> int:
     xs = parse_grid(args.grid)
     if not np.all(xs > 0):
         raise UsageError("exact takes x > 0")
-    out = _Outputs(args, "exact")
     if args.what == "omega":
-        out.csv("omega", ["x", "Omega"], [xs, exact.omega_exact(p, xs)])
-    elif args.what == "dos":
-        out.csv("dos", ["mu", "D"], [xs, exact.dos_exact(p, xs)])
-    else:
-        out.csv("idos", ["x", "M"], [xs, exact.idos_exact(p, xs)])
-    out.finish()
-    return EXIT_OK
+        return [("omega", ["x", "Omega"], [xs, exact.omega_exact(p, xs)])]
+    if args.what == "dos":
+        return [("dos", ["mu", "D"], [xs, exact.dos_exact(p, xs)])]
+    return [("idos", ["x", "M"], [xs, exact.idos_exact(p, xs)])]
 
 
-def cmd_schmidt(args) -> int:
+def cmd_schmidt(args) -> list:
     law = parse_law(args.law)
     if isinstance(law, chain.GaussianPotential):
         raise UsageError("schmidt needs a positive law, not a signed potential")
@@ -212,34 +184,32 @@ def cmd_schmidt(args) -> int:
         raise UsageError("--op density needs --grid")
     if args.op == "density" and args.kind == "ratio2" and not isinstance(law, (chain.Constant, chain.TwoPoint)):
         raise UsageError("--kind ratio2 needs a const or twopoint law")
-    out = _Outputs(args, "schmidt")
     if args.op == "omega":
         val = schmidt.omega_mc(schmidt.XiTypeI(args.x), law, args.samples, seed=args.seed, burn_in=args.burn_in)
         print(f"{val:.12g}")
-    elif args.op == "omega2":
+        return []
+    if args.op == "omega2":
         val = schmidt.omega_type2_mc(law, args.spring_k, args.x, args.samples, seed=args.seed, burn_in=args.burn_in)
         print(f"{val:.12g}")
-    elif args.op == "nodefrac":
+        return []
+    if args.op == "nodefrac":
         grid = parse_grid(args.grid) if args.grid else np.array([args.x])
         if not np.all(grid >= 0):
             raise UsageError("nodefrac takes omega_sq >= 0")
         vals = schmidt.idos_node_fraction(law, args.spring_k, grid, args.samples, seed=args.seed)
         if grid.size == 1:
             print(f"{vals[0]:.12g}")
-        else:
-            out.csv("idos", ["omega_sq", "M"], [grid, vals])
-    elif args.op == "density":
-        pts = parse_grid(args.grid)
-        start = schmidt.DensityGrid(pts, np.full(pts.size, 1.0 / pts.size))
-        kind = schmidt.XiTypeI(args.x) if args.kind == "xi" else schmidt.RatioTypeII(args.x, args.spring_k)
-        grid_out, residuals = schmidt.density_iteration(kind, law, start, args.iters)
-        out.csv("density", ["point", "weight"], [grid_out.points, grid_out.weights])
-        print(f"final L1 residual {residuals[-1]:.3g}")
-    out.finish()
-    return EXIT_OK
+            return []
+        return [("idos", ["omega_sq", "M"], [grid, vals])]
+    pts = parse_grid(args.grid)
+    start = schmidt.DensityGrid(pts, np.full(pts.size, 1.0 / pts.size))
+    kind = schmidt.XiTypeI(args.x) if args.kind == "xi" else schmidt.RatioTypeII(args.x, args.spring_k)
+    grid_out, residuals = schmidt.density_iteration(kind, law, start, args.iters)
+    print(f"final L1 residual {residuals[-1]:.3g}")
+    return [("density", ["point", "weight"], [grid_out.points, grid_out.weights])]
 
 
-def cmd_lyapunov(args) -> int:
+def cmd_lyapunov(args) -> list:
     law = parse_law(args.law)
     kind = {"type1": chain.TYPE_I, "type2": chain.TYPE_II, "anderson": chain.ANDERSON}[args.model]
     grid = parse_grid(args.grid)
@@ -251,28 +221,22 @@ def cmd_lyapunov(args) -> int:
         raise UsageError("type I chains take omega_sq >= 0")
     # Grid point i draws from the seed (seed, i).
     ests = lyapunov.transfer_lyapunov(kind, law, grid, args.steps, seed=args.seed, spring_k=args.spring_k)
-    out = _Outputs(args, "lyapunov")
     label = "E" if kind == chain.ANDERSON else "omega_sq"
     columns = [grid, np.array([e.gamma for e in ests]), np.array([e.stderr for e in ests])]
-    out.csv("gamma", [label, "gamma", "stderr"], columns)
-    out.finish()
-    return EXIT_OK
+    return [("gamma", [label, "gamma", "stderr"], columns)]
 
 
-def cmd_scaling(args) -> int:
+def cmd_scaling(args) -> list:
     xs = parse_grid(args.grid)
     if np.max(np.abs(xs)) > SCALING_RANGE:
         raise UsageError(f"scaling grid must lie within |x| <= {SCALING_RANGE:g}")
     if np.max(xs) > ROTATED_DOS_MAX:
         raise UsageError(f"scaling grid must end at or below {ROTATED_DOS_MAX:g}: dos_scale_rotated is noise beyond")
-    out = _Outputs(args, "scaling")
     columns = [xs, scaling_f(xs), scaling_f_rotated(xs), scaling_dos(xs), scaling_dos_rotated(xs)]
-    out.csv("scaling", ["x", "F", "F_rotated", "dos_scale", "dos_scale_rotated"], columns)
-    out.finish()
-    return EXIT_OK
+    return [("scaling", ["x", "F", "F_rotated", "dos_scale", "dos_scale_rotated"], columns)]
 
 
-def cmd_betaens(args) -> int:
+def cmd_betaens(args) -> list:
     try:
         spec = betaens.BetaEnsembleSpec(args.pairs, beta=args.beta, c=args.c_over_n)
     except ValueError as exc:
@@ -287,24 +251,19 @@ def cmd_betaens(args) -> int:
         ms = [betaens.sample_matrix(spec, seed=(args.seed, s)) for s in seeds]
         ys += [y.values for y in betaens.squared_spectrum(ms)]
     ys = np.sort(np.concatenate(ys))
-    # The target is computed before any file is written, so a numeric
-    # failure leaves no output.
+    spectrum = ("spectrum", ["y", "cdf"], [ys, np.arange(1, ys.size + 1) / ys.size])
     if args.c_over_n is None:
         scaled = np.sort(ys / spec.mp_unit())
         inside = scaled[(scaled > 0) & (scaled < 1)]
-        target = ("mp_target", [inside, betaens.mp_density(inside)])
-    else:
-        mus = np.geomspace(max(1e-6, float(ys[ys > 0].min())), float(ys.max()), 40)
-        target = ("whittaker_target", [mus, betaens.con_density(args.c_over_n, mus)])
-    out = _Outputs(args, "betaens")
-    out.csv("spectrum", ["y", "cdf"], [ys, np.arange(1, ys.size + 1) / ys.size])
-    out.csv(target[0], ["mu", "D"], target[1])
-    out.finish()
-    return EXIT_OK
+        return [spectrum, ("mp_target", ["mu", "D"], [inside, betaens.mp_density(inside)])]
+    mus = np.geomspace(max(1e-6, float(ys[ys > 0].min())), float(ys.max()), 40)
+    return [spectrum, ("whittaker_target", ["mu", "D"], [mus, betaens.con_density(args.c_over_n, mus)])]
 
 
-def cmd_dos(args) -> int:
+def cmd_dos(args) -> list:
     law = parse_law(args.law)
+    if isinstance(law, chain.GaussianPotential):
+        raise UsageError("dos needs a positive --law, not a signed potential")
     if args.realizations < 1:
         raise UsageError("--realizations must be at least 1")
     if args.size < 3:
@@ -327,16 +286,12 @@ def cmd_dos(args) -> int:
         ]
         for m in chain.empirical_idos(hs, edges):
             acc += np.diff(m) / np.diff(edges)
-    dens = acc / args.realizations
-    out = _Outputs(args, "dos")
-    cols = [centers, dens]
+    cols = [centers, acc / args.realizations]
     header = ["mu", "D_empirical"]
     if isinstance(law, chain.Gamma):
         header.append("D_exact")
         cols.append(exact.dos_exact(exact.GammaChainParams(law.alpha, law.rate), centers))
-    out.csv("dos", header, cols)
-    out.finish()
-    return EXIT_OK
+    return [("dos", header, cols)]
 
 
 def _selftest_checks():
@@ -426,7 +381,7 @@ def _selftest_checks():
     ]
 
 
-def cmd_selftest(args) -> int:
+def cmd_selftest(args) -> list:
     failures = 0
     for name, check in _selftest_checks():
         try:
@@ -435,7 +390,9 @@ def cmd_selftest(args) -> int:
             ok, detail = False, f"exception {type(exc).__name__}: {exc}"
         print(f"{'PASS' if ok else 'FAIL'} {name}: {detail}")
         failures += 0 if ok else 1
-    return EXIT_OK if failures == 0 else EXIT_NUMERIC
+    if failures:
+        raise ArithmeticError(f"{failures} selftest check(s) failed")
+    return []
 
 
 # ----------------------------------------------------------------------
@@ -447,6 +404,7 @@ def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="randchain",
         description="Disordered-chain spectra: exact formulas, Monte Carlo, and beta-ensembles.",
+        allow_abbrev=False,  # _apply_config finds --config only by its full name
     )
     ap.add_argument("--config", default=None, help="flat key=value file; flags override")
     sub = ap.add_subparsers(dest="command", required=True)
@@ -522,22 +480,24 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _apply_config(ap: argparse.ArgumentParser, argv: list[str]) -> list[str]:
-    """Prepend defaults from a flat key=value config file; flags override."""
-    if "--config" not in argv:
+    """Prepend defaults from a flat key=value file, `--config PATH` or `--config=PATH`; flags override."""
+    idx = next((i for i, tok in enumerate(argv) if tok.partition("=")[0] == "--config"), None)
+    if idx is None:
         return argv
-    idx = argv.index("--config")
-    if idx + 1 == len(argv):
-        ap.error("argument --config: expected one argument")
-    path = Path(argv[idx + 1])
+    _, inline, path = argv[idx].partition("=")
+    if not inline:
+        if idx + 1 == len(argv):
+            ap.error("argument --config: expected one argument")
+        path = argv[idx + 1]
     pairs = []
-    for line in path.read_text(encoding="utf-8").splitlines():
+    for line in Path(path).read_text(encoding="utf-8").splitlines():
         line = line.strip()
         if not line or line.startswith("#"):
             continue
         key, _, value = line.partition("=")
         pairs.extend([f"--{key.strip()}", value.strip()])
     # Insert config pairs right after the subcommand so explicit flags win.
-    head = argv[: idx] + argv[idx + 2 :]
+    head = argv[:idx] + argv[idx + (1 if inline else 2) :]
     for i, tok in enumerate(head):
         if not tok.startswith("-"):
             return head[: i + 1] + pairs + head[i + 1 :]
@@ -557,7 +517,8 @@ def run(argv: list[str]) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
-        return args.func(args)
+        _write_outputs(args, args.func(args))
+        return EXIT_OK
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -380,11 +380,11 @@ def test_dos_overlays_exact_at_every_gamma_law(tmp_path):
 
 @pytest.mark.parametrize("flag,value", [("--realizations", "0"), ("--realizations", "-1"),
                                         ("--size", "1"), ("--size", "2"), ("--size", "4"), ("--size", "400"),
-                                        ("--grid", "0.5:3.5:1")])
+                                        ("--grid", "0.5:3.5:1"), ("--law", "gauss:1")])
 def test_dos_rejects_degenerate_runs(tmp_path, capsys, flag, value):
     # No realization, a chain without a frequency pair, an even size (the
-    # lattice has 2N-1 sites) or a grid without a bin: refused before any
-    # CSV is written.
+    # lattice has 2N-1 sites), a grid without a bin or a signed potential
+    # for couplings: refused before any CSV is written.
     argv = ["dos", "--law", "gamma:1:1", "--grid", "0.5:3.5:7", "--out", str(tmp_path), flag, value]
     assert run(argv) == EXIT_USAGE
     assert flag in capsys.readouterr().err
@@ -560,13 +560,20 @@ def test_betaens_target_failure_writes_no_files(tmp_path, monkeypatch, capsys):
 
 
 def test_config_file_defaults_and_override(tmp_path, capsys):
+    # The file applies as `--config PATH` and as `--config=PATH`, before or
+    # after the subcommand.
     cfg = tmp_path / "run.cfg"
     cfg.write_text("what = idos\nx = 2\n")
-    assert run(["pure", "--config", str(cfg)]) == EXIT_OK
-    assert capsys.readouterr().out.strip() == "0.5"
-    # explicit flag wins over the config value
-    assert run(["pure", "--config", str(cfg), "--x", "4"]) == EXIT_OK
-    assert capsys.readouterr().out.strip() == "1"
+    for config in (["--config", str(cfg)], [f"--config={cfg}"]):
+        for head in ([*config, "pure"], ["pure", *config]):
+            assert run(head) == EXIT_OK, head
+            assert capsys.readouterr().out.strip() == "0.5"
+            # explicit flag wins over the config value
+            assert run([*head, "--x", "4"]) == EXIT_OK, head
+            assert capsys.readouterr().out.strip() == "1"
+    # An abbreviated --config is refused, not ignored.
+    assert run(["--conf", str(cfg), "pure", "--x", "4"]) == EXIT_USAGE
+    assert capsys.readouterr().out == ""
 
 
 def _run_outcome(argv, where: Path, capsys) -> tuple:
@@ -818,6 +825,19 @@ def test_selftest_passes(capsys):
     assert all(line.startswith("PASS ") for line in lines)
 
 
+def test_selftest_failure_exits_numeric(tmp_path, monkeypatch, capsys):
+    # A failing check is reported on its line, the run exits 3 and
+    # nothing is written.
+    checks = cli._selftest_checks()
+    monkeypatch.setattr(cli, "_selftest_checks", lambda: [*checks[:1], ("always-fails", lambda: (False, "forced"))])
+    assert run(["selftest", "--out", str(tmp_path)]) == EXIT_NUMERIC
+    printed = capsys.readouterr()
+    assert printed.out.splitlines()[0].startswith("PASS ")
+    assert "FAIL always-fails: forced" in printed.out.splitlines()
+    assert "1 selftest check(s) failed" in printed.err
+    assert not list(tmp_path.iterdir())
+
+
 _MODULE_PROBE = """
 import json, sys, tempfile
 import randchain, randchain.cli
@@ -941,8 +961,11 @@ def test_readme_commands_run_as_documented(tmp_path, capsys):
         manifests = list(out.glob("*_manifest.json"))
         assert len(manifests) == (1 if csvs else 0), argv
         if csvs:
-            listed = json.loads(manifests[0].read_text())["output_files"]
-            assert sorted(Path(f) for f in listed) == csvs, argv
+            manifest = json.loads(manifests[0].read_text())
+            assert list(manifest) == ["command", "parameters", "seed", "tool_version", "timestamp",
+                                      "output_files", "parallelism"], argv
+            assert manifest["command"] == args[0], argv
+            assert sorted(Path(f) for f in manifest["output_files"]) == csvs, argv
         for path in csvs:
             table = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
             assert table.size and not np.isnan(table).any(), path
