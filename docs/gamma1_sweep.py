@@ -19,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from randchain.chain import TYPE_I, Gamma
-from randchain.exact import GammaChainParams, gamma1_coefficient, lyapunov_exact
+from randchain.exact import gamma1_coefficient, lyapunov_exact
 from randchain.lyapunov import transfer_lyapunov
 
 CHECK_ALPHAS = (3, 10)
@@ -47,7 +47,7 @@ def identity_table() -> None:
     print("|---|---|---|---|---|---|")
     for a in CHECK_ALPHAS:
         for w2 in CHECK_OMEGA_SQ:
-            ex = lyapunov_exact(GammaChainParams(a, a), w2)
+            ex = lyapunov_exact(Gamma(a, a), w2)
             mc = monte_carlo(a, w2, CHECK_STEPS)
             print(f"| {a} | {w2:g} | {ex:.6f} | {mc.gamma:.6f} | {mc.stderr:.6f} | {(mc.gamma - ex) / mc.stderr:+.2f} |")
     print()
@@ -60,7 +60,7 @@ def sweep_table() -> None:
     print(f"| omega^2 | {head} | exact slope | MC slope | 1/(8(1-w2/4)) | 1/(8(4/w2-1)) | MC slope / new | MC slope / old |")
     print("|---" * (len(SWEEP_ALPHAS) + 7) + "|")
     for w2 in SWEEP_OMEGA_SQ:
-        ex = [lyapunov_exact(GammaChainParams(a, a), w2) for a in SWEEP_ALPHAS]
+        ex = [lyapunov_exact(Gamma(a, a), w2) for a in SWEEP_ALPHAS]
         mc = [monte_carlo(a, w2, SWEEP_STEPS).gamma for a in SWEEP_ALPHAS]
         cells = " | ".join(f"{a * e:.4f} / {a * m:.4f}" for a, e, m in zip(SWEEP_ALPHAS, ex, mc))
         new = gamma1_coefficient(w2)

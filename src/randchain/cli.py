@@ -155,7 +155,7 @@ def cmd_pure(args) -> list:
 
 def cmd_exact(args) -> list:
     try:
-        p = exact.GammaChainParams(args.alpha, args.kappa)
+        p = chain.Gamma(args.alpha, args.kappa)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     xs = parse_grid(args.grid)
@@ -197,7 +197,7 @@ def cmd_schmidt(args) -> list:
         if not np.all(grid >= 0):
             raise UsageError("nodefrac takes omega_sq >= 0")
         vals = schmidt.idos_node_fraction(law, args.spring_k, grid, args.samples, seed=args.seed)
-        if grid.size == 1:
+        if not args.grid:
             print(f"{vals[0]:.12g}")
             return []
         return [("idos", ["omega_sq", "M"], [grid, vals])]
@@ -212,6 +212,8 @@ def cmd_schmidt(args) -> list:
 def cmd_lyapunov(args) -> list:
     law = parse_law(args.law)
     kind = {"type1": chain.TYPE_I, "type2": chain.TYPE_II, "anderson": chain.ANDERSON}[args.model]
+    if kind != chain.ANDERSON and isinstance(law, chain.GaussianPotential):
+        raise UsageError("sprung chains need a positive --law, not a signed potential")
     grid = parse_grid(args.grid)
     if args.steps < lyapunov.MIN_STEPS:
         raise UsageError(f"--steps must be at least {lyapunov.MIN_STEPS}")
@@ -290,7 +292,7 @@ def cmd_dos(args) -> list:
     header = ["mu", "D_empirical"]
     if isinstance(law, chain.Gamma):
         header.append("D_exact")
-        cols.append(exact.dos_exact(exact.GammaChainParams(law.alpha, law.rate), centers))
+        cols.append(exact.dos_exact(law, centers))
     return [("dos", header, cols)]
 
 

@@ -1,6 +1,7 @@
 """Exactly solvable chain with gamma-distributed couplings.
 
-For couplings with density ~ t^{alpha-1} e^{-kappa t}, the stationary
+For couplings with density ~ t^{alpha-1} e^{-kappa t} (the law
+chain.Gamma(alpha, kappa), which every route here takes), the stationary
 continued-fraction law is known in closed form, which reduces the
 characteristic function Omega to the ratio of two one-dimensional
 integrals K_alpha and L_alpha, at positive argument one double-exponential
@@ -33,10 +34,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .chain import Gamma
 from .specfun import _as_result, _whittaker_lambda
 
 __all__ = [
-    "GammaChainParams",
     "PureChainValues",
     "k_alpha",
     "l_alpha",
@@ -52,18 +53,6 @@ __all__ = [
 ]
 
 logger = logging.getLogger(__name__)
-
-
-@dataclass(frozen=True)
-class GammaChainParams:
-    """Shape and rate of the gamma law of the couplings."""
-
-    alpha: float
-    rate: float
-
-    def __post_init__(self):
-        if not (0 < self.alpha < math.inf and 0 < self.rate < math.inf):
-            raise ValueError("alpha and rate must be positive and finite")
 
 
 # ----------------------------------------------------------------------
@@ -84,7 +73,7 @@ def _points(x, name: str) -> np.ndarray:
     return xs
 
 
-def _kl_scaled(p: GammaChainParams, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _kl_scaled(p: Gamma, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(K, L) / e^{log_ref} and log_ref at the points xs, each in xs's shape (ledger D13).
 
     With t = s u, s = x/kappa and v = log u, K = s^alpha int e^{g(v)} dv, g = alpha v -
@@ -124,19 +113,19 @@ def _kl_scaled(p: GammaChainParams, xs: np.ndarray) -> tuple[np.ndarray, np.ndar
     return kv, lv, alpha * np.log(s) + peak[..., 0] + np.log(c * h)
 
 
-def k_alpha(p: GammaChainParams, x):
+def k_alpha(p: Gamma, x):
     """Normalisation integral of the stationary law, at a scalar or an array of x as omega_exact."""
     kv, _, log_ref = _kl_scaled(p, _points(x, "x"))
     return _as_result(kv * np.exp(log_ref))
 
 
-def l_alpha(p: GammaChainParams, x):
+def l_alpha(p: Gamma, x):
     """Companion integral with the log(1 + t) weight, at a scalar or an array of x as omega_exact."""
     _, lv, log_ref = _kl_scaled(p, _points(x, "x"))
     return _as_result(lv * np.exp(log_ref))
 
 
-def omega_exact(p: GammaChainParams, x):
+def omega_exact(p: Gamma, x):
     """Characteristic function Omega(x) = 2 L_alpha(x) / K_alpha(x).
 
     x is a scalar (a float is returned) or an array of positive points (an array of its shape is).
@@ -145,7 +134,7 @@ def omega_exact(p: GammaChainParams, x):
     return _as_result(2.0 * lv / kv)
 
 
-def gamma_chain_density(p: GammaChainParams, x, t):
+def gamma_chain_density(p: Gamma, x, t):
     """Stationary continued-fraction density t^{a-1} (1+t)^{-a} e^{-kt/x} / K; x and t broadcast.
 
     The quotient is taken in logs against _kl_scaled's reference, since the
@@ -165,7 +154,7 @@ def gamma_chain_density(p: GammaChainParams, x, t):
 # ----------------------------------------------------------------------
 
 
-def dyson_head(p: GammaChainParams, x: float) -> float:
+def dyson_head(p: Gamma, x: float) -> float:
     """Dyson's singular head M(x) ~ psi'(alpha) / ((log kappa x + psi(alpha) + 2 gamma_E)^2 + pi^2).
 
     The c-derivative at c = alpha of the beta = c/N ensemble's head mass
@@ -182,7 +171,7 @@ def dyson_head(p: GammaChainParams, x: float) -> float:
     return float(polygamma(1, p.alpha)) / (big_l * big_l + math.pi**2)
 
 
-def idos_exact(p: GammaChainParams, x):
+def idos_exact(p: Gamma, x):
     """Integrated density of states M(x) of the solvable chain.
 
     x is a scalar (a float is returned) or an array of positive points (an
@@ -200,7 +189,7 @@ def idos_exact(p: GammaChainParams, x):
     return _as_result(clamped)
 
 
-def dos_exact(p: GammaChainParams, mu):
+def dos_exact(p: Gamma, mu):
     """Density of states D(mu), at a scalar or an array of mu as idos_exact, from the same lip solve.
 
     D = 2 kappa Re Lambda / (mu |V|^2) = kappa d/dc [c D_c(kappa mu)] at c = alpha.
@@ -257,7 +246,7 @@ def weak_disorder_idos(n: int, x: float) -> float:
     return 1.0 - (g / math.pi) * math.exp(-g - 2.0 * n * (math.sinh(g) - g))
 
 
-def lyapunov_exact(p: GammaChainParams, omega_sq):
+def lyapunov_exact(p: Gamma, omega_sq):
     """Lyapunov exponent per transfer step of the type I chain.
 
     omega_sq is a scalar (a float is returned) or an array (an array of

@@ -181,7 +181,10 @@ def transfer_lyapunov(
             t_last, t_cur = pair
             return (omega * u - t_last * v) / t_cur
 
-    blocks = _block_gammas(coefficients, step, (values.size, n_blocks), chunk, block_len, burn_in)
+    # A law whose draws overflow the step makes non-finite blocks; the check below refuses
+    # them, so numpy's own warnings on the way there would only repeat it.
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        blocks = _block_gammas(coefficients, step, (values.size, n_blocks), chunk, block_len, burn_in)
     estimates = []
     for value, row in zip(values[:, 0], blocks):
         gamma = float(np.mean(row))

@@ -528,12 +528,13 @@ def sample_kummer(a: float, b: float, p: float, n: int, rng) -> np.ndarray:
         raise ValueError("need a > 0 and p > 0")
     if a + b < 0:
         raise ValueError("rejection sampler requires a + b >= 0")
+    envelope = Gamma(a, p)
     out = np.empty(n)
     filled = 0
     attempts = 0
     while filled < n:
         chunk = max(int(1.5 * (n - filled)) + 16, 32)
-        x = rng.gamma(shape=a, scale=1.0 / p, size=chunk)
+        x = envelope.sample(rng, chunk)
         accept = rng.random(chunk) < (1.0 + x) ** (-(a + b))
         got = x[accept]
         take = min(got.size, n - filled)
@@ -556,7 +557,7 @@ def letac_check(alpha: float, beta: float, p: float, n: int, seed=0) -> KsResult
     if alpha <= 0 or p <= 0 or alpha + beta <= 0:
         raise ValueError("require alpha > 0, p > 0 and alpha + beta > 0")
     rng = rng_from_seed(seed)
-    x = rng.gamma(shape=alpha, scale=1.0 / p, size=n)
+    x = Gamma(alpha, p).sample(rng, n)
     y = sample_kummer(alpha + beta, -beta, p, n, rng)
     lhs = x / (1.0 + y)
     rhs = sample_kummer(alpha, beta, p, n, rng)

@@ -14,7 +14,6 @@ from scipy.integrate import quad
 from randchain import betaens, chain, lyapunov, schmidt, tridiag
 from randchain.chain import TYPE_I, TYPE_II, ChainSpec, Constant, Gamma, TwoPoint
 from randchain.exact import (
-    GammaChainParams,
     gamma1_coefficient,
     idos_exact,
     pure_chain,
@@ -81,7 +80,7 @@ def test_criterion_01_pure_chain_closed_forms():
 
 def test_criterion_02_exact_vs_empirical_idos():
     t0 = time.time()
-    p = GammaChainParams(1.0, 1.0)
+    p = Gamma(1.0, 1.0)
     xs = np.linspace(0.05, 6.0, 60)
     acc = np.zeros(xs.size)
     n_real = 50
@@ -104,7 +103,7 @@ def test_criterion_02_exact_vs_empirical_idos():
 
 
 def test_criterion_03_dyson_singularity():
-    p = GammaChainParams(1.0, 1.0)
+    p = Gamma(1.0, 1.0)
     probes = (1e-4, 1e-5, 1e-6)
     scaled = [idos_exact(p, x) * math.log(x) ** 2 for x in probes]
     worst_exact = max(abs(a / b - 1.0) for a in scaled for b in scaled)
@@ -254,7 +253,7 @@ def test_criterion_08_weak_disorder_idos():
     pure_half = pure_chain(2.0).idos
     worst_band = 0.0
     for n in (50, 100, 200):
-        p = GammaChainParams(float(n), float(n))
+        p = Gamma(float(n), float(n))
         corr_exact = idos_exact(p, 2.0) - pure_half
         corr_weak = weak_disorder_idos(n, 2.0) - pure_half
         worst_band = max(worst_band, abs(corr_exact - corr_weak) / corr_weak)
@@ -264,7 +263,7 @@ def test_criterion_08_weak_disorder_idos():
     # approach must be monotone across the smaller ones.
     ratios = []
     for n in (50, 100, 200):
-        p = GammaChainParams(float(n), float(n))
+        p = Gamma(float(n), float(n))
         d_exact = 1.0 - idos_exact(p, 4.0)
         d_weak = 1.0 - weak_disorder_idos(n, 4.0)
         ratios.append(d_exact / d_weak)

@@ -220,9 +220,10 @@ def test_log_exponent_gap_between_chain_and_ensemble():
     # Small-mu laws: the chain density falls like 1/(mu log^3 mu), the
     # ensemble like 1/(mu log^2 mu); the fitted log-log-log slopes must
     # differ by one within desk-scale accuracy.
-    from randchain.exact import GammaChainParams, dos_exact
+    from randchain.chain import Gamma
+    from randchain.exact import dos_exact
 
-    p = GammaChainParams(1.0, 1.0)
+    p = Gamma(1.0, 1.0)
     mus = np.geomspace(1e-8, 1e-4, 7)
     chain_dens = dos_exact(p, mus)
     ens_dens = np.array([con_density(1.0, float(m)) for m in mus])

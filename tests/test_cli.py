@@ -112,7 +112,7 @@ def test_exact_dos_negative_density_exits_numeric(tmp_path):
     assert run(argv) == EXIT_OK
     lines = (tmp_path / "exact_dos.csv").read_text().splitlines()
     mus = parse_grid("4:8:9")
-    expected = exact.dos_exact(exact.GammaChainParams(20.0, 20.0), mus)
+    expected = exact.dos_exact(chain.Gamma(20.0, 20.0), mus)
     assert np.all(expected > 0) and np.all(np.diff(expected) < 0)
     assert lines[1:] == [f"{m:.12g},{d:.12g}" for m, d in zip(mus, expected)]
 
@@ -176,6 +176,19 @@ def test_nodefrac_grid_matches_pointwise_node_fractions(tmp_path):
     assert rows == want
 
 
+def test_one_point_nodefrac_grid_writes_its_csv(tmp_path, capsys):
+    # A --grid of one point writes a one-row CSV, as pure and exact do;
+    # only a bare --x prints its number instead.
+    argv = ["schmidt", "--op", "nodefrac", "--law", "twopoint:1:2:0.3", "--samples", "3000", "--seed", "5"]
+    assert run([*argv, "--grid", "1.5:2:1", "--out", str(tmp_path / "grid")]) == EXIT_OK
+    assert not capsys.readouterr().out
+    rows = (tmp_path / "grid" / "schmidt_idos.csv").read_text().splitlines()
+    assert (tmp_path / "grid" / "schmidt_manifest.json").exists()
+    assert run([*argv, "--x", "1.5", "--out", str(tmp_path / "x")]) == EXIT_OK
+    assert rows == ["omega_sq,M", f"1.5,{capsys.readouterr().out.strip()}"]
+    assert not (tmp_path / "x").exists()
+
+
 def test_manifest_records_run(tmp_path):
     argv = [
         "scaling", "--grid=-2:2:5", "--out", str(tmp_path), "--prefix", "sc", "--seed", "3",
@@ -205,7 +218,7 @@ def test_exact_csv_matches_pointwise_calls(tmp_path, what, header, fn):
     assert run(argv) == EXIT_OK
     lines = (tmp_path / f"exact_{what}.csv").read_text().splitlines()
     xs = np.array([0.5, 1.0])
-    vals = getattr(exact, fn)(exact.GammaChainParams(1.0, 1.0), xs)
+    vals = getattr(exact, fn)(chain.Gamma(1.0, 1.0), xs)
     assert lines == [header] + [f"{x:.12g},{v:.12g}" for x, v in zip(xs, vals)]
 
 
@@ -310,26 +323,33 @@ def test_exact_nonfinite_parameters_are_usage_errors(tmp_path, capsys, flags):
     assert not list(tmp_path.iterdir())
 
 
-def test_lyapunov_nonfinite_estimate_exits_numeric(tmp_path, capsys):
-    # omega^2 m / K overflows for K = 1e-320: no CSV of NaNs is written.
+def test_lyapunov_nonfinite_estimate_exits_numeric(tmp_path):
+    # omega^2 m / K overflows for K = 1e-320: no CSV of NaNs is written, and
+    # stderr holds the one numeric error, no numpy warning.  A fresh
+    # interpreter under -W error shows that; pytest would capture warnings.
     argv = ["lyapunov", "--model", "type2", "--law", "const:1", "--grid", "1:2:2", "--steps", "5000",
             "--spring-k", "1e-320", "--out", str(tmp_path)]
-    with np.errstate(all="ignore"):
-        assert run(argv) == EXIT_NUMERIC
-    assert "non-finite" in capsys.readouterr().err
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    proc = subprocess.run([sys.executable, "-W", "error", "-m", "randchain.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == EXIT_NUMERIC
+    err = proc.stderr.splitlines()
+    assert len(err) == 1 and err[0].startswith("numeric error:") and "non-finite" in err[0], err
     assert not (tmp_path / "lyapunov_gamma.csv").exists()
 
 
 @pytest.mark.parametrize("model", ["type1", "type2"])
-def test_lyapunov_rejects_signed_law_for_sprung_chains(tmp_path, model):
-    # Masses and couplings must be positive: a Gaussian law is refused
-    # before any draw, so no CSV of NaNs or of negative masses is written.
+def test_lyapunov_rejects_signed_law_for_sprung_chains(tmp_path, capsys, model):
+    # Masses and couplings must be positive: a Gaussian law is a usage
+    # error known before any draw, so no CSV of NaNs or of negative masses
+    # is written.
     argv = [
         "lyapunov", "--model", model, "--law", "gauss:1",
         "--grid", "0.5:3:2", "--steps", "20000", "--out", str(tmp_path),
     ]
-    assert run(argv) == EXIT_NUMERIC
-    assert not (tmp_path / "lyapunov_gamma.csv").exists()
+    assert run(argv) == EXIT_USAGE
+    assert "usage error" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
 
 
 def test_betaens_csv(tmp_path):
@@ -359,7 +379,7 @@ def test_dos_overlays_exact_at_non_integer_alpha_on_the_whittaker_route(tmp_path
     assert lines[0] == "mu,D_empirical,D_exact"
     edges = parse_grid("0.1:3:5")
     centers = 0.5 * (edges[1:] + edges[:-1])
-    expected = exact.dos_exact(exact.GammaChainParams(1.5, 1.0), centers)
+    expected = exact.dos_exact(chain.Gamma(1.5, 1.0), centers)
     rows = [r.split(",") for r in lines[1:]]
     assert [r[0] for r in rows] == [f"{v:.12g}" for v in centers]
     assert [r[2] for r in rows] == [f"{v:.12g}" for v in expected]
@@ -374,7 +394,7 @@ def test_dos_overlays_exact_at_every_gamma_law(tmp_path):
     lines = (tmp_path / "dos_dos.csv").read_text().splitlines()
     assert lines[0] == "mu,D_empirical,D_exact"
     edges = parse_grid("0.1:3:5")
-    expected = exact.dos_exact(exact.GammaChainParams(1.5, 50.0), 0.5 * (edges[1:] + edges[:-1]))
+    expected = exact.dos_exact(chain.Gamma(1.5, 50.0), 0.5 * (edges[1:] + edges[:-1]))
     assert [r.split(",")[2] for r in lines[1:]] == [f"{v:.12g}" for v in expected]
 
 

@@ -1,12 +1,14 @@
-"""Smoke tests of three scripts under docs/ whose tables back the ledger.
+"""Smoke tests of the scripts under docs/ whose tables back the ledger.
 
+Every docs/*.py script is imported (not run), so a name it imports that
+the package no longer has fails here in seconds.  Three of them also
+run on small inputs, so that a change that breaks one shows:
 docs/sturm_lanes.py times the loop shapes behind
 tridiag._FLOAT_LOOP_LANES; with --against it loads a second tridiag.py
 inside the randchain package.  docs/coalescence.py gives the
 coalescence distances behind the verified blocks' lengths
 (tridiag._BLOCK_SITES and _BLOCK_MIN).  docs/import_cost.py times the
-imports behind ledgers D5 and D14.  Each runs here on small inputs, so
-that a change that breaks one shows.
+imports behind ledgers D5 and D14.
 """
 
 import os
@@ -17,6 +19,18 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
+SCRIPTS = sorted(ROOT.glob("docs/*.py"))
+
+
+def _env():
+    return {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+
+
+@pytest.mark.parametrize("script", SCRIPTS, ids=[path.stem for path in SCRIPTS])
+def test_docs_script_imports(script):
+    code = f"import runpy; runpy.run_path({str(script)!r}, run_name='docs_script')"
+    proc = subprocess.run([sys.executable, "-c", code], cwd=ROOT, env=_env(), capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 @pytest.mark.parametrize("args", [
@@ -25,8 +39,7 @@ ROOT = Path(__file__).resolve().parents[1]
     ["docs/import_cost.py", "--repeats", "1"],
 ], ids=["sturm_lanes", "coalescence", "import_cost"])
 def test_docs_script_prints_a_table(args):
-    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
-    proc = subprocess.run([sys.executable, *args], cwd=ROOT, env=env, capture_output=True, text=True, timeout=300)
+    proc = subprocess.run([sys.executable, *args], cwd=ROOT, env=_env(), capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     lines = [line for line in proc.stdout.splitlines() if line.startswith("|")]
     # A header, its |---| rule and at least one row.

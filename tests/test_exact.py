@@ -11,7 +11,6 @@ from scipy.integrate import quad
 
 from randchain import chain, exact, specfun
 from randchain.exact import (
-    GammaChainParams,
     dos_exact,
     dyson_head,
     gamma1_coefficient,
@@ -34,7 +33,7 @@ from randchain.exact import (
 def test_k_alpha_exponential_integral_value():
     # alpha = kappa = x = 1 reduces to e E_1(1) = 0.596347...
     oracle = math.e * sp.exp1(1.0)
-    assert k_alpha(GammaChainParams(1.0, 1.0), 1.0) == pytest.approx(oracle, rel=1e-10)
+    assert k_alpha(chain.Gamma(1.0, 1.0), 1.0) == pytest.approx(oracle, rel=1e-10)
 
 
 def test_k1_large_x_asymptote():
@@ -42,7 +41,7 @@ def test_k1_large_x_asymptote():
     # (The expansion E_1(z) = -gamma - log z + O(z) fixes the sign of the
     # constant term.)
     x = 1e6
-    got = k_alpha(GammaChainParams(1.0, 1.0), x)
+    got = k_alpha(chain.Gamma(1.0, 1.0), x)
     assert got == pytest.approx(math.log(x) - 0.5772156649015329, rel=1e-2)
     assert got == pytest.approx(math.e ** (1.0 / x) * sp.exp1(1.0 / x), rel=1e-9)
 
@@ -58,7 +57,7 @@ def test_k_alpha_monte_carlo_oracle():
     w = (1.0 + t) ** (-alpha) * np.exp(-t * (kappa / x - 1.0))
     est = math.gamma(alpha) * w.mean()
     se = math.gamma(alpha) * w.std() / math.sqrt(w.size)
-    assert abs(k_alpha(GammaChainParams(alpha, kappa), x) - est) < 3.0 * se
+    assert abs(k_alpha(chain.Gamma(alpha, kappa), x) - est) < 3.0 * se
 
 
 def test_k_alpha_small_shape_substitution():
@@ -72,28 +71,28 @@ def test_k_alpha_small_shape_substitution():
         30.0,
         limit=300,
     )[0]
-    assert k_alpha(GammaChainParams(alpha, kappa), x) == pytest.approx(oracle, rel=1e-8)
+    assert k_alpha(chain.Gamma(alpha, kappa), x) == pytest.approx(oracle, rel=1e-8)
 
 
 @pytest.mark.parametrize("alpha, x", [(0.5, 0.3), (1.0, 1.0), (3.0, 2.5), (20.0, 0.1)])
 def test_omega_exact_is_twice_l_over_k(alpha, x):
-    p = GammaChainParams(alpha, 1.0)
+    p = chain.Gamma(alpha, 1.0)
     assert omega_exact(p, x) == pytest.approx(2.0 * l_alpha(p, x) / k_alpha(p, x), rel=1e-13)
 
 
 def test_omega_exact_vanishes_at_zero():
-    assert omega_exact(GammaChainParams(1.0, 1.0), 1e-12) == pytest.approx(0.0, abs=1e-10)
+    assert omega_exact(chain.Gamma(1.0, 1.0), 1e-12) == pytest.approx(0.0, abs=1e-10)
 
 
 def test_omega_exact_large_alpha_hits_pure_value():
-    got = omega_exact(GammaChainParams(200.0, 200.0), 2.0)
+    got = omega_exact(chain.Gamma(200.0, 200.0), 2.0)
     assert abs(got - 2.0 * math.log(2.0)) < 0.01
 
 
 def test_omega_exact_converges_to_pure_pointwise():
     gaps = []
     for n in (25, 50, 100, 200):
-        p = GammaChainParams(float(n), float(n))
+        p = chain.Gamma(float(n), float(n))
         gap = max(abs(omega_exact(p, x) - pure_chain(x).omega) for x in (0.5, 1.0, 2.0))
         gaps.append(gap * n)
     # gap <= C / alpha with a stable constant
@@ -101,14 +100,14 @@ def test_omega_exact_converges_to_pure_pointwise():
 
 
 def test_stationary_density_normalised():
-    p = GammaChainParams(1.5, 1.0)
+    p = chain.Gamma(1.5, 1.0)
     val = quad(lambda t: gamma_chain_density(p, 1.3, t), 0.0, np.inf, limit=300)[0]
     assert val == pytest.approx(1.0, abs=1e-8)
 
 
 def test_stationary_density_at_large_alpha_and_small_x():
     # The numerator and K both underflow here, so the quotient is taken in logs.
-    p = GammaChainParams(1000.0, 2.0)
+    p = chain.Gamma(1000.0, 2.0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         far = gamma_chain_density(p, 1e-8, 0.7)
@@ -139,7 +138,7 @@ def test_omega_exact_matches_mpmath_c_derivative(log_alpha, log_kappa, log_x):
     # to converge at alpha past about 180, so large alpha is checked at
     # fixed points where it is fast.
     alpha, kappa, x = math.exp(log_alpha), math.exp(log_kappa), math.exp(log_x)
-    got = omega_exact(GammaChainParams(alpha, kappa), x)
+    got = omega_exact(chain.Gamma(alpha, kappa), x)
     assert got == pytest.approx(_omega_mpmath(alpha, kappa, x), rel=1e-12, abs=0)
 
 
@@ -147,14 +146,14 @@ def test_omega_exact_far_past_the_plateau_scale():
     # At x / kappa = 1e12 the integrand is flat over 28 units of log u,
     # where a step of 1/32 alone left Omega 6.8e-11 and 3.6e-9 off.
     for alpha, kappa in ((1.0, 1.0), (100.0, 0.5)):
-        got = omega_exact(GammaChainParams(alpha, kappa), 1e12 * kappa)
+        got = omega_exact(chain.Gamma(alpha, kappa), 1e12 * kappa)
         assert got == pytest.approx(_omega_mpmath(alpha, kappa, 1e12 * kappa), rel=1e-12, abs=0)
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf"), 0.0, -1.0, np.array([]),
                                  np.array([[1.0, 2.0], [float("nan"), 3.0]])])
 def test_positive_argument_integrals_refuse_bad_x(bad):
-    p = GammaChainParams(1.0, 1.0)
+    p = chain.Gamma(1.0, 1.0)
     for f in (omega_exact, k_alpha, l_alpha, lambda p, x: gamma_chain_density(p, x, 0.5)):
         with pytest.raises(ValueError, match="x must be positive and finite"):
             f(p, bad)
@@ -168,13 +167,13 @@ def test_omega_exact_refuses_x_past_the_doubles():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="overflow"):
-            omega_exact(GammaChainParams(1.0, 1.0), 1e307)
+            omega_exact(chain.Gamma(1.0, 1.0), 1e307)
 
 
 def test_positive_argument_integrals_take_arrays_bitwise():
     # The points of one call reach to different depths and, at x = 1e6,
     # take a shorter step; each keeps the bits of its own scalar call.
-    p = GammaChainParams(0.7, 1.3)
+    p = chain.Gamma(0.7, 1.3)
     xs = np.array([[1e-8, 0.05, 3.0], [1e3, 2.0, 1e6]])
     for f in (omega_exact, k_alpha, l_alpha, lambda p, x: gamma_chain_density(p, x, 0.4)):
         assert isinstance(f(p, 2.0), float)
@@ -230,18 +229,18 @@ def test_idos_matches_mpmath_c_derivative(alpha, kappa):
     # Down to x = 1e-12, where the lip solve's anchor carries the singular head.
     xs = np.array([1e-12, 1e-8, 1e-6, 0.5, 3.0])
     ref = np.array([_idos_mpmath_dc(alpha, kappa, float(x)) for x in xs])
-    np.testing.assert_allclose(idos_exact(GammaChainParams(alpha, kappa), xs), ref, rtol=0, atol=1e-9)
+    np.testing.assert_allclose(idos_exact(chain.Gamma(alpha, kappa), xs), ref, rtol=0, atol=1e-9)
 
 
 @pytest.mark.parametrize("alpha,kappa,x", [(1.5, 1.0, 0.01), (2.5, 2.0, 1.3), (0.5, 1.0, 3.0),
                                            (4.5, 1.0, 1.3), (7.5, 2.0, 3.0)])
 def test_idos_non_integer_alpha_matches_mpmath(alpha, kappa, x):
     # The lip solve takes any alpha.
-    assert abs(idos_exact(GammaChainParams(alpha, kappa), x) - _idos_mpmath(alpha, kappa, x)) <= 1e-6
+    assert abs(idos_exact(chain.Gamma(alpha, kappa), x) - _idos_mpmath(alpha, kappa, x)) <= 1e-6
 
 
 def test_idos_non_integer_alpha_matches_empirical():
-    p = GammaChainParams(1.5, 1.5)
+    p = chain.Gamma(1.5, 1.5)
     xs = np.array([0.3, 2.0, 4.5])
     hs = [chain.anderson_hopping(chain.ChainSpec(chain.TYPE_I, 2001, chain.Gamma(1.5, 1.5), seed=(650, s)))
           for s in range(10)]
@@ -255,7 +254,7 @@ def test_whittaker_route_matches_contour_route(alpha, kappa):
     # M, D and gamma against the mpmath c-derivatives, at the points where
     # the lip solve agreed with the former contour route within 9.7e-8
     # (ledger D10).
-    p = GammaChainParams(alpha, kappa)
+    p = chain.Gamma(alpha, kappa)
     xs = np.array([1e-6, 1e-3, 0.05, 0.5, 1.5, 3.0, 4.5, 6.0])
     m_ref = np.array([_idos_mpmath_dc(alpha, kappa, float(x)) for x in xs])
     d_ref = np.array([_dos_mpmath_dc(alpha, kappa, float(x)) for x in xs])
@@ -272,8 +271,8 @@ def test_dos_where_v_leaves_the_doubles(mu):
     # 720, 0 from about 746), and no overflow warning is raised.
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        got = dos_exact(GammaChainParams(1.0, 1.0), mu)
-        assert idos_exact(GammaChainParams(1.0, 1.0), mu) == pytest.approx(1.0, abs=1e-14)
+        got = dos_exact(chain.Gamma(1.0, 1.0), mu)
+        assert idos_exact(chain.Gamma(1.0, 1.0), mu) == pytest.approx(1.0, abs=1e-14)
         assert specfun.whittaker_dc(1.0, mu)[0] == got
     assert got == pytest.approx(_dos_mpmath_dc(1.0, 1.0, mu), rel=1e-10, abs=1e-323)
 
@@ -281,11 +280,11 @@ def test_dos_where_v_leaves_the_doubles(mu):
 def test_routes_by_shape_and_range():
     # A scalar gives a float and an array an array of its shape.  Beyond
     # kappa x = 100 the one route takes non-integer alpha as well.
-    p = GammaChainParams(1.5, 1.0)
+    p = chain.Gamma(1.5, 1.0)
     assert isinstance(idos_exact(p, 0.5), float) and isinstance(dos_exact(p, 0.5), float)
     xs = np.array([[0.5, 2.0], [1.0, 0.5]])
     assert idos_exact(p, xs).shape == dos_exact(p, xs).shape == xs.shape
-    assert abs(idos_exact(GammaChainParams(4.5, 30.0), 4.0) - _idos_mpmath_dc(4.5, 30.0, 4.0)) <= 1e-10
+    assert abs(idos_exact(chain.Gamma(4.5, 30.0), 4.0) - _idos_mpmath_dc(4.5, 30.0, 4.0)) <= 1e-10
     d_ref = [_dos_mpmath_dc(1.5, 1.0, 1.0), _dos_mpmath_dc(1.5, 1.0, 101.0)]
     np.testing.assert_allclose(dos_exact(p, np.array([1.0, 101.0])), d_ref, rtol=1e-10, atol=0)
     for bad in (0.0, -1.0, np.array([1.0, float("nan")])):
@@ -294,7 +293,7 @@ def test_routes_by_shape_and_range():
     # lyapunov_exact takes the same route at x = omega^2.
     assert isinstance(lyapunov_exact(p, 0.5), float)
     assert lyapunov_exact(p, xs).shape == xs.shape
-    assert abs(lyapunov_exact(GammaChainParams(4.5, 30.0), 4.0) - _gamma_mpmath_dc(4.5, 30.0, 4.0)) <= 1e-10
+    assert abs(lyapunov_exact(chain.Gamma(4.5, 30.0), 4.0) - _gamma_mpmath_dc(4.5, 30.0, 4.0)) <= 1e-10
     for bad in (0.0, -1.0, float("nan"), float("inf"), np.array([1.0, float("nan")])):
         with pytest.raises(ValueError):
             lyapunov_exact(p, bad)
@@ -334,19 +333,19 @@ def test_lyapunov_matches_mpmath_c_derivative(alpha, kappa):
     # In the band and beyond its edge at omega^2 = 4, at non-integer alpha.
     w2 = np.array([0.3, 2.0, 3.9, 6.0, 9.0])
     ref = np.array([_gamma_mpmath_dc(alpha, kappa, float(w)) for w in w2])
-    np.testing.assert_allclose(lyapunov_exact(GammaChainParams(alpha, kappa), w2), ref, rtol=0, atol=1e-9)
+    np.testing.assert_allclose(lyapunov_exact(chain.Gamma(alpha, kappa), w2), ref, rtol=0, atol=1e-9)
 
 
 def test_lyapunov_near_band_centre():
     # The exponent vanishes at the band centre and stays positive next to it.
-    assert np.all(lyapunov_exact(GammaChainParams(3.0, 3.0), np.array([1e-300, 1e-100])) > 0)
-    got = lyapunov_exact(GammaChainParams(1.0, 1.0), 1e-12)
+    assert np.all(lyapunov_exact(chain.Gamma(3.0, 3.0), np.array([1e-300, 1e-100])) > 0)
+    got = lyapunov_exact(chain.Gamma(1.0, 1.0), 1e-12)
     assert abs(got - _gamma_mpmath_dc(1.0, 1.0, 1e-12)) <= 1e-9
 
 
 def test_idos_beyond_band_edge_at_alpha_twenty():
     # kappa x = 100, beyond the band edge.
-    got = idos_exact(GammaChainParams(20.0, 20.0), 5.0)
+    got = idos_exact(chain.Gamma(20.0, 20.0), 5.0)
     assert abs(got - _idos_mpmath_dc(20.0, 20.0, 5.0)) <= 1e-10
 
 
@@ -354,13 +353,13 @@ def test_idos_beyond_band_edge_at_alpha_twenty():
 def test_idos_beyond_band_edge_at_large_alpha(alpha, x):
     # kappa x = 225 and 500, at a cost that does not grow with alpha.  At
     # (200, 6) mpmath takes 15 s and gives M = 1 to double precision.
-    got = idos_exact(GammaChainParams(alpha, alpha), x)
+    got = idos_exact(chain.Gamma(alpha, alpha), x)
     assert abs(got - _idos_mpmath_dc(alpha, alpha, x)) <= 1e-10
 
 
 def test_dos_beyond_band_edge_at_alpha_twenty():
     # kappa mu = 140, where D is 3.6e-13.
-    got = dos_exact(GammaChainParams(20.0, 20.0), 7.0)
+    got = dos_exact(chain.Gamma(20.0, 20.0), 7.0)
     assert got == pytest.approx(_dos_mpmath_dc(20.0, 20.0, 7.0), rel=1e-10, abs=0)
 
 
@@ -368,24 +367,24 @@ def test_dos_beyond_band_edge_at_alpha_twenty():
                                         (math.inf, 1.0), (1.0, math.inf)])
 def test_gamma_params_reject_nonpositive_and_nonfinite(alpha, rate):
     with pytest.raises(ValueError):
-        GammaChainParams(alpha, rate)
+        chain.Gamma(alpha, rate)
 
 
 @pytest.mark.parametrize("alpha,kappa", [(1.0, 1.0), (2.0, 2.0), (3.0, 1.5), (1.0, 3.0)])
 def test_dyson_head_matches_contour_route(alpha, kappa):
     # Against the mpmath c-derivative, which shares nothing with the closed form.
-    p = GammaChainParams(alpha, kappa)
+    p = chain.Gamma(alpha, kappa)
     for x, bound in ((1e-4, 1e-3), (1e-6, 1e-5), (1e-8, 1e-7)):
         assert abs(dyson_head(p, x) / _idos_mpmath_dc(alpha, kappa, x) - 1.0) <= bound, x
 
 
 def test_idos_large_alpha_half_at_band_centre():
-    got = idos_exact(GammaChainParams(200.0, 200.0), 2.0)
+    got = idos_exact(chain.Gamma(200.0, 200.0), 2.0)
     assert abs(got - 0.5) < 5e-3
 
 
 def test_idos_dyson_singularity_scaling():
-    p = GammaChainParams(1.0, 1.0)
+    p = chain.Gamma(1.0, 1.0)
     xs = np.array([1e-4, 1e-5, 1e-6])
     vals = dict(zip(xs, idos_exact(p, xs) * np.log(xs) ** 2))
     for a in vals.values():
@@ -394,7 +393,7 @@ def test_idos_dyson_singularity_scaling():
 
 
 def test_idos_monotone_and_bounded():
-    p = GammaChainParams(1.0, 1.0)
+    p = chain.Gamma(1.0, 1.0)
     xs = np.geomspace(1e-3, 8.0, 25)
     vals = list(idos_exact(p, xs))
     assert all(0.0 <= v <= 1.0 for v in vals)
@@ -409,7 +408,7 @@ def test_idos_clamp_magnitude_is_tiny():
 
 
 def test_idos_matches_empirical_spot_check():
-    p = GammaChainParams(1.0, 1.0)
+    p = chain.Gamma(1.0, 1.0)
     xs = np.array([0.5, 2.0, 5.0])
     acc = np.zeros(xs.size)
     n_real = 12
@@ -424,7 +423,7 @@ def test_idos_matches_empirical_spot_check():
 def test_idos_matches_empirical_at_alpha_three():
     # The continuation handles every positive integer order of the pole;
     # spot-check a mid-range shape against diagonalization.
-    p = GammaChainParams(3.0, 3.0)
+    p = chain.Gamma(3.0, 3.0)
     xs = np.array([0.3, 2.0, 4.5])
     acc = np.zeros(xs.size)
     n_real = 10
@@ -440,7 +439,7 @@ def test_dos_carries_unit_mass_up_to_singular_head():
     # The density integrates to one; below the cut the mass follows the
     # 1/(log x)^2 law of the integrated density, so the body accounts for
     # 1 - M(cut).  The body is an 80-node Gauss-Legendre rule in log mu.
-    p = GammaChainParams(2.0, 2.0)
+    p = chain.Gamma(2.0, 2.0)
     cut = 1e-3
     nodes, weights = np.polynomial.legendre.leggauss(80)
     half = 0.5 * math.log(12.0 / cut)
@@ -450,7 +449,7 @@ def test_dos_carries_unit_mass_up_to_singular_head():
 
 
 def test_dos_matches_idos_finite_difference():
-    p = GammaChainParams(1.0, 1.0)
+    p = chain.Gamma(1.0, 1.0)
     h = 1e-4
     mus = np.array([0.8, 1.7, 2.9])
     m = idos_exact(p, np.concatenate([mus - h, mus + h]))
@@ -515,7 +514,7 @@ def test_gamma1_coefficient_values():
 def test_gamma1_coefficient_matches_exact_solution(w2):
     # alpha * gamma from the continued Omega at alpha = 200.  The rejected
     # coefficient 1/(8 (4/omega^2 - 1)) is off here by 8x, 4x and 4/3x.
-    gamma = lyapunov_exact(GammaChainParams(200.0, 200.0), w2)
+    gamma = lyapunov_exact(chain.Gamma(200.0, 200.0), w2)
     assert abs(200.0 * gamma / gamma1_coefficient(w2) - 1.0) < 0.03
 
 
@@ -526,5 +525,5 @@ def test_gamma1_agrees_with_lattice_form_near_edge():
     # alpha = 200, where alpha * gamma is still 9 % low, and 4.3 at
     # alpha = 400, where the gap is 2 %.
     alpha = 400.0
-    gamma = lyapunov_exact(GammaChainParams(alpha, alpha), 3.9)
+    gamma = lyapunov_exact(chain.Gamma(alpha, alpha), 3.9)
     assert abs(alpha * gamma / gamma1_coefficient(3.9) - 1.0) < 0.03

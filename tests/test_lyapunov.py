@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from randchain.chain import (
     GaussianPotential,
     TwoPoint,
 )
-from randchain.exact import GammaChainParams, lyapunov_exact
+from randchain.exact import lyapunov_exact
 from randchain.lyapunov import (
     LyapunovEstimate,
     band_edge_collapse,
@@ -200,13 +201,13 @@ def test_anderson_band_centre_weak_disorder():
 def test_type1_gamma_chain_matches_exact_solution(w2):
     # The real part of the continued Omega gives the exponent in closed form.
     est = transfer_lyapunov(TYPE_I, Gamma(3.0, 3.0), w2, 10**6, seed=0)
-    assert abs(est.gamma - lyapunov_exact(GammaChainParams(3.0, 3.0), w2)) < 4.0 * est.stderr
+    assert abs(est.gamma - lyapunov_exact(Gamma(3.0, 3.0), w2)) < 4.0 * est.stderr
 
 
 def test_type1_gamma_chain_exact_solution_rate():
     # A rate other than the shape enters the exponent as + log(rate) / 2.
     est = transfer_lyapunov(TYPE_I, Gamma(3.0, 1.5), 1.0, 10**6, seed=0)
-    assert abs(est.gamma - lyapunov_exact(GammaChainParams(3.0, 1.5), 1.0)) < 4.0 * est.stderr
+    assert abs(est.gamma - lyapunov_exact(Gamma(3.0, 1.5), 1.0)) < 4.0 * est.stderr
 
 
 @pytest.mark.parametrize("kind, law", [(ANDERSON, GaussianPotential(0.1)), (TYPE_II, Constant(1.0))])
@@ -219,9 +220,16 @@ def test_transfer_lyapunov_rejects_nonfinite_values(kind, law, bad):
 
 
 def test_transfer_lyapunov_nonfinite_estimate_is_an_error():
-    # omega^2 m / K overflows: every step coefficient is -inf.
-    with np.errstate(all="ignore"), pytest.raises(ArithmeticError):
-        transfer_lyapunov(TYPE_II, Constant(1.0), 1.0, 5000, spring_k=1e-320)
+    # omega^2 m / K overflows: every step coefficient is -inf.  A gamma law
+    # of shape 1e-300 draws zero couplings, and type I divides by them.
+    # The sweep emits no numpy warning of its own: with warnings turned
+    # into errors, the refusal is still the ArithmeticError.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ArithmeticError, match="non-finite"):
+            transfer_lyapunov(TYPE_II, Constant(1.0), 1.0, 5000, spring_k=1e-320)
+        with pytest.raises(ArithmeticError, match="non-finite"):
+            transfer_lyapunov(TYPE_I, Gamma(1e-300, 1.0), np.array([1.0, 2.0]), 2000)
 
 
 def _reference_lyapunov(kind, law, value, n_steps, seed, spring_k, n_blocks, burn_in):

@@ -298,10 +298,10 @@ _ULP_1 = float(np.nextafter(1.0, 2.0))
         (lambda m: np.stack(sf.whittaker_dc(1.0, m)), [0.1, _ULP_01]),
         (lambda m: sf.whittaker_msq(1.0, m), [0.1, _ULP_01, 0.5]),
         (lambda m: betaens.con_density(1.0, m), [0.1, _ULP_01, 0.5]),
-        (lambda m: exact.dos_exact(exact.GammaChainParams(1.0, 0.1), m), [1.0, _ULP_1, 3.0]),
-        (lambda m: exact.idos_exact(exact.GammaChainParams(1.0, 0.1), m), [1.0, _ULP_1]),
-        (lambda m: exact.lyapunov_exact(exact.GammaChainParams(1.0, 0.1), m), [1.0, _ULP_1]),
-        (lambda m: exact.idos_exact(exact.GammaChainParams(1.0, 3.0), m), [0.1, _ULP_01]),
+        (lambda m: exact.dos_exact(chain.Gamma(1.0, 0.1), m), [1.0, _ULP_1, 3.0]),
+        (lambda m: exact.idos_exact(chain.Gamma(1.0, 0.1), m), [1.0, _ULP_1]),
+        (lambda m: exact.lyapunov_exact(chain.Gamma(1.0, 0.1), m), [1.0, _ULP_1]),
+        (lambda m: exact.idos_exact(chain.Gamma(1.0, 3.0), m), [0.1, _ULP_01]),
     ],
     ids=["cdf", "dc", "msq", "con_density", "dos_exact", "idos_exact", "lyapunov_exact", "idos_exact_rate3"],
 )
