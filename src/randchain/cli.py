@@ -10,6 +10,12 @@ a failing command leaves no output.  Identical arguments and seed
 produce byte-identical CSV files.
 
 Exit codes: 0 success, 2 usage error, 3 numeric failure, 4 I/O failure.
+The library refuses each bad value itself, and run() maps the exception
+class: a ValueError (a value the library refuses, or a UsageError from
+the few checks only the front end can make) is a usage error, and an
+ArithmeticError (a computation that fails, such as a WhittakerError, a
+non-finite Lyapunov estimate or a leaking schmidt.GridError) is a
+numeric error.
 """
 
 from __future__ import annotations
@@ -24,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, betaens, chain, exact, lyapunov, schmidt, specfun, tridiag
-from .specfun import ROTATED_DOS_MAX, SCALING_RANGE, scaling_dos, scaling_dos_rotated, scaling_f, scaling_f_rotated
+from .specfun import scaling_dos, scaling_dos_rotated, scaling_f, scaling_f_rotated
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -51,7 +57,7 @@ _BETAENS_BLOCK_ELEMENTS = 1 << 22
 
 
 class UsageError(ValueError):
-    """A malformed command-line value; run() maps it to EXIT_USAGE."""
+    """A malformed command-line value; run() maps it, as every ValueError, to EXIT_USAGE."""
 
 
 def parse_grid(spec: str) -> np.ndarray:
@@ -139,28 +145,19 @@ def _write_outputs(args, tables: list) -> None:
 def cmd_pure(args) -> list:
     what = args.what
     if args.x is not None:
-        if not args.x >= 0:
-            raise UsageError("pure takes x >= 0")
         print(f"{getattr(exact.pure_chain(args.x), what):.12g}")
         return []
     if args.grid is None:
         raise UsageError("pure needs --x or --grid")
     xs = parse_grid(args.grid)
-    if not np.all(xs >= 0):
-        raise UsageError("pure takes x >= 0")
     col = np.array([getattr(exact.pure_chain(float(x)), what) for x in xs])
     name = {"xi": "xi", "omega": "Omega", "dos": "D", "idos": "M"}[what]
     return [(what, ["x", name], [xs, col])]
 
 
 def cmd_exact(args) -> list:
-    try:
-        p = chain.Gamma(args.alpha, args.kappa)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    p = chain.Gamma(args.alpha, args.kappa)
     xs = parse_grid(args.grid)
-    if not np.all(xs > 0):
-        raise UsageError("exact takes x > 0")
     if args.what == "omega":
         return [("omega", ["x", "Omega"], [xs, exact.omega_exact(p, xs)])]
     if args.what == "dos":
@@ -170,20 +167,13 @@ def cmd_exact(args) -> list:
 
 def cmd_schmidt(args) -> list:
     law = parse_law(args.law)
-    if isinstance(law, chain.GaussianPotential):
-        raise UsageError("schmidt needs a positive law, not a signed potential")
+    # Checked for every --op: some ops never hand these to the library.
     if args.samples < 1 or args.burn_in < 0:
         raise UsageError("need --samples >= 1 and --burn-in >= 0")
-    if args.iters < 1:
-        raise UsageError("--iters must be at least 1")
     if not args.spring_k > 0:
         raise UsageError("--spring-k must be positive")
-    if (args.op in ("omega", "omega2") or args.op == "density" and args.kind == "xi") and not args.x > 0:
-        raise UsageError("--x must be positive")
     if args.op == "density" and args.grid is None:
         raise UsageError("--op density needs --grid")
-    if args.op == "density" and args.kind == "ratio2" and not isinstance(law, (chain.Constant, chain.TwoPoint)):
-        raise UsageError("--kind ratio2 needs a const or twopoint law")
     if args.op == "omega":
         val = schmidt.omega_mc(schmidt.XiTypeI(args.x), law, args.samples, seed=args.seed, burn_in=args.burn_in)
         print(f"{val:.12g}")
@@ -194,8 +184,6 @@ def cmd_schmidt(args) -> list:
         return []
     if args.op == "nodefrac":
         grid = parse_grid(args.grid) if args.grid else np.array([args.x])
-        if not np.all(grid >= 0):
-            raise UsageError("nodefrac takes omega_sq >= 0")
         vals = schmidt.idos_node_fraction(law, args.spring_k, grid, args.samples, seed=args.seed)
         if not args.grid:
             print(f"{vals[0]:.12g}")
@@ -212,15 +200,7 @@ def cmd_schmidt(args) -> list:
 def cmd_lyapunov(args) -> list:
     law = parse_law(args.law)
     kind = {"type1": chain.TYPE_I, "type2": chain.TYPE_II, "anderson": chain.ANDERSON}[args.model]
-    if kind != chain.ANDERSON and isinstance(law, chain.GaussianPotential):
-        raise UsageError("sprung chains need a positive --law, not a signed potential")
     grid = parse_grid(args.grid)
-    if args.steps < lyapunov.MIN_STEPS:
-        raise UsageError(f"--steps must be at least {lyapunov.MIN_STEPS}")
-    if not args.spring_k > 0:
-        raise UsageError("--spring-k must be positive")
-    if kind == chain.TYPE_I and np.any(grid < 0):
-        raise UsageError("type I chains take omega_sq >= 0")
     # Grid point i draws from the seed (seed, i).
     ests = lyapunov.transfer_lyapunov(kind, law, grid, args.steps, seed=args.seed, spring_k=args.spring_k)
     label = "E" if kind == chain.ANDERSON else "omega_sq"
@@ -230,19 +210,12 @@ def cmd_lyapunov(args) -> list:
 
 def cmd_scaling(args) -> list:
     xs = parse_grid(args.grid)
-    if np.max(np.abs(xs)) > SCALING_RANGE:
-        raise UsageError(f"scaling grid must lie within |x| <= {SCALING_RANGE:g}")
-    if np.max(xs) > ROTATED_DOS_MAX:
-        raise UsageError(f"scaling grid must end at or below {ROTATED_DOS_MAX:g}: dos_scale_rotated is noise beyond")
     columns = [xs, scaling_f(xs), scaling_f_rotated(xs), scaling_dos(xs), scaling_dos_rotated(xs)]
     return [("scaling", ["x", "F", "F_rotated", "dos_scale", "dos_scale_rotated"], columns)]
 
 
 def cmd_betaens(args) -> list:
-    try:
-        spec = betaens.BetaEnsembleSpec(args.pairs, beta=args.beta, c=args.c_over_n)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    spec = betaens.BetaEnsembleSpec(args.pairs, beta=args.beta, c=args.c_over_n)
     if args.samples < 1:
         raise UsageError("--samples must be at least 1")
     # One batched bisection per block of samples, spectra in sample order.
@@ -521,10 +494,10 @@ def run(argv: list[str]) -> int:
     try:
         _write_outputs(args, args.func(args))
         return EXIT_OK
-    except UsageError as exc:
+    except ValueError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (ValueError, ArithmeticError) as exc:
+    except ArithmeticError as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except OSError as exc:

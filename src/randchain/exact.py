@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chain import Gamma
-from .specfun import _as_result, _whittaker_lambda
+from .specfun import _as_result, _whittaker_lambda, whittaker_dc
 
 __all__ = [
     "PureChainValues",
@@ -193,8 +193,9 @@ def dos_exact(p: Gamma, mu):
     """Density of states D(mu), at a scalar or an array of mu as idos_exact, from the same lip solve.
 
     D = 2 kappa Re Lambda / (mu |V|^2) = kappa d/dc [c D_c(kappa mu)] at c = alpha.
+    WhittakerError is raised where D leaves the doubles, as whittaker_dc.
     """
-    return _as_result(p.rate * _whittaker_lambda(p.alpha, p.rate * _points(mu, "mu"))[1])
+    return _as_result(p.rate * whittaker_dc(p.alpha, p.rate * _points(mu, "mu"))[0])
 
 
 # ----------------------------------------------------------------------

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chain import ANDERSON, TYPE_I, TYPE_II, DisorderLaw, GaussianPotential
-from .schmidt import DensityGrid
+from .schmidt import DensityGrid, _require_positive_law
 from .specfun import rng_from_seed, scaling_f
 
 __all__ = [
@@ -123,8 +123,8 @@ def transfer_lyapunov(
         raise ValueError(f"unsupported kind {kind}")
     if not spring_k > 0:
         raise ValueError("spring_k must be positive")
-    if kind != ANDERSON and isinstance(law, GaussianPotential):
-        raise ValueError("sprung chains need a positive law, not a signed potential")
+    if kind != ANDERSON:
+        _require_positive_law(law)
     values = np.asarray(omega_sq_or_e, dtype=float)
     scalar = values.ndim == 0
     if values.ndim > 1 or values.size == 0:

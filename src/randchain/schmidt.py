@@ -20,7 +20,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .blocks import block_view, walk_blocks
-from .chain import Constant, DisorderLaw, Gamma, TwoPoint
+from .chain import Constant, DisorderLaw, Gamma, GaussianPotential, TwoPoint
 from .specfun import rng_from_seed
 from .tridiag import SymTridiag, count_below, count_below_many
 
@@ -46,8 +46,14 @@ logger = logging.getLogger(__name__)
 DEFAULT_BURN_IN = 1000
 
 
-class GridError(ValueError):
+class GridError(ArithmeticError):
     """Density grid cannot represent the mass it is asked to hold."""
+
+
+def _require_positive_law(law: DisorderLaw) -> None:
+    """Refuse a signed law where masses or couplings are drawn from it."""
+    if isinstance(law, GaussianPotential):
+        raise ValueError("sprung chains need a positive law, not a signed potential")
 
 
 @dataclass(frozen=True)
@@ -152,6 +158,7 @@ def mc_stationary(kind, law: DisorderLaw, n_samples: int, burn_in: int = DEFAULT
     """
     if n_samples < 1 or burn_in < 0:
         raise ValueError("need n_samples >= 1 and burn_in >= 0")
+    _require_positive_law(law)
     rng = rng_from_seed(seed)
     # Each map reads one coefficient per step, computed here in place of
     # its draw with the loop's own operations, so its bits are the loop's.
@@ -346,6 +353,7 @@ def omega_type2_mc(law: DisorderLaw, spring_k: float, x: float, n: int, seed=0, 
         raise ValueError("x and spring_k must be positive")
     if n < 1 or burn_in < 0:
         raise ValueError("need n >= 1 and burn_in >= 0")
+    _require_positive_law(law)
     rng = rng_from_seed(seed)
     eta = _eta_samples(law, spring_k, x, n, burn_in, rng)
     base = 1.0 + 1.0 / eta
@@ -378,7 +386,9 @@ def _fixed_frequency_matrix(masses: np.ndarray, spring_k: float) -> SymTridiag:
     m = np.asarray(masses, dtype=float)
     off = m[:-1] * m[1:]
     np.sqrt(off, out=off)  # in place, so a long chain's peak memory stays near its two bands
-    return SymTridiag(2.0 * spring_k / m, np.divide(-spring_k, off, out=off))
+    # Masses so small that K/m leaves the doubles give entries SymTridiag refuses; numpy's warnings would repeat it.
+    with np.errstate(over="ignore", divide="ignore"):
+        return SymTridiag(2.0 * spring_k / m, np.divide(-spring_k, off, out=off))
 
 
 def idos_node_fraction(law: DisorderLaw, spring_k: float, omega_sq, n_steps: int, seed=0):
@@ -395,6 +405,9 @@ def idos_node_fraction(law: DisorderLaw, spring_k: float, omega_sq, n_steps: int
         raise ValueError("omega_sq must be nonnegative")
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
+    if not spring_k > 0:
+        raise ValueError("spring_k must be positive")
+    _require_positive_law(law)
     t = _fixed_frequency_matrix(law.sample(rng_from_seed(seed), n_steps), spring_k)
     frac = count_below_many(t, w2) / float(n_steps)
     return float(frac[0]) if w2.ndim == 0 else frac
@@ -426,10 +439,8 @@ def _step_ratio2(grid: DensityGrid, law: DisorderLaw, omega_sq: float, spring_k:
     """
     if isinstance(law, TwoPoint):
         branches = [(law.p, law.m), (1.0 - law.p, law.big_m)]
-    elif isinstance(law, Constant):
+    else:  # Constant, as density_iteration checks
         branches = [(1.0, law.v)]
-    else:
-        raise GridError("ratio-map iteration supports constant and two-point laws")
     edges = grid.edges()
     # Open-ended end cells: the line is compactified, so mass mapped past
     # the grid is folded into the outermost cells instead of being lost;
@@ -457,26 +468,24 @@ def _halfline_cdf(grid: DensityGrid, q: np.ndarray, positive: bool) -> np.ndarra
     """Mass of the grid restricted to one sign half-line, below q."""
     zero_mass = _grid_cdf(grid, np.array([0.0]))[0]
     full = _grid_cdf(grid, q)
-    if positive:
-        out = np.clip(full - zero_mass, 0.0, None)
-        out = np.where(np.isposinf(q), grid.total_mass - zero_mass, out)
-        out = np.where(np.isneginf(q), 0.0, out)
-    else:
-        out = np.clip(full, 0.0, zero_mass)
-        out = np.where(np.isposinf(q), zero_mass, out)
-        out = np.where(np.isneginf(q), 0.0, out)
-    return out
+    # _grid_cdf maps -inf to 0 and +inf to the total mass.
+    return np.clip(full - zero_mass, 0.0, None) if positive else np.clip(full, 0.0, zero_mass)
 
 
 def density_iteration(kind, law: DisorderLaw, grid: DensityGrid, n_iter: int) -> tuple[DensityGrid, list[float]]:
     """Iterate the stationary-density map n_iter times on the grid.
 
     Returns the final grid and the L1 residuals between successive
-    iterates.  Raises ValueError for n_iter < 1 and GridError when more
-    than 1 % of the mass per step falls outside the grid.
+    iterates.  Raises ValueError for n_iter < 1, a signed law or a
+    RatioTypeII kind with a law other than Constant or TwoPoint, and
+    GridError when more than 1 % of the mass per step falls outside the
+    grid.
     """
     if n_iter < 1:
         raise ValueError("n_iter must be at least 1")
+    _require_positive_law(law)
+    if isinstance(kind, RatioTypeII) and not isinstance(law, (Constant, TwoPoint)):
+        raise ValueError("ratio-map iteration supports constant and two-point laws")
     if isinstance(kind, XiTypeI):
         # The type I map xi' = x lambda/(1 + xi) is binned exactly through
         # the law's CDF: the image of source cell j lies in cell i iff

@@ -378,10 +378,11 @@ def _whittaker_lambda(c: float, mu) -> tuple[np.ndarray, np.ndarray]:
     log_v, lam = _lip_solve(c, mu)
     mu = np.asarray(mu, dtype=float)
     num = 2.0 * lam.real
-    with np.errstate(over="ignore", divide="ignore"):  # log 0 = -inf gives 0
+    # log 0 = -inf gives 0; a quotient past the doubles is whittaker_dc's to refuse.
+    with np.errstate(over="ignore", divide="ignore"):
         msq = mu * np.exp(2.0 * log_v.real)
         logs = np.sign(num) * np.exp(np.log(np.abs(num)) - np.log(mu) - 2.0 * log_v.real)
-    return lam, np.where(np.isinf(msq), logs, num / msq)
+        return lam, np.where(np.isinf(msq), logs, num / msq)
 
 
 def whittaker_dc(c: float, mu) -> tuple[np.ndarray, np.ndarray]:
@@ -394,8 +395,12 @@ def whittaker_dc(c: float, mu) -> tuple[np.ndarray, np.ndarray]:
     no step in c is taken.  With c D_c = 1/(mu |V|^2) and
     c F_c = -Im log V / pi, d/dc = -d/dkappa gives
     d/dc (c D_c) = 2 Re Lambda / (mu |V|^2) and d/dc (c F_c) = Im Lambda / pi.
+    WhittakerError is raised where d/dc (c D_c) leaves the doubles (as
+    1/(mu log^2 mu) does below about mu = 1e-305).
     """
     lam, d_dc = _whittaker_lambda(c, mu)
+    if not np.all(np.isfinite(d_dc)):
+        raise WhittakerError(f"d/dc (c D_c) at c = {c:g} lies outside the doubles")
     return d_dc, lam.imag / math.pi
 
 

@@ -352,6 +352,50 @@ def test_lyapunov_rejects_signed_law_for_sprung_chains(tmp_path, capsys, model):
     assert not list(tmp_path.iterdir())
 
 
+
+# The library refuses each argument once; run() reports a ValueError as a
+# usage error (exit 2) and an ArithmeticError as a numeric error (exit 3).
+@pytest.mark.parametrize("argv,code", [
+    # Library refusals that exited 3 before the rule.
+    ("dos --law gamma:1:1 --size 11 --realizations 1 --grid=-1:2:5", EXIT_USAGE),
+    ("schmidt --op density --kind xi --law gamma:1:1 --x 1 --grid=-3:2:20 --iters 3", EXIT_USAGE),
+    ("exact --alpha 1 --kappa 1 --what omega --grid 1e307:1.5e307:2", EXIT_USAGE),
+    ("schmidt --op nodefrac --law const:1e-320 --grid 0.1:4:3 --samples 100", EXIT_USAGE),
+    # Failed computations.
+    ("schmidt --op density --law const:1 --x 2 --grid g1e-4:2e-4:30 --iters 3", EXIT_NUMERIC),
+    ("lyapunov --model type2 --law const:1 --spring-k 1e-320 --grid 1:2:2 --steps 2000", EXIT_NUMERIC),
+    ("exact --alpha 1 --kappa 1 --what dos --grid g1e-320:1:3", EXIT_NUMERIC),
+    # One refusal per command that left its check to the library.
+    ("pure --x -1", EXIT_USAGE),
+    ("exact --alpha 0 --kappa 1 --grid 1:2:2", EXIT_USAGE),
+    ("exact --alpha 1 --kappa 1 --grid 0:1:3", EXIT_USAGE),
+    ("schmidt --op density --law gamma:1:1 --grid g1e-3:10:20 --iters 0", EXIT_USAGE),
+    ("schmidt --op omega --law const:1 --x=-1", EXIT_USAGE),
+    ("schmidt --op density --kind ratio2 --law gamma:1:1 --x 1 --grid 0.01:20:40 --iters 3", EXIT_USAGE),
+    ("schmidt --op nodefrac --law gauss:1 --grid 0.5:1:3", EXIT_USAGE),
+    ("lyapunov --model type2 --law const:1 --grid 1:2:2 --steps 999", EXIT_USAGE),
+    ("lyapunov --model type1 --law gauss:1 --grid 0.5:3:2 --steps 2000", EXIT_USAGE),
+    ("scaling --grid=-40:40:3", EXIT_USAGE),
+    ("scaling --grid 0:7:8", EXIT_USAGE),
+    ("betaens --pairs 0 --beta 2 --samples 2", EXIT_USAGE),
+])
+def test_refusal_census(tmp_path, capsys, argv, code):
+    assert run([*argv.split(), "--out", str(tmp_path)]) == code
+    captured = capsys.readouterr()
+    prefix = "usage error: " if code == EXIT_USAGE else "numeric error: "
+    assert captured.err.startswith(prefix) and captured.err.count("\n") == 1, captured.err
+    assert not captured.out
+    assert not list(tmp_path.iterdir())
+
+
+def test_exact_idos_near_zero_writes_finite_m(tmp_path):
+    # The grid on which --what dos refuses D: M is finite there, and the
+    # run warns nothing (the suite turns numpy warnings into errors).
+    argv = ["exact", "--alpha", "1", "--kappa", "1", "--what", "idos", "--grid", "g1e-320:1:3", "--out", str(tmp_path)]
+    assert run(argv) == EXIT_OK
+    table = np.loadtxt(tmp_path / "exact_idos.csv", delimiter=",", skiprows=1)
+    assert np.all(np.isfinite(table)) and np.all((table[:, 1] > 0) & (table[:, 1] < 1))
+
 def test_betaens_csv(tmp_path):
     argv = ["betaens", "--pairs", "20", "--beta", "2", "--samples", "3", "--out", str(tmp_path)]
     assert run(argv) == EXIT_OK

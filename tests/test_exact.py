@@ -277,6 +277,23 @@ def test_dos_where_v_leaves_the_doubles(mu):
     assert got == pytest.approx(_dos_mpmath_dc(1.0, 1.0, mu), rel=1e-10, abs=1e-323)
 
 
+
+def test_dos_past_the_doubles_near_zero_is_a_whittaker_error():
+    # D ~ 1/(mu log^2 mu) leaves the doubles below about mu = 1e-305:
+    # dos_exact and whittaker_dc refuse it, where they returned inf after
+    # an overflow warning.  M stays finite there and warns no more.
+    mus = np.array([1e-320, 1e-160, 1.0])
+    with pytest.raises(specfun.WhittakerError, match="outside the doubles"):
+        dos_exact(chain.Gamma(1.0, 1.0), mus)
+    with pytest.raises(specfun.WhittakerError, match="outside the doubles"):
+        specfun.whittaker_dc(1.0, mus)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        m = idos_exact(chain.Gamma(1.0, 1.0), mus)
+        d = dos_exact(chain.Gamma(1.0, 1.0), mus[1:])
+    assert 0 < m[0] < m[1] < m[2] < 1
+    assert np.all(np.isfinite(d) & (d > 0))
+
 def test_routes_by_shape_and_range():
     # A scalar gives a float and an array an array of its shape.  Beyond
     # kappa x = 100 the one route takes non-integer alpha as well.

@@ -297,6 +297,22 @@ def test_recursion_parameter_validation():
         omega_type2_mc(Constant(1.0), 1.0, float("nan"), 10)
 
 
+@pytest.mark.parametrize("call", [
+    lambda law: mc_stationary(XiTypeI(1.0), law, 2000),
+    lambda law: omega_mc(XiTypeI(1.0), law, 2000),
+    lambda law: omega_type2_mc(law, 1.0, 1.0, 2000),
+    lambda law: idos_node_fraction(law, 1.0, [0.5, 1.0], 2000),
+    lambda law: density_iteration(XiTypeI(1.0), law, DensityGrid.geometric(1e-3, 10.0, 20), 3),
+    lambda law: density_iteration(RatioTypeII(1.0), law, DensityGrid.uniform(-5.0, 5.0, 20), 3),
+], ids=["mc_stationary", "omega_mc", "omega_type2_mc", "idos_node_fraction", "density_xi", "density_ratio2"])
+def test_signed_law_is_refused_before_any_draw(call):
+    # Masses and couplings are drawn from the law, so a signed potential is
+    # refused: omega_mc and omega_type2_mc returned NaN after numpy
+    # warnings, and idos_node_fraction warned before an unrelated refusal.
+    with pytest.raises(ValueError, match="sprung chains need a positive law, not a signed potential"):
+        call(chain.GaussianPotential(1.0))
+
+
 # ----------------------------------------------------------------------
 # characteristic functions
 # ----------------------------------------------------------------------
@@ -358,6 +374,21 @@ def test_node_fraction_zero_frequency():
 def test_node_fraction_needs_a_chain():
     with pytest.raises(ValueError):
         idos_node_fraction(TwoPoint(1.0, 2.0, 0.3), 1.0, 1.0, 0, seed=0)
+
+
+@pytest.mark.parametrize("spring_k", [0.0, -1.0, math.nan])
+def test_node_fraction_needs_a_positive_spring(spring_k):
+    # A spring constant that is not positive counted every mass at every
+    # probe: M = 1 with no error.
+    with pytest.raises(ValueError, match="spring_k must be positive"):
+        idos_node_fraction(Constant(1.0), spring_k, [0.5, 1.0], 100)
+
+
+def test_node_fraction_of_masses_past_the_doubles_is_refused_without_warnings():
+    # K/m overflows at m = 1e-320: SymTridiag's refusal is the one report,
+    # with no numpy warning before it (the suite turns warnings into errors).
+    with pytest.raises(ValueError, match="finite"):
+        idos_node_fraction(Constant(1e-320), 1.0, [0.1, 2.0], 100)
 
 
 def test_node_fraction_pure_half_at_two():
@@ -510,6 +541,24 @@ def test_density_iteration_leak_error():
     g = DensityGrid.geometric(1e-4, 2e-4, 30)
     with pytest.raises(GridError):
         density_iteration(XiTypeI(2.0), Constant(1.0), g, 3)
+
+
+def test_ratio_map_law_is_refused_as_an_argument_and_a_leak_as_a_numeric_failure():
+    # A law the ratio map cannot branch over is a bad argument (ValueError);
+    # a grid that cannot hold the mass is a failed computation (GridError).
+    with pytest.raises(ValueError, match="constant and two-point laws") as info:
+        density_iteration(RatioTypeII(1.0), Gamma(1.0, 1.0), DensityGrid.uniform(-5.0, 5.0, 20), 3)
+    assert not isinstance(info.value, GridError)
+    assert issubclass(GridError, ArithmeticError) and not issubclass(GridError, ValueError)
+
+
+def test_halfline_cdf_ends_come_from_the_grid_cdf():
+    # -inf holds no mass of either half line; +inf holds all of each.
+    g = DensityGrid(np.linspace(-3.0, 2.0, 11), np.linspace(1.0, 2.0, 11) / 16.5)
+    zero = schmidt._grid_cdf(g, np.array([0.0]))[0]
+    q = np.array([-np.inf, 0.0, np.inf])
+    assert schmidt._halfline_cdf(g, q, positive=True).tolist() == [0.0, 0.0, g.total_mass - zero]
+    assert schmidt._halfline_cdf(g, q, positive=False).tolist() == [0.0, zero, zero]
 
 
 # ----------------------------------------------------------------------
