@@ -33,7 +33,7 @@ import numpy as np
 
 from randchain import schmidt, tridiag
 from randchain.blocks import block_view
-from randchain.chain import Gamma, TwoPoint
+from randchain.chain import Gamma, TwoPoint, fixed_frequency_matrix
 from randchain.specfun import rng_from_seed
 
 LAWS = {"gamma:1:1": Gamma(1.0, 1.0), "gamma:0.2:1": Gamma(0.2, 1.0), "gamma:5:5": Gamma(5.0, 5.0),
@@ -86,7 +86,7 @@ def path_rows(horizon: int, blocks: int):
 def sturm_rows(horizon: int, blocks: int):
     """Coalescence of the Sturm pivots at each probe, blocks started as in tridiag._block_counts."""
     masses = TwoPoint(1.0, 2.0, 0.3).sample(rng_from_seed(7), horizon * blocks + 1)
-    t = schmidt._fixed_frequency_matrix(masses, 1.0)
+    t = fixed_frequency_matrix(masses, 1.0)
     tiny, a_sites, b2_sites = tridiag._TINY, t.diag[1:].tolist(), np.square(t.off).tolist()
     for w2 in OMEGA_SQ:
         true = np.empty(horizon * blocks)

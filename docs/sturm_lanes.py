@@ -60,7 +60,7 @@ import time
 
 import numpy as np
 
-from randchain import betaens, chain, schmidt, tridiag
+from randchain import betaens, chain, tridiag
 from randchain.chain import TwoPoint
 
 BATCH = 8
@@ -280,7 +280,7 @@ def blocks_ms(sym, xs, sites: int | None) -> tuple[float, int, np.ndarray]:
 
 def blocks_row(n: int, lanes: int) -> str:
     masses = TwoPoint(1.0, 2.0, 0.3).sample(np.random.default_rng(n), n)
-    sym = schmidt._fixed_frequency_matrix(masses, 1.0)
+    sym = chain.fixed_frequency_matrix(masses, 1.0)
     xs = 0.1 + 4.3 * (np.arange(lanes) + 0.5) / lanes
     times = {sites: [] for sites in (None,) + BLOCK_SITES}
     reruns = {}

@@ -3,8 +3,9 @@
 A chain of N masses coupled by springs maps onto two tridiagonal
 matrices: the (2N-1) x (2N-1) anti-symmetric matrix built from the
 interleaved ratios lambda_j = K_j/m_j, K_j/m_{j+1}, and the N x N
-symmetric matrix of the squared frequencies (frequency_matrix), built
-straight from the same ratios.  Both disorder conventions are
+symmetric matrix of the squared frequencies, from the same ratios with
+free ends (frequency_matrix) or from the masses with both ends tied to
+walls (fixed_frequency_matrix).  Both disorder conventions are
 supported: i.i.d. lambdas (type I) and i.i.d. masses with a common
 spring constant (type II), which forces the lambdas to be equal in
 pairs.  The tight-binding lattice with potential disorder, used by the
@@ -38,6 +39,7 @@ __all__ = [
     "realize",
     "lambda_matrix",
     "frequency_matrix",
+    "fixed_frequency_matrix",
     "anderson_hopping",
     "empirical_idos",
 ]
@@ -159,6 +161,12 @@ class GaussianPotential(DisorderLaw):
         return ndtr(np.asarray(x, dtype=float) / math.sqrt(self.variance))
 
 
+def _require_positive_law(law: DisorderLaw) -> None:
+    """Refuse a signed law where masses or couplings are drawn from it."""
+    if isinstance(law, GaussianPotential):
+        raise ValueError("sprung chains need a positive law, not a signed potential")
+
+
 @dataclass(frozen=True)
 class ChainSpec:
     """Full description of a type I or type II chain."""
@@ -176,6 +184,7 @@ class ChainSpec:
             raise ValueError("n_masses must be >= 1")
         if self.spring_k <= 0:
             raise ValueError("spring_k must be positive")
+        _require_positive_law(self.law)
 
 
 @dataclass(frozen=True)
@@ -218,29 +227,28 @@ def lambda_matrix(r: ChainRealization) -> AntisymTridiag:
     return AntisymTridiag(np.sqrt(r.lambdas[: 2 * n - 2]))
 
 
-def frequency_matrix(r: ChainRealization, boundary: str = "free") -> SymTridiag:
-    """The N x N matrix of the squared frequencies: positive semidefinite, eigenvalues omega^2.
+def frequency_matrix(r: ChainRealization) -> SymTridiag:
+    """The N x N matrix of the squared frequencies of the free chain: positive semidefinite, eigenvalues omega^2.
 
     It is the symmetrized negative of the matrix A in u'' = A u.  With the
-    1-based lambdas padded by the wall ratios lambda_0 and lambda_{2N-1},
-    row j = 0, ..., N-1 has diagonal lambda_{2j} + lambda_{2j+1} and
-    off-diagonal sqrt(lambda_{2j+1} lambda_{2j+2}).  Free boundaries (no
-    springs beyond the end masses, wall ratios 0) give the zero mode;
-    'fixed' attaches the end masses to walls with the common spring, which
-    is the convention matched exactly by the node-counting recursion, and
-    needs the masses of type II.
+    1-based lambdas padded by zero wall ratios lambda_0 and lambda_{2N-1}
+    (free ends, hence the zero mode), row j = 0, ..., N-1 has diagonal
+    lambda_{2j} + lambda_{2j+1} and off-diagonal sqrt(lambda_{2j+1} lambda_{2j+2}).
     """
     n = r.n_masses
     pad = np.zeros(2 * n)
     pad[1 : 2 * n - 1] = r.lambdas[: 2 * n - 2]
-    if boundary == "fixed":
-        if r.masses is None:
-            raise ValueError("fixed boundaries need explicit masses (type II)")
-        pad[0] = r.spec.spring_k / r.masses[0]
-        pad[2 * n - 1] = r.spec.spring_k / r.masses[-1]
-    elif boundary != "free":
-        raise ValueError("boundary must be 'free' or 'fixed'")
     return SymTridiag(pad[0::2] + pad[1::2], np.sqrt(pad[1 : 2 * n - 2 : 2] * pad[2 : 2 * n - 1 : 2]))
+
+
+def fixed_frequency_matrix(masses: np.ndarray, spring_k: float) -> SymTridiag:
+    """Frequency matrix of these masses, both ends tied to walls: diagonal 2K/m_j, off-diagonal -K/sqrt(m_j m_{j+1})."""
+    m = np.asarray(masses, dtype=float)
+    off = m[:-1] * m[1:]
+    np.sqrt(off, out=off)  # in place, so a long chain's peak memory stays near its two bands
+    # Masses so small that K/m leaves the doubles give entries SymTridiag refuses; numpy's warnings would repeat it.
+    with np.errstate(over="ignore", divide="ignore"):
+        return SymTridiag(2.0 * spring_k / m, np.divide(-spring_k, off, out=off))
 
 
 def anderson_hopping(spec: ChainSpec) -> SymTridiag:

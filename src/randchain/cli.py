@@ -228,7 +228,7 @@ def cmd_betaens(args) -> list:
     ys = np.sort(np.concatenate(ys))
     spectrum = ("spectrum", ["y", "cdf"], [ys, np.arange(1, ys.size + 1) / ys.size])
     if args.c_over_n is None:
-        scaled = np.sort(ys / spec.mp_unit())
+        scaled = ys / spec.mp_unit()  # ys is sorted, and the unit is positive
         inside = scaled[(scaled > 0) & (scaled < 1)]
         return [spectrum, ("mp_target", ["mu", "D"], [inside, betaens.mp_density(inside)])]
     mus = np.geomspace(max(1e-6, float(ys[ys > 0].min())), float(ys.max()), 40)
@@ -237,8 +237,6 @@ def cmd_betaens(args) -> list:
 
 def cmd_dos(args) -> list:
     law = parse_law(args.law)
-    if isinstance(law, chain.GaussianPotential):
-        raise UsageError("dos needs a positive --law, not a signed potential")
     if args.realizations < 1:
         raise UsageError("--realizations must be at least 1")
     if args.size < 3:

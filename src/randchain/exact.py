@@ -17,8 +17,8 @@ log-derivative of V in kappa at mu = kappa x, M = Im Lambda / pi and the
 Lyapunov exponent at omega^2 = x is Re Lambda / 2 (D7).  M follows from
 the phase of V, which the anchor knows exactly, so Dyson's singular head
 needs no closed form; dyson_head gives it separately.  idos_exact,
-dos_exact and lyapunov_exact take this one route for every alpha > 0
-and x > 0, a whole grid at once.
+dos_exact and lyapunov_exact take this one route for alpha >= 1e-100
+(WhittakerError below about 1e-103) and x > 0, a whole grid at once.
 
 The module also carries the closed forms of the chain without disorder,
 the large-alpha corrections to its integrated density of states, and
@@ -176,11 +176,11 @@ def idos_exact(p: Gamma, x):
 
     x is a scalar (a float is returned) or an array of positive points (an
     array of the same shape is returned).  The whole grid comes from one
-    lip solve of the Whittaker law, at any alpha > 0, the singular head
-    included: M = Im Lambda / pi, from Lambda = U/V at mu = kappa x and
-    c = alpha (ledgers D4, D10).  The result is clamped to [0, 1] and the
-    clamp magnitude logged, since the solve can stray past the ends by its
-    rounding.
+    lip solve of the Whittaker law, from alpha = 1e-100 up, the singular
+    head included: M = Im Lambda / pi, from Lambda = U/V at mu = kappa x
+    and c = alpha (ledgers D4, D10).  The result is clamped to [0, 1] and
+    the clamp magnitude logged, since the solve can stray past the ends by
+    its rounding.
     """
     m = _whittaker_lambda(p.alpha, p.rate * _points(x, "x"))[0].imag / math.pi
     clamped = np.clip(m, 0.0, 1.0)

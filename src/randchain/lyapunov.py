@@ -21,8 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import ANDERSON, TYPE_I, TYPE_II, DisorderLaw, GaussianPotential
-from .schmidt import DensityGrid, _require_positive_law
+from .chain import ANDERSON, TYPE_I, TYPE_II, DisorderLaw, GaussianPotential, _require_positive_law
+from .schmidt import DensityGrid
 from .specfun import rng_from_seed, scaling_f
 
 __all__ = [

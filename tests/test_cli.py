@@ -378,6 +378,10 @@ def test_lyapunov_rejects_signed_law_for_sprung_chains(tmp_path, capsys, model):
     ("scaling --grid=-40:40:3", EXIT_USAGE),
     ("scaling --grid 0:7:8", EXIT_USAGE),
     ("betaens --pairs 0 --beta 2 --samples 2", EXIT_USAGE),
+    # Runs that wrote NaN with exit 0, leaked, or warned before their refusal.
+    ("exact --alpha 1e-150 --kappa 1 --grid 1:2:2", EXIT_NUMERIC),
+    ("schmidt --op density --kind xi --law gamma:1:1 --x 1 --grid=-1:2:31 --iters 3", EXIT_USAGE),
+    ("betaens --c-over-n 1e300 --pairs 5 --samples 2", EXIT_NUMERIC),
 ])
 def test_refusal_census(tmp_path, capsys, argv, code):
     assert run([*argv.split(), "--out", str(tmp_path)]) == code
@@ -448,10 +452,11 @@ def test_dos_overlays_exact_at_every_gamma_law(tmp_path):
 def test_dos_rejects_degenerate_runs(tmp_path, capsys, flag, value):
     # No realization, a chain without a frequency pair, an even size (the
     # lattice has 2N-1 sites), a grid without a bin or a signed potential
-    # for couplings: refused before any CSV is written.
+    # for couplings: refused before any CSV is written.  The chain spec
+    # refuses the potential, in the library's words.
     argv = ["dos", "--law", "gamma:1:1", "--grid", "0.5:3.5:7", "--out", str(tmp_path), flag, value]
     assert run(argv) == EXIT_USAGE
-    assert flag in capsys.readouterr().err
+    assert ("signed potential" if flag == "--law" else flag) in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
 
 

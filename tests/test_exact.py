@@ -278,6 +278,15 @@ def test_dos_where_v_leaves_the_doubles(mu):
 
 
 
+@pytest.mark.parametrize("alpha", [1e-150, 1e-300])
+@pytest.mark.parametrize("route", [idos_exact, lyapunov_exact])
+def test_lambda_past_the_doubles_at_tiny_alpha_is_a_whittaker_error(route, alpha):
+    # psi'(c) ~ 1/c^2 takes the kappa-derivative of V past the doubles, and
+    # Lambda with it: the routes refuse, where they returned NaN at x = 2.
+    with pytest.raises(specfun.WhittakerError, match="Lambda"):
+        route(chain.Gamma(alpha, 1.0), np.array([1.0, 2.0]))
+
+
 def test_dos_past_the_doubles_near_zero_is_a_whittaker_error():
     # D ~ 1/(mu log^2 mu) leaves the doubles below about mu = 1e-305:
     # dos_exact and whittaker_dc refuse it, where they returned inf after

@@ -531,9 +531,18 @@ def test_density_iteration_needs_an_iteration():
 
 
 def test_density_iteration_unsupported_kind():
+    # A kind the map cannot take is the caller's type error, as in mc_stationary.
     g = DensityGrid.geometric(1e-3, 10.0, 50)
-    with pytest.raises(GridError):
+    with pytest.raises(TypeError):
         density_iteration(AntisymRatio(3.0), Constant(1.0), g, 1)
+
+
+@pytest.mark.parametrize("lo", [-3.0, -1.0])
+def test_density_iteration_refuses_xi_points_at_or_below_minus_one(lo):
+    # There 1 + xi <= 0 reverses or empties the kernel's column.
+    g = DensityGrid.uniform(lo, 2.0, 31)
+    with pytest.raises(ValueError, match="above -1"):
+        density_iteration(XiTypeI(1.0), Gamma(1.0, 1.0), g, 3)
 
 
 def test_density_iteration_leak_error():

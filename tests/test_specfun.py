@@ -433,3 +433,12 @@ def test_whittaker_dc_matches_central_difference(c):
     dens, mass = sf.whittaker_dc(c, mus)
     np.testing.assert_allclose(dens, (c_dens(c + h) - c_dens(c - h)) / (2 * h), rtol=1e-6, atol=0)
     np.testing.assert_allclose(mass, (c_mass(c + h) - c_mass(c - h)) / (2 * h), rtol=0, atol=1e-8)
+
+
+def test_log_v_routes_stay_finite_at_tiny_c():
+    # Only Lambda carries the kappa-derivative that overflows at tiny c;
+    # the distribution function and con_density read log V alone, and warn
+    # nothing on the way (the suite turns numpy warnings into errors).
+    mus = np.array([1.0, 10.0])
+    assert np.all(np.isfinite(sf.whittaker_cdf(1e-300, mus)))
+    assert np.all(np.isfinite(betaens.con_density(1e-300, mus)))
