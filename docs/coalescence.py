@@ -1,8 +1,8 @@
-"""Table behind docs/DECISIONS.md (ledger D11): how soon the scalar recursions forget their start.
+"""Tables behind docs/DECISIONS.md (ledgers D11 and D16): how soon the scalar recursions forget their start, and what the per-step loops cost.
 
 Run from the repository root:
 
-    PYTHONPATH=src python docs/coalescence.py [--horizon STEPS] [--blocks N] [--times]
+    PYTHONPATH=src python docs/coalescence.py [--horizon STEPS] [--blocks N] [--times [--against OTHER/src/randchain/lyapunov.py]]
 
 For each recursion that runs as verified blocks (randchain/blocks.py) it
 prints the coalescence distance: the steps after which a float
@@ -17,23 +17,35 @@ probe omega^2.  Each row starts N blocks (default 64) at every
 largest distance, and how many starts had not met the true trajectory
 within the horizon.
 
-With --times, it only times the stationary paths at the benchmark's call
-shapes (schmidt --op omega and --op omega2, 300000 samples after 1000
-burn-in steps): the loop against verified blocks, in interleaved
-repeats, asserting that both give bitwise the same values.
+With --times, it only times the per-step loops at the benchmark's call
+shapes.  The first table times the stationary paths (schmidt --op omega
+and --op omega2, 300000 samples after 1000 burn-in steps): the loop
+against verified blocks, in interleaved repeats, asserting that both
+give bitwise the same values.  The second times
+lyapunov.transfer_lyapunov at the five transfer calls of the
+transfer-mc benchmark (the four lyapunov commands and band_edge, 200000
+steps each), in milliseconds per call and nanoseconds per lane-step (a
+lane is one value of one block).  With --against, the transfer_lyapunov
+of another copy of lyapunov.py (say, a checkout of an earlier commit)
+is timed interleaved with this one, with the median of the per-repeat
+ratios (this / other), asserting on every call that both copies give
+bitwise the same estimates.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import statistics
+import sys
 import time
 
 import numpy as np
 
-from randchain import schmidt, tridiag
+from randchain import lyapunov, schmidt, tridiag
 from randchain.blocks import block_view
-from randchain.chain import Gamma, TwoPoint, fixed_frequency_matrix
+from randchain.chain import ANDERSON, TYPE_I, TYPE_II, Gamma, GaussianPotential, TwoPoint, fixed_frequency_matrix
+from randchain.cli import parse_grid, parse_law
 from randchain.specfun import rng_from_seed
 
 LAWS = {"gamma:1:1": Gamma(1.0, 1.0), "gamma:0.2:1": Gamma(0.2, 1.0), "gamma:5:5": Gamma(5.0, 5.0),
@@ -115,6 +127,60 @@ TIMED = {
 }
 
 
+# The transfer calls of the transfer-mc benchmark (perfbench/workloads.py):
+# (kind, law, values) of its four lyapunov commands and of band_edge.
+TRANSFER_STEPS, TRANSFER_BLOCKS, TRANSFER_BURN_IN = 200000, 50, 1000  # transfer_lyapunov's defaults
+TRANSFER = {
+    "lyapunov type2 twopoint:1:2:0.5": (TYPE_II, parse_law("twopoint:1:2:0.5"), parse_grid("0.5:3:6")),
+    "lyapunov type1 gamma:2:2": (TYPE_I, parse_law("gamma:2:2"), parse_grid("0.5:3:6")),
+    "lyapunov anderson gauss:0.1": (ANDERSON, parse_law("gauss:0.1"), parse_grid("-3:3:6")),
+    "lyapunov type2 const:1": (TYPE_II, parse_law("const:1"), parse_grid("2:6:2")),
+    "band_edge_collapse alpha 64": (
+        ANDERSON, GaussianPotential(1.0 / 64.0), 2.0 + np.arange(-4.0, 5.0) * 128.0 ** (-2.0 / 3.0)),
+}
+
+
+def load(path: str):
+    # Named inside the randchain package, so that its relative imports
+    # (randchain.chain) resolve.
+    spec = importlib.util.spec_from_file_location("randchain.lyapunov_other", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up there
+    spec.loader.exec_module(module)
+    return module
+
+
+def transfer_times(other, repeats: int = 9) -> None:
+    """Second --times table: transfer_lyapunov at the benchmark's call shapes, against another copy."""
+    print()
+    print(f"transfer_lyapunov, {TRANSFER_STEPS} steps in {TRANSFER_BLOCKS} blocks: ms per call and "
+          f"ns per lane-step, median of {repeats} interleaved repeats")
+    print()
+    head = "| call | lanes | ms | ns per lane-step |"
+    print(head + (" other ms | ratio |" if other else ""))
+    print("|---" * (head.count("|") - 1 + (2 if other else 0)) + "|")
+    modules = {"this": lyapunov, **({"other": other} if other else {})}
+    for name, (kind, law, values) in TRANSFER.items():
+        ms = {key: [] for key in modules}
+        for _ in range(repeats):
+            got = {}
+            for key, module in modules.items():
+                start = time.perf_counter()
+                ests = module.transfer_lyapunov(kind, law, values, TRANSFER_STEPS, seed=701,
+                                                n_blocks=TRANSFER_BLOCKS, burn_in=TRANSFER_BURN_IN)
+                ms[key].append(1e3 * (time.perf_counter() - start))
+                got[key] = [(e.gamma, e.stderr, e.steps) for e in ests]
+            assert got.get("other", got["this"]) == got["this"], name
+        lanes = values.size * TRANSFER_BLOCKS
+        lane_steps = lanes * (TRANSFER_STEPS // TRANSFER_BLOCKS + TRANSFER_BURN_IN)
+        this = statistics.median(ms["this"])
+        line = f"| {name} | {lanes} | {this:.1f} | {1e6 * this / lane_steps:.1f} |"
+        if other:
+            ratio = statistics.median(a / b for a, b in zip(ms["this"], ms["other"]))
+            line += f" {statistics.median(ms['other']):.1f} | {ratio:.2f} |"
+        print(line, flush=True)
+
+
 def times(repeats: int = 9) -> None:
     print(f"ms per call, median of {repeats} interleaved repeats")
     print()
@@ -143,10 +209,15 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--horizon", type=int, default=16384, help="steps followed from each start")
     parser.add_argument("--blocks", type=int, default=64, help="starts per row")
-    parser.add_argument("--times", action="store_true", help="only time the stationary paths, loop against blocks")
+    parser.add_argument("--times", action="store_true",
+                        help="only time the per-step loops: stationary paths, loop against blocks, and transfer calls")
+    parser.add_argument("--against", help="with --times, path of another lyapunov.py whose transfer calls to time alongside")
     args = parser.parse_args()
+    if args.against and not args.times:
+        parser.error("--against needs --times")
     if args.times:
         times()
+        transfer_times(None if args.against is None else load(args.against))
         return
     print(f"coalescence distance in steps, {args.blocks - 1} starts per row, horizon {args.horizon}")
     print()

@@ -16,6 +16,7 @@ value and chunk.
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass
 
@@ -33,6 +34,8 @@ __all__ = [
     "thouless_gamma",
     "band_edge_collapse",
 ]
+
+logger = logging.getLogger(__name__)
 
 # Fewest counted steps a transfer estimate accepts.
 MIN_STEPS = 1000
@@ -65,24 +68,49 @@ def _block_gammas(chunk_coefficients, step, lanes, chunk, block_len, burn_in):
     steps, one per step, valid until its next call.  Each step is
     followed by v' = u and a renormalisation of (u', v'), so no overflow
     is possible; the logs of the norms after the burn-in are accumulated.
+
+    No step allocates: step(coefficient, u, v, out, scratch) writes u'
+    into out, then u, v and out rotate among three preallocated arrays,
+    and every call writes into one of them or into scratch.  A chunk's
+    norms fill rows 1..c of one buffer; after the chunk their logs are
+    taken at once and added, row after row, to the running sum held in
+    the row before the first counted one.  Each element so sees the
+    operations of the one-array-per-step loop in its order,
+    ((acc + log n_0) + log n_1) + ..., bit for bit: every ufunc here is
+    elementwise, and a reduction along axis 0, which is not the
+    contiguous axis, adds its rows in sequence.
     """
     u = np.ones(lanes)
     v = np.full(lanes, 0.5)
+    t = np.empty(lanes)
+    scratch = np.empty(lanes)
+    norms = np.empty((chunk + 1, *lanes))
     acc = np.zeros(lanes)
+    multiply, add, sqrt, divide = np.multiply, np.add, np.sqrt, np.divide  # local names: the loop is dispatch-bound
     total = block_len + burn_in
     for start in range(0, total, chunk):
-        for i, coefficient in enumerate(chunk_coefficients(min(chunk, total - start)), start):
-            u, v = step(coefficient, u, v), u
-            norm = np.sqrt(u * u + v * v)
-            u /= norm
-            v /= norm
-            if i >= burn_in:
-                acc += np.log(norm)
+        c = min(chunk, total - start)
+        for n, coefficient in zip(norms[1:c + 1], chunk_coefficients(c)):
+            step(coefficient, u, v, t, scratch)
+            u, v, t = t, u, v
+            multiply(u, u, n)
+            multiply(v, v, t)
+            add(n, t, n)
+            sqrt(n, n)
+            divide(u, n, u)
+            divide(v, n, v)
+        skip = max(0, burn_in - start)  # rows 1..skip hold burn-in norms
+        if skip < c:
+            counted = norms[skip:c + 1]
+            counted[0] = acc
+            np.log(counted[1:], out=counted[1:])
+            np.add.reduce(counted, axis=0, out=acc)
     return acc / block_len
 
 
-def _linear_step(a, u, v):
-    return a * u - v
+def _linear_step(a, u, v, out, scratch):
+    np.multiply(a, u, out)
+    np.subtract(out, v, out)
 
 
 def transfer_lyapunov(
@@ -142,7 +170,10 @@ def transfer_lyapunov(
     values = values.reshape(-1, 1)  # one row of block lanes per value
     rngs = [rng_from_seed(seed)] if scalar else [rng_from_seed((seed, i)) for i in range(values.size)]
     block_len = n_steps // n_blocks
-    chunk = min(max(1, _CHUNK_ELEMENTS // (values.size * n_blocks)), block_len + burn_in)
+    total = block_len + burn_in
+    chunk = min(max(1, _CHUNK_ELEMENTS // (values.size * n_blocks)), total)
+    logger.debug("transfer sweep: %d lanes (%d values x %d blocks), %d steps per lane in %d chunks of %d steps",
+                 values.size * n_blocks, values.size, n_blocks, total, -(-total // chunk), chunk)
     buf = np.empty((chunk, values.size, n_blocks))
 
     def draw(c):
@@ -167,7 +198,7 @@ def transfer_lyapunov(
             return np.subtract(values, draw(c), out=buf[:c])  # E - V
 
     else:
-        omega = np.sqrt(values)
+        omega = np.sqrt(values) * np.ones(n_blocks)  # full lane shape: a broadcast costs more per step
         t_prev = np.sqrt(np.stack([law.sample(rng, n_blocks) for rng in rngs]))
 
         def coefficients(c):
@@ -177,9 +208,12 @@ def transfer_lyapunov(
             t_prev = t[-1].copy()  # the next draw overwrites the buffer
             return pairs
 
-        def step(pair, u, v):
+        def step(pair, u, v, out, scratch):
             t_last, t_cur = pair
-            return (omega * u - t_last * v) / t_cur
+            np.multiply(omega, u, out)
+            np.multiply(t_last, v, scratch)
+            np.subtract(out, scratch, out)
+            np.divide(out, t_cur, out)
 
     # A law whose draws overflow the step makes non-finite blocks; the check below refuses
     # them, so numpy's own warnings on the way there would only repeat it.
@@ -258,7 +292,7 @@ def band_edge_collapse(alpha: float, energy_grid, n_steps: int, seed=0) -> Colla
     """
     if alpha < 8:
         raise ValueError("weak-disorder collapse needs alpha >= 8")
-    energies = np.asarray(energy_grid, dtype=float)
+    energies = np.atleast_1d(np.asarray(energy_grid, dtype=float))  # a scalar is the one-point grid
     cube = (2.0 * alpha) ** (1.0 / 3.0)
     scaled_x = (2.0 * alpha) ** (2.0 / 3.0) * (np.abs(energies) - 2.0)
     law = GaussianPotential(1.0 / alpha)

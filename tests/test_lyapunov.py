@@ -1,3 +1,5 @@
+import dataclasses
+import logging
 import math
 import warnings
 
@@ -162,6 +164,16 @@ def test_band_edge_collapse_reduced_size():
 def test_band_edge_collapse_validation():
     with pytest.raises(ValueError):
         band_edge_collapse(4.0, [2.0], 10**4, seed=0)
+    with pytest.raises(ValueError):
+        band_edge_collapse(4.0, 2.0, 10**4, seed=0)
+
+
+def test_band_edge_collapse_scalar_energy_is_the_one_point_grid():
+    one = band_edge_collapse(64.0, 2.0, 2000, seed=3)
+    grid = band_edge_collapse(64.0, [2.0], 2000, seed=3)
+    for field in dataclasses.fields(grid):
+        got, want = np.asarray(getattr(one, field.name)), np.asarray(getattr(grid, field.name))
+        assert got.shape == want.shape and got.tobytes() == want.tobytes(), field.name
 
 
 def test_transfer_lyapunov_validation():
@@ -288,15 +300,48 @@ def test_array_call_equals_scalar_calls_bitwise(kind, law, values, spring_k, bur
     assert (single.gamma, single.stderr) == (one.gamma, one.stderr)
 
 
+def _assert_sweep_is_the_reference_loop(kind, law, values, spring_k, n_blocks, burn_in):
+    n_steps = 1003
+    ests = transfer_lyapunov(kind, law, np.array(values), n_steps, seed=6,
+                             spring_k=spring_k, n_blocks=n_blocks, burn_in=burn_in)
+    for i, (value, est) in enumerate(zip(values, ests)):
+        ref = _reference_lyapunov(kind, law, value, n_steps, (6, i), spring_k, n_blocks, burn_in)
+        assert (est.gamma, est.stderr) == ref
+
+
 @pytest.mark.parametrize("kind, law, values, spring_k", _BIT_CASES)
 @pytest.mark.parametrize("chunk_elements", [1, 7 * 7 * 3, 256 * 7 * 3])
 def test_chunked_sweep_equals_per_step_loop_bitwise(monkeypatch, kind, law, values, spring_k, chunk_elements):
     # Chunks of 1, 7 and 256 steps of three values by seven blocks: one
     # draw per step, a last chunk the steps do not fill, and one chunk.
     monkeypatch.setattr(lyapunov, "_CHUNK_ELEMENTS", chunk_elements)
-    n_steps, n_blocks, burn_in = 1003, 7, 13
-    ests = transfer_lyapunov(kind, law, np.array(values), n_steps, seed=6,
-                             spring_k=spring_k, n_blocks=n_blocks, burn_in=burn_in)
-    for i, (value, est) in enumerate(zip(values, ests)):
-        ref = _reference_lyapunov(kind, law, value, n_steps, (6, i), spring_k, n_blocks, burn_in)
-        assert (est.gamma, est.stderr) == ref
+    _assert_sweep_is_the_reference_loop(kind, law, values, spring_k, 7, 13)
+
+
+_EDGE_ALPHA = 64.0
+_SWEEP_CASES = _BIT_CASES + [
+    # lyapunov --law const:1: gamma = 0 inside the band, where a sum of
+    # logs of norms near one cancels
+    (TYPE_II, Constant(1.0), [2.0, 6.0], 1.0),
+    # the 9-energy grid of the band-edge collapse
+    (ANDERSON, GaussianPotential(1.0 / _EDGE_ALPHA),
+     list(2.0 + np.arange(-4.0, 5.0) * (2.0 * _EDGE_ALPHA) ** (-2.0 / 3.0)), 1.0),
+]
+
+
+@pytest.mark.parametrize("kind, law, values, spring_k", _SWEEP_CASES)
+@pytest.mark.parametrize("n_blocks, burn_in", [(7, 14), (7, 40), (7, 0), (2, 13)])
+def test_chunked_sweep_equals_per_step_loop_bitwise_at_burn_in_edges(monkeypatch, kind, law, values, spring_k,
+                                                                     n_blocks, burn_in):
+    # Chunks of 7 steps: a burn-in that ends on a chunk boundary (14),
+    # spans five chunks (40) or is empty (0), and two blocks, the fewest
+    # lanes a value can have.
+    monkeypatch.setattr(lyapunov, "_CHUNK_ELEMENTS", 7 * len(values) * n_blocks)
+    _assert_sweep_is_the_reference_loop(kind, law, values, spring_k, n_blocks, burn_in)
+
+
+def test_transfer_sweep_logs_its_shape(monkeypatch, caplog):
+    monkeypatch.setattr(lyapunov, "_CHUNK_ELEMENTS", 7 * 3 * 7)
+    caplog.set_level(logging.DEBUG, logger="randchain.lyapunov")
+    transfer_lyapunov(ANDERSON, GaussianPotential(0.1), np.array([-1.0, 0.0, 1.0]), 1003, n_blocks=7, burn_in=13)
+    assert caplog.messages == ["transfer sweep: 21 lanes (3 values x 7 blocks), 156 steps per lane in 23 chunks of 7 steps"]
