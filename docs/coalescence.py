@@ -1,4 +1,4 @@
-"""Tables behind docs/DECISIONS.md (ledgers D11 and D16): how soon the scalar recursions forget their start, and what the per-step loops cost.
+"""Tables behind docs/DECISIONS.md (ledgers D11, D16 and D17): how soon the scalar recursions forget their start, and what the per-step loops cost.
 
 Run from the repository root:
 
@@ -26,10 +26,11 @@ lyapunov.transfer_lyapunov at the five transfer calls of the
 transfer-mc benchmark (the four lyapunov commands and band_edge, 200000
 steps each), in milliseconds per call and nanoseconds per lane-step (a
 lane is one value of one block).  With --against, the transfer_lyapunov
-of another copy of lyapunov.py (say, a checkout of an earlier commit)
-is timed interleaved with this one, with the median of the per-repeat
+of another copy of lyapunov.py (say, one with another _MAX_PERIOD) is
+timed interleaved with this one, with the median of the per-repeat
 ratios (this / other), asserting on every call that both copies give
-bitwise the same estimates.
+bitwise the same estimates.  A copy from before ledger D17 gives other
+bits; time it by running --times in its own checkout.
 """
 
 from __future__ import annotations

@@ -46,6 +46,14 @@ MIN_STEPS = 1000
 # few arrays of this many elements near half a megabyte each.
 _CHUNK_ELEMENTS = 1 << 16
 
+# Most steps between two rescalings of the transfer state by a power of
+# two (longer periods save no more time: ledger D17), and how many bits
+# the state may grow or shrink by between two (the normal range spans
+# 2**-1022 to 2**1024): see _block_gammas.
+_MAX_PERIOD = 32
+_RANGE_BITS = 500
+_LN2 = math.log(2.0)
+
 
 @dataclass(frozen=True)
 class LyapunovEstimate:
@@ -60,52 +68,105 @@ class LyapunovEstimate:
             raise ValueError("invalid estimate")
 
 
+def _rescale_period(growth):
+    """Steps between two rescalings of the transfer state, given the chunk's growth bound.
+
+    growth bounds the factor by which one step of the chunk can grow or
+    shrink max(|u|, |v|).  Over this many steps after a rescaling into
+    [1/2, 1) the state so stays within 2**+-_RANGE_BITS.  A non-finite
+    bound gives 1: a rescaling after every step.
+    """
+    if not growth < math.inf:
+        return 1
+    bits = math.log2(growth)
+    if bits * _MAX_PERIOD <= _RANGE_BITS:
+        return _MAX_PERIOD
+    return max(1, int(_RANGE_BITS / bits))
+
+
+def _rescale(u, v, exponents, m, s, e):
+    """Scale u and v in place by 2**-e, the power of two that brings max(|u|, |v|) into [1/2, 1).
+
+    e is added to exponents; m and s are float scratch arrays and e an
+    int scratch array of the lane shape.
+    """
+    np.abs(u, m)
+    np.abs(v, s)
+    np.maximum(m, s, out=m)
+    np.frexp(m, m, e)
+    np.negative(e, e)
+    np.ldexp(u, e, u)
+    np.ldexp(v, e, v)
+    np.subtract(exponents, e, exponents)
+
+
+def _log_norm(u, v):
+    return np.log(np.sqrt(u * u + v * v))
+
+
 def _block_gammas(chunk_coefficients, step, lanes, chunk, block_len, burn_in):
-    """Mean log growth per step of trajectories u' = step(coefficient, u, v).
+    """Mean log growth per step of trajectories u' = step(coefficient, u, v), and the rescale periods used.
 
     lanes is the (values, blocks) shape of the state, and
     chunk_coefficients(c) gives the coefficients of the next c <= chunk
-    steps, one per step, valid until its next call.  Each step is
-    followed by v' = u and a renormalisation of (u', v'), so no overflow
-    is possible; the logs of the norms after the burn-in are accumulated.
+    steps, one per step, valid until its next call, and a bound on the
+    factor by which one of those steps can grow or shrink max(|u|, |v|).
+    Each step is followed by v' = u.  The state is x = 2**E (u, v) with
+    an integer exponent E per lane: every few steps (_rescale_period of
+    the chunk's bound, at most _MAX_PERIOD), at the end of the burn-in
+    and at the end of each chunk, (u, v) is scaled by the power of two
+    that brings max(|u|, |v|) into [1/2, 1), and the exponent goes into
+    E.  A block's gamma is
+      ((E_T - E_B) log 2 + log|x_T| - log|x_B|) / block_len,
+    with |x| = sqrt(u*u + v*v) of the rescaled state at the end T of the
+    sweep and B of the burn-in; without a burn-in the B terms are 0,
+    counting the growth from the start (1, 0.5) itself.
+
+    Scaling by a power of two is exact, and it commutes with every
+    correctly rounded multiply, subtract and divide of a step as long as
+    no value leaves the normal range.  Between rescalings the bound
+    keeps max(|u|, |v|) within 2**+-_RANGE_BITS, far inside that range,
+    and a chunk with no finite bound rescales after every step.  So the
+    bits of u, v and E at the canonical rescalings do not depend on how
+    often the state was rescaled in between: the result is that of a
+    rescaling after every step, whatever the chunk length and the
+    periods, and the lanes of one value give the same bits in any sweep.
+    (Only a component or product that falls about 2**520 below its
+    lane's max(|u|, |v|) could leave the normal range in one schedule
+    and not in another: ledger D17.)
 
     No step allocates: step(coefficient, u, v, out, scratch) writes u'
-    into out, then u, v and out rotate among three preallocated arrays,
-    and every call writes into one of them or into scratch.  A chunk's
-    norms fill rows 1..c of one buffer; after the chunk their logs are
-    taken at once and added, row after row, to the running sum held in
-    the row before the first counted one.  Each element so sees the
-    operations of the one-array-per-step loop in its order,
-    ((acc + log n_0) + log n_1) + ..., bit for bit: every ufunc here is
-    elementwise, and a reduction along axis 0, which is not the
-    contiguous axis, adds its rows in sequence.
+    into out, then u, v and out rotate among three preallocated arrays.
     """
     u = np.ones(lanes)
     v = np.full(lanes, 0.5)
     t = np.empty(lanes)
     scratch = np.empty(lanes)
-    norms = np.empty((chunk + 1, *lanes))
-    acc = np.zeros(lanes)
-    multiply, add, sqrt, divide = np.multiply, np.add, np.sqrt, np.divide  # local names: the loop is dispatch-bound
+    e = np.empty(lanes, dtype=np.intc)
+    exponents = np.zeros(lanes, dtype=np.int64)
+    burn_exponents, burn_log = 0, 0.0
+    periods = []
     total = block_len + burn_in
     for start in range(0, total, chunk):
-        c = min(chunk, total - start)
-        for n, coefficient in zip(norms[1:c + 1], chunk_coefficients(c)):
+        end = min(start + chunk, total)
+        coefficients, growth = chunk_coefficients(end - start)
+        period = _rescale_period(growth)
+        periods.append(period)
+        stops = {*range(start + period, end, period), end, burn_in}
+        for i, coefficient in enumerate(coefficients, start + 1):
             step(coefficient, u, v, t, scratch)
             u, v, t = t, u, v
-            multiply(u, u, n)
-            multiply(v, v, t)
-            add(n, t, n)
-            sqrt(n, n)
-            divide(u, n, u)
-            divide(v, n, v)
-        skip = max(0, burn_in - start)  # rows 1..skip hold burn-in norms
-        if skip < c:
-            counted = norms[skip:c + 1]
-            counted[0] = acc
-            np.log(counted[1:], out=counted[1:])
-            np.add.reduce(counted, axis=0, out=acc)
-    return acc / block_len
+            if i in stops:
+                _rescale(u, v, exponents, t, scratch, e)
+                if i == burn_in:
+                    burn_exponents, burn_log = exponents.copy(), _log_norm(u, v)
+    gammas = ((exponents - burn_exponents) * _LN2 + _log_norm(u, v) - burn_log) / block_len
+    return gammas, periods
+
+
+def _linear_growth(a):
+    """Bound max|a| + 1 on the growth and shrink of max(|u|, |v|) under u' = a u - v, v' = u."""
+    return float(np.maximum(a.max(), -a.min())) + 1.0
 
 
 def _linear_step(a, u, v, out, scratch):
@@ -172,8 +233,6 @@ def transfer_lyapunov(
     block_len = n_steps // n_blocks
     total = block_len + burn_in
     chunk = min(max(1, _CHUNK_ELEMENTS // (values.size * n_blocks)), total)
-    logger.debug("transfer sweep: %d lanes (%d values x %d blocks), %d steps per lane in %d chunks of %d steps",
-                 values.size * n_blocks, values.size, n_blocks, total, -(-total // chunk), chunk)
     buf = np.empty((chunk, values.size, n_blocks))
 
     def draw(c):
@@ -190,23 +249,30 @@ def transfer_lyapunov(
             a = draw(c)
             np.multiply(values, a, out=a)
             np.divide(a, spring_k, out=a)
-            return np.subtract(2.0, a, out=a)  # 2 - omega^2 m / K
+            np.subtract(2.0, a, out=a)  # 2 - omega^2 m / K
+            return a, _linear_growth(a)
 
     elif kind == ANDERSON:
 
         def coefficients(c):
-            return np.subtract(values, draw(c), out=buf[:c])  # E - V
+            a = np.subtract(values, draw(c), out=buf[:c])  # E - V
+            return a, _linear_growth(a)
 
     else:
         omega = np.sqrt(values) * np.ones(n_blocks)  # full lane shape: a broadcast costs more per step
+        omega_max = float(omega.max())
         t_prev = np.sqrt(np.stack([law.sample(rng, n_blocks) for rng in rngs]))
 
         def coefficients(c):
             nonlocal t_prev
             t = np.sqrt(draw(c), out=buf[:c])
+            t_min = min(float(t.min()), float(t_prev.min()))
+            t_max = max(float(t.max()), float(t_prev.max()))
+            # the step and its inverse each grow max(|u|, |v|) by at most max(1, (omega + t) / t_-)
+            growth = max(1.0, (omega_max + t_max) / t_min) if t_min > 0 else math.inf
             pairs = zip([t_prev, *t[:-1]], t)
             t_prev = t[-1].copy()  # the next draw overwrites the buffer
-            return pairs
+            return pairs, growth
 
         def step(pair, u, v, out, scratch):
             t_last, t_cur = pair
@@ -218,7 +284,11 @@ def transfer_lyapunov(
     # A law whose draws overflow the step makes non-finite blocks; the check below refuses
     # them, so numpy's own warnings on the way there would only repeat it.
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        blocks = _block_gammas(coefficients, step, (values.size, n_blocks), chunk, block_len, burn_in)
+        blocks, periods = _block_gammas(coefficients, step, (values.size, n_blocks), chunk, block_len, burn_in)
+    logger.debug("transfer sweep: %d lanes (%d values x %d blocks), %d steps per lane in %d chunks of %d steps; "
+                 "smallest rescale period %d steps, %d chunks below %d",
+                 values.size * n_blocks, values.size, n_blocks, total, len(periods), chunk,
+                 min(periods), sum(p < _MAX_PERIOD for p in periods), _MAX_PERIOD)
     estimates = []
     for value, row in zip(values[:, 0], blocks):
         gamma = float(np.mean(row))
@@ -290,8 +360,8 @@ def band_edge_collapse(alpha: float, energy_grid, n_steps: int, seed=0) -> Colla
     (2 alpha)^{2/3} (|E| - 2), where it should follow the Airy scaling
     function.
     """
-    if alpha < 8:
-        raise ValueError("weak-disorder collapse needs alpha >= 8")
+    if not (math.isfinite(alpha) and alpha >= 8):
+        raise ValueError("weak-disorder collapse needs a finite alpha >= 8")
     energies = np.atleast_1d(np.asarray(energy_grid, dtype=float))  # a scalar is the one-point grid
     cube = (2.0 * alpha) ** (1.0 / 3.0)
     scaled_x = (2.0 * alpha) ** (2.0 / 3.0) * (np.abs(energies) - 2.0)

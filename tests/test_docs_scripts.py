@@ -7,8 +7,8 @@ docs/sturm_lanes.py times the loop shapes behind
 tridiag._FLOAT_LOOP_LANES; with --against it loads a second tridiag.py
 inside the randchain package.  docs/coalescence.py gives the
 coalescence distances behind the verified blocks' lengths
-(tridiag._BLOCK_SITES and _BLOCK_MIN); its --times tables (ledgers D11
-and D16), which time the per-step loops at the benchmark's call shapes
+(tridiag._BLOCK_SITES and _BLOCK_MIN); its --times tables (ledgers
+D11, D16 and D17), which time the per-step loops at the benchmark's call shapes
 and, with --against, a second lyapunov.py loaded the same way, are
 only imported here, since one run takes over ten seconds.
 docs/import_cost.py times the imports behind ledgers D5 and D14.

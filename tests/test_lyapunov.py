@@ -168,6 +168,15 @@ def test_band_edge_collapse_validation():
         band_edge_collapse(4.0, 2.0, 10**4, seed=0)
 
 
+@pytest.mark.parametrize("alpha", [math.inf, math.nan])
+def test_band_edge_collapse_refuses_nonfinite_alpha(alpha):
+    # Refused before any arithmetic: no numpy warning on the way.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="alpha"):
+            band_edge_collapse(alpha, [2.0], 2000)
+
+
 def test_band_edge_collapse_scalar_energy_is_the_one_point_grid():
     one = band_edge_collapse(64.0, 2.0, 2000, seed=3)
     grid = band_edge_collapse(64.0, [2.0], 2000, seed=3)
@@ -244,32 +253,64 @@ def test_transfer_lyapunov_nonfinite_estimate_is_an_error():
             transfer_lyapunov(TYPE_I, Gamma(1e-300, 1.0), np.array([1.0, 2.0]), 2000)
 
 
-def _reference_lyapunov(kind, law, value, n_steps, seed, spring_k, n_blocks, burn_in):
-    """The per-step transfer loop the chunked kernel replaced: one draw per step."""
+def _reference_step(kind, law, value, seed, spring_k, n_blocks):
+    """u' of the per-step transfer loop: one draw per step."""
     rng = rng_from_seed(seed)
-    block_len = n_steps // n_blocks
     if kind == TYPE_I:
         t_prev = np.sqrt(law.sample(rng, n_blocks))
+
+    def step(u, v):
+        nonlocal t_prev
+        if kind == TYPE_II:
+            return (2.0 - value * law.sample(rng, n_blocks) / spring_k) * u - v
+        if kind == ANDERSON:
+            return (value - law.sample(rng, n_blocks)) * u - v
+        t_cur = np.sqrt(law.sample(rng, n_blocks))
+        u_next = (math.sqrt(value) * u - t_prev * v) / t_cur
+        t_prev = t_cur
+        return u_next
+
+    return step
+
+
+def _estimate(blocks, n_blocks):
+    return float(np.mean(blocks)), float(np.std(blocks, ddof=1) / math.sqrt(n_blocks))
+
+
+def _reference_lyapunov(kind, law, value, n_steps, seed, spring_k, n_blocks, burn_in):
+    """The per-step transfer loop, rescaled by a power of two after every step."""
+    step = _reference_step(kind, law, value, seed, spring_k, n_blocks)
+    block_len = n_steps // n_blocks
+    u = np.ones(n_blocks)
+    v = np.full(n_blocks, 0.5)
+    exponent = np.zeros(n_blocks, dtype=np.int64)
+    burn_exponent, burn_log = 0, 0.0
+    for i in range(1, block_len + burn_in + 1):
+        u, v = step(u, v), u
+        _, e = np.frexp(np.maximum(np.abs(u), np.abs(v)))
+        u, v = np.ldexp(u, -e), np.ldexp(v, -e)
+        exponent += e
+        if i == burn_in:
+            burn_exponent, burn_log = exponent.copy(), np.log(np.sqrt(u * u + v * v))
+    log_norm = np.log(np.sqrt(u * u + v * v))
+    return _estimate(((exponent - burn_exponent) * math.log(2.0) + log_norm - burn_log) / block_len, n_blocks)
+
+
+def _dividing_lyapunov(kind, law, value, n_steps, seed, spring_k, n_blocks, burn_in):
+    """The per-step transfer loop dividing the state by its norm after every step."""
+    step = _reference_step(kind, law, value, seed, spring_k, n_blocks)
+    block_len = n_steps // n_blocks
     u = np.ones(n_blocks)
     v = np.full(n_blocks, 0.5)
     acc = np.zeros(n_blocks)
     for i in range(block_len + burn_in):
-        if kind == TYPE_II:
-            u_next = (2.0 - value * law.sample(rng, n_blocks) / spring_k) * u - v
-        elif kind == ANDERSON:
-            u_next = (value - law.sample(rng, n_blocks)) * u - v
-        else:
-            t_cur = np.sqrt(law.sample(rng, n_blocks))
-            u_next = (math.sqrt(value) * u - t_prev * v) / t_cur
-            t_prev = t_cur
-        u, v = u_next, u
+        u, v = step(u, v), u
         norm = np.sqrt(u * u + v * v)
         u /= norm
         v /= norm
         if i >= burn_in:
             acc += np.log(norm)
-    blocks = acc / block_len
-    return float(np.mean(blocks)), float(np.std(blocks, ddof=1) / math.sqrt(n_blocks))
+    return _estimate(acc / block_len, n_blocks)
 
 
 _BIT_CASES = [
@@ -344,4 +385,40 @@ def test_transfer_sweep_logs_its_shape(monkeypatch, caplog):
     monkeypatch.setattr(lyapunov, "_CHUNK_ELEMENTS", 7 * 3 * 7)
     caplog.set_level(logging.DEBUG, logger="randchain.lyapunov")
     transfer_lyapunov(ANDERSON, GaussianPotential(0.1), np.array([-1.0, 0.0, 1.0]), 1003, n_blocks=7, burn_in=13)
-    assert caplog.messages == ["transfer sweep: 21 lanes (3 values x 7 blocks), 156 steps per lane in 23 chunks of 7 steps"]
+    assert caplog.messages == ["transfer sweep: 21 lanes (3 values x 7 blocks), 156 steps per lane in 23 chunks of 7 steps; "
+                               "smallest rescale period 32 steps, 0 chunks below 32"]
+
+
+@pytest.mark.parametrize("kind, law, values, spring_k", _SWEEP_CASES)
+def test_power_of_two_rescaling_stays_near_the_dividing_loop(kind, law, values, spring_k):
+    # Rescaling by powers of two instead of dividing by the norm moves only
+    # the last bits of gamma.
+    ests = transfer_lyapunov(kind, law, np.array(values), 1003, seed=6, spring_k=spring_k, n_blocks=7, burn_in=13)
+    for i, (value, est) in enumerate(zip(values, ests)):
+        gamma, _ = _dividing_lyapunov(kind, law, value, 1003, (6, i), spring_k, 7, 13)
+        assert abs(est.gamma - gamma) <= 1e-12 * max(1.0, abs(gamma))
+
+
+def test_steep_step_rescales_every_step():
+    # |a| = 1e100 - 2 grows the state by 2**332 a step: four steps between
+    # rescalings would overflow, and the bound takes one.
+    est = transfer_lyapunov(TYPE_II, Constant(1.0), 1e100, 2000)
+    assert math.isfinite(est.gamma)
+    assert est.gamma == pytest.approx(math.log(1e100 - 2.0), rel=1e-13, abs=0.0)
+
+
+@pytest.mark.parametrize("chunk_elements", [7 * 2 * 7, 256 * 2 * 7])
+def test_tiny_couplings_shorten_the_rescale_period_bitwise(monkeypatch, chunk_elements):
+    # Gamma(0.05, 1) draws couplings far below 1e-30 but not 0: the chunks
+    # that hold one rescale more often, and every bit stays the reference's.
+    periods = []
+    real = lyapunov._rescale_period
+
+    def spy(growth):
+        periods.append(real(growth))
+        return periods[-1]
+
+    monkeypatch.setattr(lyapunov, "_rescale_period", spy)
+    monkeypatch.setattr(lyapunov, "_CHUNK_ELEMENTS", chunk_elements)
+    _assert_sweep_is_the_reference_loop(TYPE_I, Gamma(0.05, 1.0), [0.5, 2.0], 1.0, 7, 13)
+    assert min(periods) < lyapunov._MAX_PERIOD
