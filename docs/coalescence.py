@@ -1,4 +1,4 @@
-"""Tables behind docs/DECISIONS.md (ledgers D11, D16 and D17): how soon the scalar recursions forget their start, and what the per-step loops cost.
+"""Tables behind docs/DECISIONS.md (ledgers D11, D16, D17 and D18): how soon the scalar recursions forget their start, and what the per-step loops cost.
 
 Run from the repository root:
 
@@ -7,9 +7,10 @@ Run from the repository root:
 For each recursion that runs as verified blocks (randchain/blocks.py) it
 prints the coalescence distance: the steps after which a float
 trajectory started from the block guess has the bits of the true
-trajectory, fed the same data.  The stationary paths (xi, z and s of
-schmidt.mc_stationary, eta of schmidt._eta_samples) start from the
-kind's own start value; the Sturm pivots of tridiag._block_counts start
+trajectory, fed the same data.  The stationary paths (xi over x lambda
+of schmidt.mc_stationary, "xi paired" over x K/m taken twice per mass
+of schmidt.omega_type2_mc) start from their own start value, x and 1,
+as the blocks' sweeps do; the Sturm pivots of tridiag._block_counts start
 as if the matrix began at the block, on the fixed-boundary frequency
 matrix of a two-point chain (schmidt --op nodefrac's matrix) at the
 probe omega^2.  Each row starts N blocks (default 64) at every
@@ -61,19 +62,17 @@ def first_meet(true: np.ndarray, trial: np.ndarray, first: np.ndarray, j: int) -
     first[hit] = j + 1
 
 
-def path_distances(loop, step, coeffs, start: float, horizon: int, blocks: int) -> np.ndarray:
-    """Coalescence distance of each block after the first (-1 where it never met)."""
-    total = horizon * blocks
-    coeffs = [c[:total] for c in coeffs]
-    true = np.empty(total)
-    loop(*(memoryview(c) for c in coeffs), start, memoryview(true))
-    rows = [block_view(c, horizon, blocks) for c in coeffs]
+def path_distances(c: np.ndarray, start: float, horizon: int, blocks: int) -> np.ndarray:
+    """Coalescence distance of each block of the xi path over c after the first (-1 where it never met)."""
+    c = c[:horizon * blocks]
+    true = np.empty(c.size)
+    schmidt._fraction_loop(memoryview(c), start, memoryview(true))
     truth = block_view(true, horizon, blocks)
-    v, t, u = np.full(blocks, start), np.empty(blocks), np.empty(blocks)
+    v, t = np.full(blocks, start), np.empty(blocks)
     first = np.full(blocks, -1)
     with np.errstate(all="ignore"):
-        for j, row in enumerate(zip(*rows)):
-            step(v, v, t, u, *row)
+        for j, row in enumerate(block_view(c, horizon, blocks)):
+            schmidt._fraction_step(v, v, t, row)
             first_meet(truth[j], v, first, j)
     return first[1:]
 
@@ -82,18 +81,8 @@ def path_rows(horizon: int, blocks: int):
     for name, law in LAWS.items():
         for x in XS:
             draws = np.asarray(law.sample(rng_from_seed(7), horizon * blocks), dtype=float)
-            yield "xi", name, f"x = {x:g}", path_distances(
-                schmidt._fraction_loop, schmidt._fraction_step, [x * draws], x, horizon, blocks)
-            xl = x * (1.0 / draws)
-            yield "eta", name, f"x = {x:g}", path_distances(
-                schmidt._eta_loop, schmidt._eta_step, [xl, 1.0 + xl], 1.0, horizon, blocks)
-            y = x ** -0.5
-            yield "s", name, f"y = {y:.3g}", path_distances(
-                schmidt._fraction_loop, schmidt._fraction_step, [-(draws / (y * y))], 0.0, horizon, blocks)
-        for w2 in (0.5, 2.0, 5.0):
-            draws = np.asarray(law.sample(rng_from_seed(7), horizon * blocks), dtype=float)
-            yield "z", name, f"omega^2 = {w2:g}", path_distances(
-                schmidt._ratio_loop, schmidt._ratio_step, [2.0 - w2 * draws], 1.0, horizon, blocks)
+            yield "xi", name, f"x = {x:g}", path_distances(x * draws, x, horizon, blocks)
+            yield "xi paired", name, f"x = {x:g}", path_distances(np.repeat(x * (1.0 / draws), 2), 1.0, horizon, blocks)
 
 
 def sturm_rows(horizon: int, blocks: int):
@@ -120,11 +109,16 @@ def sturm_rows(horizon: int, blocks: int):
         yield "Sturm pivot", "twopoint:1:2:0.3 masses", f"omega^2 = {w2:g}", first[1:]
 
 
+def type2_path() -> np.ndarray:
+    """omega_type2_mc's path at twopoint:1:2:0.3, K = 1, x = 1, 300000 masses after 1000: xi over x K/m in pairs."""
+    masses = TwoPoint(1.0, 2.0, 0.3).sample(rng_from_seed(5), 301000)
+    return schmidt._stationary_path(np.repeat(1.0 * (1.0 / masses), 2), 1.0)
+
+
 TIMED = {
     "mc_stationary(XiTypeI(1), gamma:1:1, 300000)":
         lambda: schmidt.mc_stationary(schmidt.XiTypeI(1.0), Gamma(1.0, 1.0), 300000, 1000, seed=5),
-    "_eta_samples(twopoint:1:2:0.3, K = 1, x = 1, 300000)":
-        lambda: schmidt._eta_samples(TwoPoint(1.0, 2.0, 0.3), 1.0, 1.0, 300000, 1000, rng_from_seed(5)),
+    "omega_type2_mc's path (twopoint:1:2:0.3, K = 1, x = 1, 300000)": type2_path,
 }
 
 

@@ -19,9 +19,11 @@ loop over the L steps of a block:
   of the block before it, which is then its own true end.
 
 numpy's float64 add, subtract, multiply and divide round exactly as
-Python floats do, so the accepted blocks hold the loop's bits.  The
-callers keep the loop for singular steps; ledger D11 gives the
-coalescence distances behind their block lengths.
+Python floats do, so the accepted blocks hold the loop's bits.  The one
+singular step the callers take is the Sturm float loop's zero rule (a
+zero pivot becomes tridiag._TINY), which the Sturm sweeps share through
+the array loop; the stationary continued fraction has none.  Ledgers
+D11 and D18 give the coalescence distances behind the block lengths.
 """
 
 from __future__ import annotations

@@ -84,7 +84,10 @@ def _kl_scaled(p: Gamma, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.nda
     summing its own nodes in order, so each keeps the bits of a call at that point alone.
     """
     alpha = p.alpha
-    s = xs / p.rate
+    with np.errstate(over="ignore"):
+        s = xs / p.rate
+    if not np.all(np.isfinite(s)):  # before the node range, which s sizes
+        raise ValueError("K and L overflow at these x")
     log1p_s = np.log1p(s)
     v_c = np.log(np.maximum(2.0 * alpha / (1.0 + np.sqrt(1.0 + 4.0 * alpha * s)), 1.0))
     c = 0.5 * math.pi / math.sqrt(max(alpha, 1.0))
@@ -110,7 +113,8 @@ def _kl_scaled(p: Gamma, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.nda
         k2, l2 = 2.0 * terms[..., even].sum(axis=-1), 2.0 * (terms * weight)[..., even].sum(axis=-1)
         logger.debug("K, L rule against its even nodes: K %.3e relative, Omega %.3e",
                      np.max(np.abs(k2 / kv - 1.0)), np.max(np.abs(2.0 * l2 / k2 - 2.0 * lv / kv)))
-    return kv, lv, alpha * np.log(s) + peak[..., 0] + np.log(c * h)
+    with np.errstate(divide="ignore"):  # s underflowed to 0: K and L scale to 0, and Omega = 2 lv/kv stands
+        return kv, lv, alpha * np.log(s) + peak[..., 0] + np.log(c * h)
 
 
 def k_alpha(p: Gamma, x):

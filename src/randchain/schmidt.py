@@ -1,8 +1,8 @@
 """Stationary laws of the random chain recursions and what they yield.
 
-The continued-fraction variable of a type I chain, the displacement
-ratios of a type II chain, and the characteristic-polynomial ratios of
-the anti-symmetric form all satisfy random fixed-point equations of the
+The continued-fraction variable of a type I chain (and of a type II
+chain, whose couplings come in equal pairs) and the displacement ratios
+of a type II chain satisfy random fixed-point equations of the
 Dyson-Schmidt type.  This module iterates them (Monte Carlo and on
 density grids), extracts the characteristic function and the integrated
 density of states from the stationary laws, counts nodes exactly on
@@ -28,7 +28,6 @@ __all__ = [
     "DensityGrid",
     "XiTypeI",
     "RatioTypeII",
-    "AntisymRatio",
     "GridError",
     "KsResult",
     "mc_stationary",
@@ -107,8 +106,8 @@ class XiTypeI:
     x: float
 
     def __post_init__(self):
-        if not self.x > 0:
-            raise ValueError("x must be positive")
+        if not (self.x > 0 and math.isfinite(self.x)):
+            raise ValueError("x must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -123,245 +122,153 @@ class RatioTypeII:
             raise ValueError("spring_k must be positive")
 
 
-@dataclass(frozen=True)
-class AntisymRatio:
-    """Shifted ratio recursion s' = -(lambda / y^2) / (1 + s)."""
-
-    y: float
-
-    def __post_init__(self):
-        if not self.y * self.y > 0:
-            raise ValueError("y**2 must be positive")
-
-
 class KsResult(NamedTuple):
     statistic: float
     pvalue: float
 
 
-def mc_stationary(kind, law: DisorderLaw, n_samples: int, burn_in: int = DEFAULT_BURN_IN, seed=0) -> np.ndarray:
-    """Samples of the stationary variable of the given recursion.
+def mc_stationary(kind: XiTypeI, law: DisorderLaw, n_samples: int, burn_in: int = DEFAULT_BURN_IN, seed=0) -> np.ndarray:
+    """Samples of the stationary continued fraction xi of a type I chain.
 
-    The recursion is iterated from a fixed start (xi0 = x, z0 = 1, s0 = 0)
-    with one fresh disorder draw per step; the first burn_in iterates are
-    discarded.  Exact division-by-zero steps (measure zero under the
-    continuous laws) propagate through infinity, which every map folds
-    back to a finite value at the next step; occurrences are counted and
-    logged.  Long runs go as verified blocks, with every value that of
-    the step-by-step loop (_stationary_path).
+    xi' = x lambda / (1 + xi) is iterated from xi0 = x with one fresh
+    disorder draw per step; the first burn_in iterates are discarded.
+    Long runs go as verified blocks, with every value that of the
+    step-by-step loop (_stationary_path).
     """
+    if not isinstance(kind, XiTypeI):
+        raise TypeError(f"unsupported recursion kind: {kind!r}")
     if n_samples < 1 or burn_in < 0:
         raise ValueError("need n_samples >= 1 and burn_in >= 0")
     _require_positive_law(law)
-    rng = rng_from_seed(seed)
-    # Each map reads one coefficient per step, computed here in place of
-    # its draw with the loop's own operations, so its bits are the loop's.
-    c = np.asarray(law.sample(rng, n_samples + burn_in), dtype=float)
-    if isinstance(kind, XiTypeI):
-        # xi stays nonnegative for positive laws, so the singular point
-        # -1 is unreachable in practice.
-        x = float(kind.x)
-        np.multiply(x, c, out=c)  # x lambda
-        path = _stationary_path(_fraction_loop, _fraction_step, (c,), x, "xi")
-    elif isinstance(kind, RatioTypeII):
-        np.multiply(float(kind.omega_sq), c, out=c)
-        np.divide(c, float(kind.spring_k), out=c)
-        np.subtract(2.0, c, out=c)  # a = 2 - omega^2 m / K
-        path = _stationary_path(_ratio_loop, _ratio_step, (c,), 1.0, "z")
-    elif isinstance(kind, AntisymRatio):
-        np.divide(c, float(kind.y) * float(kind.y), out=c)
-        np.negative(c, out=c)  # -lambda / y^2
-        path = _stationary_path(_fraction_loop, _fraction_step, (c,), 0.0, "s")
-    else:
-        raise TypeError(f"unsupported recursion kind: {kind!r}")
-    return path[burn_in:]
+    # The loop's own coefficient x lambda, computed in place of the draw.
+    c = np.asarray(law.sample(rng_from_seed(seed), n_samples + burn_in), dtype=float)
+    with np.errstate(over="ignore"):  # an overflowing x lambda makes the path, and omega_mc, non-finite
+        np.multiply(float(kind.x), c, out=c)
+    return _stationary_path(c, float(kind.x))[burn_in:]
 
 
 # Stationary paths of at least _BLOCK_MIN blocks of _BLOCK_STEPS steps run as
-# verified blocks (blocks.py).  A block is twice the longest coalescence of the
-# xi and eta paths over the laws and x of ledger D11 (the z and s paths meet
-# later near their band edges, and re-run there), and the break-even with the
-# loop lies between 30 (xi) and 45 (eta) blocks on a 2-core box.  Sweep 2
-# writes _BLOCK_ROWS steps of every block at a time to a contiguous buffer,
-# then into the path.
+# verified blocks (blocks.py).  Over the laws and x of ledger D11, xi meets
+# within 429 steps, and within 998 over couplings in pairs (D18), where a few
+# blocks re-run; the break-even with the loop lies near 30 blocks on a 2-core
+# box.  Sweep 2 writes _BLOCK_ROWS steps of every block at a time to a
+# contiguous buffer, then into the path.
 _BLOCK_STEPS = 1024
 _BLOCK_MIN = 48
 _BLOCK_ROWS = 32
-# Sweep 1 starts every block from this guess.  The paths' own starts are
-# poor guesses: a coefficient a = 1 maps z = 1 to the pole 0, and c = -1
-# maps s = 0 to the pole -1, both exact for common laws (twopoint masses
-# at omega^2 m / K = 1, say).  No coefficient a law draws is likely to be
-# 1/_GUESS or -(1 + _GUESS) exactly.
-_GUESS = 0.6180339887498949  # the golden ratio less one
 
 
-def _fraction_loop(c, v, out):
-    """v' = c / (1 + v) over the coefficients c from v, into out: the xi and s maps."""
-    singular = 0
+def _fraction_loop(c, v: float, out) -> float:
+    """xi' = c / (1 + xi) over the coefficients c from v, into out; returns the last value.
+
+    With c >= 0 and v >= 0, 1 + xi is never 0 (inf maps xi to 0).
+    """
     for i, ci in enumerate(c):
-        denom = 1.0 + v
-        if denom == 0.0:
-            v = math.inf
-            singular += 1
-        else:
-            v = ci / denom  # denom = inf maps v to 0
+        v = ci / (1.0 + v)
         out[i] = v
-    return v, singular
+    return v
 
 
-def _fraction_step(v, out, t, u, c):
+def _fraction_step(v, out, t, c):
+    """The same map on arrays, one element per block, with scratch t."""
     np.add(1.0, v, out=t)
     np.divide(c, t, out=out)
 
 
-def _ratio_loop(a, v, out):
-    """z' = a - 1/z over the coefficients a from z, into out."""
-    singular = 0
-    for i, ai in enumerate(a):
-        if v == 0.0:
-            v = math.inf  # signed-infinity propagation of 1/0
-            singular += 1
-        v = ai - 1.0 / v if not math.isinf(v) else ai
-        out[i] = v
-    return v, singular
+def _stationary_path(c: np.ndarray, start: float) -> np.ndarray:
+    """xi from start, one value per coefficient in c, exactly as _fraction_loop gives them.
 
-
-def _ratio_step(v, out, t, u, a):
-    np.divide(1.0, v, out=t)
-    np.subtract(a, t, out=out)
-
-
-def _eta_loop(xl, opl, v, out):
-    """eta' = (eta opl + 1) / (xl (1 + eta)) over xl = x K/m and opl = 1 + xl from eta, into out."""
-    singular = 0
-    for i, (xli, opli) in enumerate(zip(xl, opl)):
-        denom = xli * (1.0 + v)
-        if denom == 0.0:
-            v = math.inf
-            singular += 1
-        elif not math.isinf(v):
-            v = (v * opli + 1.0) / denom
-        else:
-            v = opli / xli if xli else math.inf  # numpy's 1/0
-        out[i] = v
-    return v, singular
-
-
-def _eta_step(v, out, t, u, xl, opl):
-    np.add(1.0, v, out=t)
-    np.multiply(xl, t, out=t)
-    np.multiply(v, opl, out=u)
-    np.add(u, 1.0, out=u)
-    np.divide(u, t, out=out)
-
-
-def _stationary_path(loop, step, coeffs, start: float, name: str) -> np.ndarray:
-    """The recursion's values from start, one per coefficient step, exactly as loop gives them.
-
-    loop(*coeffs, v, out) runs the scalar recursion over (slices of) the
-    coefficient arrays from v, writes its values to out and returns the
-    last value and the count of singular steps.  step(v, out, t, u, *rows)
-    is the same map on arrays, one element per block, with scratch t and
-    u.  A path of at least _BLOCK_MIN blocks runs as verified blocks
-    (blocks.py): the sweeps raise on any floating-point exception but
-    underflow, and then the whole path goes to the loop, which alone
-    handles singular steps.  What ran is logged at debug level.
+    A path of at least _BLOCK_MIN blocks runs as verified blocks
+    (blocks.py), whose sweeps start every block from start: they raise on
+    any floating-point exception but underflow, and then the whole path
+    goes to the loop.  What ran is logged at debug level.
     """
-    total = coeffs[0].size
-    out = np.empty(total)
-    path, data = memoryview(out), [memoryview(c) for c in coeffs]
+    out = np.empty(c.size)
+    path, data = memoryview(out), memoryview(c)
     length = _BLOCK_STEPS
-    n_blocks = total // length
-    done, v, singular, reruns, fallback = 0, start, 0, 0, False
+    n_blocks = c.size // length
+    done, v, reruns, fallback = 0, start, 0, False
     lanes = n_blocks if n_blocks >= _BLOCK_MIN else 0
     if lanes:
-        rows = [block_view(c, length, n_blocks) for c in coeffs]
+        rows = block_view(c, length, n_blocks)
         try:
             with np.errstate(all="raise", under="ignore"):
-                ends1 = _sweep(step, rows, np.full(n_blocks, _GUESS), None)
-                ends2 = _sweep(step, rows, np.r_[start, ends1[:-1]], block_view(out, length, n_blocks, writeable=True))
+                ends1 = _sweep(rows, np.full(n_blocks, start), None)
+                ends2 = _sweep(rows, np.r_[start, ends1[:-1]], block_view(out, length, n_blocks, writeable=True))
         except FloatingPointError:
             fallback = True
         else:
             def rerun(b, redo, w):
-                nonlocal singular
                 span = slice(b * length, (b + 1) * length)
-                w, hits = loop(*(d[span] for d in data), float(w[0]), path[span])
-                singular += hits
-                return w
+                return _fraction_loop(data[span], float(w[0]), path[span])
 
             end, reruns = walk_blocks(ends1, ends2, rerun)
             v, done = float(end), n_blocks * length
-    v, hits = loop(*(d[done:] for d in data), v, path[done:])
-    singular += hits
-    logger.debug("%s path: %d steps, %d lanes of %d-step blocks, %d re-run, loop fallback %s",
-                 name, total, lanes, length, reruns, fallback)
-    if singular:
-        logger.debug("%s path handled %d singular steps", name, singular)
+    _fraction_loop(data[done:], v, path[done:])
+    logger.debug("xi path: %d steps, %d lanes of %d-step blocks, %d re-run, loop fallback %s",
+                 c.size, lanes, length, reruns, fallback)
     return out
 
 
-def _sweep(step, rows, v: np.ndarray, out) -> np.ndarray:
+def _sweep(rows: np.ndarray, v: np.ndarray, out) -> np.ndarray:
     """Carries the blocks' values v over the block_view rows; writes them to out (a writeable block_view) if given."""
-    t, u = np.empty_like(v), np.empty_like(v)
+    t = np.empty_like(v)
     if out is None:
-        for row in zip(*rows):
-            step(v, v, t, u, *row)
+        for row in rows:
+            _fraction_step(v, v, t, row)
         return v
     buf = np.empty((_BLOCK_ROWS, v.size))
     for j0 in range(0, out.shape[0], _BLOCK_ROWS):
         chunk = buf[:out.shape[0] - j0]
-        for dest, row in zip(chunk, zip(*(r[j0:j0 + _BLOCK_ROWS] for r in rows))):
-            step(v, dest, t, u, *row)
+        for dest, row in zip(chunk, rows[j0:j0 + _BLOCK_ROWS]):
+            _fraction_step(v, dest, t, row)
             v = dest
         out[j0:j0 + chunk.shape[0]] = chunk
     return v.copy()
 
 
+def _finite(value: float) -> float:
+    if not math.isfinite(value):
+        raise ArithmeticError("non-finite Monte Carlo estimate: the path leaves the doubles")
+    return value
+
+
 def omega_mc(kind: XiTypeI, law: DisorderLaw, n_samples: int, seed=0, burn_in: int = DEFAULT_BURN_IN) -> float:
     """Monte Carlo characteristic function: 2 <log(1 + xi)> at stationarity."""
     xi = mc_stationary(kind, law, n_samples, burn_in=burn_in, seed=seed)
-    return 2.0 * float(np.mean(np.log1p(xi)))
-
-
-def _eta_samples(law: DisorderLaw, spring_k: float, x: float, n: int, burn_in: int, rng) -> np.ndarray:
-    """Stationary samples of the paired-ratio variable of a type II chain.
-
-    Folding the two equal-lambda continued-fraction steps of one mass into
-    a single update gives eta' = (eta (1 + x lam) + 1) / (x lam (1 + eta))
-    with lam = K/m, run from eta = 1 by _stationary_path.
-    """
-    xl = np.asarray(law.sample(rng, n + burn_in), dtype=float)
-    np.divide(spring_k, xl, out=xl)
-    np.multiply(float(x), xl, out=xl)  # x lam
-    return _stationary_path(_eta_loop, _eta_step, (xl, 1.0 + xl), 1.0, "eta")[burn_in:]
+    with np.errstate(all="ignore"):
+        return _finite(2.0 * float(np.mean(np.log1p(xi))))
 
 
 def omega_type2_mc(law: DisorderLaw, spring_k: float, x: float, n: int, seed=0, burn_in: int = DEFAULT_BURN_IN) -> float:
     """Characteristic function of a type II chain by Monte Carlo.
 
-    Averages log(1 + 1/eta + x K/m) over stationary eta and the mass law;
-    for the two-point and constant laws the mass average is exact.
+    A type II chain is a type I chain whose couplings come in equal
+    pairs, x lambda = x K/m twice per mass, so xi runs over those
+    coefficients repeated in pairs, from xi0 = 1.  Averages
+    log(1 + xi + x K/m) over xi after each mass at stationarity and over
+    the mass law; for the two-point and constant laws the mass average
+    is exact.
     """
-    if not (x > 0 and spring_k > 0):
-        raise ValueError("x and spring_k must be positive")
+    if not (x > 0 and math.isfinite(x) and spring_k > 0):
+        raise ValueError("x must be positive and finite, and spring_k positive")
     if n < 1 or burn_in < 0:
         raise ValueError("need n >= 1 and burn_in >= 0")
     _require_positive_law(law)
     rng = rng_from_seed(seed)
-    eta = _eta_samples(law, spring_k, x, n, burn_in, rng)
-    base = 1.0 + 1.0 / eta
-    if isinstance(law, TwoPoint):
-        return float(
-            np.mean(
-                law.p * np.log(base + x * spring_k / law.m)
-                + (1.0 - law.p) * np.log(base + x * spring_k / law.big_m)
-            )
-        )
-    if isinstance(law, Constant):
-        return float(np.mean(np.log(base + x * spring_k / law.v)))
-    fresh = law.sample(rng, eta.size)
-    return float(np.mean(np.log(base + x * spring_k / fresh)))
+    c = np.asarray(law.sample(rng, n + burn_in), dtype=float)
+    with np.errstate(all="ignore"):  # K/m or x K/m past the doubles make the estimate non-finite
+        np.divide(spring_k, c, out=c)
+        np.multiply(float(x), c, out=c)  # x K/m
+        base = 1.0 + _stationary_path(np.repeat(c, 2), 1.0)[2 * burn_in + 1::2]
+        if isinstance(law, TwoPoint):
+            val = np.mean(law.p * np.log(base + x * spring_k / law.m)
+                          + (1.0 - law.p) * np.log(base + x * spring_k / law.big_m))
+        elif isinstance(law, Constant):
+            val = np.mean(np.log(base + x * spring_k / law.v))
+        else:
+            val = np.mean(np.log(base + x * spring_k / law.sample(rng, base.size)))
+    return _finite(float(val))
 
 
 def node_count(masses: np.ndarray, spring_k: float, omega_sq: float) -> int:

@@ -382,6 +382,12 @@ def test_lyapunov_rejects_signed_law_for_sprung_chains(tmp_path, capsys, model):
     ("exact --alpha 1e-150 --kappa 1 --grid 1:2:2", EXIT_NUMERIC),
     ("schmidt --op density --kind xi --law gamma:1:1 --x 1 --grid=-1:2:31 --iters 3", EXIT_USAGE),
     ("betaens --c-over-n 1e300 --pairs 5 --samples 2", EXIT_NUMERIC),
+    ("schmidt --op omega --law gamma:1:1 --samples 100 --x=inf", EXIT_USAGE),
+    ("schmidt --op omega2 --law gamma:1:1 --samples 100 --x=inf", EXIT_USAGE),
+    ("schmidt --op omega2 --law twopoint:50:1e-300:0 --samples 100 --x=1e300", EXIT_NUMERIC),
+    ("schmidt --op omega2 --law gamma:0.01:1e300 --samples 100 --x=50", EXIT_NUMERIC),
+    ("schmidt --op omega --law gamma:0.01:1e-300 --samples 100 --x=1e300", EXIT_NUMERIC),
+    ("exact --alpha 0.01 --kappa 1e-300 --what omega --grid=1e6:1e300:2", EXIT_USAGE),
 ])
 def test_refusal_census(tmp_path, capsys, argv, code):
     assert run([*argv.split(), "--out", str(tmp_path)]) == code
@@ -399,6 +405,16 @@ def test_exact_idos_near_zero_writes_finite_m(tmp_path):
     assert run(argv) == EXIT_OK
     table = np.loadtxt(tmp_path / "exact_idos.csv", delimiter=",", skiprows=1)
     assert np.all(np.isfinite(table)) and np.all((table[:, 1] > 0) & (table[:, 1] < 1))
+
+
+def test_exact_omega_where_x_over_kappa_underflows_writes_zero(tmp_path):
+    # x/kappa = 1e-300/1e300 underflows to 0, where Omega's limit is 0: the
+    # run writes it without a divide-by-zero warning.
+    argv = ["exact", "--alpha", "1", "--kappa", "1e300", "--what", "omega", "--grid=1e-300:1:2", "--out", str(tmp_path)]
+    assert run(argv) == EXIT_OK
+    table = np.loadtxt(tmp_path / "exact_omega.csv", delimiter=",", skiprows=1)
+    assert table[0, 1] == 0.0 and 0.0 < table[1, 1] < 1e-299
+
 
 def test_betaens_csv(tmp_path):
     argv = ["betaens", "--pairs", "20", "--beta", "2", "--samples", "3", "--out", str(tmp_path)]

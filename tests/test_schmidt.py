@@ -13,7 +13,6 @@ from randchain import chain, schmidt, tridiag
 from randchain.chain import Constant, Gamma, TwoPoint
 from randchain.specfun import rng_from_seed
 from randchain.schmidt import (
-    AntisymRatio,
     DensityGrid,
     GridError,
     RatioTypeII,
@@ -65,33 +64,22 @@ def test_mc_stationary_deterministic():
     assert np.array_equal(a, b)
 
 
-def test_antisym_ratio_constant_law_stable_root():
-    lam, y = 0.5, 3.0
-    s = mc_stationary(AntisymRatio(y), Constant(lam), 50, seed=3)
-    root = 0.5 * (-1.0 + math.sqrt(1.0 - 4.0 * lam / y**2))
-    assert s[-1] == pytest.approx(root, abs=1e-12)
-
-
 def test_mc_stationary_validation():
     with pytest.raises(ValueError):
         mc_stationary(XiTypeI(1.0), Gamma(1.0, 1.0), 0)
     with pytest.raises(TypeError):
         mc_stationary(object(), Gamma(1.0, 1.0), 10)
+    with pytest.raises(TypeError):  # the z map has only its density iteration
+        mc_stationary(RatioTypeII(1.0), Gamma(1.0, 1.0), 10)
 
 
 def _mc_reference(kind, law, n_samples, burn_in, seed):
     # The per-step loop on numpy scalars that mc_stationary replaced.
     draws = law.sample(rng_from_seed(seed), n_samples + burn_in)
     out = np.empty(draws.size)
-    v = kind.x if isinstance(kind, XiTypeI) else (1.0 if isinstance(kind, RatioTypeII) else 0.0)
+    v = kind.x
     for i in range(draws.size):
-        if isinstance(kind, XiTypeI):
-            v = math.inf if 1.0 + v == 0.0 else kind.x * draws[i] / (1.0 + v)
-        elif isinstance(kind, RatioTypeII):
-            a = 2.0 - kind.omega_sq * draws[i] / kind.spring_k
-            v = a - 1.0 / v if v != 0.0 and not math.isinf(v) else a
-        else:
-            v = math.inf if 1.0 + v == 0.0 else -(draws[i] / (kind.y * kind.y)) / (1.0 + v)
+        v = kind.x * draws[i] / (1.0 + v)
         out[i] = v
     return out[burn_in:]
 
@@ -100,18 +88,31 @@ def _mc_reference(kind, law, n_samples, burn_in, seed):
     (XiTypeI(1.0), Gamma(1.0, 1.0)),
     (XiTypeI(0.3), Gamma(2.5, 2.0)),
     (XiTypeI(2.0), Constant(1.0)),
-    (RatioTypeII(1.3, 1.0), TwoPoint(1.0, 2.0, 0.3)),
-    (RatioTypeII(0.7, 1.7), Gamma(1.0, 1.0)),
-    (AntisymRatio(3.0), Gamma(1.0, 1.0)),
-    (AntisymRatio(0.5), Constant(1.0)),
+    (XiTypeI(1.3), TwoPoint(1.0, 2.0, 0.3)),
+    (XiTypeI(0.7), Gamma(0.2, 1.0)),
+    (XiTypeI(100.0), Gamma(5.0, 5.0)),
+    (XiTypeI(1e-300), Constant(1e-300)),  # x lambda underflows to 0
 ])
 def test_mc_stationary_equals_numpy_scalar_loop_bitwise(kind, law):
     got = mc_stationary(kind, law, 5000, burn_in=200, seed=17)
-    assert np.array_equal(got, _mc_reference(kind, law, 5000, 200, 17), equal_nan=True)
+    assert np.array_equal(got.view(np.int64), _mc_reference(kind, law, 5000, 200, 17).view(np.int64))
+
+
+def _paired_reference(law, spring_k, x, n, burn_in, rng):
+    # xi on numpy scalars over the couplings x K/m, each taken twice: the
+    # type II chain as a type I chain.  Its path, one value per step.
+    lam = spring_k / law.sample(rng, n + burn_in)
+    out = np.empty(2 * lam.size)
+    xi = 1.0
+    for i in range(out.size):
+        xi = x * lam[i // 2] / (1.0 + xi)
+        out[i] = xi
+    return out
 
 
 def _eta_reference(law, spring_k, x, n, burn_in, rng):
-    # The eta loop on numpy scalars that _eta_samples replaced.
+    # The paired-ratio loop eta' = (eta (1 + x lam) + 1) / (x lam (1 + eta))
+    # on numpy scalars, which folds the two steps of one mass into one.
     lam = spring_k / law.sample(rng, n + burn_in)
     out = np.empty(lam.size)
     eta = 1.0
@@ -126,10 +127,14 @@ def _eta_reference(law, spring_k, x, n, burn_in, rng):
     return out[burn_in:]
 
 
-def _omega_type2_reference(law, spring_k, x, n, seed, burn_in):
-    # omega_type2_mc's average over the reference eta samples.
+def _omega_type2_reference(law, spring_k, x, n, seed, burn_in, paired=True):
+    # omega_type2_mc's average over the reference xi after each mass, or
+    # over 1/eta, which is the same value up to rounding.
     rng = rng_from_seed(seed)
-    base = 1.0 + 1.0 / _eta_reference(law, spring_k, x, n, burn_in, rng)
+    if paired:
+        base = 1.0 + _paired_reference(law, spring_k, x, n, burn_in, rng)[2 * burn_in + 1::2]
+    else:
+        base = 1.0 + 1.0 / _eta_reference(law, spring_k, x, n, burn_in, rng)
     if isinstance(law, TwoPoint):
         return float(np.mean(law.p * np.log(base + x * spring_k / law.m)
                              + (1.0 - law.p) * np.log(base + x * spring_k / law.big_m)))
@@ -145,13 +150,22 @@ def _omega_type2_reference(law, spring_k, x, n, seed, burn_in):
     (Constant(1.0), 1e-320, 1e-10),  # x K/m underflows to 0 at every step
 ])
 def test_omega_type2_equals_numpy_scalar_loop_bitwise(law, spring_k, x):
-    got = schmidt._eta_samples(law, spring_k, x, 5000, 100, rng_from_seed(23))
+    # Bitwise the xi loop over paired couplings; within 1e-15 of the eta
+    # loop, whose 1 + 1/eta rounds apart from 1 + xi (ledger D18).
+    got = omega_type2_mc(law, spring_k, x, 5000, seed=23, burn_in=100)
+    assert got == _omega_type2_reference(law, spring_k, x, 5000, 23, 100)
     with np.errstate(divide="ignore", invalid="ignore"):
-        want = _eta_reference(law, spring_k, x, 5000, 100, rng_from_seed(23))
-        want_omega = _omega_type2_reference(law, spring_k, x, 5000, 23, 100)
-    assert np.array_equal(got, want, equal_nan=True)
-    got_omega = omega_type2_mc(law, spring_k, x, 5000, seed=23, burn_in=100)
-    assert got_omega == want_omega or (math.isnan(got_omega) and math.isnan(want_omega))
+        eta_omega = _omega_type2_reference(law, spring_k, x, 5000, 23, 100, paired=False)
+    assert abs(got - eta_omega) <= 1e-15 * abs(eta_omega)
+
+
+def test_paired_xi_is_the_reciprocal_of_eta():
+    # Two steps of xi' = x lam / (1 + xi) with one lam are one step of the
+    # eta map, with eta_j = 1/xi_2j from eta_0 = 1 = 1/xi_0.
+    law, x = Gamma(0.2, 1.0), 3.0
+    xi = _paired_reference(law, 1.3, x, 3000, 0, rng_from_seed(4))[1::2]
+    eta = _eta_reference(law, 1.3, x, 3000, 0, rng_from_seed(4))
+    np.testing.assert_allclose(xi * eta, 1.0, rtol=1e-14)
 
 
 # ----------------------------------------------------------------------
@@ -184,31 +198,26 @@ def _block_runs(draw):
 
 
 @settings(max_examples=150, deadline=None)
-@given(
-    kind=st.sampled_from(["xi", "z", "s"]),
-    law=st.sampled_from(_BLOCK_LAWS),
-    x=st.floats(0.01, 100.0),
-    run=_block_runs(),
-    seed=st.integers(0, 2**16),
-)
-@example(kind="xi", law=Gamma(5.0, 5.0), x=100.0, run=(40, 3, 300, 7), seed=1)  # blocks shorter than coalescence
-@example(kind="xi", law=Gamma(1.0, 1.0), x=1.0, run=(48, 32, 330, 0), seed=2)  # every block verifies
-def test_blocked_paths_equal_the_loop_bitwise(kind, law, x, run, seed):
+@given(law=st.sampled_from(_BLOCK_LAWS), x=st.floats(0.01, 100.0), run=_block_runs(), seed=st.integers(0, 2**16))
+@example(law=Gamma(5.0, 5.0), x=100.0, run=(40, 3, 300, 7), seed=1)  # blocks shorter than coalescence
+@example(law=Gamma(1.0, 1.0), x=1.0, run=(48, 32, 330, 0), seed=2)  # every block verifies
+def test_blocked_paths_equal_the_loop_bitwise(law, x, run, seed):
     steps, rows, n_samples, burn_in = run
-    k = {"xi": XiTypeI(x), "z": RatioTypeII(x, 1.7), "s": AntisymRatio(math.sqrt(x))}[kind]
-    with _blocks(steps, rows), np.errstate(all="ignore"):
-        got = mc_stationary(k, law, n_samples, burn_in=burn_in, seed=seed)
-        want = _mc_reference(k, law, n_samples, burn_in, seed)
+    with _blocks(steps, rows):
+        got = mc_stationary(XiTypeI(x), law, n_samples, burn_in=burn_in, seed=seed)
+    want = _mc_reference(XiTypeI(x), law, n_samples, burn_in, seed)
     assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 @settings(max_examples=100, deadline=None)
 @given(law=st.sampled_from(_BLOCK_LAWS), x=st.floats(0.01, 100.0), run=_block_runs(), seed=st.integers(0, 2**16))
-def test_blocked_eta_paths_equal_the_loop_bitwise(law, x, run, seed):
+def test_blocked_type2_paths_equal_the_loop_bitwise(law, x, run, seed):
+    # omega_type2_mc's path: xi over x K/m in pairs, from 1.
     steps, rows, n, burn_in = run
+    c = x * (1.3 / law.sample(rng_from_seed(seed), n + burn_in))
     with _blocks(steps, rows):
-        got = schmidt._eta_samples(law, 1.3, x, n, burn_in, rng_from_seed(seed))
-    want = _eta_reference(law, 1.3, x, n, burn_in, rng_from_seed(seed))
+        got = schmidt._stationary_path(np.repeat(c, 2), 1.0)
+    want = _paired_reference(law, 1.3, x, n, burn_in, rng_from_seed(seed))
     assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
@@ -228,53 +237,26 @@ def test_blocks_verify_and_log_what_ran(caplog):
 
 
 def test_blocks_that_never_coalesce_re_run_bitwise(caplog):
-    # The pure chain in band: z' = a - 1/z with |a| < 2 is a rotation, so
-    # two starts do not meet, and blocks re-run (all but those where the
-    # float orbit happens to repeat the guess's).
+    # x lambda = 1e6 every step: xi' = 1e6/(1 + xi) contracts by about
+    # 0.999 a step near its fixed point, so starts 50 steps apart do not
+    # meet, and blocks re-run (all but those where the float orbit happens
+    # to repeat the start's).
     caplog.set_level(logging.DEBUG, logger="randchain.schmidt")
-    kind = RatioTypeII(0.5, 1.0)
+    kind = XiTypeI(1e6)
     with _blocks(50, 3):
-        got = mc_stationary(kind, Constant(1.0), 480, burn_in=20, seed=0)
-    assert np.array_equal(got.view(np.int64), _mc_reference(kind, Constant(1.0), 480, 20, 0).view(np.int64))
-    logged = re.fullmatch(r"z path: 500 steps, 10 lanes of 50-step blocks, (\d+) re-run, loop fallback False",
-                          _path_log(caplog, "z"))
-    assert logged and int(logged.group(1)) >= 5
-    # At omega^2 = 1 the path hits z = 0 every other step: the sweeps raise
-    # on 1/0 and the whole path goes to the loop.
-    kind = RatioTypeII(1.0, 1.0)
-    with _blocks(50, 3), np.errstate(divide="ignore"):
-        got = mc_stationary(kind, Constant(1.0), 480, burn_in=20, seed=0)
-        want = _mc_reference(kind, Constant(1.0), 480, 20, 0)
-    assert np.array_equal(got.view(np.int64), want.view(np.int64))
-    assert _path_log(caplog, "z").endswith("loop fallback True")
-
-
-def test_z_path_through_a_coefficient_of_one_runs_as_blocks(caplog):
-    # twopoint:1:2:0.3 masses at omega^2 = 0.5 give a = 1 exactly on 70 %
-    # of the steps, which maps z = 1 to the pole 0.  Sweep 1 starts its
-    # blocks from schmidt._GUESS, which no such step sends there, so the
-    # path runs as blocks (most re-run: z meets late near the band edge,
-    # ledger D11) instead of falling back to the loop whole.
-    caplog.set_level(logging.DEBUG, logger="randchain.schmidt")
-    kind, law = RatioTypeII(0.5, 1.0), TwoPoint(1.0, 2.0, 0.3)
-    got = mc_stationary(kind, law, 100000, seed=3)
-    assert np.array_equal(got.view(np.int64), _mc_reference(kind, law, 100000, 1000, 3).view(np.int64))
-    assert re.fullmatch(r"z path: 101000 steps, 98 lanes of 1024-step blocks, \d+ re-run, loop fallback False",
-                        _path_log(caplog, "z"))
-    assert not any("singular" in m for m in caplog.messages)
-
-
-def test_singular_eta_steps_go_through_the_loop(caplog):
-    # x K/m underflows to 0, so the first step divides by zero: the loop
-    # alone handles it, and counts it.
-    caplog.set_level(logging.DEBUG, logger="randchain.schmidt")
-    with _blocks(16, 3):
-        got = schmidt._eta_samples(Constant(1.0), 1e-320, 1e-10, 500, 100, rng_from_seed(23))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        want = _eta_reference(Constant(1.0), 1e-320, 1e-10, 500, 100, rng_from_seed(23))
-    assert np.array_equal(got, want, equal_nan=True)
-    assert _path_log(caplog, "eta").endswith("loop fallback True")
-    assert "eta path handled 1 singular steps" in caplog.messages
+        got = mc_stationary(kind, Constant(1.0), 2980, burn_in=20, seed=0)
+    assert np.array_equal(got.view(np.int64), _mc_reference(kind, Constant(1.0), 2980, 20, 0).view(np.int64))
+    logged = re.fullmatch(r"xi path: 3000 steps, 60 lanes of 50-step blocks, (\d+) re-run, loop fallback False",
+                          _path_log(caplog, "xi"))
+    assert logged and int(logged.group(1)) >= 50
+    # Half the couplings x lambda overflow to inf, and then inf/inf is NaN:
+    # the sweeps raise, and the whole path goes to the loop.
+    kind, law = XiTypeI(1e300), TwoPoint(1.0, 1e300, 0.5)
+    with _blocks(50, 3), np.errstate(all="ignore"):
+        got = mc_stationary(kind, law, 480, burn_in=20, seed=0)
+        want = _mc_reference(kind, law, 480, 20, 0)
+    assert np.array_equal(got, want, equal_nan=True) and np.isnan(got).any()
+    assert _path_log(caplog, "xi").endswith("loop fallback True")
 
 
 def test_block_constants_keep_the_loop_below_the_break_even():
@@ -285,16 +267,15 @@ def test_block_constants_keep_the_loop_below_the_break_even():
 def test_recursion_parameter_validation():
     with pytest.raises(ValueError):
         RatioTypeII(1.0, 0.0)
-    with pytest.raises(ValueError):
-        AntisymRatio(0.0)
-    with pytest.raises(ValueError):
-        AntisymRatio(1e-200)  # y**2 underflows to 0
+    for x in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="x must be positive and finite"):
+            XiTypeI(x)
+        with pytest.raises(ValueError, match="x must be positive and finite"):
+            omega_type2_mc(Constant(1.0), 1.0, x, 10)
     with pytest.raises(ValueError):
         omega_type2_mc(Constant(1.0), 1.0, 1.0, 0)
     with pytest.raises(ValueError):
         omega_type2_mc(Constant(1.0), 0.0, 1.0, 10)
-    with pytest.raises(ValueError):
-        omega_type2_mc(Constant(1.0), 1.0, float("nan"), 10)
 
 
 @pytest.mark.parametrize("call", [
@@ -534,7 +515,7 @@ def test_density_iteration_unsupported_kind():
     # A kind the map cannot take is the caller's type error, as in mc_stationary.
     g = DensityGrid.geometric(1e-3, 10.0, 50)
     with pytest.raises(TypeError):
-        density_iteration(AntisymRatio(3.0), Constant(1.0), g, 1)
+        density_iteration(object(), Constant(1.0), g, 1)
 
 
 @pytest.mark.parametrize("lo", [-3.0, -1.0])
