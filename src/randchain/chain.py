@@ -244,8 +244,12 @@ def frequency_matrix(r: ChainRealization) -> SymTridiag:
 def fixed_frequency_matrix(masses: np.ndarray, spring_k: float) -> SymTridiag:
     """Frequency matrix of these masses, both ends tied to walls: diagonal 2K/m_j, off-diagonal -K/sqrt(m_j m_{j+1})."""
     m = np.asarray(masses, dtype=float)
-    off = m[:-1] * m[1:]
+    with np.errstate(over="ignore"):
+        off = m[:-1] * m[1:]
+    # A pair whose product overflows takes sqrt(m_j) sqrt(m_{j+1}) instead, which two finite masses cannot overflow.
+    wide = np.flatnonzero(off == np.inf)
     np.sqrt(off, out=off)  # in place, so a long chain's peak memory stays near its two bands
+    off[wide] = np.sqrt(m[wide]) * np.sqrt(m[wide + 1])
     # Masses so small that K/m leaves the doubles give entries SymTridiag refuses; numpy's warnings would repeat it.
     with np.errstate(over="ignore", divide="ignore"):
         return SymTridiag(2.0 * spring_k / m, np.divide(-spring_k, off, out=off))

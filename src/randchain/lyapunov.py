@@ -11,7 +11,12 @@ values of an array are lanes of one transfer sweep beside the blocks,
 value i drawing its disorder from the seed (seed, i); each lane's
 arithmetic is that of the one-value call at that seed, so the two agree
 bit for bit.  The disorder is drawn in chunks of steps, one draw per
-value and chunk.
+value and chunk.  Each lane runs the ratio (Riccati) recursion
+z' = a - b/z of Herbert & Jones (1971) and Thouless (1972), the
+recursion of the Sturm pivots in tridiag, and sums log|z|: a ratio stays
+in the doubles where the transfer state would leave them.  Type I at
+omega^2 = 0, where the ratio itself walks, sums the logs of its ratios
+instead (ledger D19).
 """
 
 from __future__ import annotations
@@ -19,12 +24,14 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
 from .chain import ANDERSON, TYPE_I, TYPE_II, DisorderLaw, GaussianPotential, _require_positive_law
 from .schmidt import DensityGrid
 from .specfun import rng_from_seed, scaling_f
+from .tridiag import _TINY
 
 __all__ = [
     "LyapunovEstimate",
@@ -46,14 +53,6 @@ MIN_STEPS = 1000
 # few arrays of this many elements near half a megabyte each.
 _CHUNK_ELEMENTS = 1 << 16
 
-# Most steps between two rescalings of the transfer state by a power of
-# two (longer periods save no more time: ledger D17), and how many bits
-# the state may grow or shrink by between two (the normal range spans
-# 2**-1022 to 2**1024): see _block_gammas.
-_MAX_PERIOD = 32
-_RANGE_BITS = 500
-_LN2 = math.log(2.0)
-
 
 @dataclass(frozen=True)
 class LyapunovEstimate:
@@ -68,110 +67,109 @@ class LyapunovEstimate:
             raise ValueError("invalid estimate")
 
 
-def _rescale_period(growth):
-    """Steps between two rescalings of the transfer state, given the chunk's growth bound.
+def _zero_rule(z):
+    """Replace the zeros of z by _TINY, as a zero Sturm pivot is, and return how many there were."""
+    zero = z == 0.0
+    count = int(np.count_nonzero(zero))
+    if count:
+        z[zero] = _TINY
+    return count
 
-    growth bounds the factor by which one step of the chunk can grow or
-    shrink max(|u|, |v|).  Over this many steps after a rescaling into
-    [1/2, 1) the state so stays within 2**+-_RANGE_BITS.  A non-finite
-    bound gives 1: a rescaling after every step.
+
+def _norm_excess(z, lam, walks):
+    """log1p(1/z^2) / 2 = log|(u, v)| - log|u| at z = u / v = rho / sqrt(lam), also where 1/z^2 overflows.
+
+    The first `walks` value rows hold log|rho| in place of rho."""
+    s = np.abs(z if lam is None else z / np.sqrt(lam))
+    e = np.where(s >= 1.0, 0.5 * np.log1p(1.0 / (s * s)), 0.5 * np.log1p(s * s) - np.log(s))
+    if walks:
+        log_z = z[:walks] - 0.5 * np.log(lam[:walks])
+        e[:walks] = np.maximum(-log_z, 0.0) + 0.5 * np.log1p(np.exp(-2.0 * np.abs(log_z)))
+    return e
+
+
+def _block_gammas(fill, z0, chunk, block_len, burn_in, walks=0):
+    """Mean log growth per step of the ratio recursions z' = a - b/z, and the number of zero ratios.
+
+    z0 holds the start ratio of each lane, in the (values, blocks) lane
+    shape.  fill(rows) writes the coefficients a of the next c <= chunk
+    steps into rows, of shape (c, values, blocks), and returns (b, lam):
+    b iterates over the c steps' b in the lane shape, and lam is None or
+    the (c, values, blocks) couplings of a type I chain, whose recursion
+    runs in the gauge rho = t z with t = sqrt(lam), b being the couplings
+    before lam: there log|z| = log|rho| - log(lam) / 2.  Both are valid
+    until the next call.  The ratio z_j = u_j / u_(j-1) of a trajectory
+    u' = a u - b v, v' = u stays in the doubles where u would leave them
+    (for a != 0), so nothing is rescaled.  A ratio that comes out exactly
+    0 becomes _TINY, as a zero Sturm pivot does.  A block's gamma is
+      (sum over B < j <= T of log|z_j| + e(z_T) - e(z_B)) / block_len,
+    with e(z) = log1p(1/z^2) / 2 = log|(u, v)| - log|u| at the end T of
+    the sweep and B of the burn-in; without a burn-in the B terms are 0,
+    counting the growth from the start itself.
+
+    The first `walks` value rows are type I lanes at a = 0, whose
+    rho' = -b/rho walks multiplicatively out of the doubles under strong
+    disorder: they hold log|rho| from z0 on, stepped by one accumulate
+    per chunk of the logs of b with alternating signs, whose partial sums
+    are bit for bit those of log|rho'| = log b - log|rho| with alternating
+    signs.
+
+    Each other step makes two numpy calls, which turn its row of a into
+    its ratios in place.  A zero ratio raises at the next divide, which is
+    redone after the zero rule; the last ratio of each chunk goes through
+    the zero rule before its log.  The logs of a chunk's counted steps are
+    taken in a few array calls and added onto the running sum by one
+    reduce along the step axis, which numpy adds row after row in step
+    order: the bits are those of a per-step loop, at any chunk length and
+    for any set of values.
     """
-    if not growth < math.inf:
-        return 1
-    bits = math.log2(growth)
-    if bits * _MAX_PERIOD <= _RANGE_BITS:
-        return _MAX_PERIOD
-    return max(1, int(_RANGE_BITS / bits))
-
-
-def _rescale(u, v, exponents, m, s, e):
-    """Scale u and v in place by 2**-e, the power of two that brings max(|u|, |v|) into [1/2, 1).
-
-    e is added to exponents; m and s are float scratch arrays and e an
-    int scratch array of the lane shape.
-    """
-    np.abs(u, m)
-    np.abs(v, s)
-    np.maximum(m, s, out=m)
-    np.frexp(m, m, e)
-    np.negative(e, e)
-    np.ldexp(u, e, u)
-    np.ldexp(v, e, v)
-    np.subtract(exponents, e, exponents)
-
-
-def _log_norm(u, v):
-    return np.log(np.sqrt(u * u + v * v))
-
-
-def _block_gammas(chunk_coefficients, step, lanes, chunk, block_len, burn_in):
-    """Mean log growth per step of trajectories u' = step(coefficient, u, v), and the rescale periods used.
-
-    lanes is the (values, blocks) shape of the state, and
-    chunk_coefficients(c) gives the coefficients of the next c <= chunk
-    steps, one per step, valid until its next call, and a bound on the
-    factor by which one of those steps can grow or shrink max(|u|, |v|).
-    Each step is followed by v' = u.  The state is x = 2**E (u, v) with
-    an integer exponent E per lane: every few steps (_rescale_period of
-    the chunk's bound, at most _MAX_PERIOD), at the end of the burn-in
-    and at the end of each chunk, (u, v) is scaled by the power of two
-    that brings max(|u|, |v|) into [1/2, 1), and the exponent goes into
-    E.  A block's gamma is
-      ((E_T - E_B) log 2 + log|x_T| - log|x_B|) / block_len,
-    with |x| = sqrt(u*u + v*v) of the rescaled state at the end T of the
-    sweep and B of the burn-in; without a burn-in the B terms are 0,
-    counting the growth from the start (1, 0.5) itself.
-
-    Scaling by a power of two is exact, and it commutes with every
-    correctly rounded multiply, subtract and divide of a step as long as
-    no value leaves the normal range.  Between rescalings the bound
-    keeps max(|u|, |v|) within 2**+-_RANGE_BITS, far inside that range,
-    and a chunk with no finite bound rescales after every step.  So the
-    bits of u, v and E at the canonical rescalings do not depend on how
-    often the state was rescaled in between: the result is that of a
-    rescaling after every step, whatever the chunk length and the
-    periods, and the lanes of one value give the same bits in any sweep.
-    (Only a component or product that falls about 2**520 below its
-    lane's max(|u|, |v|) could leave the normal range in one schedule
-    and not in another: ledger D17.)
-
-    No step allocates: step(coefficient, u, v, out, scratch) writes u'
-    into out, then u, v and out rotate among three preallocated arrays.
-    """
-    u = np.ones(lanes)
-    v = np.full(lanes, 0.5)
-    t = np.empty(lanes)
-    scratch = np.empty(lanes)
-    e = np.empty(lanes, dtype=np.intc)
-    exponents = np.zeros(lanes, dtype=np.int64)
-    burn_exponents, burn_log = 0, 0.0
-    periods = []
+    lanes = z0.shape
+    z = np.empty((chunk + 1,) + lanes)  # row 0: the ratio before the chunk
+    z[0] = z0
+    z[0, :walks] = np.log(np.abs(z0[:walks]))
+    zeros = _zero_rule(z[0, walks:])
+    t = np.empty((lanes[0] - walks, lanes[1]))
+    acc = np.zeros(lanes)
+    excess_b = 0.0
     total = block_len + burn_in
     for start in range(0, total, chunk):
-        end = min(start + chunk, total)
-        coefficients, growth = chunk_coefficients(end - start)
-        period = _rescale_period(growth)
-        periods.append(period)
-        stops = {*range(start + period, end, period), end, burn_in}
-        for i, coefficient in enumerate(coefficients, start + 1):
-            step(coefficient, u, v, t, scratch)
-            u, v, t = t, u, v
-            if i in stops:
-                _rescale(u, v, exponents, t, scratch, e)
-                if i == burn_in:
-                    burn_exponents, burn_log = exponents.copy(), _log_norm(u, v)
-    gammas = ((exponents - burn_exponents) * _LN2 + _log_norm(u, v) - burn_log) / block_len
-    return gammas, periods
-
-
-def _linear_growth(a):
-    """Bound max|a| + 1 on the growth and shrink of max(|u|, |v|) under u' = a u - v, v' = u."""
-    return float(np.maximum(a.max(), -a.min())) + 1.0
-
-
-def _linear_step(a, u, v, out, scratch):
-    np.multiply(a, u, out)
-    np.subtract(out, v, out)
+        c = min(chunk, total - start)
+        rows = z[:c + 1]
+        b, lam = fill(rows[1:])
+        if walks:
+            w = rows[:, :walks]  # (-1)^j log|rho_j|, summed from row 0
+            np.log(b[:, :walks], out=w[1:])
+            np.negative(w[1::2], out=w[1::2])
+            np.add.accumulate(w, axis=0, out=w)
+            np.negative(w[1::2], out=w[1::2])
+            b = b[:, walks:]
+        prev = rows[0, walks:]
+        with np.errstate(divide="raise"):
+            for cur, b_j in zip(rows[1:, walks:], b):
+                try:
+                    np.divide(b_j, prev, out=t)
+                except FloatingPointError:
+                    zeros += _zero_rule(prev)
+                    np.divide(b_j, prev, out=t)
+                np.subtract(cur, t, out=cur)
+                prev = cur
+        zeros += _zero_rule(prev)
+        if start < burn_in <= start + c:
+            k = burn_in - start
+            excess_b = _norm_excess(rows[k], None if lam is None else lam[k - 1], walks)
+        z[0] = rows[c]
+        first = max(burn_in - start, 0)  # rows[1 + first:] are the counted steps
+        if first < c:
+            logs = rows[1 + first:]
+            ratios = logs[:, walks:]
+            np.abs(ratios, out=ratios)
+            np.log(ratios, out=ratios)
+            if lam is not None:
+                np.subtract(logs, 0.5 * np.log(lam[first:]), out=logs)
+            np.add(logs[0], acc, out=logs[0])
+            np.add.reduce(logs, axis=0, out=acc)
+    excess_t = _norm_excess(z[0], None if lam is None else lam[-1], walks)
+    return (acc + excess_t - excess_b) / block_len, zeros
 
 
 def transfer_lyapunov(
@@ -190,7 +188,11 @@ def transfer_lyapunov(
     energy for the lattice kind.  The step is
       type II:  u' = (2 - omega^2 m / K) u - v, one mass m per step;
       anderson: u' = (E - V) u - v, band [-2, 2];
-      type I:   t_n u' = omega u - t_{n-1} v with t = sqrt(lambda).
+      type I:   t_n u' = omega u - t_{n-1} v with t = sqrt(lambda),
+    run as the ratio recursion z' = a - b/z of z = u/v: a = 2 - omega^2 m / K
+    or E - V and b = 1, and for type I, in the gauge rho = t_n z,
+    rho' = omega - lambda_{n-1} / rho from rho = 2 sqrt(lambda) at the
+    start (u, v) = (1, 0.5).
     n_steps counted steps are split over n_blocks independent
     trajectories (each with its own discarded burn-in); the estimate is
     the mean of the block means and the error bar their standard error.
@@ -228,71 +230,68 @@ def transfer_lyapunov(
         raise ValueError("invalid block structure")
     if burn_in < 0:
         raise ValueError("burn_in must be >= 0")
-    values = values.reshape(-1, 1)  # one row of block lanes per value
-    rngs = [rng_from_seed(seed)] if scalar else [rng_from_seed((seed, i)) for i in range(values.size)]
+    grid = values.reshape(-1)
+    rngs = [rng_from_seed(seed)] if scalar else [rng_from_seed((seed, i)) for i in range(grid.size)]
+    # Type I lanes at omega = 0 go first, where _block_gammas sums logs (ledger D19).
+    walks = int(np.count_nonzero(grid == 0)) if kind == TYPE_I else 0
+    order = np.argsort(grid != 0, kind="stable") if walks else np.arange(grid.size)
+    values, rngs = grid[order].reshape(-1, 1), [rngs[i] for i in order]  # one row of block lanes per value
+    lanes = (values.size, n_blocks)
     block_len = n_steps // n_blocks
     total = block_len + burn_in
     chunk = min(max(1, _CHUNK_ELEMENTS // (values.size * n_blocks)), total)
-    buf = np.empty((chunk, values.size, n_blocks))
+    ones = repeat(np.ones(lanes))  # full lane shapes: a broadcast costs more per step
+    z0 = np.full(lanes, 2.0)  # u / v at the start (1, 0.5)
 
-    def draw(c):
-        """Disorder of the next c steps, shape (c, values, n_blocks), in buf."""
-        out = buf[:c]
+    def draw(out):
+        """Disorder of the next c steps into out, of shape (c, values, n_blocks)."""
+        c = len(out)
         for i, rng in enumerate(rngs):
             out[:, i] = law.sample(rng, c * n_blocks).reshape(c, n_blocks)
-        return out
 
-    step = _linear_step
     if kind == TYPE_II:
 
-        def coefficients(c):
-            a = draw(c)
+        def fill(a):
+            draw(a)
             np.multiply(values, a, out=a)
             np.divide(a, spring_k, out=a)
             np.subtract(2.0, a, out=a)  # 2 - omega^2 m / K
-            return a, _linear_growth(a)
+            return ones, None
 
     elif kind == ANDERSON:
 
-        def coefficients(c):
-            a = np.subtract(values, draw(c), out=buf[:c])  # E - V
-            return a, _linear_growth(a)
+        def fill(a):
+            draw(a)
+            np.subtract(values, a, out=a)  # E - V
+            return ones, None
 
     else:
-        omega = np.sqrt(values) * np.ones(n_blocks)  # full lane shape: a broadcast costs more per step
-        omega_max = float(omega.max())
-        t_prev = np.sqrt(np.stack([law.sample(rng, n_blocks) for rng in rngs]))
+        omega = np.sqrt(values)
+        lam = np.empty((chunk + 1,) + lanes)  # row 0: the coupling of the step before the chunk
+        lam[0] = np.stack([law.sample(rng, n_blocks) for rng in rngs])
+        z0 = z0 * np.sqrt(lam[0])  # rho = t z
+        last = 0
 
-        def coefficients(c):
-            nonlocal t_prev
-            t = np.sqrt(draw(c), out=buf[:c])
-            t_min = min(float(t.min()), float(t_prev.min()))
-            t_max = max(float(t.max()), float(t_prev.max()))
-            # the step and its inverse each grow max(|u|, |v|) by at most max(1, (omega + t) / t_-)
-            growth = max(1.0, (omega_max + t_max) / t_min) if t_min > 0 else math.inf
-            pairs = zip([t_prev, *t[:-1]], t)
-            t_prev = t[-1].copy()  # the next draw overwrites the buffer
-            return pairs, growth
-
-        def step(pair, u, v, out, scratch):
-            t_last, t_cur = pair
-            np.multiply(omega, u, out)
-            np.multiply(t_last, v, scratch)
-            np.subtract(out, scratch, out)
-            np.divide(out, t_cur, out)
+        def fill(a):
+            nonlocal last
+            c = len(a)
+            a[...] = omega
+            lam[0] = lam[last]
+            draw(lam[1:c + 1])
+            last = c
+            return lam[:c], lam[1:c + 1]
 
     # A law whose draws overflow the step makes non-finite blocks; the check below refuses
     # them, so numpy's own warnings on the way there would only repeat it.
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        blocks, periods = _block_gammas(coefficients, step, (values.size, n_blocks), chunk, block_len, burn_in)
+        blocks, zeros = _block_gammas(fill, z0, chunk, block_len, burn_in, walks)
+        blocks[order] = blocks.copy()
+        moments = [(float(np.mean(row)), float(np.std(row, ddof=1) / math.sqrt(n_blocks))) for row in blocks]
     logger.debug("transfer sweep: %d lanes (%d values x %d blocks), %d steps per lane in %d chunks of %d steps; "
-                 "smallest rescale period %d steps, %d chunks below %d",
-                 values.size * n_blocks, values.size, n_blocks, total, len(periods), chunk,
-                 min(periods), sum(p < _MAX_PERIOD for p in periods), _MAX_PERIOD)
+                 "%d zero ratios set to %g",
+                 values.size * n_blocks, values.size, n_blocks, total, -(-total // chunk), chunk, zeros, _TINY)
     estimates = []
-    for value, row in zip(values[:, 0], blocks):
-        gamma = float(np.mean(row))
-        stderr = float(np.std(row, ddof=1) / math.sqrt(n_blocks))
+    for value, (gamma, stderr) in zip(grid, moments):
         if not (math.isfinite(gamma) and math.isfinite(stderr)):
             raise ArithmeticError(f"non-finite Lyapunov estimate at {value:g}")
         estimates.append(LyapunovEstimate(gamma=gamma, stderr=stderr, steps=n_blocks * block_len))

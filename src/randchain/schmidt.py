@@ -260,7 +260,12 @@ def omega_type2_mc(law: DisorderLaw, spring_k: float, x: float, n: int, seed=0, 
     with np.errstate(all="ignore"):  # K/m or x K/m past the doubles make the estimate non-finite
         np.divide(spring_k, c, out=c)
         np.multiply(float(x), c, out=c)  # x K/m
-        base = 1.0 + _stationary_path(np.repeat(c, 2), 1.0)[2 * burn_in + 1::2]
+        # Each array is freed once the next is made, to keep the peak near the path's 2n doubles.
+        c = np.repeat(c, 2)
+        xi = _stationary_path(c, 1.0)
+        del c
+        base = 1.0 + xi[2 * burn_in + 1::2]
+        del xi
         if isinstance(law, TwoPoint):
             val = np.mean(law.p * np.log(base + x * spring_k / law.m)
                           + (1.0 - law.p) * np.log(base + x * spring_k / law.big_m))

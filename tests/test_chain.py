@@ -288,6 +288,15 @@ def test_fixed_frequency_matrix_is_the_free_one_tied_to_walls():
     assert np.allclose(fixed.off, -free.off, rtol=1e-15, atol=0)
 
 
+def test_fixed_frequency_matrix_couples_masses_whose_product_overflows():
+    # 1e300 * 1e300 leaves the doubles: that coupling is K / (sqrt(m_j) sqrt(m_j+1)),
+    # with no overflow warning, and the finite products keep their bits.
+    masses = np.array([1e300, 1e300, 2.0, 3.0])
+    fm = fixed_frequency_matrix(masses, 1.0)
+    assert fm.off[0] == -1e-300
+    assert fm.off[1:].tolist() == [-1.0 / math.sqrt(2e300), -1.0 / math.sqrt(6.0)]
+
+
 @pytest.mark.parametrize("kind", [TYPE_I, TYPE_II])
 def test_chain_spec_refuses_a_signed_law(kind):
     # Masses and couplings are drawn from the law, so they must be positive.

@@ -6,12 +6,13 @@ import shlex
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from randchain import chain, cli, exact, schmidt, tridiag
@@ -405,6 +406,22 @@ def test_exact_idos_near_zero_writes_finite_m(tmp_path):
     assert run(argv) == EXIT_OK
     table = np.loadtxt(tmp_path / "exact_idos.csv", delimiter=",", skiprows=1)
     assert np.all(np.isfinite(table)) and np.all((table[:, 1] > 0) & (table[:, 1] < 1))
+
+
+@pytest.mark.xfail(raises=AssertionError, strict=True,
+                   reason="the Sturm count squares couplings of 1e-300 to 0")
+def test_nodefrac_of_masses_whose_products_overflow(tmp_path):
+    # Neighbouring masses of 1e300 have a product past the doubles; the
+    # fixed-boundary matrix couples them without an overflow warning (a
+    # warning would fail the run, not this assertion).  All masses are
+    # 1e300, so omega^2 = 1e-300 is omega^2 m / K = 1, where the pure chain
+    # counts a third of its modes below.
+    argv = ["schmidt", "--op", "nodefrac", "--law", "twopoint:1e-10:1e300:0", "--grid=1e-300:0.5:1",
+            "--out", str(tmp_path)]
+    assert run(argv) == EXIT_OK
+    table = np.loadtxt(tmp_path / "schmidt_idos.csv", delimiter=",", skiprows=1, ndmin=2)
+    assert table[0, 0] == 1e-300
+    assert table[0, 1] == pytest.approx(1.0 / 3.0, abs=1e-3)
 
 
 def test_exact_omega_where_x_over_kappa_underflows_writes_zero(tmp_path):
@@ -901,6 +918,51 @@ def test_malformed_law_exits_usage(spec):
         argv = ["lyapunov", "--model", "type2", f"--law={spec}", "--grid", "1:2:2", "--steps", "10", "--out", out]
         assert run(argv) == EXIT_USAGE
         assert not list(Path(out).iterdir())
+
+
+# The refusal contract over lyapunov's arguments: values from the edges of
+# the doubles and of each law, strong disorder (0.05), and grids through
+# omega^2 = 0 and 1.5, where the pure chain's first ratio is exactly 0.
+_EXTREME = ("1e-300", "1e-10", "1e300")
+_edge = st.sampled_from(["0", *_EXTREME, "0.05", "0.5", "1", "3"])
+_lyapunov_laws = st.one_of(
+    _edge.map(lambda v: f"const:{v}"),
+    st.tuples(_edge, _edge).map(lambda t: "gamma:{}:{}".format(*t)),
+    st.tuples(_edge, _edge, _edge).map(lambda t: "twopoint:{}:{}:{}".format(*t)),
+    _edge.map(lambda v: f"gauss:{v}"),
+)
+_lyapunov_grids = st.one_of(
+    st.sampled_from(["1.5:2:2", "0:1.5:2", "1:2:3", "-3:3:3", "1.5:1e300:2"]),
+    st.tuples(st.sampled_from(["-3", "0", "1e-300", "0.5", "1.5"]), _edge, st.integers(1, 2))
+    .map(lambda t: "{}:{}:{}".format(*t)),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(model=st.sampled_from(["type1", "type2", "anderson"]), law=_lyapunov_laws, grid=_lyapunov_grids,
+       spring_k=_edge)
+@example(model="type2", law="const:1", grid="1.5:2:2", spring_k="1")
+@example(model="type1", law="gamma:1e-300:1", grid="0.5:1:2", spring_k="1")
+# at omega^2 = 0 these couplings drive the type I ratio out of the doubles
+@example(model="type1", law="gamma:0.05:0.05", grid="0:1:2", spring_k="1")
+@example(model="type1", law="gamma:0.1:0.1", grid="0:1:2", spring_k="1")
+def test_lyapunov_keeps_the_refusal_contract(model, law, grid, spring_k):
+    # Exit 0 with finite cells, or exit 2 or 3 with no file; never a numpy
+    # warning.  A run may refuse its values (exit 3) only where one of them
+    # is extreme: a coefficient near 1e300 makes the step or the ratio
+    # overflow, and a gamma shape of 1e-10 or 1e-300 draws zeros.
+    argv = ["lyapunov", "--model", model, "--law", law, f"--grid={grid}", "--steps", "1000",
+            "--spring-k", spring_k]
+    extreme = any(v in _EXTREME for v in [*law.split(":")[1:], *grid.split(":"), spring_k])
+    with tempfile.TemporaryDirectory() as out, warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = run([*argv, "--out", out])
+        assert code in ((EXIT_OK, EXIT_USAGE, EXIT_NUMERIC) if extreme else (EXIT_OK, EXIT_USAGE))
+        if code == EXIT_OK:
+            table = np.loadtxt(Path(out) / "lyapunov_gamma.csv", delimiter=",", skiprows=1, ndmin=2)
+            assert np.all(np.isfinite(table))
+        else:
+            assert not list(Path(out).iterdir())
 
 
 def test_selftest_passes(capsys):

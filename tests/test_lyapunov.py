@@ -231,6 +231,19 @@ def test_type1_gamma_chain_exact_solution_rate():
     assert abs(est.gamma - lyapunov_exact(Gamma(3.0, 1.5), 1.0)) < 4.0 * est.stderr
 
 
+@pytest.mark.parametrize("alpha", [0.3, 0.05])
+def test_type1_small_gamma_shapes_match_exact_solution(alpha):
+    # Couplings of Gamma(0.05, 0.05) reach far below 1e-30, and b = lambda
+    # carries them through the gauge rho = t z.  Over seeds 0-39 the
+    # deviation from the exact solution was 0.97-1.09 standard errors
+    # (sd), at most 3.6 in 160 points; 4.5 leaves a t-distributed error
+    # with 49 degrees of freedom a chance below 1e-4.
+    law = Gamma(alpha, alpha)
+    ests = transfer_lyapunov(TYPE_I, law, np.array([0.5, 2.0]), 400_000, seed=3)
+    for w2, est in zip((0.5, 2.0), ests):
+        assert abs(est.gamma - lyapunov_exact(law, w2)) < 4.5 * est.stderr
+
+
 @pytest.mark.parametrize("kind, law", [(ANDERSON, GaussianPotential(0.1)), (TYPE_II, Constant(1.0))])
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_transfer_lyapunov_rejects_nonfinite_values(kind, law, bad):
@@ -251,6 +264,49 @@ def test_transfer_lyapunov_nonfinite_estimate_is_an_error():
             transfer_lyapunov(TYPE_II, Constant(1.0), 1.0, 5000, spring_k=1e-320)
         with pytest.raises(ArithmeticError, match="non-finite"):
             transfer_lyapunov(TYPE_I, Gamma(1e-300, 1.0), np.array([1.0, 2.0]), 2000)
+
+
+def _sublattice_gamma(law, n_steps, seed, n_blocks, burn_in):
+    """Type I at omega = 0, where u_(n+1) = -(t_(n-1) / t_n) u_(n-1): each sublattice's log|u| summed in logs."""
+    rng = rng_from_seed(seed)
+    block_len = n_steps // n_blocks
+    log_lam = np.log(law.sample(rng, n_blocks))
+    log_u, log_v = np.zeros(n_blocks), np.full(n_blocks, math.log(0.5))
+
+    def log_norm():
+        return np.maximum(log_u, log_v) + 0.5 * np.log1p(np.exp(-2.0 * np.abs(log_u - log_v)))
+
+    start = log_norm()
+    for i in range(1, block_len + burn_in + 1):
+        log_next = np.log(law.sample(rng, n_blocks))
+        log_u, log_v = log_v + 0.5 * (log_lam - log_next), log_u
+        log_lam = log_next
+        if i == burn_in:
+            start = log_norm()
+    return _estimate((log_norm() - start) / block_len, n_blocks)
+
+
+@pytest.mark.parametrize("alpha", [0.05, 0.1])
+def test_type1_at_zero_frequency_is_the_sublattice_sum(alpha):
+    # At omega = 0 the two sublattices decouple, and under Gamma(alpha,
+    # alpha) couplings their ratio drifts beyond the range of the doubles
+    # within a block: the ratio recursion would overflow, and a loop that
+    # normalises the state flushes the smaller sublattice to 0 (at 0.05
+    # here).  Lanes at omega = 0 sum the logs of their ratios instead.
+    law = Gamma(alpha, alpha)
+    # Value 1 of the grid: the sweep runs the lanes at omega = 0 first.
+    est = transfer_lyapunov(TYPE_I, law, np.array([1.0, 0.0]), 20_000, seed=5, n_blocks=10)[1]
+    gamma, stderr = _sublattice_gamma(law, 20_000, (5, 1), 10, 1000)
+    assert est.gamma == pytest.approx(gamma, rel=1e-12, abs=1e-15)
+    assert est.stderr == pytest.approx(stderr, rel=1e-10)
+
+
+def test_type1_at_zero_frequency_keeps_its_strong_disorder_estimate():
+    # Ledger D19's case: the rescaled transfer state of ledger D17 read
+    # 0.030415 +- 0.0081 here; the ratio recursion without log lanes refused it.
+    est = transfer_lyapunov(TYPE_I, Gamma(0.1, 0.1), 0.0, 200_000, seed=5)
+    assert math.isfinite(est.gamma) and math.isfinite(est.stderr)
+    assert abs(est.gamma - 0.030415226412679904) < est.stderr
 
 
 def _reference_step(kind, law, value, seed, spring_k, n_blocks):
@@ -277,23 +333,58 @@ def _estimate(blocks, n_blocks):
     return float(np.mean(blocks)), float(np.std(blocks, ddof=1) / math.sqrt(n_blocks))
 
 
+def _excess(z):
+    """log1p(1/z^2) / 2, the log of |(u, v)| / |u| at the ratio z = u / v, without overflow at small |z|."""
+    s = np.abs(z)
+    return np.where(s >= 1.0, 0.5 * np.log1p(1.0 / (s * s)), 0.5 * np.log1p(s * s) - np.log(s))
+
+
+def _log_excess(log_z):
+    """_excess at the ratio of log-modulus log_z, for any finite log_z."""
+    return np.maximum(-log_z, 0.0) + 0.5 * np.log1p(np.exp(-2.0 * np.abs(log_z)))
+
+
 def _reference_lyapunov(kind, law, value, n_steps, seed, spring_k, n_blocks, burn_in):
-    """The per-step transfer loop, rescaled by a power of two after every step."""
-    step = _reference_step(kind, law, value, seed, spring_k, n_blocks)
+    """The per-step ratio loop z' = a - b/z, one draw per step; type I runs rho = t z with b = lambda_(n-1).
+
+    Type I at omega = 0 carries log|rho| instead, through log|rho'| = log lambda_(n-1) - log|rho|.
+    """
+    rng = rng_from_seed(seed)
+    walk = kind == TYPE_I and value == 0.0
+    if kind == TYPE_I:
+        lam = law.sample(rng, n_blocks)
+        z = 2.0 * np.sqrt(lam)
+    else:
+        z = np.full(n_blocks, 2.0)
+    if walk:
+        z = np.log(z)
+    else:
+        z[z == 0.0] = tridiag._TINY
     block_len = n_steps // n_blocks
-    u = np.ones(n_blocks)
-    v = np.full(n_blocks, 0.5)
-    exponent = np.zeros(n_blocks, dtype=np.int64)
-    burn_exponent, burn_log = 0, 0.0
-    for i in range(1, block_len + burn_in + 1):
-        u, v = step(u, v), u
-        _, e = np.frexp(np.maximum(np.abs(u), np.abs(v)))
-        u, v = np.ldexp(u, -e), np.ldexp(v, -e)
-        exponent += e
-        if i == burn_in:
-            burn_exponent, burn_log = exponent.copy(), np.log(np.sqrt(u * u + v * v))
-    log_norm = np.log(np.sqrt(u * u + v * v))
-    return _estimate(((exponent - burn_exponent) * math.log(2.0) + log_norm - burn_log) / block_len, n_blocks)
+    acc = np.zeros(n_blocks)
+    excess_b = 0.0
+    with np.errstate(divide="ignore", over="ignore"):
+        for i in range(1, block_len + burn_in + 1):
+            draw = law.sample(rng, n_blocks)
+            if kind == TYPE_II:
+                z = 2.0 - value * draw / spring_k - 1.0 / z
+            elif kind == ANDERSON:
+                z = value - draw - 1.0 / z
+            elif walk:
+                z = np.log(lam) - z
+                lam = draw
+            else:
+                z = math.sqrt(value) - lam / z
+                lam = draw
+            if not walk:
+                z[z == 0.0] = tridiag._TINY
+            log_z = z - 0.5 * np.log(lam) if walk else np.log(np.abs(z))
+            if i > burn_in:
+                acc = acc + (log_z if kind != TYPE_I or walk else log_z - 0.5 * np.log(lam))
+            if i == burn_in:
+                excess_b = _log_excess(log_z) if walk else _excess(z if kind != TYPE_I else z / np.sqrt(lam))
+        excess_t = _log_excess(z - 0.5 * np.log(lam)) if walk else _excess(z if kind != TYPE_I else z / np.sqrt(lam))
+    return _estimate((acc + excess_t - excess_b) / block_len, n_blocks)
 
 
 def _dividing_lyapunov(kind, law, value, n_steps, seed, spring_k, n_blocks, burn_in):
@@ -350,15 +441,6 @@ def _assert_sweep_is_the_reference_loop(kind, law, values, spring_k, n_blocks, b
         assert (est.gamma, est.stderr) == ref
 
 
-@pytest.mark.parametrize("kind, law, values, spring_k", _BIT_CASES)
-@pytest.mark.parametrize("chunk_elements", [1, 7 * 7 * 3, 256 * 7 * 3])
-def test_chunked_sweep_equals_per_step_loop_bitwise(monkeypatch, kind, law, values, spring_k, chunk_elements):
-    # Chunks of 1, 7 and 256 steps of three values by seven blocks: one
-    # draw per step, a last chunk the steps do not fill, and one chunk.
-    monkeypatch.setattr(lyapunov, "_CHUNK_ELEMENTS", chunk_elements)
-    _assert_sweep_is_the_reference_loop(kind, law, values, spring_k, 7, 13)
-
-
 _EDGE_ALPHA = 64.0
 _SWEEP_CASES = _BIT_CASES + [
     # lyapunov --law const:1: gamma = 0 inside the band, where a sum of
@@ -367,16 +449,32 @@ _SWEEP_CASES = _BIT_CASES + [
     # the 9-energy grid of the band-edge collapse
     (ANDERSON, GaussianPotential(1.0 / _EDGE_ALPHA),
      list(2.0 + np.arange(-4.0, 5.0) * (2.0 * _EDGE_ALPHA) ** (-2.0 / 3.0)), 1.0),
+    # Gamma(0.05, 1) draws couplings far below 1e-30 but not 0
+    (TYPE_I, Gamma(0.05, 1.0), [0.5, 2.0], 1.0),
+    # z_1 = (2 - 1.5) - 1/2 is exactly 0, and becomes tridiag._TINY
+    (TYPE_II, Constant(1.0), [1.5], 1.0),
+    # lanes at omega = 0, which sum logs, between ratio lanes
+    (TYPE_I, Gamma(2.0, 2.0), [2.0, 0.0, 0.5, 0.0], 1.0),
 ]
 
 
 @pytest.mark.parametrize("kind, law, values, spring_k", _SWEEP_CASES)
-@pytest.mark.parametrize("n_blocks, burn_in", [(7, 14), (7, 40), (7, 0), (2, 13)])
+@pytest.mark.parametrize("chunk_elements", [1, 7 * 7 * 3, 256 * 7 * 3])
+def test_chunked_sweep_equals_per_step_loop_bitwise(monkeypatch, kind, law, values, spring_k, chunk_elements):
+    # Chunks of 1, 7 and 256 steps of three values by seven blocks: one
+    # draw per step, a last chunk the steps do not fill, and one chunk.
+    # Other numbers of values get other lengths, down to 2 steps of nine.
+    monkeypatch.setattr(lyapunov, "_CHUNK_ELEMENTS", chunk_elements)
+    _assert_sweep_is_the_reference_loop(kind, law, values, spring_k, 7, 13)
+
+
+@pytest.mark.parametrize("kind, law, values, spring_k", _SWEEP_CASES)
+@pytest.mark.parametrize("n_blocks, burn_in", [(7, 14), (7, 40), (7, 0), (2, 13), (7, 1)])
 def test_chunked_sweep_equals_per_step_loop_bitwise_at_burn_in_edges(monkeypatch, kind, law, values, spring_k,
                                                                      n_blocks, burn_in):
     # Chunks of 7 steps: a burn-in that ends on a chunk boundary (14),
-    # spans five chunks (40) or is empty (0), and two blocks, the fewest
-    # lanes a value can have.
+    # spans five chunks (40), is empty (0) or one step (1), and two
+    # blocks, the fewest lanes a value can have.
     monkeypatch.setattr(lyapunov, "_CHUNK_ELEMENTS", 7 * len(values) * n_blocks)
     _assert_sweep_is_the_reference_loop(kind, law, values, spring_k, n_blocks, burn_in)
 
@@ -386,7 +484,22 @@ def test_transfer_sweep_logs_its_shape(monkeypatch, caplog):
     caplog.set_level(logging.DEBUG, logger="randchain.lyapunov")
     transfer_lyapunov(ANDERSON, GaussianPotential(0.1), np.array([-1.0, 0.0, 1.0]), 1003, n_blocks=7, burn_in=13)
     assert caplog.messages == ["transfer sweep: 21 lanes (3 values x 7 blocks), 156 steps per lane in 23 chunks of 7 steps; "
-                               "smallest rescale period 32 steps, 0 chunks below 32"]
+                               "0 zero ratios set to 1e-300"]
+
+
+@pytest.mark.parametrize("chunk_elements", [7, 1 << 16])
+@pytest.mark.parametrize("burn_in", [0, 1])
+def test_zero_ratio_becomes_tiny(monkeypatch, caplog, burn_in, chunk_elements):
+    # The pure chain at omega^2 = 1.5 steps z_1 = 0.5 - 1/2 = 0 in every
+    # lane.  It becomes 1e-300, the next ratio about -1e300, and their logs
+    # cancel: gamma stays the in-band 0 of the dividing loop.  With chunks
+    # of one step, z_1 is the last ratio of its chunk.
+    monkeypatch.setattr(lyapunov, "_CHUNK_ELEMENTS", chunk_elements)
+    caplog.set_level(logging.DEBUG, logger="randchain.lyapunov")
+    est = transfer_lyapunov(TYPE_II, Constant(1.0), 1.5, 1003, n_blocks=7, burn_in=burn_in)
+    gamma, _ = _dividing_lyapunov(TYPE_II, Constant(1.0), 1.5, 1003, 0, 1.0, 7, burn_in)
+    assert abs(est.gamma - gamma) <= 1e-12
+    assert caplog.messages[-1].endswith("; 7 zero ratios set to 1e-300")
 
 
 @pytest.mark.parametrize("kind, law, values, spring_k", _SWEEP_CASES)
@@ -399,26 +512,9 @@ def test_power_of_two_rescaling_stays_near_the_dividing_loop(kind, law, values, 
         assert abs(est.gamma - gamma) <= 1e-12 * max(1.0, abs(gamma))
 
 
-def test_steep_step_rescales_every_step():
-    # |a| = 1e100 - 2 grows the state by 2**332 a step: four steps between
-    # rescalings would overflow, and the bound takes one.
+def test_steep_step_stays_in_range():
+    # |a| = 1e100 - 2 grows the state by 2**332 a step, which the ratio
+    # form never holds: each ratio is about -1e100.
     est = transfer_lyapunov(TYPE_II, Constant(1.0), 1e100, 2000)
     assert math.isfinite(est.gamma)
     assert est.gamma == pytest.approx(math.log(1e100 - 2.0), rel=1e-13, abs=0.0)
-
-
-@pytest.mark.parametrize("chunk_elements", [7 * 2 * 7, 256 * 2 * 7])
-def test_tiny_couplings_shorten_the_rescale_period_bitwise(monkeypatch, chunk_elements):
-    # Gamma(0.05, 1) draws couplings far below 1e-30 but not 0: the chunks
-    # that hold one rescale more often, and every bit stays the reference's.
-    periods = []
-    real = lyapunov._rescale_period
-
-    def spy(growth):
-        periods.append(real(growth))
-        return periods[-1]
-
-    monkeypatch.setattr(lyapunov, "_rescale_period", spy)
-    monkeypatch.setattr(lyapunov, "_CHUNK_ELEMENTS", chunk_elements)
-    _assert_sweep_is_the_reference_loop(TYPE_I, Gamma(0.05, 1.0), [0.5, 2.0], 1.0, 7, 13)
-    assert min(periods) < lyapunov._MAX_PERIOD
